@@ -91,9 +91,9 @@ BUFFERED_FLOOR = {"Zipf_3": 5.0, "ObjectID": 5.0, "ClientID": 5.0}
 #: actually having >= 4 cores: row partitioning only buys wall-clock
 #: when the forked workers can run concurrently, so smaller hosts emit
 #: a skip block instead of ratios (a 1-core container measures pure
-#: orchestration overhead).  Zipf_3 joins the floor with the
-#: shared-memory transport: zero-copy batch publication removes the
-#: pickle-per-batch cost that used to cap the skewed workload.
+#: orchestration overhead).  The Zipf_3 floor was set when batches
+#: travelled through shared memory; it has not been re-measured on the
+#: pipe transport (no >= 4-core host has run it since).
 PARALLEL_FLOOR = 2.5
 PARALLEL_FLOOR_DATASETS = ("Zipf_3", "ObjectID", "ClientID")
 
@@ -147,7 +147,7 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
             batch_s = min(batch_s, time.perf_counter() - start)
 
     # Parallel execution layer: same batch plan fanned over forked
-    # row-workers on the shared-memory transport.  The final merge
+    # row-workers over their pipes.  The final merge
     # (detach) is part of the timed cost — that is what a caller pays
     # before the state is queryable.  Hosts below the core floor emit
     # the skip block instead of time-sliced ratios.

@@ -11,29 +11,31 @@ on all three workloads:
 * live per-query latency (p50/p99) and throughput for point queries;
 * frozen per-query latency and ``point_many`` batch throughput;
 * live vs frozen self-join latency;
-* parallel snapshot compilation and ``point_many`` fan-out over 2- and
-  4-worker pools (on a tiled probe batch large enough to trigger the
-  fan-out), bit-equal to the serial snapshot;
 * and — a hard gate — **bit-equality** of every frozen answer with its
   live counterpart, so the speedup can never come from answering a
   different question.
 
+The batch timing is repeated ``BATCH_REPEATS`` times and reported as
+best-of (the sustained rate, timeit practice) beside the median and the
+interquartile range, so run-to-run noise is visible next to the headline.
+
 Results are written to ``BENCH_query.json`` at the repo root (schema
-``bench_query_serving/v3``, documented in EXPERIMENTS.md; v2 added
+``bench_query_serving/v4``, documented in EXPERIMENTS.md; v2 added
 ``cpus``/``workers`` and the per-workload ``parallel`` block to v1; v3
-adds the ``cpu_affinity`` header and replaces the parallel ratios with
-an explicit ``{"skipped": "cpus < 4"}`` block on hosts too small to
-measure them honestly).  Scale with ``REPRO_BENCH_SCALE``.
+added the ``cpu_affinity`` header; v4 drops the ``workers`` list and
+the ``parallel`` block — reads no longer fan out — and adds the batch
+median/IQR).  Scale with ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
-from conftest import cpu_header, parallel_skip_block, run_once
+from conftest import cpu_header, run_once
 
 from repro.engine import freeze
 from repro.eval import harness
@@ -51,12 +53,8 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_query.json"
 
 SELF_JOIN_QUERIES = 5
 
-#: Pool widths measured for parallel freeze + point_many fan-out.
-WORKER_WIDTHS = (2, 4)
-
-#: The fan-out only engages above ``repro.engine.frozen._FANOUT_MIN``
-#: probes; the parallel leg tiles the query workload up to this size.
-PARALLEL_PROBE_TARGET = 16_384
+#: Timed repetitions of the whole-workload ``point_many`` batch.
+BATCH_REPEATS = 7
 
 #: Frozen scalar ``point`` must stay within this factor of the live
 #: path's p50 — the fast path exists precisely so one-off queries do
@@ -69,7 +67,17 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[idx]
 
 
-def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
+def _spread(samples: list[float]) -> dict:
+    """Best-of, median and interquartile range of repeated timings."""
+    q1, _median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "best_s": min(samples),
+        "median_s": statistics.median(samples),
+        "iqr_s": q3 - q1,
+    }
+
+
+def _bench_workload(name: str) -> dict:
     length = harness.scaled(200_000)
     n_queries = max(200, int(2000 * harness.bench_scale()))
     sketch = harness.build_paper_shape_cm(
@@ -104,13 +112,13 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
     # best-of-N repetitions gives the sustained rate (timeit practice).
     items_arr = np.asarray(items, dtype=np.int64)
     windows_arr = np.asarray(windows, dtype=np.float64)
-    frozen_batch_total = float("inf")
-    for _ in range(5):
+    batch_samples = []
+    for _ in range(BATCH_REPEATS):
         start = time.perf_counter()
         frozen_answers = frozen.point_many(items_arr, windows_arr)
-        frozen_batch_total = min(
-            frozen_batch_total, time.perf_counter() - start
-        )
+        batch_samples.append(time.perf_counter() - start)
+    batch = _spread(batch_samples)
+    frozen_batch_total = batch["best_s"]
 
     # Equality gate: every frozen answer must be bit-equal to live.
     mismatches = sum(
@@ -123,41 +131,6 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
             f"{name}: {mismatches}/{n_queries} frozen point answers "
             f"diverge from the live query path"
         )
-
-    # Parallel leg: freeze with a worker pool and fan a large probe
-    # batch over the forked children.  The workload is tiled so the
-    # batch clears the fan-out threshold at any bench scale; answers
-    # must be bit-equal to the serial snapshot's, tile by tile.
-    reps = max(1, -(-PARALLEL_PROBE_TARGET // n_queries))
-    par_items = np.tile(items_arr, reps)
-    par_windows = np.tile(windows_arr, (reps, 1))
-    serial_par_total = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        serial_par_answers = frozen.point_many(par_items, par_windows)
-        serial_par_total = min(serial_par_total, time.perf_counter() - start)
-    parallel: dict = dict(skip_parallel) if skip_parallel else {}
-    for workers in () if skip_parallel else WORKER_WIDTHS:
-        par_freeze_start = time.perf_counter()
-        par_frozen = freeze(sketch, workers=workers)
-        par_freeze_s = time.perf_counter() - par_freeze_start
-        par_total = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            par_answers = par_frozen.point_many(par_items, par_windows)
-            par_total = min(par_total, time.perf_counter() - start)
-        if not np.array_equal(par_answers, serial_par_answers):
-            raise AssertionError(
-                f"{name}: {workers}-worker point_many diverges from the "
-                f"serial snapshot"
-            )
-        parallel[str(workers)] = {
-            "equal": True,
-            "freeze_s": par_freeze_s,
-            "point_many_total_s": par_total,
-            "point_many_qps": len(par_items) / par_total,
-            "speedup_vs_serial_frozen": serial_par_total / par_total,
-        }
 
     # Self-join: a few holistic queries on nested windows.
     sj_windows = [
@@ -192,11 +165,11 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
             "point_p50_us": _percentile(frozen_lat, 0.50) * 1e6,
             "point_p99_us": _percentile(frozen_lat, 0.99) * 1e6,
             "point_many_total_s": frozen_batch_total,
+            "point_many_median_s": batch["median_s"],
+            "point_many_iqr_s": batch["iqr_s"],
             "point_many_qps": n_queries / frozen_batch_total,
             "self_join_total_s": frozen_sj_total,
         },
-        "parallel_queries": int(len(par_items)),
-        "parallel": parallel,
         "speedup_point_many": live_total / frozen_batch_total,
         "speedup_self_join": live_sj_total / max(frozen_sj_total, 1e-12),
     }
@@ -204,13 +177,12 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
 
 def run_benchmark() -> dict:
     header = cpu_header()
-    skip_parallel = parallel_skip_block()
     results = {}
     rows = []
     for name in DATASETS:
-        stats = _bench_workload(name, skip_parallel)
+        stats = _bench_workload(name)
         results[name] = stats
-        par = stats["parallel"]
+        frozen = stats["frozen"]
         rows.append(
             (
                 name,
@@ -219,18 +191,17 @@ def run_benchmark() -> dict:
                 round(stats["live"]["point_p99_us"], 1),
                 round(stats["frozen"]["point_p50_us"], 1),
                 round(stats["frozen"]["point_p99_us"], 1),
-                round(stats["frozen"]["point_many_qps"], 0),
+                round(frozen["point_many_qps"], 0),
+                round(frozen["point_many_median_s"] * 1e3, 2),
+                round(frozen["point_many_iqr_s"] * 1e3, 2),
                 round(stats["speedup_point_many"], 1),
-                round(par["4"]["point_many_qps"], 0)
-                if "4" in par
-                else "skipped",
             )
         )
     payload = {
-        "schema": "bench_query_serving/v3",
+        "schema": "bench_query_serving/v4",
         "scale": harness.bench_scale(),
         **header,
-        "workers": list(WORKER_WIDTHS),
+        "batch_repeats": BATCH_REPEATS,
         "shape": {"width": WIDTH, "depth": DEPTH, "delta": DELTA},
         "workloads": results,
     }
@@ -246,8 +217,9 @@ def run_benchmark() -> dict:
             "frozen p50 (us)",
             "frozen p99 (us)",
             "frozen batch qps",
+            "batch median (ms)",
+            "batch IQR (ms)",
             "batch speedup",
-            "4-worker qps",
         ],
         rows,
         json_name="query_serving",
@@ -272,13 +244,6 @@ def test_query_serving(benchmark):
             f"{stats['speedup_point_many']:.1f}x faster than live "
             f"(floor {floor}x)"
         )
-        parallel = stats["parallel"]
-        if "skipped" in parallel:
-            # Small host: the skip block must be explicit, not ratios.
-            assert parallel["skipped"] == "cpus < 4", parallel
-        else:
-            for workers in WORKER_WIDTHS:
-                assert parallel[str(workers)]["equal"]
     # The scalar fast path gate: a one-off frozen point query must not
     # cost more than a live one (it used to pay the full batch setup —
     # 181us vs 13us p50 on Zipf_3 before the fast path).

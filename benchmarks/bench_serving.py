@@ -12,30 +12,22 @@ A correctness gate rides along: after the load, frozen-routed answers
 must be bit-equal to live-routed answers at the frozen horizon, so a
 fast-but-wrong server can never score.
 
-On hosts with >= 4 cores the load runs a second time with
-``query_workers=4``: the serving view is published as one shared-memory
-segment, four forked reader processes attach to it (one physical copy
-of the frozen tables — per-worker RSS is recorded as evidence), and the
-aggregate qps is compared against the in-process baseline.  Smaller
-hosts emit an explicit ``{"skipped": "cpus < 4"}`` block instead of
-time-sliced ratios.
-
 Results are written to ``BENCH_serving.json`` at the repo root (schema
-``bench_serving/v2``; v2 adds the ``cpus``/``cpu_affinity`` header and
-the ``query_workers`` block to v1) with overall qps plus p50/p99
+``bench_serving/v3``; v2 added the ``cpus``/``cpu_affinity`` header and
+a ``query_workers`` block to v1; v3 drops that block — frozen reads are
+always answered in the daemon process) with overall qps plus p50/p99
 latency per op class.  Scale op counts with ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-from conftest import cpu_header, parallel_skip_block, run_once
+from conftest import cpu_header, run_once
 
 from repro.eval import harness
 from repro.runtime import IngestRuntime
@@ -86,22 +78,6 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
         return 0.0
     index = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
     return sorted_vals[index]
-
-
-#: Attached reader processes measured in the shared-view pass.
-QUERY_WORKERS = 4
-
-
-def _vm_rss_kb(pid: int) -> int | None:
-    """Resident set size of ``pid`` in kB, from ``/proc`` (Linux only)."""
-    try:
-        status = Path(f"/proc/{pid}/status").read_text()
-    except OSError:
-        return None
-    for line in status.splitlines():
-        if line.startswith("VmRSS:"):
-            return int(line.split()[1])
-    return None
 
 
 class _OpTimer:
@@ -157,26 +133,18 @@ def _writer_loop(host, port, records, timer, errors):
         errors.append(exc)
 
 
-def _run_load(query_workers: int = 0) -> dict:
-    """One full concurrent-client pass; returns the measured blocks.
-
-    ``query_workers=0`` is the PR 8 baseline (frozen queries answered
-    in-process); ``query_workers=N`` publishes the view as a shared
-    segment and offloads frozen queries to N attached readers, with
-    per-process RSS recorded as the one-shared-copy evidence.
-    """
+def _run_load() -> dict:
+    """One full concurrent-client pass; returns the measured blocks."""
     preload = harness.scaled(PRELOAD)
     write_records = harness.scaled(WRITE_RECORDS)
     reads_per_client = harness.scaled(READS_PER_CLIENT)
 
-    rss_kb: dict[str, int | None] = {}
-    pool_health = shared_segment = None
     with tempfile.TemporaryDirectory(prefix="bench-serving-") as tmp:
         runtime = IngestRuntime.create(
             Path(tmp) / "rt", _make_store(), checkpoint_every=CHECKPOINT_EVERY
         )
         server = SketchServer(
-            ServingRuntime(runtime, query_workers=query_workers),
+            ServingRuntime(runtime),
             cutover_poll_s=0.1,
         ).start()
         try:
@@ -237,18 +205,6 @@ def _run_load(query_workers: int = 0) -> dict:
                 described = admin.describe()
                 assert described["applied_seq"] == preload + write_records
                 serving_block = described["serving"]
-                # Shared-copy evidence, gathered while everything is
-                # still attached: master + per-reader resident sets.
-                # Workers that attach (rather than copy) stay near the
-                # fork baseline no matter how large the frozen view is.
-                if query_workers:
-                    pool = server.serving.query_pool()
-                    pool_health = pool.health() if pool is not None else None
-                    shared_segment = serving_block.get("shared_segment")
-                    rss_kb["master"] = _vm_rss_kb(os.getpid())
-                    if pool is not None:
-                        for index, pid in enumerate(pool.pids):
-                            rss_kb[f"query_worker_{index}"] = _vm_rss_kb(pid)
         finally:
             server.stop()
 
@@ -268,7 +224,7 @@ def _run_load(query_workers: int = 0) -> dict:
             "mean_ms": sum(samples) / len(samples) * 1e3,
         }
 
-    measured = {
+    return {
         "workload": {
             "preload_records": preload,
             "write_records": write_records,
@@ -288,42 +244,17 @@ def _run_load(query_workers: int = 0) -> dict:
             "tail_records": serving_block["tail_records"],
         },
     }
-    if query_workers:
-        measured["shared"] = {
-            "query_workers": query_workers,
-            "segment": shared_segment,
-            "pool": pool_health,
-            "rss_kb": rss_kb,
-        }
-    return measured
 
 
 def run_benchmark() -> dict:
-    base = _run_load(query_workers=0)
-
-    # Shared-view pass: only meaningful when the readers get real cores.
-    skip_shared = parallel_skip_block()
-    if skip_shared is not None:
-        shared_block: dict = dict(skip_shared)
-    else:
-        shared = _run_load(query_workers=QUERY_WORKERS)
-        shared_block = {
-            **shared["shared"],
-            "totals": shared["totals"],
-            "op_classes": shared["op_classes"],
-            "qps_vs_baseline": (
-                shared["totals"]["qps"] / base["totals"]["qps"]
-            ),
-        }
-
+    base = _run_load()
     op_classes = base["op_classes"]
     payload = {
-        "schema": "bench_serving/v2",
+        "schema": "bench_serving/v3",
         "scale": harness.bench_scale(),
         **cpu_header(),
         "clients": {"readers": N_READERS, "writers": 1},
-        **{k: base[k] for k in ("workload", "totals", "op_classes", "serving")},
-        "query_workers": shared_block,
+        **base,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(
@@ -333,14 +264,6 @@ def run_benchmark() -> dict:
         f"{op_classes['point']['p99_ms']:.2f} ms; "
         f"{payload['totals']['ingested_records_per_s']:.0f} ingested rec/s"
     )
-    if "skipped" in shared_block:
-        print(f"serving shared-view pass skipped: {shared_block['skipped']}")
-    else:
-        print(
-            f"serving shared-view: {shared_block['totals']['qps']:.0f} qps "
-            f"with {QUERY_WORKERS} attached readers "
-            f"({shared_block['qps_vs_baseline']:.2f}x baseline)"
-        )
     return payload
 
 
@@ -352,25 +275,6 @@ def test_serving_benchmark(benchmark):
         assert stats["p99_ms"] >= stats["p50_ms"] >= 0
     assert payload["op_classes"]["point"]["count"] > 0
     assert payload["op_classes"]["ingest_batch"]["count"] > 0
-    shared = payload["query_workers"]
-    if "skipped" in shared:
-        # Small host: the block must say so explicitly, not fake ratios.
-        assert shared["skipped"] == "cpus < 4", shared
-        return
-    # One published segment, every reader attached to it.
-    assert shared["segment"], shared
-    assert shared["pool"]["workers"] == QUERY_WORKERS
-    assert shared["totals"]["qps"] > payload["totals"]["qps"], (
-        "shared-view serving did not beat the in-process baseline: "
-        f"{shared['totals']['qps']:.0f} vs {payload['totals']['qps']:.0f} qps"
-    )
-    # RSS must not scale with reader count: attachers map the master's
-    # one frozen copy, so no reader outgrows the master process.
-    master_kb = shared["rss_kb"].get("master")
-    if master_kb:
-        for name, kb in shared["rss_kb"].items():
-            if name != "master" and kb is not None:
-                assert kb <= master_kb, (name, kb, master_kb)
 
 
 if __name__ == "__main__":

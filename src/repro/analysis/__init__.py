@@ -3,8 +3,8 @@
 Three layers:
 
 * :mod:`repro.analysis.sketchlint` — the analyzer driver.  Module rules
-  (SL001..SL011, :mod:`~repro.analysis.rules`) are per-file AST
-  visitors; project rules (SL012..SL015,
+  (SL001..SL007 and SL010, :mod:`~repro.analysis.rules`) are per-file
+  AST visitors; project rules (SL012..SL018,
   :mod:`~repro.analysis.interproc`) run over a whole-program symbol
   table, call graph and dataflow summaries
   (:mod:`~repro.analysis.symbols`, :mod:`~repro.analysis.callgraph`,

@@ -5,19 +5,20 @@ table, call graph and dataflow summaries — so they see through the
 helper wrappers that defeat the per-module rules:
 
 * **SL012** durability escape: a non-atomic write (``write_text`` /
-  ``write_bytes`` / raw write-mode ``open``) reachable from any
-  ``store/`` / ``io/`` / ``runtime/`` function, wherever the write
-  itself lives.
+  ``write_bytes`` / raw write-mode ``open``) in, or reachable from, any
+  ``store/`` / ``io/`` / ``runtime/`` code, wherever the write itself
+  lives.
 * **SL013** fork-shared mutable state: a callable shipped to
-  ``WorkerPool`` / ``parallel_map`` / ``Process`` that reads or mutates
-  state which exists on both sides of the fork — module globals,
-  closures, bound instance attributes.
+  ``WorkerPool`` / ``Process`` / a ``pool.map``-style submit that reads
+  or mutates state which exists on both sides of the fork — module
+  globals, closures, bound instance attributes.
 * **SL014** contract-coverage gap: an ingest-verb time-parameter
   function reachable from public API with no monotonicity guard
-  anywhere on the call path (supersedes SL008's per-function check).
-* **SL015** unpropagated RNG state: forked work whose *callee chain*
-  consumes a seeded generator while no determinism plan (pre-draw,
-  spawn, state transplant) is visible anywhere around the dispatch.
+  anywhere on the call path.
+* **SL015** unpropagated RNG state: forked work while an RNG is in play
+  and no determinism plan (pre-draw, spawn, state transplant) is
+  visible — either the dispatching function itself touches a
+  generator, or the shipped callables' *callee chain* consumes one.
 * **SL016** swallowed durability error: an ``except OSError`` /
   ``except Exception`` handler on a durability-reachable path that
   neither re-raises, nor routes the failure into a health transition
@@ -54,7 +55,6 @@ from repro.analysis.dataflow import DataflowSummary
 from repro.analysis.rules import (
     INGEST_VERBS,
     TIME_PARAMS,
-    ForkSharedRNGRule,
     _decorator_name,
     _is_stub_body,
     _parts,
@@ -69,9 +69,23 @@ _DURABILITY_SCOPES = {"store", "io", "runtime"}
 #: raw file handles are the mechanism, not an escape.
 _SANCTIONED_WRITERS = {"repro.io.atomic"}
 
-_FORK_LAUNCHERS = ForkSharedRNGRule._FORK_LAUNCHERS
-_POOL_SUBMITS = ForkSharedRNGRule._POOL_SUBMITS
-_MITIGATIONS = ForkSharedRNGRule._MITIGATIONS
+#: Constructors / launchers that move work into a forked child.
+_FORK_LAUNCHERS = {"Process", "WorkerPool", "ProcessPoolExecutor", "Pool", "fork"}
+#: Methods that submit payloads to an already-forked pool; only counted
+#: when called on a pool-like receiver (``pool.feed`` yes,
+#: ``tracker.feed`` no).
+_POOL_SUBMITS = {"feed", "submit", "map", "apply_async"}
+#: Calls that constitute an explicit per-worker determinism plan.
+_MITIGATIONS = {
+    "bulk_uniforms",
+    "spawn",
+    "jumped",
+    "SeedSequence",
+    "seed",
+    "getstate",
+    "setstate",
+    "bit_generator",
+}
 
 
 def _in_durability_scope(path: str) -> bool:
@@ -106,16 +120,16 @@ def _open_write_mode(call: ast.Call) -> str | None:
     return None
 
 
-def _calls_in_scope(fn: FunctionInfo) -> list[ast.Call]:
-    """Call expressions lexically inside ``fn``'s own scope."""
+def _scope_calls(root: ast.AST) -> list[ast.Call]:
+    """Call expressions lexically inside ``root``'s own scope."""
     calls: list[ast.Call] = []
-    stack: list[ast.AST] = [fn.node]
+    stack: list[ast.AST] = [root]
     while stack:
         node = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ) and child is not fn.node:
+            ):
                 continue  # nested scopes are their own symbol-table entries
             if isinstance(child, ast.Call):
                 calls.append(child)
@@ -123,18 +137,37 @@ def _calls_in_scope(fn: FunctionInfo) -> list[ast.Call]:
     return calls
 
 
+def _calls_in_scope(fn: FunctionInfo) -> list[ast.Call]:
+    """Call expressions lexically inside ``fn``'s own scope."""
+    return _scope_calls(fn.node)
+
+
+def _nonatomic_write(call: ast.Call) -> str | None:
+    """How ``call`` writes a final path non-atomically, if it does."""
+    mode = _open_write_mode(call)
+    if mode is not None:
+        return f'raw open(..., "{mode}")'
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in (
+        "write_text",
+        "write_bytes",
+    ):
+        return f".{func.attr}()"
+    return None
+
+
 @register_project
 class DurabilityEscapeRule(ProjectRule):
-    """SL012: non-atomic write reachable from the durability layer.
+    """SL012: non-atomic write in or reachable from the durability layer.
 
-    SL009 flags ``write_text`` / ``write_bytes`` *syntactically inside*
-    ``store/`` / ``io/`` / ``runtime/``; moving the write into a helper
-    module defeats it.  This rule walks the call graph from every
-    function in those packages and flags any reachable non-atomic write
-    — raw write-mode ``open()`` anywhere, and ``write_text`` /
-    ``write_bytes`` in files SL009 does not cover — quoting the call
-    path that reaches it.  :mod:`repro.io.atomic` is the sanctioned
-    implementation and is exempt.
+    A syntactic check of ``store/`` / ``io/`` / ``runtime/`` alone is
+    defeated by moving the write into a helper module.  This rule walks
+    the call graph from every function in those packages and flags any
+    reachable non-atomic write — raw write-mode ``open()``,
+    ``write_text`` or ``write_bytes``, wherever it lives — quoting the
+    call path that reaches it.  Module-level statements of those
+    packages are checked directly.  :mod:`repro.io.atomic` is the
+    sanctioned implementation and is exempt.
     """
 
     code = "SL012"
@@ -147,6 +180,21 @@ class DurabilityEscapeRule(ProjectRule):
     )
 
     def check_project(self, project: Project) -> None:
+        for module in project.symbols.modules.values():
+            if module.name in _SANCTIONED_WRITERS or not _in_durability_scope(
+                module.path
+            ):
+                continue
+            for call in _scope_calls(module.tree):
+                finding_kind = _nonatomic_write(call)
+                if finding_kind is not None:
+                    self.report(
+                        module.path,
+                        call,
+                        f"{finding_kind} at module level of {module.name} "
+                        "writes non-atomically; write via repro.io.atomic "
+                        "(tmp + fsync + rename)",
+                    )
         entries = [
             fn.qualname
             for fn in project.symbols.functions.values()
@@ -160,20 +208,8 @@ class DurabilityEscapeRule(ProjectRule):
             fn = project.symbols.functions.get(qualname)
             if fn is None or fn.module in _SANCTIONED_WRITERS:
                 continue
-            in_scope = _in_durability_scope(fn.path)
             for call in _calls_in_scope(fn):
-                finding_kind: str | None = None
-                mode = _open_write_mode(call)
-                if mode is not None:
-                    finding_kind = f'raw open(..., "{mode}")'
-                else:
-                    func = call.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in ("write_text", "write_bytes")
-                        and not in_scope  # in-scope sites are SL009's
-                    ):
-                        finding_kind = f".{func.attr}()"
+                finding_kind = _nonatomic_write(call)
                 if finding_kind is None:
                     continue
                 key = (fn.path, call.lineno)
@@ -190,24 +226,56 @@ class DurabilityEscapeRule(ProjectRule):
                 )
 
 
+def _is_fork_dispatch(call: ast.Call) -> bool:
+    """A fork launcher, or a submit on a pool-like receiver."""
+    func = call.func
+    name = _call_name(call)
+    return name in _FORK_LAUNCHERS or (
+        name in _POOL_SUBMITS
+        and isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and "pool" in func.value.id.lower()
+    )
+
+
+def _mentions_rng(node: ast.AST) -> bool:
+    """Whether any name or attribute under ``node`` looks like an RNG."""
+    for part in ast.walk(node):
+        name = None
+        if isinstance(part, ast.Name):
+            name = part.id
+        elif isinstance(part, ast.Attribute):
+            name = part.attr
+        if name is not None and "rng" in name.lower():
+            return True
+    return False
+
+
+def _lexical_rng_dispatch(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> ast.Call | None:
+    """First fork dispatch of a function (nested scopes included) that
+    itself touches an RNG with no determinism plan in sight."""
+    dispatch: ast.Call | None = None
+    for part in ast.walk(fn):
+        if not isinstance(part, ast.Call):
+            continue
+        if _call_name(part) in _MITIGATIONS:
+            return None
+        if dispatch is None and _is_fork_dispatch(part):
+            dispatch = part
+    if dispatch is None or not _mentions_rng(fn):
+        return None
+    return dispatch
+
+
 def _dispatch_sites(
     project: Project, fn: FunctionInfo
 ) -> list[tuple[ast.Call, list[FunctionInfo]]]:
     """Fork-dispatch calls in ``fn`` with the callables they ship."""
     sites: list[tuple[ast.Call, list[FunctionInfo]]] = []
     for call in _calls_in_scope(fn):
-        func = call.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        is_launcher = name in _FORK_LAUNCHERS
-        is_submit = (
-            name in _POOL_SUBMITS
-            and isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and "pool" in func.value.id.lower()
-        )
-        if not (is_launcher or is_submit):
+        if not _is_fork_dispatch(call):
             continue
         shipped: list[FunctionInfo] = []
         for arg in (*call.args, *(kw.value for kw in call.keywords)):
@@ -370,11 +438,11 @@ def _is_public_entry(project: Project, fn: FunctionInfo) -> bool:
 class ContractCoverageRule(ProjectRule):
     """SL014: monotone-timestamp contract gap along a public call path.
 
-    SL008 demanded a guard *in* every ingest-verb function, which both
-    over-reports (a public façade that delegates to a guarded tracker
-    is safe) and under-reports (a private worker method is unguarded
-    but SL008 never sees the public wrapper that exposes it).  This
-    rule checks the property the repo actually needs: every path from
+    A guard demanded *in* every ingest-verb function would both
+    over-report (a public façade that delegates to a guarded tracker
+    is safe) and under-report (a private worker method is unguarded,
+    and only the public wrapper that exposes it makes that matter).
+    This rule checks the property the repo actually needs: every path from
     the public API to a timestamp-consuming ingest function passes a
     monotonicity guard.  A target passes if it carries a guard itself,
     if it delegates to a guarded ingest function, or if every public
@@ -435,18 +503,22 @@ class ContractCoverageRule(ProjectRule):
 
 @register_project
 class UnpropagatedRNGRule(ProjectRule):
-    """SL015: forked callee chain consumes RNG with no determinism plan.
+    """SL015: forked work reaches RNG state with no determinism plan.
 
-    SL011 fires when the *dispatching* function lexically touches an
-    RNG; hiding the draw one call deep (the worker calls a helper that
-    draws) defeats it.  This rule resolves each fork-shipped callable,
-    walks everything reachable from it, and flags the dispatch when any
-    reached function consumes a generator while no mitigation call
-    (``bulk_uniforms``, ``spawn``, ``jumped``, ``SeedSequence``,
-    ``seed``, ``getstate``/``setstate``, ``bit_generator``) is visible
-    in the dispatcher, the workers, or anything they reach.
-    Dispatchers that lexically mention an RNG are SL011's to judge and
-    are skipped here.
+    Two cases, one finding per dispatch site:
+
+    * *lexical*: the dispatching function (nested scopes included)
+      itself touches an RNG and shows no mitigation call
+      (``bulk_uniforms``, ``spawn``, ``jumped``, ``SeedSequence``,
+      ``seed``, ``getstate``/``setstate``, ``bit_generator``);
+    * *transitive*: the dispatcher never names an RNG, but a resolved
+      fork-shipped callable reaches a function that consumes one, and
+      no mitigation is visible in the dispatcher, the workers, or
+      anything they reach.  Hiding the draw one call deep (the worker
+      calls a helper that draws) does not defeat this.
+
+    A dispatcher that names an RNG is judged by the lexical case alone,
+    so a mitigated dispatch is never reported through its workers.
     """
 
     code = "SL015"
@@ -459,12 +531,35 @@ class UnpropagatedRNGRule(ProjectRule):
     )
 
     def check_project(self, project: Project) -> None:
+        reported: set[tuple[str, int, int]] = set()
+        for module in project.symbols.modules.values():
+            for node in ast.walk(module.tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                call = _lexical_rng_dispatch(node)
+                if call is None:
+                    continue
+                key = (module.path, call.lineno, call.col_offset)
+                if key in reported:
+                    continue
+                reported.add(key)
+                self.report(
+                    module.path,
+                    call,
+                    "RNG state visible in a function that dispatches forked "
+                    "work, with no per-worker determinism plan (pre-draw with "
+                    "bulk_uniforms, spawn/seed per-worker generators, or "
+                    "manage state explicitly)",
+                )
         for fn in list(project.symbols.functions.values()):
             for call, shipped in _dispatch_sites(project, fn):
                 if not shipped:
                     continue
-                if ForkSharedRNGRule._mentions_rng(fn.node):
-                    continue  # lexical case: SL011's verdict stands
+                if (
+                    _mentions_rng(fn.node)
+                    or (fn.path, call.lineno, call.col_offset) in reported
+                ):
+                    continue  # judged by the lexical case above
                 scope = project.reachable(
                     [fn.qualname, *(worker.qualname for worker in shipped)]
                 )
@@ -509,7 +604,7 @@ class UnpropagatedRNGRule(ProjectRule):
             worker_reached.update(project.reachable([worker.qualname]))
         for qualname in scope:
             if qualname not in worker_reached:
-                continue  # RNG use on the master side is SL011's concern
+                continue  # master-side RNG use is the lexical case
             summary: DataflowSummary | None = project.summary(qualname)
             if summary is not None and summary.touches_rng:
                 return qualname
@@ -689,8 +784,8 @@ class SwallowedDurabilityErrorRule(ProjectRule):
 
 
 #: Call names that construct an OS-backed memory mapping.  Project
-#: classes deriving from one (e.g. ``repro.shm._Mapping``) are folded
-#: in per run via their base names.
+#: classes deriving from one are folded in per run via their base
+#: names.
 _MAPPING_FACTORIES = {"SharedMemory", "mmap"}
 
 #: Methods that detach or destroy a mapping; any one of them counts as
@@ -756,8 +851,8 @@ class UnpairedMappingRule(ProjectRule):
     A ``SharedMemory`` segment or ``mmap`` leaks a file descriptor —
     and, for an owner, a ``/dev/shm`` entry — on any path that skips
     its ``close()`` / ``unlink()``.  The rule finds every construction
-    of a mapping (including project subclasses such as
-    ``repro.shm._Mapping``) and demands cleanup on *all* paths:
+    of a mapping (including project subclasses of either) and demands
+    cleanup on *all* paths:
 
     * a ``with`` statement over the handle, or cleanup inside a
       ``finally`` block, always satisfies it;

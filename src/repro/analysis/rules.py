@@ -1,4 +1,4 @@
-"""The sketchlint rule set (SL001–SL011).
+"""The per-module sketchlint rule set (SL001–SL007, SL010).
 
 Each rule is a small visitor encoding one invariant of the paper's
 analysis or of disciplined reproduction engineering.  Rules are scoped
@@ -14,10 +14,10 @@ from pathlib import PurePosixPath
 
 from repro.analysis.sketchlint import Rule, register
 
-#: Parameter names treated as a stream timestamp by SL008.
+#: Parameter names treated as a stream timestamp by SL014.
 TIME_PARAMS = {"t", "time", "timestamp", "tick", "when"}
 
-#: Ingest-style method names SL008 inspects.
+#: Ingest-style method names SL014 inspects.
 INGEST_VERBS = {
     "feed",
     "update",
@@ -415,111 +415,6 @@ class UntypedPublicApiRule(Rule):
 
 
 @register
-class UnguardedTimestampRule(Rule):
-    """SL008: ingest-style method consumes a timestamp without a guard.
-
-    Every persistence structure (PLA runs, history lists, epochs)
-    assumes strictly increasing timestamps; O'Rourke's feasibility
-    update and the predecessor reads are simply wrong on reordered
-    input.  A method named like an ingest verb that takes a time-like
-    parameter must either raise behind a comparison (an inline
-    monotonicity guard) or opt into
-    ``@contracts.monotone_timestamps``.
-    """
-
-    code = "SL008"
-    summary = "timestamp-consuming ingest method without monotonicity guard"
-    rationale = (
-        "PLA feasibility and predecessor reads assume strictly "
-        "increasing time; unguarded ingest silently corrupts archives."
-    )
-    #: SL014 checks the same contract along whole call paths; this
-    #: per-function approximation only runs under --select SL008.
-    superseded_by = "SL014"
-
-    def _check(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if node.name.startswith("_") or node.name not in INGEST_VERBS:
-            return
-        if _is_stub_body(node):
-            return
-        arg_names = {
-            arg.arg
-            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-        }
-        if not (arg_names & TIME_PARAMS):
-            return
-        for decorator in node.decorator_list:
-            if _decorator_name(decorator) in (
-                "monotone_timestamps",
-                "abstractmethod",
-            ):
-                return
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.If) and any(
-                isinstance(part, ast.Compare) for part in ast.walk(inner.test)
-            ):
-                if any(isinstance(part, ast.Raise) for part in ast.walk(inner)):
-                    return
-        self.report(
-            node,
-            f"{node.name}() consumes a timestamp but neither raises behind "
-            "a comparison nor uses @contracts.monotone_timestamps",
-        )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Check one function definition."""
-        self._check(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Check one async function definition."""
-        self._check(node)
-        self.generic_visit(node)
-
-
-@register
-class NonAtomicWriteRule(Rule):
-    """SL009: non-atomic file write in a durability-critical package.
-
-    ``Path.write_text`` / ``Path.write_bytes`` to a final path can be
-    torn by a crash mid-write, leaving an archive, manifest or pointer
-    half-written — precisely the corruption the checkpoint/WAL recovery
-    design exists to rule out.  Inside ``store/``, ``io/`` and
-    ``runtime/``, all durable writes must go through the
-    :mod:`repro.io.atomic` helpers (tmp file + fsync + rename); the
-    helpers themselves write through raw file handles, so this rule does
-    not fire on them.
-    """
-
-    code = "SL009"
-    summary = "non-atomic write_text/write_bytes in durability layer"
-    rationale = (
-        "A crash mid-write tears final-path writes; store/, io/ and "
-        "runtime/ must write via repro.io.atomic (tmp + fsync + rename)."
-    )
-
-    _SCOPES = {"store", "io", "runtime"}
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        return _in_library(path) and bool(cls._SCOPES & set(_parts(path)))
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag direct final-path write calls."""
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in (
-            "write_text",
-            "write_bytes",
-        ):
-            self.report(
-                node,
-                f".{func.attr}() writes the final path non-atomically; "
-                "use repro.io.atomic (tmp + fsync + rename)",
-            )
-        self.generic_visit(node)
-
-
-@register
 class ScalarHotLoopRule(Rule):
     """SL010: per-record scalar loop on an ingest hot path.
 
@@ -618,132 +513,4 @@ class ScalarHotLoopRule(Rule):
                 f".{func.attr}() evaluated per record inside a loop; "
                 f"hoist the batch through the vectorized .{many}()",
             )
-        self.generic_visit(node)
-
-
-@register
-class ForkSharedRNGRule(Rule):
-    """SL011: RNG state shared across a fork without a per-worker plan.
-
-    Fork-based parallelism duplicates the parent's RNG *state*: every
-    child that keeps drawing from a fork-inherited generator produces
-    the same "random" sequence as its siblings — and none of them
-    advances the master's generator, so parallel output silently
-    diverges from the serial reference the repo's bit-equality contract
-    pins.  A function that touches an RNG *and* launches forked work
-    must show an explicit determinism plan: pre-draw the randomness on
-    the master and ship slices (``bulk_uniforms``), derive per-worker
-    generators (``spawn`` / ``jumped`` / ``SeedSequence`` / explicit
-    per-index ``seed(...)``), or capture and restore state
-    (``getstate`` / ``setstate``).  Deliberately redundant broadcasts
-    opt out with a per-line suppression.
-    """
-
-    code = "SL011"
-    summary = "RNG shared across fork/pool dispatch without per-worker plan"
-    rationale = (
-        "Fork duplicates generator state: sibling workers draw identical "
-        "sequences and the master's RNG never advances, breaking the "
-        "parallel == serial bit-equality contract (pre-draw slices, "
-        "spawn per-worker generators, or manage state explicitly)."
-    )
-
-    #: Constructors / launchers that move work into a forked child.
-    _FORK_LAUNCHERS = {
-        "Process",
-        "WorkerPool",
-        "parallel_map",
-        "ProcessPoolExecutor",
-        "Pool",
-        "fork",
-    }
-    #: Methods that submit payloads to an already-forked pool; only
-    #: counted when called on a pool-like receiver (``pool.feed`` yes,
-    #: ``tracker.feed`` no).
-    _POOL_SUBMITS = {"feed", "submit", "map", "apply_async"}
-    #: Calls that constitute an explicit per-worker determinism plan.
-    _MITIGATIONS = {
-        "bulk_uniforms",
-        "spawn",
-        "jumped",
-        "SeedSequence",
-        "seed",
-        "getstate",
-        "setstate",
-        "bit_generator",
-    }
-
-    @staticmethod
-    def _call_name(func: ast.expr) -> str:
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return ""
-
-    @classmethod
-    def _is_pool_receiver(cls, func: ast.expr) -> bool:
-        return (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and "pool" in func.value.id.lower()
-        )
-
-    @staticmethod
-    def _mentions_rng(node: ast.AST) -> bool:
-        for part in ast.walk(node):
-            name = None
-            if isinstance(part, ast.Name):
-                name = part.id
-            elif isinstance(part, ast.Attribute):
-                name = part.attr
-            if name is not None and "rng" in name.lower():
-                return True
-        return False
-
-    def check_module(self, tree: ast.Module, source: str) -> None:
-        # Nested defs are walked by their enclosing scan too (a closure
-        # capturing an outer RNG is exactly the hazard); dedupe so one
-        # dispatch site yields one finding.
-        self._reported: set[int] = set()
-        self.visit(tree)
-
-    def _scan(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        fork_call: ast.Call | None = None
-        mitigated = False
-        for part in ast.walk(fn):
-            if not isinstance(part, ast.Call):
-                continue
-            name = self._call_name(part.func)
-            if name in self._MITIGATIONS:
-                mitigated = True
-            elif name in self._FORK_LAUNCHERS or (
-                name in self._POOL_SUBMITS
-                and self._is_pool_receiver(part.func)
-            ):
-                if fork_call is None:
-                    fork_call = part
-        if (
-            fork_call is not None
-            and not mitigated
-            and id(fork_call) not in self._reported
-            and self._mentions_rng(fn)
-        ):
-            self._reported.add(id(fork_call))
-            self.report(
-                fork_call,
-                "RNG state visible in a function that dispatches forked "
-                "work, with no per-worker determinism plan (pre-draw with "
-                "bulk_uniforms, spawn/seed per-worker generators, or "
-                "manage state explicitly)",
-            )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Scan one function scope for the capture-across-fork pattern."""
-        self._scan(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Async variant of :meth:`visit_FunctionDef`."""
-        self._scan(node)
         self.generic_visit(node)

@@ -15,11 +15,6 @@ Two engines share one driver:
   and across modules: durability escapes, fork-shared mutable state,
   contract-coverage gaps, unpropagated RNG state.
 
-A module rule may declare ``superseded_by = "SLxxx"``: when the
-superseding project rule is active it replaces the module rule's
-per-function approximation (``--select`` of the old code still runs it
-explicitly).
-
 Suppression is per line::
 
     value = random.random()  # sketchlint: disable=SL001
@@ -94,15 +89,12 @@ class Rule(ast.NodeVisitor):
     surfaced in docs), override visitor methods, and are registered with
     :func:`register`.  Override :meth:`applies_to` to scope a rule to a
     subtree (paths are compared in POSIX form) and :meth:`check_module`
-    for whole-module checks that do not fit the visitor pattern.  Set
-    :attr:`superseded_by` to a project-rule code when a whole-program
-    pass replaces this rule's approximation.
+    for whole-module checks that do not fit the visitor pattern.
     """
 
     code: str = "SL000"
     summary: str = ""
     rationale: str = ""
-    superseded_by: str | None = None
 
     def __init__(self, path: str, findings: list[Finding]) -> None:
         self.path = path
@@ -322,18 +314,11 @@ def _resolve_select(select: Iterable[str] | None) -> set[str] | None:
 
 
 def _active_module_rules(codes: set[str] | None) -> list[type[Rule]]:
-    active = []
-    for code, cls in sorted(RULES.items()):
-        if codes is not None:
-            if code in codes:
-                active.append(cls)
-            continue
-        # Default run: a rule superseded by an active project rule steps
-        # aside — the whole-program pass replaces its approximation.
-        if cls.superseded_by is not None and cls.superseded_by in PROJECT_RULES:
-            continue
-        active.append(cls)
-    return active
+    return [
+        cls
+        for code, cls in sorted(RULES.items())
+        if codes is None or code in codes
+    ]
 
 
 def _active_project_rules(codes: set[str] | None) -> list[type[ProjectRule]]:

@@ -310,8 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         runtime,
         freeze_every=args.freeze_every,
         freeze_interval_s=args.freeze_interval,
-        freeze_workers=args.freeze_workers,
-        query_workers=args.query_workers,
     )
     server = SketchServer(
         serving,
@@ -386,7 +384,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.frozen:
         # Compile once, serve all of this invocation's queries from the
         # immutable columnar snapshot (bit-equal to the live path).
-        sketch = sketch.freeze(workers=args.workers)
+        sketch = sketch.freeze()
     t = args.t if args.t is not None else sketch.now
     if args.kind == "point":
         items = _query_items(args)
@@ -618,22 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also re-freeze when the served view is older than this",
     )
     serve.add_argument(
-        "--freeze-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan frozen-view compilation out over N forked workers",
-    )
-    serve.add_argument(
-        "--query-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve frozen reads from N forked processes attached to "
-        "one shared-memory copy of the view (0: in-process serving; "
-        "needs fork + POSIX shared memory)",
-    )
-    serve.add_argument(
         "--poll-interval",
         type=float,
         default=0.25,
@@ -708,14 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compile the archive into a frozen columnar snapshot "
         "(repro.engine.frozen) and serve the query from it",
-    )
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --frozen: fan snapshot compilation and large "
-        "point_many batches out over N forked workers",
     )
     return parser
 

@@ -410,21 +410,18 @@ class PersistentSketch(ABC):
         excluding the ephemeral counter array.
         """
 
-    def freeze(
-        self, workers: int | None = None
-    ) -> FrozenCountMin | FrozenPWCAMS | FrozenAMS | FrozenHeavyHitters:
+    def freeze(self) -> FrozenCountMin | FrozenPWCAMS | FrozenAMS | FrozenHeavyHitters:
         """Compile this sketch into a frozen columnar query snapshot.
 
         Delegates to :func:`repro.engine.frozen.freeze` (imported lazily:
         ``repro.engine`` depends on ``repro.core``, not the other way
         around).  The snapshot answers ``point`` / ``point_many`` /
         holistic queries bit-equal to the live path; see
-        :mod:`repro.engine.frozen`.  ``workers`` overrides the sketch's
-        pool width for table construction and ``point_many`` fan-out.
+        :mod:`repro.engine.frozen`.
         """
         from repro.engine.frozen import freeze
 
-        return freeze(self, workers=workers)
+        return freeze(self)
 
     def _resolve_window(self, s: float, t: float | None) -> tuple[float, float]:
         # Every query funnels through here: merge any outstanding worker

@@ -64,7 +64,7 @@ class PersistentQuantiles:
         """The value universe ``[0, n)``."""
         return self._hierarchy.universe
 
-    def update(self, item: int, count: int = 1, time: int | None = None) -> None:  # sketchlint: disable=SL008 — delegates to the hierarchy's guarded clock
+    def update(self, item: int, count: int = 1, time: int | None = None) -> None:
         """Ingest one update (values are the items being ranked)."""
         self._hierarchy.update(item, count, time)
 

@@ -81,7 +81,7 @@ class PersistentWavelets:
         """The (power-of-two padded) Haar domain size."""
         return self._n
 
-    def update(self, item: int, count: int = 1, time: int | None = None) -> None:  # sketchlint: disable=SL008 — delegates to the hierarchy's guarded clock
+    def update(self, item: int, count: int = 1, time: int | None = None) -> None:
         """Ingest one update."""
         self._hierarchy.update(item, count, time)
 

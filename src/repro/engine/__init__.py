@@ -29,10 +29,8 @@ from repro.engine.frozen import (
     FrozenPWCAMS,
     FrozenShardedSketch,
     FrozenStoreView,
-    attach_view,
     freeze,
     freeze_store,
-    share_view,
 )
 
 __all__ = [
@@ -46,6 +44,4 @@ __all__ = [
     "FrozenHeavyHitters",
     "FrozenShardedSketch",
     "FrozenStoreView",
-    "share_view",
-    "attach_view",
 ]

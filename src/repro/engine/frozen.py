@@ -50,46 +50,14 @@ from repro.core.heavy_hitters import PersistentHeavyHitters
 from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
-from repro import shm
 from repro.engine.batch import _batch_signs, batch_hash_columns
-from repro.parallel.pool import fork_available, parallel_map
 from repro.store.sharded import ShardedPersistentSketch
 
 #: Rank-key overflow guard: fall back to per-query bisects when
 #: ``n_slots * span`` would not fit comfortably in int64.
 _KEY_LIMIT = 2**62
 
-#: Minimum ``point_many`` batch size worth forking for: below this the
-#: fork + result-pickle overhead dwarfs the per-query work.
-_FANOUT_MIN = 4096
-
 Window = tuple[float, float]
-
-
-def _fanout_point_many(
-    engine, items: np.ndarray, ss: np.ndarray, ts: np.ndarray
-) -> np.ndarray:
-    """Split a resolved probe batch into per-worker slabs.
-
-    Every probe is evaluated independently by ``_point_many_serial``
-    (unique-item dedup is a per-slab optimization that cannot change any
-    probe's answer), so concatenating slab results is bit-equal to one
-    serial call.
-    """
-    workers = getattr(engine, "workers", 1)
-    n = len(items)
-    if workers <= 1 or n < _FANOUT_MIN or not fork_available():
-        return engine._point_many_serial(items, ss, ts)
-    step = -(-n // workers)
-    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    parts = parallel_map(
-        lambda b: engine._point_many_serial(
-            items[b[0] : b[1]], ss[b[0] : b[1]], ts[b[0] : b[1]]
-        ),
-        bounds,
-        workers,
-    )
-    return np.concatenate(parts)
 
 
 def _median_floats(vals: list[float]) -> float:
@@ -483,19 +451,14 @@ def _export_tracker_row(trackers: dict) -> tuple[list[int], list, list[float]]:
     return ordered, exports, initials
 
 
-def _tracker_table(rows: list[dict], workers: int = 1) -> _ColumnTable:
-    """Columnar table of PLA/PWC trackers, all sketch rows concatenated.
-
-    ``workers > 1`` exports the per-row tracker arrays in forked
-    children (rows are independent; export is read-only after
-    finalize), concatenating on the master in row order.
-    """
-    per_row = parallel_map(_export_tracker_row, rows, workers)
+def _tracker_table(rows: list[dict]) -> _ColumnTable:
+    """Columnar table of PLA/PWC trackers, all sketch rows concatenated."""
     row_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     ordered_cols: list[int] = []
     exports = []
     initials: list[float] = []
-    for r, (ordered, row_exports, row_initials) in enumerate(per_row):
+    for r, trackers in enumerate(rows):
+        ordered, row_exports, row_initials = _export_tracker_row(trackers)
         row_offsets[r + 1] = row_offsets[r] + len(ordered)
         ordered_cols.extend(ordered)
         exports.extend(row_exports)
@@ -581,19 +544,14 @@ def _expand_unique(
 class FrozenCountMin:
     """Frozen :class:`PersistentCountMin` / :class:`PWCCountMin` snapshot."""
 
-    def __init__(
-        self, sketch: PersistentCountMin, workers: int | None = None
-    ) -> None:
+    def __init__(self, sketch: PersistentCountMin) -> None:
         sketch.finalize()
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
         self.name = f"frozen({sketch.name})"
         self.hashes = sketch.hashes
-        self._table = _tracker_table(sketch._trackers, workers=self.workers)
+        self._table = _tracker_table(sketch._trackers)
         self._scalar_cache: _ScalarPointCache | None = None
 
     # -- point ---------------------------------------------------------- #
@@ -608,18 +566,12 @@ class FrozenCountMin:
         ``windows`` is a single ``(s, t)`` pair applied to every item, a
         sequence (or ``(n, 2)`` array) of per-item pairs, or ``None``
         for ``(0, now]``.  Bit-equal to calling :meth:`point` per probe.
-        Large batches fan out over ``workers`` forked children.
         """
         items = np.asarray(items, dtype=np.int64)
         n = len(items)
         if n == 0:
             return np.empty(0, dtype=np.float64)
         ss, ts = _window_arrays(windows, n, self.now)
-        return _fanout_point_many(self, items, ss, ts)
-
-    def _point_many_serial(
-        self, items: np.ndarray, ss: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
         unique, inverse = np.unique(items, return_inverse=True)
         cols = batch_hash_columns(self.hashes, unique)
         slots, valid = self._table.locate_rows(cols)
@@ -664,10 +616,7 @@ class FrozenCountMin:
 class FrozenPWCAMS:
     """Frozen :class:`PWCAMS` snapshot (signed trackers)."""
 
-    def __init__(self, sketch: PWCAMS, workers: int | None = None) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
+    def __init__(self, sketch: PWCAMS) -> None:
         sketch.detach_workers()
         self.width = sketch.width
         self.depth = sketch.depth
@@ -675,7 +624,7 @@ class FrozenPWCAMS:
         self.name = f"frozen({sketch.name})"
         self.buckets = sketch.buckets
         self.signs = sketch.signs
-        self._table = _tracker_table(sketch._trackers, workers=self.workers)
+        self._table = _tracker_table(sketch._trackers)
         self._scalar_cache: _ScalarPointCache | None = None
 
     def point_many(
@@ -689,11 +638,6 @@ class FrozenPWCAMS:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         ss, ts = _window_arrays(windows, n, self.now)
-        return _fanout_point_many(self, items, ss, ts)
-
-    def _point_many_serial(
-        self, items: np.ndarray, ss: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
         unique, inverse = np.unique(items, return_inverse=True)
         cols = batch_hash_columns(self.buckets, unique)
         sgns = _batch_signs(self.signs, unique)[inverse]
@@ -735,10 +679,7 @@ class FrozenPWCAMS:
 class FrozenAMS:
     """Frozen :class:`PersistentAMS` snapshot (sampled history lists)."""
 
-    def __init__(self, sketch: PersistentAMS, workers: int | None = None) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
+    def __init__(self, sketch: PersistentAMS) -> None:
         sketch.detach_workers()
         self.width = sketch.width
         self.depth = sketch.depth
@@ -748,25 +689,17 @@ class FrozenAMS:
         self.buckets = sketch.buckets
         self.signs = sketch.signs
         # _tables[b][copy]: all sketch rows of one (sign, copy) component.
-        # The 2 * copies tables are independent read-only compilations,
-        # built in forked children when workers allow.
-        pairs = [
-            (b, copy) for b in range(2) for copy in range(sketch.copies)
-        ]
-        tables = parallel_map(
-            lambda bc: _history_table(
-                [
-                    sketch._histories[row][bc[0]][bc[1]]
-                    for row in range(sketch.depth)
-                ],
-                sketch.probability,
-            ),
-            pairs,
-            self.workers,
-        )
-        copies = sketch.copies
         self._tables = [
-            [tables[b * copies + copy] for copy in range(copies)]
+            [
+                _history_table(
+                    [
+                        sketch._histories[row][b][copy]
+                        for row in range(sketch.depth)
+                    ],
+                    sketch.probability,
+                )
+                for copy in range(sketch.copies)
+            ]
             for b in range(2)
         ]
 
@@ -781,12 +714,6 @@ class FrozenAMS:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         ss, ts = _window_arrays(windows, n, self.now)
-        return _fanout_point_many(self, items, ss, ts)
-
-    def _point_many_serial(
-        self, items: np.ndarray, ss: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
-        n = len(items)
         unique, inverse = np.unique(items, return_inverse=True)
         cols = batch_hash_columns(self.buckets, unique)
         sgns = _batch_signs(self.signs, unique)[inverse]
@@ -870,27 +797,15 @@ class FrozenAMS:
 class FrozenHeavyHitters:
     """Frozen :class:`PersistentHeavyHitters` (dyadic stack + mass)."""
 
-    def __init__(
-        self, structure: PersistentHeavyHitters, workers: int | None = None
-    ) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(structure, "workers", 1)
-        )
-        # Master-side finalize first: it drains any worker pool and
-        # flushes open PLA runs in every level, so the (idempotent)
-        # re-finalize inside each forked child's FrozenCountMin build is
-        # a no-op and child-side mutations never matter.
+    def __init__(self, structure: PersistentHeavyHitters) -> None:
+        # Drains any ingest worker pool and flushes open PLA runs in
+        # every level before the per-level tables are compiled.
         structure.finalize()
         self.universe = structure.universe
         self.levels = structure.levels
         self.now = structure.now
         self.name = f"frozen({structure.name})"
-        self._sketches = parallel_map(  # sketchlint: disable=SL013 — _SHM_PROBE is a memoized capability constant; a child-side re-probe is idempotent and child-local
-            FrozenCountMin, structure._sketches, self.workers
-        )
-        # point/point_many delegate to the leaf level; give it this
-        # snapshot's fan-out width (levels themselves are serial).
-        self._sketches[0].workers = self.workers
+        self._sketches = [FrozenCountMin(level) for level in structure._sketches]
         self._mass = _tracker_table([{0: structure._mass}])
 
     def _mass_at(self, t: float) -> float:
@@ -968,34 +883,18 @@ class FrozenHeavyHitters:
 class FrozenShardedSketch:
     """Frozen :class:`ShardedPersistentSketch`: per-shard frozen snapshots."""
 
-    def __init__(
-        self, store: ShardedPersistentSketch, workers: int | None = None
-    ) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(store, "workers", 1)
-        )
+    def __init__(self, store: ShardedPersistentSketch) -> None:
         store.detach_workers()
         self.shard_length = store.shard_length
         self.now = store.now
         self.name = "frozen(sharded)"
         self._dropped_through = store._dropped_through
-        ordered = sorted(store._shards.items())
-        # Finalize on the master before forking: finalize() mutates the
-        # live shard (flushing open PLA runs) and forked children's
-        # mutations are discarded, so each child must inherit
-        # already-final state.  The per-shard freeze itself is read-only
-        # after that and parallelizes cleanly.
-        for _, shard in ordered:
+        self._shards: dict = {}
+        for shard_id, shard in sorted(store._shards.items()):
             finalize = getattr(shard, "finalize", None)
             if finalize is not None:
                 finalize()
-        frozen = parallel_map(  # sketchlint: disable=SL013 — _SHM_PROBE is a memoized capability constant; a child-side re-probe is idempotent and child-local
-            lambda pair: freeze(pair[1]), ordered, self.workers
-        )
-        self._shards = {
-            shard_id: snapshot
-            for (shard_id, _), snapshot in zip(ordered, frozen)
-        }
+            self._shards[shard_id] = freeze(shard)
 
     def _shard_id(self, time: float) -> int:
         return (int(time) - 1) // self.shard_length
@@ -1031,22 +930,12 @@ class FrozenShardedSketch:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         ss, ts = _window_arrays(windows, n, self.now)
-        # Validate retention on the master: a fanned-out slab would
-        # surface this as a worker failure instead of the live path's
-        # ValueError.
-        firsts, _ = self._window_shard_spans(ss, ts)
+        firsts, lasts = self._window_shard_spans(ss, ts)
         if ((firsts <= self._dropped_through) & (ss < ts)).any():
             raise ValueError(
                 "window reaches into expired shards; narrow s past "
                 "the retention boundary"
             )
-        return _fanout_point_many(self, items, ss, ts)
-
-    def _point_many_serial(
-        self, items: np.ndarray, ss: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
-        n = len(items)
-        firsts, lasts = self._window_shard_spans(ss, ts)
         totals = np.zeros(n, dtype=np.float64)
         for shard_id, shard in self._shards.items():
             start = shard_id * self.shard_length
@@ -1088,7 +977,6 @@ def freeze(
     | PersistentAMS
     | PersistentHeavyHitters
     | ShardedPersistentSketch,
-    workers: int | None = None,
 ) -> (
     FrozenCountMin
     | FrozenPWCAMS
@@ -1103,23 +991,21 @@ def freeze(
     returned object answers ``point`` / ``point_many`` /
     ``self_join_size`` (and, for the dyadic structure,
     ``heavy_hitters`` / ``window_mass``) with answers bit-equal to the
-    live query path at a fraction of the cost.  ``workers`` sets the
-    snapshot's fan-out width for table construction and large
-    ``point_many`` batches (default: the sketch's own pool width).
+    live query path at a fraction of the cost.
     """
     detach = getattr(sketch, "detach_workers", None)
     if callable(detach):
         detach()
     if isinstance(sketch, PersistentCountMin):
-        return FrozenCountMin(sketch, workers=workers)
+        return FrozenCountMin(sketch)
     if isinstance(sketch, PWCAMS):
-        return FrozenPWCAMS(sketch, workers=workers)
+        return FrozenPWCAMS(sketch)
     if isinstance(sketch, PersistentAMS):
-        return FrozenAMS(sketch, workers=workers)
+        return FrozenAMS(sketch)
     if isinstance(sketch, PersistentHeavyHitters):
-        return FrozenHeavyHitters(sketch, workers=workers)
+        return FrozenHeavyHitters(sketch)
     if isinstance(sketch, ShardedPersistentSketch):
-        return FrozenShardedSketch(sketch, workers=workers)
+        return FrozenShardedSketch(sketch)
     raise TypeError(
         f"freeze() does not support {type(sketch).__name__}; supported: "
         f"PersistentCountMin, PWCCountMin, PWCAMS, PersistentAMS, "
@@ -1144,18 +1030,18 @@ class FrozenStoreView:
     the live hierarchy pairing); query them on the store itself.
     """
 
-    def __init__(self, store, workers: int | None = None) -> None:
+    def __init__(self, store) -> None:
         self._point: dict = {}
         self._hh: dict = {}
         self._join: dict = {}
         self._clocks: dict = {}
         for name in store.streams():
             state = store._state(name)
-            self._point[name] = freeze(state.point_sketch, workers=workers)
+            self._point[name] = freeze(state.point_sketch)
             if state.hh_sketch is not None:
-                self._hh[name] = freeze(state.hh_sketch, workers=workers)
+                self._hh[name] = freeze(state.hh_sketch)
             if state.join_sketch is not None:
-                self._join[name] = freeze(state.join_sketch, workers=workers)
+                self._join[name] = freeze(state.join_sketch)
             self._clocks[name] = int(state.point_sketch.now)
 
     def streams(self) -> list:
@@ -1212,52 +1098,12 @@ class FrozenStoreView:
         return self._frozen(self._hh, name).window_mass(s, t)
 
 
-def freeze_store(store, workers: int | None = None) -> FrozenStoreView:
+def freeze_store(store) -> FrozenStoreView:
     """Freeze every stream of ``store`` into a :class:`FrozenStoreView`.
 
-    Drains any live worker pools first (freezing is a master-side read),
-    then compiles each stream's sketches via :func:`freeze`.  ``workers``
-    sets the fan-out width used for table construction and large
-    ``point_many`` batches.
+    Drains any live ingest worker pools first (freezing is a master-side
+    read), then compiles each stream's sketches via :func:`freeze`.
     """
     store.drain_workers(strict=False)
-    return FrozenStoreView(store, workers=workers)
+    return FrozenStoreView(store)
 
-
-# --------------------------------------------------------------------- #
-# Zero-copy sharing: construct-into / attach-from a mapped segment
-# --------------------------------------------------------------------- #
-
-
-def share_view(view: FrozenStoreView, **kwargs) -> "shm.ShmSegment":
-    """Publish a frozen view into a shared-memory segment.
-
-    Every columnar table's arrays — including the derived rank keys and
-    float edges, which are ``__slots__`` and therefore pickled — land
-    out-of-band in the segment, so :func:`attach_view` rebuilds the view
-    with **zero recompute and zero copy**: N attached processes query
-    one physical copy of the tables.  The caller owns the returned
-    segment and must eventually ``release()`` it; readers already
-    attached stay valid past the unlink.  Keyword arguments pass through
-    to :func:`repro.shm.write_object` (e.g. ``prefix``).
-    """
-    return shm.write_object(view, **kwargs)
-
-
-def attach_view(name: str) -> "tuple[FrozenStoreView, shm.ShmSegment]":
-    """Attach to a shared frozen view by segment name.
-
-    Returns ``(view, segment)``: the view's arrays are read-only views
-    over the mapping, so the segment must stay open for the view's
-    lifetime — close it (never unlink; the publisher owns that) when
-    the view is dropped.  Raises :class:`repro.shm.ShmError` when the
-    name is gone, i.e. the publisher has moved past this generation.
-    """
-    view, segment = shm.read_attached(name)
-    if not isinstance(view, FrozenStoreView):
-        segment.close()
-        raise shm.ShmError(
-            f"segment {name!r} holds {type(view).__name__}, not a "
-            "FrozenStoreView"
-        )
-    return view, segment

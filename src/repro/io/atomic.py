@@ -17,10 +17,10 @@ The write protocol is the classic three-step dance:
 3. ``rename`` onto the final path, then ``fsync`` the parent directory
    so the rename itself is durable.
 
-sketchlint rule SL009 flags direct ``Path.write_text`` /
-``Path.write_bytes`` calls to final paths anywhere under ``store/``,
-``io/`` or ``runtime/`` — this module is the sanctioned implementation
-(it writes through raw file handles, so the rule stays quiet here).
+sketchlint rule SL012 flags non-atomic writes (``Path.write_text`` /
+``Path.write_bytes`` / raw write-mode ``open``) in or reachable from
+``store/``, ``io/`` or ``runtime/`` — this module is the sanctioned
+implementation, so the rule exempts it.
 """
 
 from __future__ import annotations

@@ -1,22 +1,22 @@
 """Multi-core parallel execution layer.
 
 Row/shard/level-parallel ingestion over long-lived forked worker pools
-(:class:`WorkerPool`) and one-shot read-only fan-out
-(:func:`parallel_map`), with a deterministic in-process fallback when
+(:class:`WorkerPool`), with a deterministic in-process fallback when
 ``workers=1`` or the platform lacks ``fork``.  Parallel output is
-bit-identical to serial for every sketch type — see ``docs/api.md``
-("Parallel execution") for the determinism contract.
+bit-identical to serial for every sketch type — see ``docs/parallel.md``
+for the determinism contract.  Reads never fan out: queries, freezes and
+serialization run serially on the master after the pool's state is
+merged back.
 """
 
 from __future__ import annotations
 
-from repro.parallel.errors import IngestError, WorkerUnavailable
+from repro.parallel.errors import IngestError
 from repro.parallel.pool import (
     WorkerHandler,
     WorkerPool,
     fork_available,
     install_pool_faults,
-    parallel_map,
     pool_faults,
 )
 
@@ -24,9 +24,7 @@ __all__ = [
     "IngestError",
     "WorkerHandler",
     "WorkerPool",
-    "WorkerUnavailable",
     "fork_available",
     "install_pool_faults",
-    "parallel_map",
     "pool_faults",
 ]

@@ -23,13 +23,3 @@ class IngestError(RuntimeError):
     fallback also fails.
     """
 
-
-class WorkerUnavailable(IngestError):
-    """A worker could not be reached and the operation had no replay path.
-
-    Raised by one-shot fan-outs (:func:`repro.parallel.parallel_map`)
-    whose ephemeral children died before returning results: there is no
-    journal to replay, so the caller must re-run the whole map.
-    Subclasses :class:`IngestError` so existing poison-handling call
-    sites keep working.
-    """

@@ -1,26 +1,19 @@
-"""Fork-based worker pools with task affinity and self-healing.
+"""Fork-based ingest worker pool with task affinity and self-healing.
 
-Two execution primitives back the multi-core layer:
+:class:`WorkerPool` is the one parallel execution primitive: long-lived
+forked workers with *state ownership*.  Worker ``i`` of ``n`` owns a
+fixed partition of a sketch's independent state (hash rows, time
+shards, dyadic levels) for the life of the pool.  Each worker inherits
+the full sketch via fork (copy-on-write, nothing is pickled on the way
+in), applies every ``feed`` to its owned partition, and ships the
+partition state back only on ``collect`` — the merge-at-finalize/
+checkpoint model of the paper's independent-row observation.  A stock
+``ProcessPoolExecutor`` cannot express this: its tasks land on
+arbitrary idle workers, while row ownership needs every batch's row-``r``
+slice to reach the *same* process that holds row ``r``'s trackers.
 
-:class:`WorkerPool`
-    Long-lived forked workers with *state ownership*: worker ``i`` of
-    ``n`` owns a fixed partition of a sketch's independent state (hash
-    rows, time shards, dyadic levels) for the life of the pool.  Each
-    worker inherits the full sketch via fork (copy-on-write, nothing is
-    pickled on the way in), applies every ``feed`` to its owned
-    partition, and ships the partition state back only on ``collect`` —
-    the merge-at-finalize/checkpoint model of the paper's independent-row
-    observation.  A stock ``ProcessPoolExecutor`` cannot express this:
-    its tasks land on arbitrary idle workers, while row ownership needs
-    every batch's row-``r`` slice to reach the *same* process that holds
-    row ``r``'s trackers.
-
-:func:`parallel_map`
-    One-shot fan-out for read-only work (frozen table construction,
-    ``point_many`` slabs): ephemeral forked children evaluate a closure
-    over an index-strided task partition and return results over a pipe.
-    Falls back to an in-process loop when ``workers <= 1``, the platform
-    lacks fork, or the task list is tiny.
+Batches and collected state travel in-band over each worker's duplex
+pipe (pickled), so the pool runs wherever ``fork`` does.
 
 Self-healing (the daemon-survivability contract)
 ------------------------------------------------
@@ -43,28 +36,6 @@ worker that *raises* twice (a deterministic handler bug, not a fault)
 still poisons the pool with
 :class:`~repro.parallel.errors.IngestError`.
 
-Shared-memory transport (the zero-copy batch path)
---------------------------------------------------
-When POSIX shared memory is available (see :mod:`repro.shm`), batches
-no longer cross the worker pipes at all.  ``feed`` publishes each
-worker's payload into a master-owned segment and sends only the segment
-*name*; the worker attaches and reconstructs the payload as read-only
-zero-copy views over the mapped buffer.  ``collect`` inverts the flow:
-the worker writes its partition state into a segment it creates and
-replies with the name; the master attaches, *adopts* the segment
-(taking over unlink responsibility), and merges from writable views —
-so the paper's merge-at-boundary model runs over one shared mapping
-instead of a pickled copy per boundary.  Lifecycle is strict: feed
-segments are unlinked by the master as soon as the batch is acked,
-adopted collect segments are unlinked on adoption, and the self-healing
-path sweeps ``/dev/shm`` for any segment created by a worker pid it
-just discarded — a kill -9'd worker can never leak a segment.  Healing
-replays always travel in-band (plain ``feed``), which keeps the replay
-script independent of segment lifetime and bit-identical by the same
-argument as before.  Everything degrades to the in-band pipe protocol
-when shared memory is unavailable or disabled (``use_shm=False`` /
-``REPRO_SHM=0``).
-
 Fault injection reaches pools through :func:`pool_faults` /
 :func:`install_pool_faults` — a module-level plan (duck-typed to avoid
 importing :mod:`repro.runtime.faults` here) scripting worker kills,
@@ -82,8 +53,7 @@ import traceback
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
-from repro import shm as _shm
-from repro.parallel.errors import IngestError, WorkerUnavailable
+from repro.parallel.errors import IngestError
 
 _JOIN_TIMEOUT_S = 10.0
 
@@ -152,18 +122,6 @@ class _WorkerRaised(Exception):
     """Internal: a worker's handler raised (carries the traceback)."""
 
 
-def _retry_deferred_closes(pending: list[_shm.ShmSegment]) -> None:
-    """Close any attached segments whose views have since been dropped.
-
-    A handler may retain zero-copy views of a batch after ``feed``
-    returns; the mapping cannot close while they live, so it is parked
-    here and retried between commands.  Segments that stay pinned are
-    harmless: the master already unlinked the name, and the kernel frees
-    the pages when this process exits.
-    """
-    pending[:] = [segment for segment in pending if not segment.close()]
-
-
 def _worker_main(
     conn: Connection,
     handler_factory: Callable[[int, int], WorkerHandler],
@@ -172,9 +130,7 @@ def _worker_main(
 ) -> None:
     """Command loop of one forked worker."""
     handler = handler_factory(index, nworkers)
-    pending: list[_shm.ShmSegment] = []
     while True:
-        _retry_deferred_closes(pending)
         try:
             command, payload = conn.recv()
         except (EOFError, OSError):  # master went away
@@ -187,22 +143,8 @@ def _worker_main(
         try:
             if command == "feed":
                 reply = ("ok", handler.feed(payload))
-            elif command == "feed_shm":
-                batch, segment = _shm.read_attached(payload)
-                try:
-                    reply = ("ok", handler.feed(batch))
-                finally:
-                    del batch
-                    if not segment.close():
-                        pending.append(segment)
             elif command == "collect":
                 reply = ("ok", handler.collect())
-            elif command == "collect_shm":
-                # State travels back through a segment this worker
-                # creates; the master adopts (and unlinks) it on read.
-                state_segment = _shm.write_object(handler.collect())
-                state_segment.close()
-                reply = ("shm", state_segment.name)
             else:
                 raise ValueError(f"unknown worker command {command!r}")
         except BaseException:  # sketchlint: disable=SL004 — forwarded to master as an ("err", traceback) reply
@@ -215,7 +157,6 @@ def _worker_main(
             conn.send(reply)
         except Exception:  # sketchlint: disable=SL004 — master gone; nothing left to report to
             break
-    _retry_deferred_closes(pending)
     conn.close()
 
 
@@ -249,12 +190,6 @@ class WorkerPool:
         capped per sleep.
     sleep:
         Injectable sleep for deterministic tests.
-    use_shm:
-        Route batches and collected state through shared-memory
-        segments (zero-copy) instead of the worker pipes.  ``None``
-        auto-detects: on when the platform has POSIX shared memory and
-        ``REPRO_SHM`` is not ``"0"``.  Results are bit-identical either
-        way; only the transport differs.
     """
 
     def __init__(
@@ -268,7 +203,6 @@ class WorkerPool:
         backoff_factor: float = 2.0,
         backoff_cap: float = 1.0,
         sleep: Callable[[float], None] | None = None,
-        use_shm: bool | None = None,
     ) -> None:
         if nworkers < 2:
             raise ValueError(f"a worker pool needs >= 2 workers, got {nworkers}")
@@ -295,24 +229,11 @@ class WorkerPool:
         #: script that makes a respawned worker bit-identical.
         self._journal: list[Sequence[Any]] = []
         self._closed = False
-        if use_shm is None:
-            use_shm = os.environ.get("REPRO_SHM", "1") != "0" and (
-                _shm.shm_available()
-            )
-        #: Whether batches/state travel through shared-memory segments.
-        self.use_shm = bool(use_shm)
-        #: Adopted collect segments whose mappings are still pinned by
-        #: merged state views; closes are retried at pool boundaries.
-        self._deferred: list[_shm.ShmSegment] = []
-        #: Pids of workers discarded by healing — their leftover
-        #: segments are swept again before any inline fallback.
-        self._dead_pids: list[int] = []
         #: Healing counters (surfaced via runtime health / tests).
         self.respawns = 0
         self.timeouts = 0
         self.serial_fallbacks = 0
         self.stuck_workers = 0
-        self.reaped_segments = 0
         for index in range(nworkers):
             self._spawn(index)
 
@@ -342,7 +263,7 @@ class WorkerPool:
     def _spawn(self, index: int) -> None:
         """Fork a fresh worker for slot ``index``."""
         parent, child = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(  # sketchlint: disable=SL013 — the only free state the worker touches is repro.shm's owned-segment registry, which is fork-reset (repro.shm._reset_after_fork): the child registers only segments it creates itself
+        proc = self._ctx.Process(
             target=_worker_main,
             args=(child, self._handler_factory, index, self.nworkers),
             daemon=True,
@@ -353,23 +274,14 @@ class WorkerPool:
         self._procs[index] = proc
 
     def _discard_worker(self, index: int) -> None:
-        """Kill and reap slot ``index``'s process, close its pipe.
-
-        Part of the self-healing contract: any shared-memory segment the
-        dead worker created (collect state it never handed over) is
-        swept from ``/dev/shm`` here, so worker death never leaks.
-        """
+        """Kill and reap slot ``index``'s process, close its pipe."""
         proc = self._procs[index]
         if proc is not None:
-            pid = proc.pid
             if proc.is_alive():
                 proc.kill()
             proc.join(timeout=_JOIN_TIMEOUT_S)
             if proc.is_alive():  # pragma: no cover - unkillable worker
                 self.stuck_workers += 1
-            if pid:
-                self._dead_pids.append(pid)
-                self.reaped_segments += len(_shm.reap_pid_segments(pid))
         conn = self._conns[index]
         if conn is not None:
             try:
@@ -429,30 +341,9 @@ class WorkerPool:
             status, value = conn.recv()
         except (EOFError, OSError) as exc:
             raise _WorkerGone(f"connection lost: {type(exc).__name__}") from exc
-        if status == "shm":
-            return self._adopt_state(value)
         if status != "ok":
             raise _WorkerRaised(str(value))
         return value
-
-    def _adopt_state(self, name: str) -> Any:
-        """Read a worker-written state segment, taking over its lifecycle.
-
-        The name is unlinked immediately (so nothing can leak even if
-        the merge below fails); merged views are writable because after
-        adoption the master is the segment's only future attacher.  The
-        mapping itself closes once the merged state drops its views —
-        parked on ``_deferred`` and retried at pool boundaries.
-        """
-        try:
-            state, segment = _shm.read_attached(name, readonly=False)
-        except _shm.ShmError as exc:
-            raise _WorkerGone(f"state segment vanished: {exc}") from exc
-        segment.adopt()
-        segment.unlink()
-        if not segment.close():
-            self._deferred.append(segment)
-        return state
 
     def _run_inline(self, index: int, command: str, payload: Any) -> Any:
         """Execute one command on slot ``index``'s inline handler."""
@@ -506,14 +397,6 @@ class WorkerPool:
             except _WorkerRaised as exc:
                 self._fail(index, str(exc))
         # Respawn budget exhausted: degrade this slot to the serial path.
-        # Before going inline, release every segment still owned by the
-        # workers that died in this incident — the inline handler replays
-        # from the in-memory journal and will never touch them, and an
-        # unlinked-on-discard sweep can race an exiting worker's own
-        # writes, so this final sweep is what guarantees no orphans.
-        for pid in self._dead_pids:
-            self.reaped_segments += len(_shm.reap_pid_segments(pid))
-        self._dead_pids.clear()
         self.serial_fallbacks += 1
         try:
             handler = self._handler_factory(index, self.nworkers)
@@ -544,12 +427,7 @@ class WorkerPool:
                 except (BrokenPipeError, OSError):  # sketchlint: disable=SL016 — fault injection on a corpse; the roundtrip heals it
                     pass
 
-    def _roundtrip(
-        self,
-        command: str,
-        payloads: Sequence[Any],
-        wire: Sequence[tuple[str, Any]] | None = None,
-    ) -> list[Any]:
+    def _roundtrip(self, command: str, payloads: Sequence[Any]) -> list[Any]:
         """Send one command to every worker, gather every reply in order.
 
         All sends go out before any reply is awaited, so workers run
@@ -557,11 +435,6 @@ class WorkerPool:
         slowest worker bounds the wall clock either way).  A worker that
         dies, hangs past the deadline, or errors is healed in place (see
         :meth:`_heal`); the batch result is bit-identical either way.
-
-        ``wire``, when given, is the per-slot shared-memory form of the
-        command actually sent to forked workers; healing and inline
-        slots always use the in-band ``(command, payloads[index])``
-        form, which is bit-identical by construction.
         """
         if self._closed:
             raise IngestError("worker pool is closed")
@@ -574,7 +447,7 @@ class WorkerPool:
             try:
                 if conn is None:
                     raise _WorkerGone("no live process for slot")
-                conn.send(wire[index] if wire is not None else (command, payloads[index]))
+                conn.send((command, payloads[index]))
             except (_WorkerGone, BrokenPipeError, OSError) as exc:
                 results[index] = self._heal(
                     index, command, payloads[index],
@@ -603,85 +476,25 @@ class WorkerPool:
                 )
         return results
 
-    def _publish_payloads(
-        self, payloads: Sequence[Any]
-    ) -> list[_shm.ShmSegment] | None:
-        """Write each slot's payload into a master-owned segment.
-
-        Slots sharing one payload object (broadcast batches) share one
-        segment.  Returns ``None`` when shared-memory transport is off,
-        or on any publish failure — the caller then falls back to the
-        in-band pipe protocol for this batch.
-        """
-        if not self.use_shm:
-            return None
-        by_identity: dict[int, _shm.ShmSegment] = {}
-        segments: list[_shm.ShmSegment] = []
-        try:
-            for payload in payloads:
-                segment = by_identity.get(id(payload))
-                if segment is None:
-                    segment = _shm.write_object(payload)
-                    by_identity[id(payload)] = segment
-                segments.append(segment)
-        except Exception:  # sketchlint: disable=SL004,SL016 — publish failure downgrades this batch to the in-band pipe path; nothing is lost and the feed still raises on real ingest errors
-            for segment in by_identity.values():
-                segment.release()
-            return None
-        return segments
-
-    @staticmethod
-    def _release_segments(segments: Sequence[_shm.ShmSegment]) -> None:
-        """Unlink a batch's segments (deduped; attached workers unaffected)."""
-        seen: set[str] = set()
-        for segment in segments:
-            if segment.name not in seen:
-                seen.add(segment.name)
-                segment.release()
-
     def feed(self, payloads: Sequence[Any]) -> None:
         """Apply one per-worker payload list; blocks until all acked.
 
-        With shared-memory transport, each slot's payload is published
-        into a segment and only the name crosses the pipe; the segments
-        are released as soon as the batch is acked (workers attach
-        during the ack roundtrip, and POSIX keeps their mappings valid
-        past the unlink).  The payload list is journaled (until the next
-        :meth:`collect`) so a later healing respawn can replay it
-        in-band, independent of segment lifetime.
+        The payload list is journaled (until the next :meth:`collect`)
+        so a later healing respawn can replay it.
         """
         self._apply_scripted_faults()
         payloads = list(payloads)
-        segments = self._publish_payloads(payloads)
-        wire = None
-        if segments is not None:
-            wire = [("feed_shm", segment.name) for segment in segments]
-        try:
-            self._roundtrip("feed", payloads, wire=wire)
-        finally:
-            if segments is not None:
-                self._release_segments(segments)
+        self._roundtrip("feed", payloads)
         self._journal.append(payloads)
 
     def collect(self) -> list[Any]:
         """Export every worker's owned partition state, in worker order.
 
-        With shared-memory transport, each worker ships its state as a
-        segment name; :meth:`_adopt_state` maps it zero-copy and takes
-        over the unlink.  Clears the healing journal: the caller merges
-        these states into the master, so a future respawn's fork already
-        contains them.
+        Clears the healing journal: the caller merges these states into
+        the master, so a future respawn's fork already contains them.
         """
-        wire = None
-        if self.use_shm:
-            wire = [("collect_shm", None)] * self.nworkers
-        results = self._roundtrip(
-            "collect", [None] * self.nworkers, wire=wire
-        )
+        results = self._roundtrip("collect", [None] * self.nworkers)
         self._journal.clear()
-        self._deferred[:] = [
-            segment for segment in self._deferred if not segment.close()
-        ]
         return results
 
     # ------------------------------------------------------------------ #
@@ -707,19 +520,10 @@ class WorkerPool:
                 self.stuck_workers += 1
 
     def close(self, terminate: bool = False) -> None:
-        """Shut every worker down (idempotent).
-
-        Extends shutdown to the shm lifecycle: dead-worker segments are
-        swept, and adopted state mappings get a final close attempt
-        (their names are already unlinked, so even a still-pinned
-        mapping leaves nothing in ``/dev/shm``).
-        """
+        """Shut every worker down (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        worker_pids = [
-            proc.pid for proc in self._procs if proc is not None and proc.pid
-        ]
         if not terminate:
             for conn in self._conns:
                 if conn is None:
@@ -740,12 +544,6 @@ class WorkerPool:
                 pass
         self._inline.clear()
         self._journal.clear()
-        for pid in worker_pids + self._dead_pids:
-            self.reaped_segments += len(_shm.reap_pid_segments(pid))
-        self._dead_pids.clear()
-        self._deferred[:] = [
-            segment for segment in self._deferred if not segment.close()
-        ]
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -753,97 +551,3 @@ class WorkerPool:
         except Exception:  # sketchlint: disable=SL004 — finalizers must never raise
             pass
 
-
-# --------------------------------------------------------------------- #
-# One-shot read-only fan-out
-# --------------------------------------------------------------------- #
-
-
-def _map_child(
-    conn: Connection,
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    index: int,
-    nworkers: int,
-) -> None:
-    try:
-        out = [fn(tasks[pos]) for pos in range(index, len(tasks), nworkers)]
-    except BaseException:  # sketchlint: disable=SL004 — forwarded to master as an ("err", traceback) reply
-        try:
-            conn.send(("err", traceback.format_exc()))
-        except Exception:  # sketchlint: disable=SL004 — master gone; nothing left to report to
-            pass
-    else:
-        try:
-            conn.send(("ok", out))
-        except Exception:  # sketchlint: disable=SL004 — master gone; nothing left to report to
-            pass
-    finally:
-        conn.close()
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    workers: int,
-    *,
-    min_tasks: int = 2,
-) -> list[Any]:
-    """``[fn(t) for t in tasks]`` over forked children, order preserved.
-
-    ``fn`` and ``tasks`` reach the children by fork inheritance (never
-    pickled), so closures over big read-only state — frozen tables, live
-    tracker dicts — cost nothing to ship; only each ``fn(t)`` result
-    crosses a pipe.  Runs in-process (bit-identically) when ``workers``
-    is 1, the platform lacks fork, or there are fewer than ``min_tasks``
-    tasks.  ``fn`` must not mutate shared state: children are discarded,
-    so only returned values survive.
-    """
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) < max(2, min_tasks) or not fork_available():
-        return [fn(task) for task in tasks]
-    workers = min(workers, len(tasks))
-    ctx = multiprocessing.get_context("fork")
-    conns: list[Connection] = []
-    procs: list[multiprocessing.process.BaseProcess] = []
-    for index in range(workers):
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_map_child,
-            args=(child, fn, tasks, index, workers),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        conns.append(parent)
-        procs.append(proc)
-    results: list[Any] = [None] * len(tasks)
-    try:
-        for index, conn in enumerate(conns):
-            try:
-                status, value = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerUnavailable(
-                    f"parallel map worker {index} (pid {procs[index].pid}) "
-                    f"died before returning results"
-                ) from exc
-            if status != "ok":
-                raise IngestError(
-                    f"parallel map worker {index} raised:\n{value}"
-                )
-            for pos, item in zip(
-                range(index, len(tasks), workers), value
-            ):
-                results[pos] = item
-    finally:
-        for conn in conns:
-            try:
-                conn.close()
-            except Exception:  # sketchlint: disable=SL004,SL016 — best-effort fd cleanup on shutdown
-                pass
-        for proc in procs:
-            proc.join(timeout=_JOIN_TIMEOUT_S)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=_JOIN_TIMEOUT_S)
-    return results

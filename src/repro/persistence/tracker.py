@@ -80,7 +80,7 @@ class PLATracker(CounterTracker):
     def __init__(self, delta: float, initial_value: float = 0.0) -> None:
         self._pla = OnlinePLA(delta=delta, initial_value=initial_value)
 
-    def feed(self, t: int, value: float) -> None:  # sketchlint: disable=SL008 — OnlinePLA.feed guards monotonicity
+    def feed(self, t: int, value: float) -> None:
         self._pla.feed(t, value)
 
     def feed_many(self, times: Sequence[int], values: Sequence[float]) -> None:
@@ -154,7 +154,7 @@ class YoungPLATracker(PLATracker):
         self._pla = pla
         return pla
 
-    def feed(self, t: int, value: float) -> None:  # sketchlint: disable=SL008 — OnlinePLA.feed guards monotonicity
+    def feed(self, t: int, value: float) -> None:
         try:
             pla = self._pla
         except AttributeError:
@@ -236,7 +236,7 @@ class PWCTracker(CounterTracker):
     def __init__(self, delta: float, initial_value: float = 0.0) -> None:
         self._pwc = OnlinePWC(delta=delta, initial_value=initial_value)
 
-    def feed(self, t: int, value: float) -> None:  # sketchlint: disable=SL008 — OnlinePWC.feed guards monotonicity
+    def feed(self, t: int, value: float) -> None:
         self._pwc.feed(t, value)
 
     def feed_many(self, times: Sequence[int], values: Sequence[float]) -> None:

@@ -249,7 +249,7 @@ class FaultPlan:
                 offset += len(data)
             offset = max(0, min(offset, len(data) - 1))
             data[offset] ^= 0xFF
-            path.write_bytes(bytes(data))  # sketchlint: disable=SL009 — corruption injection: the non-atomic in-place write IS the fault
+            path.write_bytes(bytes(data))  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
             actions.append(
                 f"flipped byte {offset} of {path.name}"
             )
@@ -269,13 +269,13 @@ class FaultPlan:
             else:
                 for archive in sorted(target.glob("*.json.gz")):
                     blob = archive.read_bytes()
-                    archive.write_bytes(blob[: len(blob) // 2])  # sketchlint: disable=SL009 — corruption injection: the non-atomic in-place write IS the fault
+                    archive.write_bytes(blob[: len(blob) // 2])  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
                 actions.append(f"truncated archives of {target.name}")
         pointer = directory / "CHECKPOINT"
         if self.delete_pointer_at_rest:
             pointer.unlink(missing_ok=True)
             actions.append("deleted CHECKPOINT pointer")
         if self.corrupt_pointer_at_rest:
-            pointer.write_text("{ not json", encoding="utf-8")  # sketchlint: disable=SL009 — corruption injection: the non-atomic in-place write IS the fault
+            pointer.write_text("{ not json", encoding="utf-8")  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
             actions.append("corrupted CHECKPOINT pointer")
         return actions

@@ -132,10 +132,8 @@ class IngestRuntime:
             name: store._state(name).point_sketch.now for name in store.streams()
         }
         self._since_checkpoint = 0
-        # (applied_seq, workers, view) of the last frozen_view() build.
-        self._frozen_cache: tuple[int, int | None, Any] | None = None
-        # (view, segment) of the last shared_frozen_view() publication.
-        self._shared_cache: tuple[Any, Any] | None = None
+        # (applied_seq, view) of the last frozen_view() build.
+        self._frozen_cache: tuple[int, Any] | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -203,15 +201,8 @@ class IngestRuntime:
         probe: Callable[[], bool] | None = None,
         fsck: bool = True,
         acknowledge_data_loss: bool = False,
-        publish_shared: bool = False,
     ) -> "IngestRuntime":
         """Rebuild the runtime from its directory after a crash.
-
-        With ``publish_shared=True`` the replayed state is published
-        into a shared-memory segment before this returns (see
-        :meth:`shared_frozen_view`): recovery targets shared state
-        directly, so serving readers attach to the recovered view
-        without a post-recovery copy.
 
         Runs the durability scrubber first (``fsck=True``, the default):
         :func:`repro.runtime.fsck.run_fsck` re-verifies every CRC frame
@@ -359,8 +350,6 @@ class IngestRuntime:
         runtime._since_checkpoint = last_seq - resnapped
         if runtime._since_checkpoint >= checkpoint_every:
             runtime.checkpoint()
-        if publish_shared:
-            runtime.shared_frozen_view(workers=workers)
         return runtime
 
     def close(self) -> None:
@@ -368,15 +357,10 @@ class IngestRuntime:
 
         Worker pools are drained tolerantly: a poisoned pool is simply
         released — its lost batch was durable in the WAL before dispatch,
-        so the next :meth:`recover` replays it.  A published shared view
-        segment is released too; attached readers stay valid until they
-        detach, but nothing remains in ``/dev/shm``.
+        so the next :meth:`recover` replays it.
         """
         self.store.drain_workers(strict=False)
         self.wal.close()
-        if self._shared_cache is not None:
-            self._shared_cache[1].release()
-            self._shared_cache = None
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -835,7 +819,7 @@ class IngestRuntime:
         :meth:`recover`)."""
         self.monitor.acknowledge()
 
-    def frozen_view(self, workers: int | None = None) -> Any:
+    def frozen_view(self) -> Any:
         """Freeze every stream's point sketch into an immutable query
         view (:func:`repro.engine.frozen.freeze_store`).
 
@@ -848,74 +832,17 @@ class IngestRuntime:
         recompiling the whole store, so a periodic cutover tick (or a
         degraded runtime polled by its health endpoint) costs nothing
         while the store is quiet.  Any applied record invalidates the
-        cache; so does asking for a different ``workers`` width.
+        cache.
         """
         from repro.engine.frozen import freeze_store
 
         self.monitor.check_readable()
         cached = self._frozen_cache
-        if (
-            cached is not None
-            and cached[0] == self.applied_seq
-            and cached[1] == workers
-        ):
-            return cached[2]
-        view = freeze_store(self.store, workers=workers)
-        self._frozen_cache = (self.applied_seq, workers, view)
+        if cached is not None and cached[0] == self.applied_seq:
+            return cached[1]
+        view = freeze_store(self.store)
+        self._frozen_cache = (self.applied_seq, view)
         return view
-
-    def shared_frozen_view(self, workers: int | None = None) -> Any:
-        """Publish :meth:`frozen_view` into a shared-memory segment.
-
-        Returns ``(view, segment)``.  Reader processes attach with
-        :func:`repro.engine.frozen.attach_view` and query one physical
-        copy of the columnar tables — the zero-copy serving path.  The
-        runtime owns the segment: publishing a newer view releases the
-        superseded segment (readers already attached stay valid until
-        they detach, per POSIX), and :meth:`close` releases the last
-        one.  Memoization piggybacks on :meth:`frozen_view`: while
-        ``applied_seq`` is unchanged the same segment is returned, so a
-        periodic cutover tick costs nothing.
-        """
-        from repro.engine.frozen import share_view
-
-        view = self.frozen_view(workers=workers)
-        cached = self._shared_cache
-        if cached is not None and cached[0] is view and not cached[1].closed:
-            return view, cached[1]
-        if cached is not None:
-            cached[1].release()
-        segment = share_view(view)
-        self._shared_cache = (view, segment)
-        return view, segment
-
-    @classmethod
-    def open_checkpoint_shared(
-        cls, directory: str | Path, *, workers: int | None = None
-    ) -> tuple[int, Any, Any]:
-        """Buffer-backed checkpoint load: newest checkpoint -> shared view.
-
-        The fast path for read-only serving processes: instead of
-        recovering a full runtime (WAL replay, contracts, worker pools),
-        open the newest committed checkpoint under the existing
-        atomic-write/fsck machinery, freeze it once, and publish the
-        frozen view into a segment.  Returns ``(covered_seq, view,
-        segment)``; the caller owns the segment.  Raises
-        ``FileNotFoundError`` when the directory holds no checkpoint.
-        """
-        from repro.engine.frozen import freeze_store, share_view
-
-        directory = Path(directory)
-        checkpoints = cls._checkpoints(directory)
-        if not checkpoints:
-            raise FileNotFoundError(
-                f"{directory} contains no committed checkpoints"
-            )
-        covered_seq, path = checkpoints[-1]
-        store = SketchStore.open(path)
-        view = freeze_store(store, workers=workers)
-        segment = share_view(view)
-        return covered_seq, view, segment
 
     def describe(self) -> dict[str, Any]:
         """Operator-facing summary (used by ``repro recover``)."""

@@ -32,14 +32,11 @@ from repro.server.protocol import (
     ServerError,
 )
 from repro.server.serving import ServingRuntime, ServingView
-from repro.server.workers import QueryWorkerError, QueryWorkerPool
 
 __all__ = [
     "BadRequestError",
     "Client",
     "ProtocolError",
-    "QueryWorkerError",
-    "QueryWorkerPool",
     "ServerError",
     "ServingRuntime",
     "ServingView",

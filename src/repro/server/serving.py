@@ -35,30 +35,14 @@ _MODES = ("auto", "frozen", "live")
 
 
 class ServingView:
-    """One immutable generation of the frozen past.
+    """One immutable generation of the frozen past."""
 
-    When the serving runtime publishes views (query workers enabled),
-    ``segment`` holds the owned shared-memory segment carrying this
-    view's tables and ``generation`` its monotonic publication number;
-    reader processes attach by ``(generation, segment.name)``.  Both
-    stay ``None``/``0`` in single-process serving.
-    """
+    __slots__ = ("seq", "frozen", "built_at")
 
-    __slots__ = ("seq", "frozen", "built_at", "segment", "generation")
-
-    def __init__(
-        self,
-        seq: int,
-        frozen: FrozenStoreView,
-        built_at: float,
-        segment: Any = None,
-        generation: int = 0,
-    ) -> None:
+    def __init__(self, seq: int, frozen: FrozenStoreView, built_at: float) -> None:
         self.seq = seq
         self.frozen = frozen
         self.built_at = built_at
-        self.segment = segment
-        self.generation = generation
 
     def clock(self, stream: str) -> int | None:
         """Frozen stream clock, or None if the view predates the stream."""
@@ -91,16 +75,6 @@ class ServingRuntime:
     for the same horizon stay bit-equal in exact mode, and coalesce-mode
     divergence is bounded by the documented window mass
     (:mod:`repro.core.buffer`).
-
-    ``query_workers=N`` (with fork + POSIX shared memory available)
-    turns on zero-copy multi-process serving: each cutover publishes
-    the new view's tables into a shared-memory segment
-    (:func:`repro.engine.frozen.share_view`), and frozen-routed reads
-    run on a hot pool of N attached reader processes
-    (:class:`~repro.server.workers.QueryWorkerPool`) that share that
-    one physical copy.  Old segments are released on swap — attached
-    readers stay valid until they detach — and any worker failure
-    degrades that query to the master's local view, bit-identically.
     """
 
     def __init__(
@@ -109,8 +83,6 @@ class ServingRuntime:
         *,
         freeze_every: int | None = None,
         freeze_interval_s: float | None = None,
-        freeze_workers: int | None = None,
-        query_workers: int = 0,
         clock: Any = time.monotonic,
     ) -> None:
         if freeze_every is not None and freeze_every < 1:
@@ -119,22 +91,14 @@ class ServingRuntime:
             raise ValueError(
                 f"freeze_interval_s must be > 0, got {freeze_interval_s}"
             )
-        if query_workers < 0:
-            raise ValueError(
-                f"query_workers must be >= 0, got {query_workers}"
-            )
         self.runtime = runtime
         self.freeze_every = freeze_every
         self.freeze_interval_s = freeze_interval_s
-        self.freeze_workers = freeze_workers
-        self.query_workers = query_workers
         self.cutovers = 0
         self._clock = clock
         self._lock = threading.Lock()  # writers + live reads
         self._cutover_lock = threading.Lock()  # one cutover at a time
         self._view: ServingView | None = None
-        self._generation = 0
-        self._query_pool: Any = None
 
     # ------------------------------------------------------------------ #
     # Cutover
@@ -180,77 +144,9 @@ class ServingRuntime:
                 store = SketchStore.open(path)
             except (SerializationError, OSError) as exc:  # sketchlint: disable=SL016 — checkpoint pruned or damaged mid-load: this tick skips, the next one retries, and the reason is surfaced in the returned status
                 return self._status(False, f"checkpoint unreadable: {exc}")
-            frozen = freeze_store(store, workers=self.freeze_workers)
-            segment, generation = self._publish(frozen)
-            old = self._view
-            self._view = ServingView(
-                seq, frozen, self._clock(), segment=segment,
-                generation=generation,
-            )
+            self._view = ServingView(seq, freeze_store(store), self._clock())
             self.cutovers += 1
-            if old is not None and old.segment is not None:
-                # Readers attached to the old generation keep a valid
-                # mapping until they detach (POSIX); nothing remains in
-                # /dev/shm for it after this release.
-                old.segment.release()
             return self._status(True, f"view advanced to checkpoint seq {seq}")
-
-    def _publish(self, frozen: FrozenStoreView) -> tuple[Any, int]:
-        """Publish a fresh view's tables into a shared segment.
-
-        Returns ``(segment, generation)`` — ``(None, 0)`` when query
-        workers are disabled or the platform cannot share memory.  A
-        publish failure downgrades this view to local-only serving
-        rather than failing the cutover.
-        """
-        if self.query_workers < 1:
-            return None, 0
-        from repro import shm
-        from repro.engine.frozen import share_view
-        from repro.parallel import fork_available
-
-        if not (shm.shm_available() and fork_available()):
-            return None, 0
-        try:
-            segment = share_view(frozen)
-        except Exception:  # sketchlint: disable=SL004,SL016 — publish failure degrades this view to local-only serving; every query still gets answered
-            return None, 0
-        self._generation += 1
-        self._ensure_query_pool()
-        return segment, self._generation
-
-    def _ensure_query_pool(self) -> None:
-        """Spawn the reader pool on first publication (hot thereafter)."""
-        if self._query_pool is None:
-            from repro.server.workers import QueryWorkerPool
-
-            self._query_pool = QueryWorkerPool(self.query_workers)
-
-    def query_pool(self) -> Any:
-        """The attached :class:`~repro.server.workers.QueryWorkerPool`
-        (``None`` until a view has been published)."""
-        return self._query_pool
-
-    def _frozen_query(self, view: ServingView, verb: str, args: tuple) -> Any:
-        """Answer one frozen-routed query, offloading when possible.
-
-        With a published segment and a live pool the query runs on an
-        attached reader process — one shared copy of the tables, one
-        core per worker.  Any worker failure (death, hang, staleness)
-        falls back to the master's own view object, so offloading can
-        degrade but never change or drop an answer.
-        """
-        pool = self._query_pool
-        if pool is not None and view.segment is not None:
-            from repro.server.workers import QueryWorkerError
-
-            try:
-                return pool.query(
-                    view.generation, view.segment.name, verb, args
-                )
-            except QueryWorkerError:  # sketchlint: disable=SL016 — supervised degradation: the worker was respawned and the identical answer is computed locally below
-                pass
-        return getattr(view.frozen, verb)(*args)
 
     def _status(self, swapped: bool, reason: str) -> dict[str, Any]:
         view = self._view
@@ -318,7 +214,7 @@ class ServingRuntime:
         """Window frequency estimate, frozen- or live-routed."""
         view, rt = self._route(stream, t, mode)
         if view is not None:
-            return float(self._frozen_query(view, "point", (stream, item, s, rt)))
+            return float(view.frozen.point(stream, item, s, rt))
         with self._lock:
             return float(self.runtime.store.point(stream, item, s, rt))
 
@@ -362,7 +258,8 @@ class ServingRuntime:
             frozen_idx = [
                 i for i in range(n) if resolved[i][1] <= frozen_clock
             ]
-        live_idx = [i for i in range(n) if i not in set(frozen_idx)]
+        frozen_set = set(frozen_idx)
+        live_idx = [i for i in range(n) if i not in frozen_set]
         if mode == "frozen" and live_idx:
             raise ValueError(
                 f"frozen view (clock {frozen_clock}) cannot serve "
@@ -371,14 +268,10 @@ class ServingRuntime:
             )
         out = [0.0] * n
         if frozen_idx and view is not None:
-            answers = self._frozen_query(
-                view,
-                "point_many",
-                (
-                    stream,
-                    [probes[i] for i in frozen_idx],
-                    [resolved[i] for i in frozen_idx],
-                ),
+            answers = view.frozen.point_many(
+                stream,
+                [probes[i] for i in frozen_idx],
+                [resolved[i] for i in frozen_idx],
             )
             for slot, i in enumerate(frozen_idx):
                 out[i] = float(answers[slot])
@@ -425,7 +318,7 @@ class ServingRuntime:
         """Window heavy hitters, frozen- or live-routed."""
         view, rt = self._route(stream, t, mode)
         if view is not None:
-            hits = self._frozen_query(view, "heavy_hitters", (stream, phi, s, rt))
+            hits = view.frozen.heavy_hitters(stream, phi, s, rt)
         else:
             with self._lock:
                 hits = self.runtime.store.heavy_hitters(stream, phi, s, rt)
@@ -441,7 +334,7 @@ class ServingRuntime:
         """Window second frequency moment, frozen- or live-routed."""
         view, rt = self._route(stream, t, mode)
         if view is not None:
-            return float(self._frozen_query(view, "self_join_size", (stream, s, rt)))
+            return float(view.frozen.self_join_size(stream, s, rt))
         with self._lock:
             return float(self.runtime.store.self_join_size(stream, s, rt))
 
@@ -455,7 +348,7 @@ class ServingRuntime:
         """Window L1 mass estimate, frozen- or live-routed."""
         view, rt = self._route(stream, t, mode)
         if view is not None:
-            return float(self._frozen_query(view, "window_mass", (stream, s, rt)))
+            return float(view.frozen.window_mass(stream, s, rt))
         with self._lock:
             return float(self.runtime.store.window_mass(stream, s, rt))
 
@@ -481,7 +374,6 @@ class ServingRuntime:
         """The serving-side status block merged into health/describe."""
         view = self._view
         applied = self.runtime.applied_seq
-        pool = self._query_pool
         return {
             "view_seq": None if view is None else view.seq,
             "view_age_s": None if view is None else self._clock() - view.built_at,
@@ -489,13 +381,6 @@ class ServingRuntime:
             "cutovers": self.cutovers,
             "freeze_every": self.freeze_every,
             "freeze_interval_s": self.freeze_interval_s,
-            "shared_segment": (
-                None
-                if view is None or view.segment is None
-                else view.segment.name
-            ),
-            "view_generation": 0 if view is None else view.generation,
-            "query_pool": None if pool is None else pool.health(),
         }
 
     def health(self) -> dict[str, Any]:
@@ -518,13 +403,6 @@ class ServingRuntime:
             return self.runtime.fsck().as_dict()
 
     def close(self) -> None:
-        """Seal the WAL, stop the query pool, release the shared view."""
-        pool = self._query_pool
-        self._query_pool = None
-        if pool is not None:
-            pool.close()
-        view = self._view
-        if view is not None and view.segment is not None:
-            view.segment.release()
+        """Seal the runtime's WAL."""
         with self._lock:
             self.runtime.close()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,7 +202,9 @@ class SketchStore:
                 delta=spec.delta,
                 seed=self.seed,  # shared: mandatory for cross-stream joins
                 independent_copies=2,
-                sampling_seed=hash(spec.name) & 0x7FFFFFFF,
+                # crc32, not hash(): str hashes are salted per process,
+                # and the sampling stream must not depend on PYTHONHASHSEED.
+                sampling_seed=zlib.crc32(spec.name.encode()) & 0x7FFFFFFF,
                 workers=self.workers,
             )
             if spec.joinable
@@ -231,7 +234,7 @@ class SketchStore:
     # Ingest
     # ------------------------------------------------------------------ #
 
-    def update(  # sketchlint: disable=SL008,SL014 — delegates to each sketch's guarded clock via untyped __slots__ state the resolver cannot type
+    def update(  # sketchlint: disable=SL014 — delegates to each sketch's guarded clock via untyped __slots__ state the resolver cannot type
         self, name: str, item: int, count: int = 1, time: int | None = None
     ) -> None:
         """Feed one update into every sketch of stream ``name``.

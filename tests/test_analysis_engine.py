@@ -328,9 +328,9 @@ def test_resolve_callable_for_fork_dispatch_arguments():
                         return task
 
                     def launch(self, tasks):
-                        parallel_map(self._work, tasks, 4)
-                        parallel_map(_worker, tasks, 4)
-                        parallel_map(lambda t: t + 1, tasks, 4)
+                        pool.map(self._work, tasks)
+                        pool.map(_worker, tasks)
+                        pool.map(lambda t: t + 1, tasks)
             """
         }
     )

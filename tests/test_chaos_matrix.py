@@ -524,140 +524,3 @@ def test_pool_cells_heal_and_stay_bit_identical(tmp_path, cell):
     recovered = recover(tmp_path / "victim")
     assert recovered.applied_seq == N_RECORDS
     assert_identical_answers(twin, recovered)
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory serving: reader death and cutover races leak nothing
-# --------------------------------------------------------------------- #
-
-
-def _shm_ready() -> bool:
-    from repro import shm
-
-    return fork_available() and shm.shm_available()
-
-
-@needs_fork
-def test_sigkilled_query_worker_leaks_no_segments(tmp_path):
-    """Chaos cell: kill -9 an shm-attached query worker mid-serving.
-
-    Query workers only ever *attach* to the published view segment (the
-    publisher owns every unlink), so a reader dying at any point must
-    not orphan a ``/dev/shm`` entry.  The supervisor respawns the slot,
-    answers stay bit-identical throughout (local-view fallback covers
-    the dead-slot query), and after serving shutdown the /dev/shm
-    listing for this module's prefix must be empty.
-    """
-    import os
-    import signal
-
-    from repro import shm
-    from repro.server import ServingRuntime
-
-    if not _shm_ready():
-        pytest.skip("needs POSIX shared memory")
-
-    records = make_records()
-    runtime = IngestRuntime.create(
-        tmp_path / "victim",
-        make_store(),
-        checkpoint_every=CHECKPOINT_EVERY,
-        sleep=lambda _t: None,
-    )
-    serving = ServingRuntime(runtime, query_workers=2)
-    try:
-        serving.ingest_batch(records)
-        assert serving.maybe_cutover(force=True)["swapped"]
-        view = serving.view()
-        assert view.segment is not None, "cutover must publish a segment"
-        t = view.clock("urls")
-
-        def frozen_answers():
-            return [
-                serving.point("urls", item, 0, t) for item in range(0, 64, 7)
-            ]
-
-        before = frozen_answers()
-        live = [
-            serving.point("urls", item, 0, t, mode="live")
-            for item in range(0, 64, 7)
-        ]
-        assert before == live  # frozen==live gate before the fault
-
-        pool = serving.query_pool()
-        assert pool is not None
-        victim_pid = pool.pids[0]
-        os.kill(victim_pid, signal.SIGKILL)
-        # Every answer across the dead-worker window stays bit-equal:
-        # the supervisor either respawns the slot or the master serves
-        # that query from its local view.
-        for _ in range(4):
-            assert frozen_answers() == before
-        assert pool.respawns >= 1, "the dead slot was never respawned"
-        assert victim_pid not in pool.pids
-    finally:
-        serving.close()
-    # The supervisor swept everything: no orphaned /dev/shm entries.
-    assert shm.leaked_segments() == []
-
-
-@needs_fork
-def test_cutover_racing_attached_reader_keeps_old_view_valid(tmp_path):
-    """Chaos cell: cutover unlinks the old segment under a live reader.
-
-    POSIX keeps an unlinked segment valid until the last attacher
-    detaches, so a reader that attached generation N must keep getting
-    bit-identical answers while the publisher cuts over to N+1 and
-    releases N — and the /dev/shm *name* must be gone immediately (no
-    window where a crashed publisher would leak it).
-    """
-    from repro import shm
-    from repro.engine import attach_view
-    from repro.server import ServingRuntime
-
-    if not _shm_ready():
-        pytest.skip("needs POSIX shared memory")
-
-    records = make_records()
-    runtime = IngestRuntime.create(
-        tmp_path / "victim",
-        make_store(),
-        checkpoint_every=CHECKPOINT_EVERY,
-        sleep=lambda _t: None,
-    )
-    serving = ServingRuntime(runtime, query_workers=1)
-    old_segment = None
-    try:
-        serving.ingest_batch(records[:200])
-        assert serving.maybe_cutover(force=True)["swapped"]
-        old_view = serving.view()
-        assert old_view.segment is not None
-        old_name = old_view.segment.name
-        t_old = old_view.clock("urls")
-        want = [
-            old_view.frozen.point("urls", item, 0, t_old)
-            for item in range(0, 64, 7)
-        ]
-
-        # The racing reader: attached to generation N as the publisher
-        # moves on.
-        reader_view, old_segment = attach_view(old_name)
-
-        serving.ingest_batch(records[200:])
-        assert serving.maybe_cutover(force=True)["swapped"]
-        assert serving.view().generation == old_view.generation + 1
-
-        # The old name is unlinked the moment the swap lands...
-        assert old_name not in shm.leaked_segments()
-        # ...but the attached reader's mapping stays fully readable and
-        # bit-identical until it detaches.
-        got = [
-            reader_view.point("urls", item, 0, t_old)
-            for item in range(0, 64, 7)
-        ]
-        assert got == want
-    finally:
-        if old_segment is not None:
-            old_segment.close()
-        serving.close()
-    assert shm.leaked_segments() == []

@@ -6,14 +6,14 @@ one.  These tests pin it from every side — hypothesis-driven deep
 fingerprint equality for all sketch types, merge-on-query mid-stream,
 a SIGKILL'd worker healed transparently (respawn + journal replay, bit
 for bit) with the WAL intact, a simulated crash in the middle of a
-parallel batch recovering exactly like its serial twin, and the frozen
-engine's parallel freeze / fan-out / scalar fast path answering
-bit-identically to the serial snapshot.  (Pool-level healing edge
+parallel batch recovering exactly like its serial twin, and a snapshot
+frozen after parallel ingest answering bit-identically (batched and
+scalar) to the serial snapshot.  (Pool-level healing edge
 cases — hung replies, respawn exhaustion, the inline serial fallback —
 live in ``tests/test_pool_healing.py``.)
 
-Set ``REPRO_TEST_WORKERS`` to widen the pools under test (CI runs a
-dedicated 2-worker leg).
+Set ``REPRO_TEST_WORKERS`` to pin the pool width under test (CI runs
+2- and 4-worker legs).
 """
 
 import os
@@ -25,9 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import frozen as frozen_mod
 from repro.engine.frozen import freeze
-from repro.parallel import IngestError, fork_available, parallel_map
+from repro.parallel import fork_available
 from repro.runtime import FaultPlan, IngestRuntime, SimulatedCrash
 from tests.test_batch_ingest import (
     FACTORIES,
@@ -259,22 +258,20 @@ def test_crash_mid_parallel_batch_recovers_like_serial(tmp_path, plan, durable):
 
 
 # --------------------------------------------------------------------- #
-# Frozen engine: parallel freeze, fan-out, scalar fast path
+# Frozen engine: freeze after parallel ingest, scalar fast path
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("name", FREEZABLE)
-def test_parallel_freeze_and_fanout_bit_equal(name, monkeypatch):
-    # Force the fan-out even for tiny probe batches.
-    monkeypatch.setattr(frozen_mod, "_FANOUT_MIN", 8)
+def test_parallel_freeze_and_fanout_bit_equal(name):
     stream = build_stream([(i % 11, 1, 1) for i in range(160)])
     serial_sketch = FACTORIES[name]()
     scalar_ingest(serial_sketch, stream)
     serial_frozen = freeze(serial_sketch)
 
-    parallel_sketch = parallel_twin(name, 3)
+    parallel_sketch = parallel_twin(name, max(WORKER_WIDTHS))
     parallel_sketch.ingest(stream, batch_size=64)
-    parallel_frozen = freeze(parallel_sketch, workers=3)
+    parallel_frozen = freeze(parallel_sketch)
 
     end = int(stream.times[-1])
     items = np.tile(np.arange(11, dtype=np.int64), 4)
@@ -289,17 +286,3 @@ def test_parallel_freeze_and_fanout_bit_equal(name, monkeypatch):
                 item, s, t
             )
 
-
-def test_parallel_map_scatter_and_errors():
-    # Order-preserving scatter across strides.
-    assert parallel_map(lambda x: x * x, list(range(17)), 3) == [
-        x * x for x in range(17)
-    ]
-    # Small task lists run inline (no fork cost), same results.
-    assert parallel_map(lambda x: -x, [4], 4) == [-4]
-    # A raising task surfaces as IngestError, not a hang.
-    def boom(x):
-        raise RuntimeError(f"task {x} failed")
-
-    with pytest.raises(IngestError, match="task"):
-        parallel_map(boom, list(range(6)), 2)

@@ -24,9 +24,7 @@ import pytest
 from repro.parallel import (
     IngestError,
     WorkerPool,
-    WorkerUnavailable,
     fork_available,
-    parallel_map,
     pool_faults,
 )
 from repro.runtime import FaultPlan
@@ -299,20 +297,3 @@ def test_terminate_escalates_to_kill():
         wait_for_death(pid)
     assert pool.stuck_workers == 0
 
-
-# --------------------------------------------------------------------- #
-# parallel_map: one-shot fan-outs have no replay path
-# --------------------------------------------------------------------- #
-
-
-def test_parallel_map_child_death_raises_worker_unavailable():
-    def die(x):
-        if x == 3:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return x
-
-    with pytest.raises(WorkerUnavailable):
-        parallel_map(die, list(range(8)), 2)
-    # WorkerUnavailable subclasses IngestError: existing catch sites
-    # treat both as "this parallel dispatch is lost".
-    assert issubclass(WorkerUnavailable, IngestError)

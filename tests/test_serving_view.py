@@ -90,15 +90,6 @@ class TestFrozenViewMemoization:
         assert second is not first
         assert second.clock("urls") == 21
 
-    def test_workers_width_invalidates(self, tmp_path):
-        runtime = IngestRuntime.create(
-            tmp_path / "rt", make_store(), checkpoint_every=CHECKPOINT_EVERY
-        )
-        for raw in make_records(20):
-            runtime.ingest(raw)
-        serial = runtime.frozen_view()
-        assert runtime.frozen_view(workers=None) is serial
-
 
 class TestBoundarySemantics:
     """Satellite 3: window-edge behaviour at the cutover boundary."""

@@ -218,87 +218,6 @@ def test_sl007_passes_annotated_and_out_of_scope():
 
 
 # --------------------------------------------------------------------- #
-# SL008 — unguarded timestamp ingest (superseded by SL014; --select only)
-# --------------------------------------------------------------------- #
-
-
-def test_sl008_flags_unguarded_feed_when_selected():
-    assert "SL008" in codes(
-        """
-        class Tracker:
-            def feed(self, t, value):
-                self.value = value
-        """,
-        select=["SL008"],
-    )
-
-
-def test_sl008_passes_guarded_or_contracted_feed():
-    guarded = """
-        class Tracker:
-            def feed(self, t, value):
-                if t <= self.last:
-                    raise ValueError("time went backwards")
-                self.value = value
-    """
-    assert "SL008" not in codes(guarded, select=["SL008"])
-    contracted = """
-        class Tracker:
-            @contracts.monotone_timestamps(param="t")
-            def feed(self, t, value):
-                self.value = value
-    """
-    assert "SL008" not in codes(contracted, select=["SL008"])
-
-
-def test_sl008_superseded_by_sl014_in_default_runs():
-    unguarded = """
-        class Tracker:
-            def feed(self, t, value):
-                self.value = value
-    """
-    found = codes(unguarded)
-    assert "SL008" not in found  # the whole-program rule replaced it
-    assert "SL014" in found
-    assert RULES["SL008"].superseded_by == "SL014"
-
-
-# --------------------------------------------------------------------- #
-# SL009 — non-atomic writes in durability-critical packages
-# --------------------------------------------------------------------- #
-
-
-def test_sl009_flags_direct_writes_in_durable_scopes():
-    source = 'path.write_text("data")\n'
-    for scope in ("store", "io", "runtime"):
-        assert "SL009" in codes(source, path=f"src/repro/{scope}/module.py")
-    assert "SL009" in codes(
-        'path.write_bytes(b"data")\n', path="src/repro/store/store.py"
-    )
-
-
-def test_sl009_ignores_other_packages_and_tests():
-    source = 'path.write_text("data")\n'
-    assert "SL009" not in codes(source, path="src/repro/core/module.py")
-    assert "SL009" not in codes(source, path="tests/test_store.py")
-
-
-def test_sl009_suppression():
-    source = (
-        'path.write_text("x")  # sketchlint: disable=SL009 — staging file\n'
-    )
-    assert "SL009" not in codes(source, path="src/repro/io/module.py")
-
-
-def test_sl009_passes_atomic_helpers():
-    source = """
-        from repro.io.atomic import atomic_write_text
-        atomic_write_text(path, "data")
-    """
-    assert "SL009" not in codes(source, path="src/repro/runtime/module.py")
-
-
-# --------------------------------------------------------------------- #
 # SL010 — per-record scalar loops on hot paths
 # --------------------------------------------------------------------- #
 
@@ -371,71 +290,6 @@ def test_sl010_suppression_for_scalar_references():
 
 
 # --------------------------------------------------------------------- #
-# SL011 — RNG shared across fork/pool dispatch
-# --------------------------------------------------------------------- #
-
-
-def test_sl011_flags_rng_near_pool_submit():
-    source = """
-        def dispatch(self, times, items, counts, pool):
-            draws = self._rng.random(len(times))
-            pool.feed([(times, items, counts)] * pool.nworkers)
-    """
-    assert "SL011" in codes(source)
-
-
-def test_sl011_flags_rng_captured_by_fork_launcher():
-    source = """
-        def launch(self, tasks):
-            rng = self._rng
-            return parallel_map(lambda t: rng.random(), tasks, 4)
-    """
-    assert "SL011" in codes(source)
-
-
-def test_sl011_passes_predrawn_and_spawned_generators():
-    predrawn = """
-        def dispatch(self, times, pool):
-            uniforms = bulk_uniforms(self._rng, len(times))
-            pool.feed([(uniforms, times)] * pool.nworkers)
-    """
-    assert "SL011" not in codes(predrawn)
-    spawned = """
-        def launch(self, tasks):
-            children = self._rng.spawn(4)
-            return parallel_map(run, list(zip(children, tasks)), 4)
-    """
-    assert "SL011" not in codes(spawned)
-
-
-def test_sl011_passes_rng_free_dispatch_and_non_pool_feed():
-    assert "SL011" not in codes(
-        """
-        def launch(tasks):
-            return parallel_map(compute, tasks, 4)
-        """
-    )
-    # tracker.feed is a tracker primitive, not a pool submission.
-    assert "SL011" not in codes(
-        """
-        def apply(self, tracker, times):
-            values = self._rng.random(len(times))
-            tracker.feed(times, values)
-        """
-    )
-
-
-def test_sl011_suppression_for_deliberate_broadcast():
-    source = (
-        "def launch(self, tasks):\n"
-        "    rng = self._rng\n"
-        "    return parallel_map(lambda t: rng.bit_count(), tasks, 4)  "
-        "# sketchlint: disable=SL011 — workers ignore the RNG\n"
-    )
-    assert "SL011" not in codes(source)
-
-
-# --------------------------------------------------------------------- #
 # SL012 — durability escape (interprocedural)
 # --------------------------------------------------------------------- #
 
@@ -448,9 +302,36 @@ def test_sl012_flags_raw_write_open_in_durability_scope():
             with open(path, "w") as handle:
                 handle.write(data)
     """
-    found = codes(source, path=STORE_PATH)
-    assert "SL012" in found
-    assert "SL009" not in found  # raw open is invisible to the module rule
+    assert "SL012" in codes(source, path=STORE_PATH)
+
+
+def test_sl012_flags_direct_writes_in_durable_scopes():
+    in_function = """
+        def save(path, data):
+            path.write_text(data)
+    """
+    module_level = 'path.write_text("data")\n'
+    for scope in ("store", "io", "runtime"):
+        path = f"src/repro/{scope}/module.py"
+        assert "SL012" in codes(in_function, path=path)
+        assert "SL012" in codes(module_level, path=path)
+    assert "SL012" in codes(
+        'path.write_bytes(b"data")\n', path="src/repro/store/store.py"
+    )
+
+
+def test_sl012_ignores_direct_writes_outside_durability_layer():
+    source = 'path.write_text("data")\n'
+    assert "SL012" not in codes(source, path="src/repro/core/module.py")
+    assert "SL012" not in codes(source, path="tests/test_store.py")
+
+
+def test_sl012_passes_atomic_helpers():
+    source = """
+        from repro.io.atomic import atomic_write_text
+        atomic_write_text(path, "data")
+    """
+    assert "SL012" not in codes(source, path="src/repro/runtime/module.py")
 
 
 def test_sl012_flags_wrapped_write_one_call_deep():
@@ -511,9 +392,17 @@ def test_sl012_suppression():
     assert "SL012" not in codes(source, path=STORE_PATH)
 
 
+def test_sl012_suppression_at_module_level():
+    source = (
+        'path.write_text("x")  # sketchlint: disable=SL012 — staging file\n'
+    )
+    assert "SL012" not in codes(source, path="src/repro/io/module.py")
+
+
 def test_sl012_regression_cross_module_wrapper_defeats_sl009(tmp_path):
-    """A write helper outside store/ is invisible to SL009 but SL012
-    follows the call edge from the durability entry point into it."""
+    """A write helper outside store/ is invisible to a syntactic check of
+    store/ (the retired SL009), but SL012 follows the call edge from the
+    durability entry point into it."""
     found = tree_codes(
         tmp_path,
         {
@@ -534,7 +423,6 @@ def test_sl012_regression_cross_module_wrapper_defeats_sl009(tmp_path):
         },
     )
     assert "SL012" in found
-    assert "SL009" not in found
 
 
 # --------------------------------------------------------------------- #
@@ -551,7 +439,7 @@ def test_sl013_flags_worker_mutating_module_global():
             return task
 
         def launch(tasks):
-            return parallel_map(_worker, tasks, 4)
+            return pool.map(_worker, tasks)
     """
     assert "SL013" in codes(source)
 
@@ -568,11 +456,9 @@ def test_sl013_flags_mutation_one_call_deep():
             return task
 
         def launch(tasks):
-            return parallel_map(_worker, tasks, 4)
+            return pool.map(_worker, tasks)
     """
-    found = codes(source)
-    assert "SL013" in found
-    assert "SL011" not in found  # no RNG: the old rule has nothing to say
+    assert "SL013" in codes(source)
 
 
 def test_sl013_flags_bound_method_mutating_instance_state():
@@ -583,7 +469,7 @@ def test_sl013_flags_bound_method_mutating_instance_state():
                 return task
 
             def launch(self, tasks):
-                return parallel_map(self._work, tasks, 4)
+                return pool.map(self._work, tasks)
     """
     assert "SL013" in codes(source)
 
@@ -596,7 +482,7 @@ def test_sl013_flags_worker_reading_mutable_global():
             return _REGISTRY[task]
 
         def launch(tasks):
-            return parallel_map(_worker, tasks, 4)
+            return pool.map(_worker, tasks)
     """
     assert "SL013" in codes(source)
 
@@ -608,7 +494,7 @@ def test_sl013_passes_pure_and_immutable_global_workers():
             return task * 2
 
         def launch(tasks):
-            return parallel_map(_worker, tasks, 4)
+            return pool.map(_worker, tasks)
         """
     )
     assert "SL013" not in codes(
@@ -619,7 +505,7 @@ def test_sl013_passes_pure_and_immutable_global_workers():
             return task * _SCALE
 
         def launch(tasks):
-            return parallel_map(_worker, tasks, 4)
+            return pool.map(_worker, tasks)
         """
     )
 
@@ -634,7 +520,7 @@ def test_sl013_passes_shipped_constructor():
                 self.data = dict(source)
 
         def freeze_all(sources):
-            return parallel_map(Snapshot, sources, 4)
+            return pool.map(Snapshot, sources)
         """
     )
 
@@ -647,7 +533,7 @@ def test_sl013_suppression_for_designed_cow_ownership():
         "        return task\n"
         "\n"
         "    def launch(self, tasks):\n"
-        "        return parallel_map(self._work, tasks, 4)  "
+        "        return pool.map(self._work, tasks)  "
         "# sketchlint: disable=SL013 — per-shard CoW ownership, merged on collect\n"
     )
     assert "SL013" not in codes(source)
@@ -665,7 +551,7 @@ def test_sl013_regression_wrapper_defeats_syntactic_rules(tmp_path):
                 from repro.parallel.jobs import work
 
                 def launch(tasks):
-                    return parallel_map(work, tasks, 4)
+                    return pool.map(work, tasks)
             """,
             "src/repro/parallel/jobs.py": """
                 from __future__ import annotations
@@ -679,7 +565,6 @@ def test_sl013_regression_wrapper_defeats_syntactic_rules(tmp_path):
         },
     )
     assert "SL013" in found
-    assert "SL011" not in found
 
 
 # --------------------------------------------------------------------- #
@@ -717,9 +602,54 @@ def test_sl014_passes_locally_guarded_ingest():
     )
 
 
+def test_sl014_flags_unguarded_feed_when_selected():
+    assert "SL014" in codes(
+        """
+        class Tracker:
+            def feed(self, t, value):
+                self.value = value
+        """,
+        select=["SL014"],
+    )
+
+
+def test_sl014_passes_guarded_or_contracted_feed_when_selected():
+    guarded = """
+        class Tracker:
+            def feed(self, t, value):
+                if t <= self.last:
+                    raise ValueError("time went backwards")
+                self.value = value
+    """
+    assert "SL014" not in codes(guarded, select=["SL014"])
+    contracted = """
+        class Tracker:
+            @contracts.monotone_timestamps(param="t")
+            def feed(self, t, value):
+                self.value = value
+    """
+    assert "SL014" not in codes(contracted, select=["SL014"])
+
+
+def test_retired_rule_codes_are_gone():
+    # SL008, SL009 and SL011 were folded into SL014, SL012 and SL015.
+    for code in ("SL008", "SL009", "SL011"):
+        assert code not in RULES
+        assert code not in PROJECT_RULES
+        with pytest.raises(KeyError):
+            lint_source("x = 1\n", SRC_PATH, select=[code])
+    unguarded = """
+        class Tracker:
+            def feed(self, t, value):
+                self.value = value
+    """
+    assert "SL014" in codes(unguarded)
+
+
 def test_sl014_passes_facade_delegating_to_guarded_tracker():
-    """The wrapper-indirection case SL008 over-reports: an unguarded
-    facade whose call path ends in a guarded ingest function is safe."""
+    """The wrapper-indirection case a per-function check over-reports:
+    an unguarded facade whose call path ends in a guarded ingest
+    function is safe."""
     source = """
         class Inner:
             def feed(self, t, value):
@@ -734,14 +664,12 @@ def test_sl014_passes_facade_delegating_to_guarded_tracker():
             def feed(self, t, value):
                 self._inner.feed(t, value)
     """
-    found = codes(source)
-    assert "SL014" not in found
-    # ...while the superseded per-function rule still flags the facade.
-    assert "SL008" in codes(source, select=["SL008"])
+    assert "SL014" not in codes(source)
 
 
 def test_sl014_flags_private_ingest_exposed_by_public_wrapper():
-    """The wrapper-indirection case SL008 under-reports: the unguarded
+    """The wrapper-indirection case a per-function check under-reports:
+    the unguarded
     worker is only dangerous because a public route reaches it."""
     assert "SL014" in codes(
         """
@@ -801,11 +729,9 @@ def test_sl015_flags_rng_consumed_one_call_deep_in_worker():
             return _helper(state)
 
         def launch(tasks):
-            return parallel_map(_task, tasks, 4)
+            return pool.map(_task, tasks)
     """
-    found = codes(source)
-    assert "SL015" in found
-    assert "SL011" not in found  # dispatcher never says "rng" lexically
+    assert "SL015" in codes(source)  # dispatcher never says "rng" lexically
 
 
 def test_sl015_passes_spawned_per_worker_generators():
@@ -819,7 +745,7 @@ def test_sl015_passes_spawned_per_worker_generators():
 
         def launch(tasks, master):
             children = master.spawn(len(tasks))
-            return parallel_map(_task, list(zip(children, tasks)), 4)
+            return pool.map(_task, list(zip(children, tasks)))
         """
     )
 
@@ -834,7 +760,7 @@ def test_sl015_passes_state_transplant_assignment():
             master.rng = results[0]
 
         def launch(tasks, master):
-            out = parallel_map(_task, tasks, 4)
+            out = pool.map(_task, tasks)
             _merge(master, out)
             return out
         """
@@ -848,22 +774,75 @@ def test_sl015_passes_rng_free_workers():
             return x * 2
 
         def launch(tasks):
-            return parallel_map(_task, tasks, 4)
+            return pool.map(_task, tasks)
         """
     )
 
 
-def test_sl015_leaves_lexical_rng_dispatch_to_sl011():
-    # The dispatcher itself touches the RNG: SL011's verdict applies and
-    # SL015 stays silent (mitigated dispatches must not double-report).
+def test_sl015_flags_rng_near_pool_submit():
+    source = """
+        def dispatch(self, times, items, counts, pool):
+            draws = self._rng.random(len(times))
+            pool.feed([(times, items, counts)] * pool.nworkers)
+    """
+    assert "SL015" in codes(source)
+
+
+def test_sl015_flags_rng_captured_by_fork_launcher():
     source = """
         def launch(self, tasks):
             rng = self._rng
-            return parallel_map(lambda t: rng.random(), tasks, 4)
+            return pool.map(lambda t: rng.random(), tasks)
     """
-    found = codes(source)
-    assert "SL011" in found
-    assert "SL015" not in found
+    assert "SL015" in codes(source)
+
+
+def test_sl015_flags_rng_captured_by_fork_launcher_once():
+    # The dispatcher itself touches the RNG: the lexical case reports the
+    # dispatch once, even though the shipped lambda consumes it too.
+    source = """
+        def launch(self, tasks):
+            rng = self._rng
+            return pool.map(lambda t: rng.random(), tasks)
+    """
+    findings = lint_source(textwrap.dedent(source), SRC_PATH, select=["SL015"])
+    assert len(findings) == 1
+
+
+def test_sl015_passes_predrawn_and_spawned_dispatch():
+    predrawn = """
+        def dispatch(self, times, pool):
+            uniforms = bulk_uniforms(self._rng, len(times))
+            pool.feed([(uniforms, times)] * pool.nworkers)
+    """
+    assert "SL015" not in codes(predrawn)
+    spawned = """
+        def launch(self, tasks):
+            children = self._rng.spawn(4)
+            return pool.map(run, list(zip(children, tasks)))
+    """
+    assert "SL015" not in codes(spawned)
+
+
+def test_sl015_passes_non_pool_feed():
+    # tracker.feed is a tracker primitive, not a pool submission.
+    assert "SL015" not in codes(
+        """
+        def apply(self, tracker, times):
+            values = self._rng.random(len(times))
+            tracker.feed(times, values)
+        """
+    )
+
+
+def test_sl015_suppression_for_deliberate_broadcast():
+    source = (
+        "def launch(self, tasks):\n"
+        "    rng = self._rng\n"
+        "    return pool.map(lambda t: rng.bit_count(), tasks)  "
+        "# sketchlint: disable=SL015 — workers ignore the RNG\n"
+    )
+    assert "SL015" not in codes(source)
 
 
 def test_sl015_suppression():
@@ -875,7 +854,7 @@ def test_sl015_suppression():
         "    return _helper(state)\n"
         "\n"
         "def launch(tasks):\n"
-        "    return parallel_map(_task, tasks, 4)  "
+        "    return pool.map(_task, tasks)  "
         "# sketchlint: disable=SL015 — workers share one deliberate stream\n"
     )
     assert "SL015" not in codes(source)
@@ -1312,10 +1291,7 @@ def test_run_lint_text_and_json(tmp_path):
 
 
 def test_rule_table_is_complete():
-    assert sorted(RULES) == [f"SL00{i}" for i in range(1, 10)] + [
-        "SL010",
-        "SL011",
-    ]
+    assert sorted(RULES) == [f"SL00{i}" for i in range(1, 8)] + ["SL010"]
     assert sorted(PROJECT_RULES) == [
         "SL012",
         "SL013",

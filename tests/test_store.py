@@ -218,3 +218,44 @@ class TestAtomicSave:
 
         with pytest.raises(SerializationError):
             SketchStore.open(tmp_path / "never-existed")
+
+
+_SELF_JOIN_SCRIPT = """
+from repro.store import SketchStore, StreamSpec
+from repro.streams.generators import zipf_stream
+
+store = SketchStore(width=256, depth=4, join_width=512, seed=5)
+store.create(StreamSpec(name="urls", delta=8, joinable=True))
+stream = zipf_stream(2000, universe=200, exponent=1.5, seed=7)
+for t, item in enumerate(stream.items, start=1):
+    store.update("urls", int(item), time=t)
+print(repr(store.self_join_size("urls")))
+"""
+
+
+def test_sampling_seed_is_independent_of_hash_seed():
+    """The joinable stream's AMS sampling stream must not depend on the
+    per-process ``str`` hash salt: the same build answers identically
+    under different ``PYTHONHASHSEED`` values."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    answers = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _SELF_JOIN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        answers.append(out.stdout.strip())
+    assert answers[0] == answers[1]
