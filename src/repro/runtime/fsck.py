@@ -189,6 +189,22 @@ class FsckReport:
     scanned_records: int = 0
     #: Bytes read across all segments.
     scanned_bytes: int = 0
+    #: The decoded store of the best intact checkpoint, kept so that
+    #: recovery replays into it instead of decoding the checkpoint again
+    #: (see :meth:`take_store`; not part of :meth:`as_dict`).
+    best_store: SketchStore | None = field(default=None, repr=False, compare=False)
+
+    def take_store(self) -> tuple[int, SketchStore] | None:
+        """Hand over ``(best_covered_seq, store)`` once, then forget it.
+
+        The report may outlive recovery (:attr:`IngestRuntime.fsck_report`),
+        so it must not keep the store — which recovery goes on to mutate
+        by replay — alive.
+        """
+        store, self.best_store = self.best_store, None
+        if store is None or self.best_covered_seq is None:
+            return None
+        return self.best_covered_seq, store
 
     @property
     def data_loss(self) -> bool:
@@ -271,7 +287,14 @@ class FsckReport:
 def _scan_checkpoints(
     directory: Path, report: FsckReport
 ) -> None:
-    """Verdict every ``ckpt-*`` directory by full deserialization."""
+    """Verdict every ``ckpt-*`` directory by full deserialization.
+
+    The decode that proves the best intact checkpoint clean is kept on
+    :attr:`FsckReport.best_store`: recovery replays into that store
+    rather than decoding the same directory a second time.  Older clean
+    checkpoints are decoded only to verdict them and then dropped, so at
+    most the best store so far plus the one being decoded are held.
+    """
     root = directory / "checkpoints"
     if not root.is_dir():
         return
@@ -285,7 +308,7 @@ def _scan_checkpoints(
             found.append((int(match.group(1)), path))
     for covered, path in sorted(found):
         try:
-            SketchStore.open(path)
+            store = SketchStore.open(path)
         except SerializationError as exc:
             report.checkpoints.append(
                 CheckpointVerdict(path.name, covered, CKPT_UNREADABLE, str(exc))
@@ -296,6 +319,7 @@ def _scan_checkpoints(
         )
         if report.best_covered_seq is None or covered > report.best_covered_seq:
             report.best_covered_seq = covered
+            report.best_store = store
 
 
 def _scan_pointer(directory: Path, report: FsckReport) -> None:

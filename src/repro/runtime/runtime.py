@@ -134,6 +134,9 @@ class IngestRuntime:
         self._since_checkpoint = 0
         # (applied_seq, view) of the last frozen_view() build.
         self._frozen_cache: tuple[int, Any] | None = None
+        # (covered_seq, view) of the checkpoint recover() decoded, until
+        # the first cutover takes it or a newer checkpoint supersedes it.
+        self._checkpoint_view: tuple[int, Any] | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -220,10 +223,16 @@ class IngestRuntime:
         Then tries checkpoints newest-first, skipping any whose snapshot
         no longer opens cleanly (truncated archive, damaged manifest);
         the WAL tail past the chosen checkpoint is replayed sequentially.
+        The newest intact checkpoint is decoded once: replay runs into
+        the store fsck decoded to verdict it, and a frozen view of it,
+        taken before replay, is held for the first serving cutover
+        (:meth:`take_checkpoint_view`).  ``fsck=False`` and fallbacks to
+        an older checkpoint open from disk.
         After replay the recovered store's timeline contracts are
         re-validated (regardless of ``REPRO_CONTRACTS``), so a corrupt
         recovery can never serve queries silently.
         """
+        from repro.engine.frozen import freeze_store
         from repro.engine.replay import replay_records
 
         directory = Path(directory)
@@ -241,10 +250,16 @@ class IngestRuntime:
         candidates = cls._checkpoints(directory)
         if not candidates:
             raise RecoveryError(f"{directory}: no checkpoints to recover from")
+        # fsck already decoded the best intact checkpoint to verdict it:
+        # replay into that store instead of decoding the directory again.
+        handed = report.take_store() if report is not None else None
         failures: list[str] = []
         store: SketchStore | None = None
         covered = 0
         for covered_seq, path in reversed(candidates):
+            if handed is not None and handed[0] == covered_seq:
+                covered, store = handed
+                break
             try:
                 store = SketchStore.open(path)
                 covered = covered_seq
@@ -256,6 +271,12 @@ class IngestRuntime:
                 f"{directory}: every checkpoint is damaged: "
                 + "; ".join(failures)
             )
+
+        # Freeze the checkpoint as decoded, before replay mutates it: the
+        # first cutover serves this view instead of re-opening the same
+        # checkpoint from disk.  ``save`` finalized every run before
+        # encoding, so the freeze's finalize leaves the store unchanged.
+        checkpoint_view = (covered, freeze_store(store))
 
         wal = WriteAheadLog(directory / "wal", next_seq=covered + 1)
         cls._repair_torn_tails(wal)
@@ -292,6 +313,7 @@ class IngestRuntime:
                     shutil.rmtree(target)
                 store.save(target)
                 resnapped = last_seq
+                checkpoint_view = None  # no longer the newest checkpoint
         with contracts.enforced(True):
             contracts.check_store(store)
 
@@ -317,6 +339,7 @@ class IngestRuntime:
             probe=probe,
         )
         runtime.stats.replayed = replayed
+        runtime._checkpoint_view = checkpoint_view
         runtime.fsck_report = report
         if report is not None:
             runtime.monitor.note_quarantine(
@@ -720,6 +743,7 @@ class IngestRuntime:
             raise SimulatedCrash(
                 f"scripted crash after corrupting snapshot {target.name}"
             )
+        self._checkpoint_view = None  # superseded by this checkpoint
         self.wal.rotate()
         self._prune(covered)
         self.stats.checkpoints += 1
@@ -843,6 +867,18 @@ class IngestRuntime:
         view = freeze_store(self.store)
         self._frozen_cache = (self.applied_seq, view)
         return view
+
+    def take_checkpoint_view(self, covered_seq: int) -> Any:
+        """Hand over the frozen view :meth:`recover` built of checkpoint
+        ``covered_seq``, or ``None`` when it holds no view of that one.
+
+        One-shot: the held view is released either way, so a runtime
+        keeps at most one such view, and only until its first cutover.
+        """
+        held, self._checkpoint_view = self._checkpoint_view, None
+        if held is None or held[0] != covered_seq:
+            return None
+        return held[1]
 
     def describe(self) -> dict[str, Any]:
         """Operator-facing summary (used by ``repro recover``)."""

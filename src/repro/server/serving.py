@@ -12,11 +12,14 @@ the frozen-engine contract), anything newer is answered wholly live.
 
 Cutover never touches the live store.  Freezing live sketch state would
 finalize open PLA runs and perturb future segmentation, breaking the
-bit-identical-recovery invariant; instead each view is built by
-re-opening the newest on-disk checkpoint — whose ``save`` already
-finalized at a cadence boundary, exactly as recovery replays it — and
-swapping the view reference atomically.  Readers on the old view keep
-it alive; nothing blocks on writers.
+bit-identical-recovery invariant; instead each view is a freeze of the
+newest checkpoint — whose ``save`` already finalized at a cadence
+boundary, exactly as recovery replays it — and the view reference is
+swapped atomically.  The first view after a restart comes from
+recovery's own decode of that checkpoint, frozen before the WAL tail
+was replayed into it (:meth:`IngestRuntime.take_checkpoint_view`);
+every later view re-opens the newest checkpoint from disk.  Readers on
+the old view keep it alive; nothing blocks on writers.
 """
 
 from __future__ import annotations
@@ -140,11 +143,14 @@ class ServingRuntime:
                     due_records = True  # default cadence: every new checkpoint
                 if not (due_records or due_clock):
                     return self._status(False, "cutover cadence not due")
-            try:
-                store = SketchStore.open(path)
-            except (SerializationError, OSError) as exc:  # sketchlint: disable=SL016 — checkpoint pruned or damaged mid-load: this tick skips, the next one retries, and the reason is surfaced in the returned status
-                return self._status(False, f"checkpoint unreadable: {exc}")
-            self._view = ServingView(seq, freeze_store(store), self._clock())
+            frozen = self.runtime.take_checkpoint_view(seq)
+            if frozen is None:
+                try:
+                    store = SketchStore.open(path)
+                except (SerializationError, OSError) as exc:  # sketchlint: disable=SL016 — checkpoint pruned or damaged mid-load: this tick skips, the next one retries, and the reason is surfaced in the returned status
+                    return self._status(False, f"checkpoint unreadable: {exc}")
+                frozen = freeze_store(store)
+            self._view = ServingView(seq, frozen, self._clock())
             self.cutovers += 1
             return self._status(True, f"view advanced to checkpoint seq {seq}")
 

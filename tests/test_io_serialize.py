@@ -84,6 +84,31 @@ class TestRoundTrips:
         packed = save(sketch, tmp_path / "a.json.gz")
         assert packed.stat().st_size < plain.stat().st_size
 
+    def test_level_9_archive_still_loads(self, stream, tmp_path):
+        """Archives are written at gzip level 1; older level-9 ones load."""
+        import gzip
+        import json
+
+        sketch = ingest(
+            PersistentCountMin(width=256, depth=4, delta=10, seed=2), stream
+        )
+        packed = save(sketch, tmp_path / "fast.json.gz")
+        # Byte 8 of a gzip header (XFL) is 4 for the fastest level.
+        assert packed.read_bytes()[8] == 4
+        old = tmp_path / "level9.json.gz"
+        old.write_bytes(
+            gzip.compress(json.dumps(to_dict(sketch)).encode(), compresslevel=9)
+        )
+        assert old.read_bytes()[8] == 2
+        restored = load(old)
+        assert to_dict(restored) == to_dict(load(packed))
+        for item in (0, 1, 2, 17):
+            assert restored.point(item, 0, 4000) == sketch.point(item, 0, 4000)
+
+    def test_missing_archive_raises_serialization_error(self, tmp_path):
+        with pytest.raises(SerializationError, match="gone.json.gz"):
+            load(tmp_path / "gone.json.gz")
+
 
 class TestContinuedIngest:
     def test_updates_after_load(self, tmp_path):

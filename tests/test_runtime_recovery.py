@@ -10,6 +10,7 @@ open PLA runs, so checkpoint positions shape future segmentation.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +346,186 @@ class TestRecoverEdgeCases:
                 tmp_path / "rt", checkpoint_every=CHECKPOINT_EVERY
             )
         assert recovered.applied_seq == 60
+
+
+# --------------------------------------------------------------------- #
+# Decode-once restart: fsck's store -> recovery -> first cutover
+# --------------------------------------------------------------------- #
+
+N_SHUTDOWN = 130  # checkpoints 50 and 100 retained, WAL tail 101..130
+
+
+def build_closed(root, n=N_SHUTDOWN):
+    """A cleanly closed runtime directory holding ``n`` records."""
+    runtime = IngestRuntime.create(
+        root / "rt", make_store(), checkpoint_every=CHECKPOINT_EVERY
+    )
+    for raw in make_records(n):
+        assert runtime.ingest(raw) is True
+    runtime.close()
+    return root / "rt"
+
+
+def count_opens(monkeypatch):
+    """Count ``SketchStore.open`` calls by checkpoint directory name."""
+    opened = []
+    original = SketchStore.open.__func__
+
+    def counted(cls, directory):
+        opened.append(Path(directory).name)
+        return original(cls, directory)
+
+    monkeypatch.setattr(SketchStore, "open", classmethod(counted))
+    return opened
+
+
+class TestCheckpointHandoff:
+    """Restart decodes the covering checkpoint once (no re-open)."""
+
+    def test_each_archive_of_newest_checkpoint_loads_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.store as store_module
+        from repro.server import ServingRuntime, SketchServer
+
+        directory = build_closed(tmp_path)
+        newest = directory / "checkpoints" / "ckpt-000000000100"
+        archives = sorted(path.name for path in newest.glob("*.json.gz"))
+        assert archives
+        loads: dict[str, int] = {}
+        original = store_module.load_sketch
+
+        def counted(path):
+            key = str(Path(path).parent.name) + "/" + Path(path).name
+            loads[key] = loads.get(key, 0) + 1
+            return original(path)
+
+        monkeypatch.setattr(store_module, "load_sketch", counted)
+        runtime = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY
+        )
+        server = SketchServer(ServingRuntime(runtime), port=0).start()
+        try:
+            assert server.serving.view().seq == 100
+        finally:
+            server.stop()
+        assert {
+            name: loads.get(f"{newest.name}/{name}", 0) for name in archives
+        } == {name: 1 for name in archives}
+
+    def test_freeze_before_replay_leaves_store_unchanged(self, tmp_path):
+        """``save`` finalized every run, so the pre-replay freeze of a
+        freshly decoded checkpoint must not change a bit of it."""
+        from repro.engine.frozen import freeze_store
+        from tests.test_batch_ingest import fingerprint
+
+        directory = build_closed(tmp_path)
+        path = directory / "checkpoints" / "ckpt-000000000100"
+        store = SketchStore.open(path)
+        before = fingerprint(store)
+        freeze_store(store)
+        assert fingerprint(store) == before
+        assert fingerprint(store) == fingerprint(SketchStore.open(path))
+
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY
+        )
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert fingerprint(recovered.store) == fingerprint(twin.store)
+        assert_identical_answers(twin, recovered)
+
+    def test_fsck_store_is_handed_to_recovery(self, tmp_path, monkeypatch):
+        directory = build_closed(tmp_path)
+        opened = count_opens(monkeypatch)
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY
+        )
+        # fsck decodes each retained checkpoint once; recovery adds none.
+        assert sorted(opened) == ["ckpt-000000000050", "ckpt-000000000100"]
+        assert recovered.fsck_report.best_store is None, "report keeps no store"
+        assert recovered.take_checkpoint_view(100) is not None
+        assert recovered.take_checkpoint_view(100) is None, "one-shot"
+
+    def test_without_fsck_recovery_opens_from_disk(self, tmp_path, monkeypatch):
+        directory = build_closed(tmp_path)
+        opened = count_opens(monkeypatch)
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY, fsck=False
+        )
+        assert opened == ["ckpt-000000000100"]
+        assert recovered.fsck_report is None
+        assert recovered.take_checkpoint_view(100) is not None
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert_identical_answers(twin, recovered)
+
+    def test_truncated_newest_falls_back_and_first_cutover_reads_disk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runtime import run_fsck
+        from repro.server import ServingRuntime
+
+        directory = build_closed(tmp_path)
+        FaultPlan(truncate_checkpoint_at_rest=2).apply_at_rest(directory)
+        assert run_fsck(directory).take_store()[0] == 50, "fsck's store is the older"
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY
+        )
+        # Replay crossed boundary 100 and re-snapshotted it: the view of
+        # ckpt-50 is stale and must be gone.
+        assert (directory / "checkpoints" / "ckpt-000000000100").is_dir()
+        assert recovered._checkpoint_view is None
+        opened = count_opens(monkeypatch)
+        serving = ServingRuntime(recovered)
+        assert serving.maybe_cutover(force=True)["view_seq"] == 100
+        assert opened == ["ckpt-000000000100"]
+        t = serving.view().clock("urls")
+        for item in range(0, UNIVERSE, 5):
+            assert serving.point("urls", item, 0, t, mode="frozen") == (
+                serving.point("urls", item, 0, t, mode="live")
+            )
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert_identical_answers(twin, recovered)
+
+    def test_missing_archive_is_unreadable_and_recovery_falls_back(
+        self, tmp_path
+    ):
+        """A checkpoint that lost one archive is damaged, not a crash:
+        fsck verdicts it unreadable, repair quarantines it, and recovery
+        falls back and re-snapshots at the boundary."""
+        from repro.runtime import run_fsck
+        from repro.runtime.fsck import CKPT_UNREADABLE
+
+        directory = build_closed(tmp_path)
+        newest = directory / "checkpoints" / "ckpt-000000000100"
+        (newest / "urls.hh.json.gz").unlink()
+        report = run_fsck(directory)
+        verdicts = {c.name: c.verdict for c in report.checkpoints}
+        assert verdicts[newest.name] == CKPT_UNREADABLE
+        assert "urls.hh.json.gz" in next(
+            c.detail for c in report.checkpoints if c.name == newest.name
+        )
+        assert report.best_covered_seq == 50 and not report.data_loss
+
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY
+        )
+        assert any(
+            "quarantined unreadable checkpoint" in action
+            for action in recovered.fsck_report.actions
+        )
+        assert recovered.applied_seq == N_SHUTDOWN
+        assert recovered.stats.replayed == N_SHUTDOWN - 50
+        assert (newest / "urls.hh.json.gz").is_file(), "re-snapshotted"
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert_identical_answers(twin, recovered)
+
+    def test_missing_archive_without_fsck_falls_back(self, tmp_path):
+        directory = build_closed(tmp_path)
+        newest = directory / "checkpoints" / "ckpt-000000000100"
+        (newest / "urls.hh.json.gz").unlink()
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY, fsck=False
+        )
+        assert recovered.stats.replayed == N_SHUTDOWN - 50
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert_identical_answers(twin, recovered)

@@ -15,6 +15,7 @@ from repro.io import SerializationError
 from repro.runtime import DegradedError, IngestRuntime
 from repro.server.serving import ServingRuntime
 from repro.store import SketchStore, StreamSpec
+from tests.test_runtime_recovery import count_opens
 
 CHECKPOINT_EVERY = 50
 N_RECORDS = 120
@@ -295,6 +296,82 @@ class TestCutover:
         health_block.pop("view_age_s")
         describe_block.pop("view_age_s")
         assert health_block == describe_block
+
+
+def recovered_runtime(tmp_path, n=N_RECORDS):
+    """A closed, then recovered runtime: checkpoints 50 and 100, tail 101..n."""
+    runtime = IngestRuntime.create(
+        tmp_path / "rt", make_store(), checkpoint_every=CHECKPOINT_EVERY
+    )
+    runtime.ingest_batch(make_records(n))
+    runtime.close()
+    return IngestRuntime.recover(
+        tmp_path / "rt", checkpoint_every=CHECKPOINT_EVERY
+    )
+
+
+class TestRecoveredViewHandoff:
+    """The first cutover after a restart serves recovery's frozen view."""
+
+    def test_handed_view_is_bit_equal_to_a_disk_freeze(
+        self, tmp_path, monkeypatch
+    ):
+        import random
+
+        from repro.engine.frozen import freeze_store
+
+        runtime = recovered_runtime(tmp_path)
+        newest = tmp_path / "rt" / "checkpoints" / "ckpt-000000000100"
+        reference = freeze_store(SketchStore.open(newest))
+
+        def boom(cls, directory):
+            raise AssertionError("the first cutover must not re-open it")
+
+        serving = ServingRuntime(runtime)
+        monkeypatch.setattr(SketchStore, "open", classmethod(boom))
+        assert serving.maybe_cutover(force=True)["view_seq"] == 100
+        monkeypatch.undo()
+        handed = serving.view().frozen
+        fc = handed.clock("urls")
+        assert fc == reference.clock("urls") == 100
+        rng = random.Random(7)
+        windows = []
+        for _ in range(25):
+            s = rng.randrange(0, fc)
+            windows.append((s, rng.randrange(s, fc + 1)))
+        items = [rng.randrange(UNIVERSE) for _ in windows]
+        for item, (s, t) in zip(items, windows):
+            for verb, args in (
+                ("point", (item, s, t)),
+                ("self_join_size", (s, t)),
+                ("heavy_hitters", (0.05, s, t)),
+            ):
+                assert getattr(handed, verb)("urls", *args) == getattr(
+                    reference, verb
+                )("urls", *args), (verb, args)
+            # frozen == live at the frozen horizon
+            assert serving.point("urls", item, s, t, mode="frozen") == (
+                serving.point("urls", item, s, t, mode="live")
+            )
+        assert list(handed.point_many("urls", items, windows)) == list(
+            reference.point_many("urls", items, windows)
+        )
+
+    def test_checkpoint_before_first_cutover_drops_the_view(
+        self, tmp_path, monkeypatch
+    ):
+        runtime = recovered_runtime(tmp_path, n=130)
+        assert runtime._checkpoint_view is not None
+        runtime.ingest_batch(make_records(150)[130:])  # crosses boundary 150
+        assert runtime._checkpoint_view is None
+        opened = count_opens(monkeypatch)
+        serving = ServingRuntime(runtime)
+        assert serving.maybe_cutover(force=True)["view_seq"] == 150
+        assert opened == ["ckpt-000000000150"]
+        for item in range(0, UNIVERSE, 5):
+            assert serving.point("urls", item, 0, 150, mode="frozen") == (
+                serving.point("urls", item, 0, 150, mode="live")
+            )
 
 
 class TestDegradedServing:
