@@ -8,9 +8,20 @@ realization of that idea, in the snapshot / read-optimized-view shape of
 Rinberg et al.'s concurrent sketches and Hokusai's time-partitioned
 sketch serving: ``freeze(sketch)`` compiles a finalized sketch into
 immutable columnar numpy state, and the frozen object answers ``point``,
-``point_many``, ``self_join_size`` and heavy-hitter queries with a
+``point_many``, ``self_join_size`` and heavy-hitter queries.
+
+Reads pay per probe when small and per batch when large.  A vectorized
+batch costs a fixed ~350µs of numpy dispatch (much of it Carter-Wegman
+hashing) however few its probes, so up to ``_SCALAR_PROBES_MAX`` probes
+take a scalar route instead: ``_ScalarPointCache`` keeps the table as
+Python lists and answers each probe with two ``bisect`` calls per row.
+That covers ``point``, small ``point_many`` batches, and every
+heavy-hitter level of at most that many children (the descent asks
+``O(1/phi)`` probes per level); larger batches resolve through a
 handful of vectorized ``np.searchsorted`` / gather / ``np.median``
-operations instead of per-counter Python loops.
+operations.  The sampled-AMS self-join locates each row's touched
+columns once per snapshot and then makes one vectorized ``eval`` per
+(sign, copy) table and window endpoint.
 
 Layout
 ------
@@ -28,8 +39,9 @@ Equality
 --------
 Frozen answers are **bit-equal** to the live query path (asserted in
 ``tests/test_frozen.py``): evaluation replays the exact float operations
-of the live readers, and the live self-join paths accumulate in sorted
-column order precisely so both paths sum in the same order.
+of the live readers on both routes, and the live self-join paths
+accumulate in sorted column order precisely so both paths sum in the
+same order.
 
 Freezing finalizes the live sketch (flushing open PLA runs — a no-op
 for queries, since the emitted segment evaluates identically to the
@@ -41,8 +53,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
 from statistics import median
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +69,11 @@ from repro.store.sharded import ShardedPersistentSketch
 #: Rank-key overflow guard: fall back to per-query bisects when
 #: ``n_slots * span`` would not fit comfortably in int64.
 _KEY_LIMIT = 2**62
+
+#: Largest probe count answered by the scalar route (``_ScalarPointCache``
+#: bisects per probe); above it the vectorized path's fixed numpy cost
+#: (~350µs per call, much of it Carter-Wegman hashing) is amortized.
+_SCALAR_PROBES_MAX = 64
 
 Window = tuple[float, float]
 
@@ -223,14 +241,15 @@ class _ColumnTable:
         """``(slots, valid)`` for queried columns of one sketch row."""
         lo = int(self.row_offsets[row])
         hi = int(self.row_offsets[row + 1])
+        if hi == lo:  # empty row: point at slot 0, masked out by valid
+            return (
+                np.zeros(len(cols), dtype=np.int64),
+                np.zeros(len(cols), dtype=bool),
+            )
         segment = self.cols[lo:hi]
         pos = np.searchsorted(segment, cols)
-        if hi > lo:
-            clipped = np.minimum(pos, hi - lo - 1)
-            valid = (pos < hi - lo) & (segment[clipped] == cols)
-        else:
-            clipped = pos
-            valid = np.zeros(len(cols), dtype=bool)
+        clipped = np.minimum(pos, hi - lo - 1)
+        valid = (pos < hi - lo) & (segment[clipped] == cols)
         return clipped + lo, valid
 
     def locate_rows(
@@ -293,18 +312,21 @@ class _ColumnTable:
         """Counter values at ``ts``; 0.0 for untracked columns."""
         if len(self.cols) == 0 or len(slots) == 0:
             return np.zeros(len(slots), dtype=np.float64)
-        pos = self._predecessors(slots, ts)
-        found = pos >= 0
-        all_found = bool(found.all())
-        idx = pos if all_found else np.where(found, pos, 0)
-        if self.compensation is None:
-            st = self.starts_f[idx]
-            tc = np.minimum(np.maximum(ts, st), self.ends_f[idx])
-            vals = self.values[idx] + self.slopes[idx] * (tc - st)
+        if len(self.starts) == 0:  # counters tracked, none recorded yet
+            vals = self.initials[slots]
         else:
-            vals = (self.values[idx] + self.compensation) - 1.0
-        if not all_found:
-            vals = np.where(found, vals, self.initials[slots])
+            pos = self._predecessors(slots, ts)
+            found = pos >= 0
+            all_found = bool(found.all())
+            idx = pos if all_found else np.where(found, pos, 0)
+            if self.compensation is None:
+                st = self.starts_f[idx]
+                tc = np.minimum(np.maximum(ts, st), self.ends_f[idx])
+                vals = self.values[idx] + self.slopes[idx] * (tc - st)
+            else:
+                vals = (self.values[idx] + self.compensation) - 1.0
+            if not all_found:
+                vals = np.where(found, vals, self.initials[slots])
         if bool(valid.all()):
             return vals
         return np.where(valid, vals, 0.0)
@@ -556,22 +578,50 @@ class FrozenCountMin:
 
     # -- point ---------------------------------------------------------- #
 
+    def _scalar_points(
+        self,
+        items: Sequence[int],
+        ss: Iterable[float],
+        ts: Iterable[float],
+    ) -> list[float]:
+        """Per-probe estimates over resolved windows, one scalar probe
+        at a time — bit-equal to the vectorized path (pinned by tests)
+        and cheaper than it for up to ``_SCALAR_PROBES_MAX`` probes."""
+        cache = self._scalar_cache
+        if cache is None:
+            cache = self._scalar_cache = _ScalarPointCache(self._table)
+        buckets = self.hashes.buckets
+        return [
+            _median_floats(cache.window_diffs(buckets(item), s, t))
+            for item, s, t in zip(items, ss, ts)
+        ]
+
     def point_many(
         self,
         items: Sequence[int] | np.ndarray,
         windows: Window | Sequence[Window] | np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized ``point`` over many (item, window) probes.
+        """``point`` over many (item, window) probes.
 
         ``windows`` is a single ``(s, t)`` pair applied to every item, a
         sequence (or ``(n, 2)`` array) of per-item pairs, or ``None``
         for ``(0, now]``.  Bit-equal to calling :meth:`point` per probe.
+        Batches of at most ``_SCALAR_PROBES_MAX`` non-negative items take
+        the scalar route; larger ones (and negative items, whose hash
+        error the vectorized path raises) go through one vectorized pass.
         """
         items = np.asarray(items, dtype=np.int64)
         n = len(items)
         if n == 0:
             return np.empty(0, dtype=np.float64)
         ss, ts = _window_arrays(windows, n, self.now)
+        if n <= _SCALAR_PROBES_MAX:
+            probes = items.tolist()
+            if min(probes) >= 0:
+                return np.array(
+                    self._scalar_points(probes, ss.tolist(), ts.tolist()),
+                    dtype=np.float64,
+                )
         unique, inverse = np.unique(items, return_inverse=True)
         cols = batch_hash_columns(self.hashes, unique)
         slots, valid = self._table.locate_rows(cols)
@@ -585,12 +635,7 @@ class FrozenCountMin:
         """Estimate ``f_item(s, t]``: scalar fast path, bit-equal to
         ``point_many([item], (s, t))`` (no array wrapping or dedup)."""
         s, t = _resolve_window(s, t, self.now)
-        cache = self._scalar_cache
-        if cache is None:
-            cache = self._scalar_cache = _ScalarPointCache(self._table)
-        return _median_floats(
-            cache.window_diffs(self.hashes.buckets(item), s, t)
-        )
+        return self._scalar_points((item,), (s,), (t,))[0]
 
     # -- self-join ------------------------------------------------------ #
 
@@ -702,6 +747,7 @@ class FrozenAMS:
             ]
             for b in range(2)
         ]
+        self._plan: tuple[list[int], list] | None = None
 
     def point_many(
         self,
@@ -747,49 +793,83 @@ class FrozenAMS:
         s, t = _resolve_window(s, t, self.now)
         return float(self.point_many([item], (s, t))[0])
 
-    def _counters_row(
-        self, row: int, copy: int, cols: np.ndarray, t: float
-    ) -> np.ndarray:
-        """Unbiased counter estimates ``C[row][col](t)`` (vectorized)."""
-        if t <= 0:  # live counter_estimate returns 0.0 outright
-            return np.zeros(len(cols), dtype=np.float64)
-        out = None
-        ts = np.full(len(cols), float(t))
-        for sign, b in ((1.0, 1), (-1.0, 0)):
-            table = self._tables[b][copy]
-            slots, valid = table.locate_row(row, cols)
-            vals = table.eval(slots, valid, ts)
-            out = vals if out is None else out - vals
-        return out if out is not None else np.zeros(len(cols))
+    def _join_plan(self) -> tuple[list[int], list]:
+        """Row bounds and per-table located slots of the self-join.
 
-    def _touched_columns(self, row: int) -> np.ndarray:
-        pos = self._tables[1][0].row_cols(row)
-        neg = self._tables[0][0].row_cols(row)
-        return np.union1d(pos, neg)
+        Each row's touched columns (the union of copy 0's positive and
+        negative histories, sorted like the live path) are concatenated
+        row after row; ``bounds[row] : bounds[row + 1]`` is the row's
+        span.  For copies 0 and 1, ``(pos, neg)`` holds the
+        ``(slots, valid)`` of those columns in the positive and negative
+        tables.  Built on the first self-join and kept: the snapshot is
+        immutable.
+        """
+        if self._plan is None:
+            row_cols = [
+                np.union1d(
+                    self._tables[1][0].row_cols(row),
+                    self._tables[0][0].row_cols(row),
+                )
+                for row in range(self.depth)
+            ]
+            bounds = [0]
+            for cols in row_cols:
+                bounds.append(bounds[-1] + len(cols))
+            located = []
+            for copy in (0, 1):
+                per_sign = []
+                for b in (1, 0):
+                    table = self._tables[b][copy]
+                    found = [
+                        table.locate_row(row, cols)
+                        for row, cols in enumerate(row_cols)
+                    ]
+                    per_sign.append(
+                        (
+                            np.concatenate([f[0] for f in found]),
+                            np.concatenate([f[1] for f in found]),
+                        )
+                    )
+                located.append(per_sign)
+            self._plan = (bounds, located)
+        return self._plan
 
     def self_join_size(self, s: float = 0, t: float | None = None) -> float:
-        """Estimate ``||f_{s,t}||_2^2`` (Theorem 4.2 with f = g)."""
+        """Estimate ``||f_{s,t}||_2^2`` (Theorem 4.2 with f = g).
+
+        One ``eval`` per (sign, copy) table and window endpoint over the
+        whole :meth:`_join_plan`; products are summed per row in sorted
+        column order with Python ``+=``, exactly like the live path.
+        """
         if self.copies < 2:
             raise ValueError(
                 "self-join estimation needs independent_copies >= 2"
             )
         s, t = _resolve_window(s, t, self.now)
+        bounds, located = self._join_plan()
+        size = bounds[-1]
+
+        def counters(copy: int, at: float) -> np.ndarray:
+            """Unbiased counter estimates ``C(at) = pos(at) - neg(at)``."""
+            if at <= 0:  # live counter_estimate returns 0.0 outright
+                return np.zeros(size, dtype=np.float64)
+            ts = np.full(size, float(at))
+            (pos_slots, pos_valid), (neg_slots, neg_valid) = located[copy]
+            pos = self._tables[1][copy].eval(pos_slots, pos_valid, ts)
+            return pos - self._tables[0][copy].eval(neg_slots, neg_valid, ts)
+
+        products = None
+        for copy in (0, 1):
+            window = counters(copy, t)
+            if s > 0:
+                window = window - counters(copy, s)
+            products = window if products is None else products * window
+        values = products.tolist()
         row_estimates = []
         for row in range(self.depth):
-            cols = self._touched_columns(row)
-            products = None
-            for copy in (0, 1):
-                high = self._counters_row(row, copy, cols, t)
-                window = (
-                    high - self._counters_row(row, copy, cols, s)
-                    if s > 0
-                    else high
-                )
-                products = window if products is None else products * window
             total = 0.0
-            if products is not None:
-                for value in products.tolist():
-                    total += value
+            for value in values[bounds[row] : bounds[row + 1]]:
+                total += value
             row_estimates.append(total)
         return median(row_estimates)
 
@@ -806,16 +886,17 @@ class FrozenHeavyHitters:
         self.now = structure.now
         self.name = f"frozen({structure.name})"
         self._sketches = [FrozenCountMin(level) for level in structure._sketches]
-        self._mass = _tracker_table([{0: structure._mass}])
-
-    def _mass_at(self, t: float) -> float:
-        return float(self._mass.eval_row_all(0, t)[0])
+        # One tracker read at two points per query: numpy dispatch would
+        # cost more than the two bisects.
+        self._mass = _ScalarPointCache(
+            _tracker_table([{0: structure._mass}])
+        )
 
     def window_mass(self, s: float = 0, t: float | None = None) -> float:
         """Estimate of ``||f_{s,t}||_1`` from the frozen mass tracker."""
         s, t = _resolve_window(s, t, self.now)
-        high = self._mass_at(t)
-        low = self._mass_at(s) if s > 0 else 0.0
+        high = self._mass.value_at(0, t)
+        low = self._mass.value_at(0, s) if s > 0 else 0.0
         return max(high - low, 0.0)
 
     def point(self, item: int, s: float = 0, t: float | None = None) -> float:
@@ -838,11 +919,12 @@ class FrozenHeavyHitters:
         t: float | None = None,
         max_candidates: int | None = None,
     ) -> dict[int, float]:
-        """Dyadic heavy-hitter descent with batched per-level probes.
+        """Dyadic heavy-hitter descent, bit-equal to the live structure.
 
-        Same traversal as the live structure (Theorem 3.2), but each
-        level's candidate children are estimated in one ``point_many``
-        call instead of ``O(1/phi)`` sequential point queries.
+        Same traversal as the live structure (Theorem 3.2).  A level of
+        at most ``_SCALAR_PROBES_MAX`` children (and the final leaf
+        estimates, by the same rule) is scored with scalar probes; a
+        larger level is estimated in one vectorized ``point_many`` call.
         """
         if not 0 < phi < 1:
             raise ValueError(f"phi must lie in (0, 1), got {phi}")
@@ -861,10 +943,11 @@ class FrozenHeavyHitters:
             ]
             if not children:
                 return {}
-            estimates = sketch.point_many(children, (s, t))
             scored = [
-                (float(estimate), child)
-                for estimate, child in zip(estimates, children)
+                (estimate, child)
+                for estimate, child in zip(
+                    self._estimates(sketch, children, s, t), children
+                )
                 if estimate >= threshold
             ]
             if len(scored) > cap:
@@ -873,11 +956,17 @@ class FrozenHeavyHitters:
             candidates = [child for _, child in scored]
             if not candidates:
                 return {}
-        finals = self._sketches[0].point_many(candidates, (s, t))
-        return {
-            item: float(estimate)
-            for item, estimate in zip(candidates, finals)
-        }
+        finals = self._estimates(self._sketches[0], candidates, s, t)
+        return dict(zip(candidates, finals))
+
+    @staticmethod
+    def _estimates(
+        sketch: FrozenCountMin, items: list[int], s: float, t: float
+    ) -> list[float]:
+        """Window estimates of one level's probes, as Python floats."""
+        if len(items) <= _SCALAR_PROBES_MAX:
+            return sketch._scalar_points(items, repeat(s), repeat(t))
+        return sketch.point_many(items, (s, t)).tolist()
 
 
 class FrozenShardedSketch:

@@ -65,7 +65,12 @@ from repro.runtime.policies import (
 from repro.runtime.wal import WriteAheadLog
 from repro.store.store import SketchStore
 from repro.streams.model import Stream
-from repro.streams.records import IngestRecord, RecordError, parse_record
+from repro.streams.records import (
+    INT64_LIMIT,
+    IngestRecord,
+    RecordError,
+    parse_record,
+)
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{12})$")
 
@@ -130,6 +135,12 @@ class IngestRuntime:
         )
         self._clocks: dict[str, int] = {
             name: store._state(name).point_sketch.now for name in store.streams()
+        }
+        # Item bound of every stream whose spec declares a universe.
+        self._universes: dict[str, int] = {
+            name: store._state(name).spec.universe
+            for name in store.streams()
+            if store._state(name).spec.universe is not None
         }
         self._since_checkpoint = 0
         # (applied_seq, view) of the last frozen_view() build.
@@ -417,8 +428,23 @@ class IngestRuntime:
                 f"unknown stream {record.stream!r}",
                 record.to_wire(),
             )
+        universe = self._universes.get(record.stream)
+        if universe is not None and record.item >= universe:
+            return (
+                "malformed",
+                f"record item {record.item} lies outside stream "
+                f"{record.stream!r}'s universe [0, {universe})",
+                record.to_wire(),
+            )
         if record.time is None:
             time = clock + 1
+            if time >= INT64_LIMIT:
+                return (
+                    "malformed",
+                    f"stream {record.stream!r} clock is at {clock}; an "
+                    "auto-ticked record would overflow int64",
+                    record.to_wire(),
+                )
         elif record.time <= clock:
             return (
                 "late",

@@ -33,8 +33,17 @@ from repro.io import SerializationError
 from repro.runtime import IngestRuntime
 from repro.server.protocol import BadRequestError
 from repro.store import SketchStore
+from repro.streams.records import INT64_LIMIT
 
 _MODES = ("auto", "frozen", "live")
+
+
+def _check_item(item: int) -> int:
+    """The ingest rule for read probes, applied before routing so every
+    route answers an out-of-range item with the same typed error."""
+    if not 0 <= item < INT64_LIMIT:
+        raise BadRequestError(f"item must lie in [0, 2**63), got {item}")
+    return item
 
 
 class ServingView:
@@ -218,6 +227,7 @@ class ServingRuntime:
         mode: str = "auto",
     ) -> float:
         """Window frequency estimate, frozen- or live-routed."""
+        _check_item(item)
         view, rt = self._route(stream, t, mode)
         if view is not None:
             return float(view.frozen.point(stream, item, s, rt))
@@ -236,10 +246,11 @@ class ServingRuntime:
         ``windows`` is None (full history per probe), one ``(s, t)``
         pair for all probes, or one pair per probe; ``t`` may be None.
         The batch is split by routing mask — frozen-eligible probes go
-        through the vectorized frozen engine, the rest through the live
-        store — and reassembled in input order.
+        through the frozen engine, the rest through the live store — and
+        reassembled in input order.  Every item must lie in
+        ``[0, 2**63)`` (:class:`BadRequestError` otherwise, on any route).
         """
-        probes = [int(item) for item in items]
+        probes = [_check_item(int(item)) for item in items]
         n = len(probes)
         pairs = self._normalize_windows(windows, n)
         if mode not in _MODES:

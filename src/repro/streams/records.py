@@ -48,6 +48,12 @@ class IngestRecord:
         }
 
 
+#: Items, counts and times are stored as int64 (WAL replay, columnar
+#: batches); a value outside ``[-INT64_LIMIT, INT64_LIMIT)`` cannot be
+#: applied, so it is rejected before it reaches the WAL.
+INT64_LIMIT = 2**63
+
+
 def _require_int(raw: dict[str, Any], key: str, default: int | None = None) -> int:
     value = raw.get(key, default)
     if value is None and default is None:
@@ -57,6 +63,10 @@ def _require_int(raw: dict[str, Any], key: str, default: int | None = None) -> i
         raise RecordError(
             f"record field {key!r} must be an integer, got {value!r}"
         )
+    if not -INT64_LIMIT <= value < INT64_LIMIT:
+        raise RecordError(
+            f"record field {key!r} is outside the int64 range, got {value}"
+        )
     return value
 
 
@@ -64,9 +74,10 @@ def parse_record(raw: object) -> IngestRecord:
     """Validate one raw record (a mapping) into an :class:`IngestRecord`.
 
     Raises :class:`RecordError` on any shape problem: not a mapping,
-    missing/mistyped fields, empty stream name, negative item, zero
-    count.  Timestamp *ordering* is not checked here — lateness is a
-    per-stream property the runtime judges against its clocks.
+    missing/mistyped fields, values outside int64, empty stream name,
+    negative item, zero count.  Timestamp *ordering* is not checked
+    here — lateness is a per-stream property the runtime judges against
+    its clocks.
     """
     if not isinstance(raw, dict):
         raise RecordError(f"record must be a mapping, got {type(raw).__name__}")

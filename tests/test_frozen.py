@@ -17,9 +17,12 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin, PWCCountMin
 from repro.engine import freeze
 from repro.engine.frozen import (
+    _SCALAR_PROBES_MAX,
+    FrozenAMS,
     FrozenCountMin,
     FrozenHeavyHitters,
     FrozenShardedSketch,
+    _ColumnTable,
 )
 from repro.core.pwc_ams import PWCAMS
 from repro.eval.harness import compact_items
@@ -30,6 +33,18 @@ from repro.streams.generators import zipf_stream
 @pytest.fixture(scope="module")
 def stream():
     return zipf_stream(4000, universe=2**16, exponent=1.6, seed=17)
+
+
+@pytest.fixture(scope="module")
+def hh_pair(stream):
+    """A live dyadic structure and its frozen snapshot; the compact
+    universe makes the upper levels identity-hashed."""
+    compact = compact_items(stream)
+    live = PersistentHeavyHitters(
+        universe=compact.universe, width=256, depth=3, delta=16.0, seed=7
+    )
+    live.ingest(compact)
+    return live, freeze(live)
 
 
 def _workload(stream, n=250, seed=5):
@@ -192,6 +207,188 @@ class TestFrozenHeavyHitters:
         frozen = freeze(live)
         for item in range(5):
             assert frozen.point(item, 10, 2000) == live.point(item, 10, 2000)
+
+
+class TestScalarRoute:
+    """Probes up to ``_SCALAR_PROBES_MAX`` take the scalar route; both
+    routes are bit-equal to live and raise the same errors."""
+
+    SIZES = (1, _SCALAR_PROBES_MAX, _SCALAR_PROBES_MAX + 1)
+
+    @staticmethod
+    def _probes(stream, n, now):
+        """``n`` probes, the last ``n // 8`` untracked, with per-probe
+        windows including ``s = 0`` and ``t`` at the freeze tick."""
+        items, windows = _workload(stream, n=n - n // 8, seed=n)
+        items, windows = items[:n], windows[:n]
+        windows[0] = (0.0, float(now))
+        if n > 1:
+            windows[1] = (3.0, float(now))
+        return items, windows
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ("pla", "pwc"))
+    def test_point_many_matches_live_per_probe(self, stream, kind, n):
+        sketch = _build(kind, stream)
+        frozen = freeze(sketch)
+        items, windows = self._probes(stream, n, frozen.now)
+        got = frozen.point_many(items, windows)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        live = [sketch.point(i, s, t) for i, (s, t) in zip(items, windows)]
+        assert got.tolist() == live
+        broadcast = frozen.point_many(items, (7.0, float(frozen.now)))
+        assert broadcast.dtype == np.float64
+        assert broadcast.tolist() == [
+            sketch.point(i, 7.0, frozen.now) for i in items
+        ]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_identity_hashed_levels_match_live(self, hh_pair, n):
+        live, frozen = hh_pair
+        identity = [
+            level
+            for level, sk in enumerate(live._sketches)
+            if sk.depth == 1 and level > 0
+        ]
+        assert identity, "expected identity-hashed upper levels"
+        rng = np.random.default_rng(n)
+        for level in (0, identity[0], identity[-1]):
+            live_level = live._sketches[level]
+            frozen_level = frozen._sketches[level]
+            items = rng.integers(0, live_level.width, size=n).tolist()
+            windows = [(0.0, float(frozen.now))] * n
+            got = frozen_level.point_many(items, windows).tolist()
+            assert got == [
+                live_level.point(i, 0, frozen.now) for i in items
+            ]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_window_errors_match(self, stream, n):
+        frozen = freeze(_build("pla", stream))
+        items = list(range(1, n + 1))
+        ok = [(0.0, 10.0)] * (n - 1)
+        with pytest.raises(ValueError, match="beyond the snapshot clock"):
+            frozen.point_many(items, ok + [(0.0, float(frozen.now + 1))])
+        with pytest.raises(ValueError, match="empty window"):
+            frozen.point_many(items, ok + [(200.0, 100.0)])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_negative_item_raises_on_both_routes(self, stream, hh_pair, n):
+        items = [1] * (n - 1) + [-5]
+        frozen = freeze(_build("pla", stream))
+        with pytest.raises(ValueError, match="must be non-negative"):
+            frozen.point_many(items)
+        _live, frozen_hh = hh_pair
+        with pytest.raises(ValueError, match="outside identity range"):
+            frozen_hh._sketches[-1].point_many(items)
+
+    def test_all_scalar_descent_makes_no_point_many_call(
+        self, hh_pair, monkeypatch
+    ):
+        live, frozen = hh_pair
+        calls = []
+        vectorized = FrozenCountMin.point_many
+
+        def spy(self, items, windows=None):
+            calls.append(len(items))
+            return vectorized(self, items, windows)
+
+        monkeypatch.setattr(FrozenCountMin, "point_many", spy)
+        # Default cap max(16, 4 / 0.2) = 20 keeps every level <= 40.
+        assert frozen.heavy_hitters(0.2) == live.heavy_hitters(0.2)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "cap, expect",
+        [(_SCALAR_PROBES_MAX // 2, {_SCALAR_PROBES_MAX}),
+         (_SCALAR_PROBES_MAX, {2 * _SCALAR_PROBES_MAX})],
+    )
+    def test_level_sizes_straddle_the_cutoff(
+        self, hh_pair, monkeypatch, cap, expect
+    ):
+        """A saturated frontier of ``cap`` parents yields ``2 * cap``
+        children: exactly the cutoff (scalar) or above it (vectorized)."""
+        live, frozen = hh_pair
+        sizes = []
+        estimates = FrozenHeavyHitters._estimates
+
+        def spy(sketch, items, s, t):
+            sizes.append(len(items))
+            return estimates(sketch, items, s, t)
+
+        monkeypatch.setattr(FrozenHeavyHitters, "_estimates", staticmethod(spy))
+        t = frozen.now
+        got = frozen.heavy_hitters(1e-4, 0, t, max_candidates=cap)
+        assert got == live.heavy_hitters(1e-4, 0, t, max_candidates=cap)
+        assert expect <= set(sizes)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    phi=st.sampled_from([1e-3, 0.005, 0.02, 0.05, 0.2, 0.5]),
+    window=st.tuples(st.integers(0, 4000), st.integers(0, 4000)),
+    cap=st.sampled_from([None, 24, _SCALAR_PROBES_MAX // 2, 48]),
+)
+def test_heavy_hitters_equal_live_over_random_windows(hh_pair, phi, window,
+                                                      cap):
+    """Hypothesis: frozen descents (all-scalar, mixed and vectorized
+    levels) return exactly the live heavy hitters and window mass."""
+    live, frozen = hh_pair
+    s, t = sorted(window)
+    t = min(t, frozen.now)
+    s = min(s, t)
+    assert frozen.heavy_hitters(phi, s, t, max_candidates=cap) == (
+        live.heavy_hitters(phi, s, t, max_candidates=cap)
+    )
+    assert frozen.window_mass(s, t) == live.window_mass(s, t)
+
+
+class TestFrozenAMSSelfJoin:
+    def _sketch(self, updates, depth=5):
+        sketch = PersistentAMS(width=64, depth=depth, delta=4.0, seed=3,
+                               independent_copies=2, sampling_seed=5)
+        for tick, item in enumerate(updates, start=1):
+            sketch.update(item, time=tick)
+        return sketch
+
+    def test_windows_match_live(self, stream):
+        sketch = _build("sample", stream)
+        frozen = freeze(sketch)
+        now = frozen.now
+        for s, t in [(0, now), (0, 0), (0, 1), (1, 1), (17, now),
+                     (now // 3, now // 2), (now, now)]:
+            assert frozen.self_join_size(s, t) == sketch.self_join_size(s, t)
+
+    def test_rows_without_touched_columns(self):
+        empty = self._sketch([])
+        assert not any(empty._touched_columns(r) for r in range(5))
+        assert freeze(empty).self_join_size() == empty.self_join_size()
+        single = self._sketch([9])
+        frozen = freeze(single)
+        for s, t in [(0, 0), (0, 1), (1, 1)]:
+            assert frozen.self_join_size(s, t) == single.self_join_size(s, t)
+            assert frozen.point(9, s, t) == single.point(9, s, t)
+
+    @pytest.mark.parametrize("depth", [1, 3, 7])
+    def test_eval_calls_bounded_by_tables(self, stream, monkeypatch, depth):
+        sketch = PersistentAMS(width=128, depth=depth, delta=4.0, seed=3,
+                               independent_copies=2, sampling_seed=5)
+        sketch.ingest(stream)
+        frozen = freeze(sketch)
+        assert isinstance(frozen, FrozenAMS)
+        calls = []
+        evaluate = _ColumnTable.eval
+
+        def spy(self, slots, valid, ts):
+            calls.append(len(slots))
+            return evaluate(self, slots, valid, ts)
+
+        monkeypatch.setattr(_ColumnTable, "eval", spy)
+        for s, t in [(0, frozen.now), (100, frozen.now - 5)]:
+            calls.clear()
+            assert frozen.self_join_size(s, t) == sketch.self_join_size(s, t)
+            assert len(calls) <= 2 * frozen.copies * 2
 
 
 class TestFrozenSharded:

@@ -48,11 +48,24 @@ class TestParseRecord:
             {"stream": "s", "item": 1, "time": 0},
             {"stream": "s", "item": 1, "time": 1.5},
             {"stream": "s", "item": 1, "bogus": 2},
+            {"stream": "s", "item": 2**63},
+            {"stream": "s", "item": 1, "count": 2**63},
+            {"stream": "s", "item": 1, "count": -(2**63) - 1},
+            {"stream": "s", "item": 1, "time": 2**63},
         ],
     )
     def test_malformed(self, raw):
         with pytest.raises(RecordError):
             parse_record(raw)
+
+
+    def test_int64_extremes_accepted(self):
+        raw = {"stream": "s", "item": 2**63 - 1, "count": -(2**63),
+               "time": 2**63 - 1}
+        record = parse_record(raw)
+        assert (record.item, record.count, record.time) == (
+            2**63 - 1, -(2**63), 2**63 - 1
+        )
 
 
 class TestPolicyValidation:

@@ -18,7 +18,9 @@ from repro.core.persistent_countmin import PWCCountMin
 from repro.parallel import fork_available, pool_faults
 from repro.runtime import (
     FaultPlan,
+    IngestPolicy,
     IngestRuntime,
+    MalformedRecordError,
     RecoveryError,
     SimulatedCrash,
 )
@@ -301,6 +303,69 @@ class TestBatchAndParallelFaultPoints:
                 tmp_path, plan, records, workers=2
             )
         assert_identical_answers(twin, recovered)
+
+
+# Records an unchecked parse would WAL-append and then fail to apply,
+# leaving the runtime failed and unrecoverable.  The last case is valid
+# by itself, but the auto-ticked record after it would overflow int64.
+POISON_RECORDS = {
+    "item-beyond-int64": [{"stream": "ads", "item": 2**70}],
+    "count-beyond-int64": [{"stream": "ads", "item": 1, "count": 2**70}],
+    "count-below-int64": [{"stream": "ads", "item": 1, "count": -(2**70)}],
+    "time-beyond-int64": [{"stream": "ads", "item": 1, "time": 2**70}],
+    "item-outside-universe": [{"stream": "urls", "item": UNIVERSE + 6}],
+    "auto-tick-overflow": [
+        {"stream": "ads", "item": 1, "time": 2**63 - 1},
+        {"stream": "ads", "item": 2},
+    ],
+}
+
+
+class TestPoisonRecords:
+    """One unapplicable record is rejected before the WAL append, through
+    the malformed-record policy, and never takes the runtime down."""
+
+    def _runtime(self, tmp_path, on_malformed):
+        runtime = IngestRuntime.create(
+            tmp_path / "rt",
+            make_store(),
+            checkpoint_every=CHECKPOINT_EVERY,
+            policy=IngestPolicy(on_malformed=on_malformed),
+        )
+        assert runtime.ingest_batch(make_records(20)) == 20
+        return runtime
+
+    def _assert_recoverable(self, tmp_path, runtime, applied_seq):
+        assert runtime.health()["state"] == "healthy"
+        assert runtime.applied_seq == applied_seq
+        runtime.close()
+        recovered = IngestRuntime.recover(
+            tmp_path / "rt", checkpoint_every=CHECKPOINT_EVERY
+        )
+        assert recovered.applied_seq == applied_seq
+        assert recovered.health()["state"] == "healthy"
+
+    @pytest.mark.parametrize("name", sorted(POISON_RECORDS))
+    def test_quarantined_by_batch_ingest(self, tmp_path, name):
+        runtime = self._runtime(tmp_path, "quarantine")
+        poison = POISON_RECORDS[name]
+        runtime.ingest_batch(poison)
+        accepted = len(poison) - 1  # the auto-tick case's valid lead record
+        assert runtime.stats.malformed == 1
+        (entry,) = runtime.dead_letters.entries()
+        assert entry["kind"] == "malformed"
+        self._assert_recoverable(tmp_path, runtime, 20 + accepted)
+
+    @pytest.mark.parametrize("name", sorted(POISON_RECORDS))
+    def test_raised_by_scalar_ingest(self, tmp_path, name):
+        runtime = self._runtime(tmp_path, "raise")
+        *lead, poison = POISON_RECORDS[name]
+        for raw in lead:
+            assert runtime.ingest(raw) is True
+        with pytest.raises(MalformedRecordError):
+            runtime.ingest(poison)
+        assert runtime.stats.malformed == 1
+        self._assert_recoverable(tmp_path, runtime, 20 + len(lead))
 
 
 class TestRecoverEdgeCases:

@@ -23,7 +23,14 @@ from repro.runtime import (
     LateRecordError,
     MalformedRecordError,
 )
-from repro.server import Client, ServerError, ServingRuntime, SketchServer
+from repro.engine.frozen import _SCALAR_PROBES_MAX
+from repro.server import (
+    BadRequestError,
+    Client,
+    ServerError,
+    ServingRuntime,
+    SketchServer,
+)
 from repro.store import SketchStore, StreamSpec
 
 CHECKPOINT_EVERY = 50
@@ -168,6 +175,24 @@ class TestTypedErrors:
         client.ingest_batch(make_records(10))
         with pytest.raises(ValueError, match="empty window"):
             client.point("urls", 1, 9, 2)
+
+    @pytest.mark.parametrize("mode", ["frozen", "live"])
+    @pytest.mark.parametrize("item", [-5, 2**70])
+    def test_out_of_range_read_item_is_bad_request(
+        self, server, client, item, mode
+    ):
+        """Every read verb and route applies the ingest item rule
+        ``0 <= item < 2**63``, for small and large batches alike."""
+        client.ingest_batch(make_records(60))
+        client.cutover()
+        t = server.serving.view().clock("urls")
+        with pytest.raises(BadRequestError, match="item must lie"):
+            client.point("urls", item, 0, t, mode=mode)
+        for n in (1, _SCALAR_PROBES_MAX + 1):
+            items = [1] * (n - 1) + [item]
+            with pytest.raises(BadRequestError, match="item must lie"):
+                client.point_many("urls", items, windows=[0, t], mode=mode)
+        assert client.point_many("urls", [1], windows=[0, t], mode=mode)
 
     def test_malformed_and_late_records(self, tmp_path):
         runtime = IngestRuntime.create(

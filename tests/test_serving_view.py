@@ -260,6 +260,23 @@ class TestCutover:
         status = serving.maybe_cutover()
         assert status["swapped"] is True and status["view_seq"] == 20
 
+    def test_self_join_equals_live_across_cutover(self, served):
+        """Each view answers self-joins from its own plan: the new view
+        matches live at its horizon, the old one its own snapshot."""
+        serving, _records = served
+        first = serving.view()
+        t1 = first.clock("urls")
+        before = first.frozen.self_join_size("urls", 5, t1)
+        assert before == serving.self_join_size("urls", 5, t1, mode="live")
+        assert serving.maybe_cutover(force=True)["swapped"] is True
+        t2 = serving.view().clock("urls")
+        assert t2 > t1
+        for s, t in [(0, t2), (5, t2), (t1, t2), (0, t1), (0, 0)]:
+            assert serving.self_join_size(
+                "urls", s, t, mode="frozen"
+            ) == serving.self_join_size("urls", s, t, mode="live"), (s, t)
+        assert first.frozen.self_join_size("urls", 5, t1) == before
+
     def test_noop_when_no_new_checkpoint(self, served):
         serving, _records = served
         serving.maybe_cutover(force=True)
