@@ -16,24 +16,40 @@ run length sweeps across the crossover, and pins
 Both paths are driven through the real ``feed_tracked_row`` entry point
 by pinning the module cutover to 0 (always columnar) or infinity
 (always scalar), so the timings include exactly the dispatch the
-sketches pay.  Results are written to ``BENCH_run_cutover.json`` at the
-repo root (schema documented in EXPERIMENTS.md).  Scale with
+sketches pay.
+
+The ``run_length`` leg measures the cutoff one level up,
+``_SCALAR_RUN_MAX`` in ``repro.core.base``: whole-store
+``SketchStore.update_batch`` with the short-run route pinned off (the
+columnar plan at every length), the committed routed ``update_batch``,
+and the scalar ``SketchStore.update`` loop, on the served store shape
+(a heavy-hitter, joinable ObjectID stream after a 1,000-record preload)
+at same-stream run lengths 1-256.  It reports the median and quartiles
+of per-record cost and asserts the three twin stores end equal.
+
+Results are written to ``BENCH_run_cutover.json`` at the repo root
+(schema documented in EXPERIMENTS.md).  Scale with
 ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from conftest import cpu_header, run_once
 
-from repro.core import columnar
+from repro.core import base, columnar
 from repro.eval import harness
 from repro.eval.reporting import report
+from repro.io.serialize import to_dict
 from repro.persistence.tracker import PLATracker
+from repro.store import SketchStore, StreamSpec
+from repro.streams.worldcup import object_id_stream
 
 DELTA = 50.0
 
@@ -144,6 +160,140 @@ def _measured_crossover(results: dict) -> float | None:
     return None
 
 
+# --------------------------------------------------------------------- #
+# run_length leg: whole-store update_batch against the scalar loop
+# --------------------------------------------------------------------- #
+
+#: Same-stream run lengths swept across ``_SCALAR_RUN_MAX``.
+RUN_LENGTHS = (1, 2, 4, 8, 16, 32, 48, 64, 65, 96, 128, 192, 256)
+
+#: Records each run-length row feeds per path (``REPRO_BENCH_SCALE``
+#: scales it, with harness's floor of 1000).
+RUN_RECORDS = 2048
+
+#: Preload before the sweep, so runs land on a warm store as they do in
+#: the served runtime.
+PRELOAD = 1000
+
+#: The served store shape (``perfbench/common.py``): w = 256, d = 3,
+#: Delta = 50, hash seed 7, and a compact ObjectID universe of 2^16.
+STORE_SHAPE = {"width": 256, "depth": 3, "delta": 50.0, "seed": 7}
+UNIVERSE = 2**16
+
+
+def _make_store() -> SketchStore:
+    store = SketchStore(
+        width=STORE_SHAPE["width"],
+        depth=STORE_SHAPE["depth"],
+        join_width=STORE_SHAPE["width"],
+        seed=STORE_SHAPE["seed"],
+    )
+    store.create(
+        StreamSpec(
+            "urls",
+            delta=STORE_SHAPE["delta"],
+            universe=UNIVERSE,
+            heavy_hitters=True,
+            joinable=True,
+        )
+    )
+    return store
+
+
+def _store_state(store: SketchStore) -> str:
+    """Serialized state of every sketch of the stream (finalizes open
+    runs, identically on every twin)."""
+    stream = store._state("urls")
+    sketches = (stream.point_sketch, stream.hh_sketch, stream.join_sketch)
+    return json.dumps([to_dict(sketch) for sketch in sketches], sort_keys=True)
+
+
+def _quartiles(values: list[float]) -> dict:
+    p25, p50, p75 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"p25_us": p25, "median_us": p50, "p75_us": p75}
+
+
+def _measured_run_crossover(rows: dict) -> int | None:
+    """First run length from which the columnar plan's median per-record
+    cost stays at or below the scalar loop's."""
+    for length in RUN_LENGTHS:
+        if all(
+            rows[str(k)]["columnar_over_scalar"] <= 1.0
+            for k in RUN_LENGTHS
+            if k >= length
+        ):
+            return length
+    return None
+
+
+def _bench_run_lengths() -> dict:
+    per_length = harness.scaled(RUN_RECORDS)
+    total = PRELOAD + per_length * len(RUN_LENGTHS)
+    items = object_id_stream(total, seed=harness.BENCH_SEED).items
+    _, items = np.unique(items, return_inverse=True)
+    items = items.astype(np.int64)
+    if int(items.max()) >= UNIVERSE:
+        raise ValueError("compact ObjectID ids overflow the store universe")
+    times = np.arange(1, total + 1, dtype=np.int64)
+    counts = np.ones(total, dtype=np.int64)
+
+    def columnar_batch(store, lo, hi):
+        with mock.patch.object(base, "_SCALAR_RUN_MAX", 0):
+            store.update_batch("urls", times[lo:hi], items[lo:hi], counts[lo:hi])
+
+    def routed_batch(store, lo, hi):
+        store.update_batch("urls", times[lo:hi], items[lo:hi], counts[lo:hi])
+
+    def scalar_loop(store, lo, hi):
+        for t, item in zip(times[lo:hi].tolist(), items[lo:hi].tolist()):
+            store.update("urls", item, 1, t)
+
+    paths = {
+        "columnar": columnar_batch,
+        "routed": routed_batch,
+        "scalar": scalar_loop,
+    }
+    stores = {name: _make_store() for name in paths}
+    for store in stores.values():
+        routed_batch(store, 0, PRELOAD)
+    rows = {}
+    lo = PRELOAD
+    for length in RUN_LENGTHS:
+        samples: dict[str, list[float]] = {name: [] for name in paths}
+        gc.collect()
+        end = lo + per_length // length * length  # whole runs only
+        order = list(paths)
+        while lo < end:
+            hi = lo + length
+            for name in order:
+                start = time.perf_counter()
+                paths[name](stores[name], lo, hi)
+                elapsed = time.perf_counter() - start
+                samples[name].append(elapsed * 1e6 / (hi - lo))
+            order = order[1:] + order[:1]  # rotate who goes first
+            lo = hi
+        rows[str(length)] = {
+            "runs": len(samples["scalar"]),
+            **{name: _quartiles(values) for name, values in samples.items()},
+        }
+    states = {name: _store_state(store) for name, store in stores.items()}
+    equal = len(set(states.values())) == 1
+    if not equal:
+        raise AssertionError("columnar, routed and scalar stores diverged")
+    for row in rows.values():
+        row["equal"] = equal
+        row["columnar_over_scalar"] = (
+            row["columnar"]["median_us"] / row["scalar"]["median_us"]
+        )
+    return {
+        "store": {**STORE_SHAPE, "universe": UNIVERSE},
+        "preload": PRELOAD,
+        "records_per_length": per_length,
+        "measured_run_crossover": _measured_run_crossover(rows),
+        "lengths": rows,
+    }
+
+
 def run_benchmark() -> dict:
     n = harness.scaled(32_768)
     results = {}
@@ -161,8 +311,9 @@ def run_benchmark() -> dict:
                 round(stats["columnar_speedup"], 2),
             )
         )
+    run_length = _bench_run_lengths()
     payload = {
-        "schema": "micro_run_cutover/v1",
+        "schema": "micro_run_cutover/v2",
         "scale": harness.bench_scale(),
         **cpu_header(),
         "updates": n,
@@ -170,6 +321,8 @@ def run_benchmark() -> dict:
         "committed_cutover": columnar.SHORT_RUN_CUTOVER,
         "measured_crossover": _measured_crossover(results),
         "ratios": results,
+        "committed_run_max": base._SCALAR_RUN_MAX,
+        "run_length": run_length,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     report(
@@ -186,6 +339,26 @@ def run_benchmark() -> dict:
         ],
         rows,
         json_name="micro_run_cutover",
+    )
+    report(
+        f"Short-run route: whole-store update_batch vs scalar update loop "
+        f"(us/record, median [p25-p75], committed _SCALAR_RUN_MAX="
+        f"{base._SCALAR_RUN_MAX}, measured crossover="
+        f"{run_length['measured_run_crossover']})",
+        ["run length", "runs", "columnar", "routed", "scalar"],
+        [
+            (
+                length,
+                row["runs"],
+                *(
+                    f"{row[name]['median_us']:.0f} "
+                    f"[{row[name]['p25_us']:.0f}-{row[name]['p75_us']:.0f}]"
+                    for name in ("columnar", "routed", "scalar")
+                ),
+            )
+            for length, row in run_length["lengths"].items()
+        ],
+        json_name="micro_run_length",
     )
     return payload
 
@@ -210,6 +383,15 @@ def test_run_cutover(benchmark):
     assert payload["ratios"]["1024"]["columnar_speedup"] > 1.2, (
         "scalar loop kept pace with the fused columnar path at mean "
         "run length 1024; the columnar plan has regressed"
+    )
+    lengths = payload["run_length"]["lengths"]
+    for row in lengths.values():
+        assert row["equal"]
+    # One-record runs are the regime the short-run route exists for: the
+    # columnar plan's per-call setup must still dwarf the scalar loop.
+    assert lengths["1"]["columnar_over_scalar"] > 2.0, (
+        "the columnar plan kept pace with the scalar loop on one-record "
+        "runs; _SCALAR_RUN_MAX may be obsolete"
     )
 
 

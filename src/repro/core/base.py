@@ -4,7 +4,9 @@ All persistent sketches ingest a stream of ``(item, count, time)`` updates
 with strictly increasing integer timestamps (the discrete time model of
 Section 1.2: update ``e_t`` arrives at time ``t``; ticks may be skipped).
 When the caller does not supply timestamps, updates are assigned
-consecutive ticks starting at 1.
+consecutive ticks starting at 1.  Items are non-negative int64 values,
+``0 <= item < 2**63``: the domain the columnar batches, the runtime's
+records and the read verbs share.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.analysis import contracts
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
 from repro.parallel import IngestError, WorkerPool, fork_available
 from repro.streams.model import Stream
+from repro.streams.records import INT64_LIMIT
 
 if TYPE_CHECKING:  # repro.engine depends on repro.core; import lazily.
     from repro.engine.frozen import (
@@ -27,6 +30,19 @@ if TYPE_CHECKING:  # repro.engine depends on repro.core; import lazily.
         FrozenPWCAMS,
     )
     from repro.parallel.pool import WorkerHandler
+
+#: Longest validated run that replays through the scalar ``_ingest``
+#: reference instead of the sketch's columnar plan.  The plan's cost is
+#: mostly per call (vectorized Carter-Wegman hashing, the Mersenne
+#: Twister hand-off of ``bulk_uniforms``, argsort setup), so a short run
+#: pays milliseconds for work the scalar path does in microseconds; the
+#: ``run_length`` leg of ``benchmarks/micro_run_cutover.py`` puts the
+#: whole-store crossover just above this.
+_SCALAR_RUN_MAX = 64
+
+
+def _item_domain_error(item: int) -> ValueError:
+    return ValueError(f"item must lie in [0, 2**63), got {item}")
 
 
 class PersistentSketch(ABC):
@@ -134,7 +150,8 @@ class PersistentSketch(ABC):
         Parameters
         ----------
         item:
-            Element identifier (any non-negative integer).
+            Element identifier, ``0 <= item < 2**63``
+            (:class:`ValueError` otherwise, before any state is touched).
         count:
             Frequency change; ``+1`` in the cash-register model, ``+/-1``
             in the turnstile model.
@@ -142,6 +159,8 @@ class PersistentSketch(ABC):
             Integer timestamp, strictly greater than all previous ones.
             Auto-incremented when omitted.
         """
+        if not 0 <= item < INT64_LIMIT:
+            raise _item_domain_error(item)
         if time is None:
             time = self._clock + 1
         elif time <= self._clock:
@@ -193,17 +212,23 @@ class PersistentSketch(ABC):
     ) -> None:
         """Ingest a column of updates at once.
 
-        Validates the whole batch up front — equal lengths, first time
-        beyond the clock (:class:`ValueError`, as scalar :meth:`update`
-        raises), strictly increasing times inside the batch
+        Validates the whole batch up front — equal lengths, items in
+        ``[0, 2**63)`` and first time beyond the clock
+        (:class:`ValueError`, as scalar :meth:`update` raises), strictly
+        increasing times inside the batch
         (:class:`~repro.analysis.contracts.ContractViolation`) — then
-        hands the columns to the sketch's batch plan.  State after the
-        call is bit-identical to the scalar :meth:`update` loop; no state
-        is touched when validation fails.  ``counts`` defaults to
-        all-ones (the cash-register model).
+        hands the columns to :meth:`_apply_batch`: runs of at most
+        ``_SCALAR_RUN_MAX`` records replay through the scalar reference,
+        longer ones go through the sketch's columnar plan.  State after
+        the call is bit-identical to the scalar :meth:`update` loop
+        either way; no state is touched when validation fails.
+        ``counts`` defaults to all-ones (the cash-register model).
         """
         times = np.asarray(times, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        try:
+            items = np.asarray(items, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("items must lie in [0, 2**63)") from None
         n = times.shape[0]
         if counts is None:
             counts = np.ones(n, dtype=np.int64)
@@ -216,6 +241,9 @@ class PersistentSketch(ABC):
             )
         if n == 0:
             return
+        low = int(items.min())
+        if low < 0:
+            raise _item_domain_error(low)
         if int(times[0]) <= self._clock:
             raise ValueError(
                 f"stream starts at {int(times[0])} but the sketch "
@@ -239,13 +267,22 @@ class PersistentSketch(ABC):
     def _apply_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Dispatch one validated batch to the serial or pooled plan.
+        """Dispatch one validated batch to the pool, the scalar
+        reference or the columnar plan.
 
         The single hand-off point below the buffer tier: unbuffered
         batches come straight from :meth:`ingest_batch`, buffered ones
         from :meth:`flush_buffer` — both take exactly this path, which
         is what makes exact-mode buffering bit-identical to unbuffered
-        ingestion (chunk boundaries are invisible to the batch plan).
+        ingestion (chunk boundaries are invisible to every route).
+
+        A pool, when configured, takes every batch: forked workers own
+        state the master cannot see.  Otherwise runs of at most
+        ``_SCALAR_RUN_MAX`` records replay record by record through
+        :meth:`PersistentSketch._ingest_batch`, after the plan's
+        up-front content checks (:meth:`_prevalidate_batch`), so a
+        rejected short run still touches no state.  Longer runs go
+        through the sketch's columnar :meth:`_ingest_batch`.
         """
         if (
             self._workers > 1
@@ -253,6 +290,9 @@ class PersistentSketch(ABC):
             and fork_available()
         ):
             self._ingest_batch_via_pool(times, items, counts)
+        elif times.shape[0] <= _SCALAR_RUN_MAX:
+            self._prevalidate_batch(times, items, counts)
+            PersistentSketch._ingest_batch(self, times, items, counts)
         else:
             self._ingest_batch(times, items, counts)
 
@@ -290,11 +330,12 @@ class PersistentSketch(ABC):
     def _prevalidate_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Content checks a serial plan performs before touching state.
+        """Content checks a columnar plan performs before touching state.
 
-        Runs *before* the parallel dispatch's poison scope, so a batch
-        the serial plan would reject cleanly (bad item, expired shard)
-        is rejected just as cleanly in parallel — no worker sees it and
+        Runs before the scalar short-run replay and before the parallel
+        dispatch's poison scope, so a batch the columnar plan would
+        reject cleanly (bad item, expired shard) is rejected just as
+        cleanly on both — no record is applied, no worker sees it and
         the sketch stays usable.
         """
 
@@ -386,11 +427,14 @@ class PersistentSketch(ABC):
     ) -> None:
         """Apply one clock-validated batch; override with a columnar plan.
 
-        The fallback replays the batch through :meth:`_ingest` one record
-        at a time, advancing the clock per record so nested sketches see
-        exactly the sequence scalar :meth:`update` calls would produce.
+        This base body is the scalar reference: it replays the batch
+        through :meth:`_ingest` one record at a time, advancing the
+        clock per record so nested sketches see exactly the sequence
+        scalar :meth:`update` calls would produce.  It is the short-run
+        route of :meth:`_apply_batch` for every sketch, and the whole
+        plan for sketches without a columnar override.
         """
-        for t, i, c in zip(times.tolist(), items.tolist(), counts.tolist()):  # sketchlint: disable=SL010 — scalar reference fallback
+        for t, i, c in zip(times.tolist(), items.tolist(), counts.tolist()):  # sketchlint: disable=SL010 — short-run route: per-record cost beats the columnar plan's per-call setup up to _SCALAR_RUN_MAX
             self._ingest(i, c, t)
             self._clock = t
 

@@ -29,6 +29,14 @@ from repro.parallel.pool import WorkerPool
 from repro.persistence.tracker import PLATracker
 
 
+def check_universe(items: np.ndarray, universe: int) -> None:
+    """Reject a batch holding any item outside ``[0, universe)``."""
+    bad = (items < 0) | (items >= universe)
+    if bad.any():
+        offender = int(items[int(np.argmax(bad))])
+        raise ValueError(f"item {offender} outside universe [0, {universe})")
+
+
 class _LevelWorker:
     """Forked worker owning dyadic levels ``index, index + n, ...``.
 
@@ -149,12 +157,7 @@ class PersistentHeavyHitters(PersistentSketch):
         records preceding the offender first).  Each level sketch and the
         mass tracker see exactly the sequence scalar updates produce.
         """
-        bad = (items < 0) | (items >= self.universe)
-        if bad.any():
-            offender = int(items[int(np.argmax(bad))])
-            raise ValueError(
-                f"item {offender} outside universe [0, {self.universe})"
-            )
+        check_universe(items, self.universe)
         for level, sketch in enumerate(self._sketches):
             sketch.ingest_batch(times, items >> level, counts)
         totals = self._mass_total + np.cumsum(counts)
@@ -174,14 +177,10 @@ class PersistentHeavyHitters(PersistentSketch):
     def _prevalidate_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
-        # Same up-front validation as the serial plan: a bad item must
-        # reject the batch cleanly before any worker state is touched.
-        bad = (items < 0) | (items >= self.universe)
-        if bad.any():
-            offender = int(items[int(np.argmax(bad))])
-            raise ValueError(
-                f"item {offender} outside universe [0, {self.universe})"
-            )
+        # Same up-front validation as the columnar plan: a bad item must
+        # reject the batch before the scalar replay applies the records
+        # ahead of it, or before any worker state is touched.
+        check_universe(items, self.universe)
 
     def _ingest_batch_parallel(
         self,

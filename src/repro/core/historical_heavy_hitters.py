@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.base import PersistentSketch
+from repro.core.heavy_hitters import check_universe
 from repro.core.historical_countmin import HistoricalCountMin
 from repro.hashing.families import IdentityHashFamily
 from repro.pla.piecewise_constant import PiecewiseConstantFunction
@@ -111,12 +112,7 @@ class HistoricalHeavyHitters(PersistentSketch):
         sequential because the next recording threshold depends on each
         record in turn.
         """
-        bad = (items < 0) | (items >= self.universe)
-        if bad.any():
-            offender = int(items[int(np.argmax(bad))])
-            raise ValueError(
-                f"item {offender} outside universe [0, {self.universe})"
-            )
+        check_universe(items, self.universe)
         for level, sketch in enumerate(self._sketches):
             sketch.ingest_batch(times, items >> level, counts)
         for time, count in zip(times.tolist(), counts.tolist()):  # sketchlint: disable=SL010 — mass-record thresholds are sequential
@@ -127,6 +123,11 @@ class HistoricalHeavyHitters(PersistentSketch):
                     abs(self._mass_total) * (1.0 + self.eps),
                     self._next_mass_record + 1.0,
                 )
+
+    def _prevalidate_batch(
+        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
+    ) -> None:
+        check_universe(items, self.universe)
 
     def point(self, item: int, s: float = 0, t: float | None = None) -> float:
         """Historical point estimate from the level-0 sketch (s = 0)."""

@@ -108,7 +108,14 @@ class PolynomialHash:
         self.coefficients: tuple[int, ...] = tuple(coeffs)
 
     def __call__(self, x: int) -> int:
-        """Evaluate the polynomial at ``x``; result lies in ``[0, p)``."""
+        """Evaluate the polynomial at ``x``; result lies in ``[0, p)``.
+
+        ``x`` must be non-negative, as in :meth:`eval_many`: Python's
+        arbitrary-precision arithmetic would otherwise return a negative
+        "field value" that ``% width`` silently folds into some column.
+        """
+        if x < 0:
+            raise ValueError("hash inputs must be non-negative")
         acc = 0
         for c in reversed(self.coefficients):
             acc = mod_mersenne(acc * x + c)

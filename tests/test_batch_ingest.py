@@ -8,9 +8,16 @@ order.  These tests compare a structural fingerprint of the full sketch
 state (counters, tracker segments, history lists, epoch bookkeeping,
 RNG state) rather than just query answers, under hypothesis-driven
 streams and arbitrary chunk boundaries.
+
+Runs of at most ``_SCALAR_RUN_MAX`` records replay through the scalar
+reference instead of the columnar plan; the planner property pins the
+route off (:func:`columnar_only`) so every planner size stays compared
+against the reference, and the route itself is tested at the cutoff.
 """
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +26,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import contracts
 from repro.analysis.contracts import ContractViolation
+from repro.core import base
+from repro.core import persistent_ams as persistent_ams_module
+from repro.core.base import _SCALAR_RUN_MAX
 from repro.core.heavy_hitters import PersistentHeavyHitters
 from repro.core.historical_ams import HistoricalAMS
 from repro.core.historical_countmin import HistoricalCountMin
@@ -34,6 +44,7 @@ from repro.pla.orourke import _FUSED_MIN, OnlinePLA
 from repro.pla.piecewise_constant import OnlinePWC
 from repro.sketch.ams import AMSSketch
 from repro.sketch.countmin import CountMinSketch
+from repro.store import SketchStore, StreamSpec
 from repro.store.sharded import ShardedPersistentSketch
 from repro.streams.model import Stream
 
@@ -120,15 +131,13 @@ def fingerprint(obj, _depth=0):
 # Stream strategy: bounded turnstile updates with irregular gaps
 # --------------------------------------------------------------------- #
 
-update_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=255),  # item (fits HH universes)
-        st.sampled_from([1, 1, 1, 2, -1]),  # count (mostly inserts)
-        st.integers(min_value=1, max_value=3),  # time gap
-    ),
-    min_size=1,
-    max_size=90,
+update_tuples = st.tuples(
+    st.integers(min_value=0, max_value=255),  # item (fits HH universes)
+    st.sampled_from([1, 1, 1, 2, -1]),  # count (mostly inserts)
+    st.integers(min_value=1, max_value=3),  # time gap
 )
+
+update_lists = st.lists(update_tuples, min_size=1, max_size=90)
 
 
 def build_stream(updates):
@@ -156,6 +165,25 @@ def scalar_ingest(sketch, stream):
         stream.times.tolist(), stream.items.tolist(), stream.counts.tolist()
     ):
         sketch.update(i, count=c, time=t)
+
+
+@contextmanager
+def columnar_only():
+    """Send every validated batch, however short, through the columnar
+    plan (nested level and shard sketches included)."""
+    with mock.patch.object(base, "_SCALAR_RUN_MAX", 0):
+        yield
+
+
+def fixed_stream(n, seed=0):
+    """A deterministic ``n``-record stream inside every FACTORIES domain."""
+    rng = random.Random(seed)
+    return build_stream(
+        [
+            (rng.randrange(256), rng.choice([1, 1, 1, 2, -1]), rng.randint(1, 3))
+            for _ in range(n)
+        ]
+    )
 
 
 FACTORIES = {
@@ -194,12 +222,36 @@ FACTORIES = {
 )
 @given(updates=update_lists, chunk=st.integers(min_value=1, max_value=41))
 def test_batch_bit_identical_to_scalar(name, updates, chunk):
+    """The columnar plan itself, at every chunk size, equals the scalar
+    loop (the short-run route is pinned off, or it would compare the
+    scalar reference with itself)."""
     stream = build_stream(updates)
     sequential = FACTORIES[name]()
     scalar_ingest(sequential, stream)
     batched = FACTORIES[name]()
-    batched.ingest(stream, batch_size=chunk)
+    with columnar_only():
+        batched.ingest(stream, batch_size=chunk)
     assert fingerprint(batched) == fingerprint(sequential)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("n", [1, _SCALAR_RUN_MAX, _SCALAR_RUN_MAX + 1])
+def test_public_batch_at_the_cutoff_equals_scalar(name, n):
+    """Either side of the short-run cutoff, ``ingest_batch`` equals the
+    scalar loop, the sampled-AMS RNG end state included."""
+    prefix = fixed_stream(150, seed=n)
+    run = fixed_stream(n, seed=n + 1)
+    run = Stream(run.items, run.times + int(prefix.times[-1]), run.counts)
+    sequential = FACTORIES[name]()
+    scalar_ingest(sequential, prefix)
+    scalar_ingest(sequential, run)
+    batched = FACTORIES[name]()
+    batched.ingest_batch(prefix.times, prefix.items, prefix.counts)
+    batched.ingest_batch(run.times, run.items, run.counts)
+    assert fingerprint(batched) == fingerprint(sequential)
+    assert batched.now == sequential.now
+    if isinstance(batched, PersistentAMS):
+        assert batched._rng.getstate() == sequential._rng.getstate()
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -208,16 +260,30 @@ def test_batch_bit_identical_to_scalar(name, updates, chunk):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(updates=update_lists, data=st.data())
+@given(
+    updates=st.lists(
+        update_tuples,
+        min_size=_SCALAR_RUN_MAX + 2,
+        max_size=3 * _SCALAR_RUN_MAX,
+    ),
+    data=st.data(),
+)
 def test_chunk_boundaries_are_invisible(name, updates, data):
-    """Splitting one batch at arbitrary points changes nothing."""
+    """Splitting one batch at arbitrary points changes nothing, with
+    chunks drawn to land on either side of the short-run cutoff."""
     stream = build_stream(updates)
     n = len(stream)
-    cuts = sorted(
-        data.draw(
-            st.sets(st.integers(min_value=1, max_value=max(1, n - 1)), max_size=6)
+    sizes = data.draw(
+        st.lists(
+            st.sampled_from(
+                [1, 2, _SCALAR_RUN_MAX - 1, _SCALAR_RUN_MAX, _SCALAR_RUN_MAX + 1]
+            )
+            | st.integers(min_value=1, max_value=n),
+            min_size=1,
+            max_size=6,
         )
     )
+    cuts = sorted({c for c in np.cumsum(sizes).tolist() if c < n})
     whole = FACTORIES[name]()
     whole.ingest_batch(stream.times, stream.items, stream.counts)
     split = FACTORIES[name]()
@@ -245,6 +311,47 @@ def test_non_monotone_batch_rejected_untouched(factory):
     with pytest.raises(ContractViolation, match="strictly increasing"):
         sketch.ingest_batch(times, items)
     assert sketch.now == 0
+    assert fingerprint(sketch) == before
+
+
+def _bad_item_batches(bad):
+    """A short (<= cutoff) and a long (> cutoff) batch ending in ``bad``."""
+    for n in (3, _SCALAR_RUN_MAX + 5):
+        times = list(range(1001, 1001 + n))
+        items = [(7 * k) % 200 for k in range(n - 1)] + [bad]
+        yield times, items
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("bad", [-1, 2**63])
+def test_item_outside_int64_domain_rejected_untouched(name, bad):
+    """``update`` and ``ingest_batch`` on both routes reject items outside
+    ``[0, 2**63)`` with ValueError, before any state is touched."""
+    sketch = FACTORIES[name]()
+    prefix = fixed_stream(40)
+    sketch.ingest_batch(prefix.times, prefix.items, prefix.counts)
+    before, clock = fingerprint(sketch), sketch.now
+    with pytest.raises(ValueError):
+        sketch.update(bad, 1, clock + 1)
+    with pytest.raises(ValueError):
+        sketch.update(bad)
+    for times, items in _bad_item_batches(bad):
+        with pytest.raises(ValueError):
+            sketch.ingest_batch(times, items)
+    assert sketch.now == clock
+    assert fingerprint(sketch) == before
+
+
+@pytest.mark.parametrize("name", ["PLA_HH", "Hist_HH"])
+def test_short_batch_outside_universe_rejected_untouched(name):
+    """The scalar heavy-hitter path alone would apply the records ahead
+    of the offender; the route's up-front check rejects the whole run."""
+    sketch = FACTORIES[name]()
+    sketch.ingest_batch([1, 2, 3], [4, 5, 6])
+    before = fingerprint(sketch)
+    with pytest.raises(ValueError, match="outside universe"):
+        sketch.ingest_batch([4, 5, 6], [1, 2, 256])
+    assert sketch.now == 3
     assert fingerprint(sketch) == before
 
 
@@ -474,3 +581,48 @@ def test_pwc_feed_many_fused_path_matches_scalar():
         assert fused.function._times == scalar.function._times
         assert fused.function._values == scalar.function._values
         assert fused._last_recorded == scalar._last_recorded
+
+
+# --------------------------------------------------------------------- #
+# The short-run route, structurally: no columnar setup below the cutoff
+# --------------------------------------------------------------------- #
+
+
+def test_one_record_store_batch_makes_no_vectorized_calls(monkeypatch):
+    """A one-record ``update_batch`` on a heavy-hitter, joinable stream
+    never reaches the columnar plan's per-call setup; one record past
+    the cutoff does."""
+    calls = {"buckets_many": 0, "signs_many": 0, "bulk_uniforms": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        BucketHashFamily,
+        "buckets_many",
+        spy("buckets_many", BucketHashFamily.buckets_many),
+    )
+    monkeypatch.setattr(
+        SignHashFamily, "signs_many", spy("signs_many", SignHashFamily.signs_many)
+    )
+    monkeypatch.setattr(
+        persistent_ams_module,
+        "bulk_uniforms",
+        spy("bulk_uniforms", persistent_ams_module.bulk_uniforms),
+    )
+    store = SketchStore(width=32, depth=3, join_width=32, seed=7)
+    store.create(
+        StreamSpec(
+            "urls", delta=5, universe=256, heavy_hitters=True, joinable=True
+        )
+    )
+    store.update_batch("urls", [1], [17], [1])
+    assert calls == {"buckets_many": 0, "signs_many": 0, "bulk_uniforms": 0}
+    n = _SCALAR_RUN_MAX + 1
+    times = np.arange(2, 2 + n, dtype=np.int64)
+    store.update_batch("urls", times, times % 256, np.ones(n, dtype=np.int64))
+    assert all(count > 0 for count in calls.values()), calls

@@ -23,12 +23,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.base import _SCALAR_RUN_MAX
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
 from repro.persistence.tracker import PLATracker, YoungPLATracker
 from tests.test_batch_ingest import (
     FACTORIES,
     build_stream,
     fingerprint,
+    fixed_stream,
     update_lists,
 )
 
@@ -163,6 +165,21 @@ def test_exact_buffered_bit_identical_to_unbuffered(
     buffered.flush_buffer()
     assert fingerprint(buffered) == fingerprint(plain)
     assert buffered.buffer_stats()["absorbed"] == len(stream)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("window", [1, 7, _SCALAR_RUN_MAX, _SCALAR_RUN_MAX + 1])
+def test_exact_short_run_flushes_equal_unbuffered(name, window):
+    """Flushes of at most ``_SCALAR_RUN_MAX`` records take the scalar
+    route; they still equal one unbuffered columnar batch."""
+    stream = fixed_stream(3 * _SCALAR_RUN_MAX)
+    plain = FACTORIES[name]()
+    plain.ingest_batch(stream.times, stream.items, stream.counts)
+    buffered = FACTORIES[name]()
+    buffered.configure_buffer(window=window, mode="exact")
+    buffered.ingest_batch(stream.times, stream.items, stream.counts)
+    buffered.flush_buffer()
+    assert fingerprint(buffered) == fingerprint(plain)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))

@@ -32,6 +32,7 @@ from tests.test_batch_ingest import (
     FACTORIES,
     build_stream,
     fingerprint,
+    fixed_stream,
     scalar_ingest,
     update_lists,
 )
@@ -108,6 +109,32 @@ def test_mid_stream_queries_merge_and_stay_equal(name):
         end = int(stream.times[-1])
         for item in (0, 3, 6):
             assert parallel.point(item, 0, end) == serial.point(item, 0, end)
+    finally:
+        parallel.detach_workers()
+    assert fingerprint(parallel) == fingerprint(serial)
+
+
+PARALLEL_TYPES = tuple(
+    name for name in sorted(FACTORIES) if FACTORIES[name]()._parallel_supported()
+)
+
+
+@pytest.mark.parametrize("name", PARALLEL_TYPES)
+def test_one_record_batch_still_goes_to_the_pool(name):
+    """The pool keeps precedence over the short-run scalar route: forked
+    workers own state the master cannot see."""
+    stream = fixed_stream(40)
+    serial = FACTORIES[name]()
+    serial.ingest_batch(stream.times, stream.items, stream.counts)
+    parallel = parallel_twin(name, WORKER_WIDTHS[0])
+    try:
+        for lo in range(len(stream)):
+            parallel.ingest_batch(
+                stream.times[lo : lo + 1],
+                stream.items[lo : lo + 1],
+                stream.counts[lo : lo + 1],
+            )
+            assert parallel._pool is not None and parallel._pool_stale
     finally:
         parallel.detach_workers()
     assert fingerprint(parallel) == fingerprint(serial)
