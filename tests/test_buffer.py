@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.base import _SCALAR_RUN_MAX
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
+from repro.io.serialize import to_dict
 from repro.persistence.tracker import PLATracker, YoungPLATracker
 from tests.test_batch_ingest import (
     FACTORIES,
@@ -210,6 +211,46 @@ def test_exact_mode_query_driven_flushes_are_invisible(name, updates, data):
         )
     buffered.flush_buffer()
     assert fingerprint(buffered) == fingerprint(plain)
+
+
+#: Calls that must flush staged updates before they read or mutate
+#: sketch state, and the sketch types each applies to.
+_FLUSH_SITES = {
+    "finalize": (lambda sketch: sketch.finalize(), ("PLA_CM", "PLA_HH", "PWC_CM")),
+    "to_dict": (
+        to_dict,
+        ("Hist_AMS", "Hist_CM", "PLA_CM", "PLA_HH", "PWC_AMS", "PWC_CM", "Sample_AMS"),
+    ),
+    "freeze": (
+        lambda sketch: sketch.freeze(),
+        ("PLA_CM", "PLA_HH", "PWC_AMS", "PWC_CM", "Sample_AMS", "Sharded"),
+    ),
+    "drop_before": (lambda sketch: sketch.drop_before(100), ("Sharded",)),
+}
+
+
+@pytest.mark.parametrize(
+    ("site", "name"),
+    [(site, name) for site, (_, names) in _FLUSH_SITES.items() for name in names],
+)
+def test_state_reading_sites_flush_exactly(site, name):
+    """Finalize, serialization, freeze and shard expiry each flush the
+    exact-mode buffer first, so the sketch ends equal to an unbuffered
+    twin that made the same call."""
+    call, _ = _FLUSH_SITES[site]
+    stream = fixed_stream(3 * _SCALAR_RUN_MAX)
+    plain = FACTORIES[name]()
+    plain.ingest_batch(stream.times, stream.items, stream.counts)
+    expected = call(plain)
+    buffered = FACTORIES[name]()
+    buffered.configure_buffer(window=10 * len(stream), mode="exact")
+    buffered.ingest_batch(stream.times, stream.items, stream.counts)
+    assert len(buffered._buffer) == len(stream)
+    got = call(buffered)
+    assert len(buffered._buffer) == 0
+    assert fingerprint(buffered) == fingerprint(plain)
+    if site == "to_dict":
+        assert got == expected
 
 
 # --------------------------------------------------------------------- #
