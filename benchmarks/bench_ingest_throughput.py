@@ -8,10 +8,7 @@ This benchmark measures what that buys at the paper's ephemeral shape
 (w = 20000, d = 7, Section 6.1) on all three workloads: records/second
 for the scalar loop vs ``ingest`` (the chunked batch planner), with a
 cheap state-equality gate so the speedup can never come from doing less
-work.  Each workload is additionally ingested through 2- and 4-worker
-row-partitioned pools (the final merge is part of the timed cost), with
-the same equality gate; the parallel scaling floor only binds on hosts
-with >= 4 cores.
+work.
 
 The two-stage update buffer (ISSUE 10) rides in front of all of that:
 ``exact`` mode stages and replays verbatim (bit-identical, gated by the
@@ -22,12 +19,14 @@ carry a >= 5x coalesced floor with an explicit error-bound gate in
 place of the exact-equality one.
 
 Results are written to ``BENCH_ingest.json`` at the repo root (schema
-``bench_ingest_throughput/v4``, documented in EXPERIMENTS.md; v2 added
+``bench_ingest_throughput/v5``, documented in EXPERIMENTS.md; v2 added
 ``cpus``/``workers`` and the per-workload ``parallel`` block to v1; v3
 adds the ``cpu_affinity`` header and replaces the parallel ratios with
 an explicit ``{"skipped": "cpus < 4"}`` block on hosts too small to
 measure them honestly; v4 adds the per-workload ``buffered`` block with
-timed exact and coalesce legs).  Scale with ``REPRO_BENCH_SCALE``.
+timed exact and coalesce legs; v5 drops the ``workers`` list and the
+``parallel`` block with the ingest pool).  Scale with
+``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import cpu_header, effective_cpus, parallel_skip_block, run_once
+from conftest import cpu_header, run_once
 
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.eval import harness
@@ -72,9 +71,6 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
 #: quiesced; GC pauses used to eat the margin, see ``_gc_quiesced``).
 SPEEDUP_FLOOR = {"Zipf_3": 5.0, "ObjectID": 1.1, "ClientID": 1.2}
 
-#: Pool widths measured for the parallel execution layer.
-WORKER_WIDTHS = (2, 4)
-
 #: Update-buffer window for the buffered legs (records staged before a
 #: flush feeds the batch planner).  One window of the paper-shape
 #: stream is enough for coalescing to find the repeat touches that the
@@ -86,17 +82,6 @@ BUFFER_WINDOW = 32_768
 #: coalescing collapses (measured 6-16x; Zipf's long runs coalesce to
 #: almost nothing and measure >100x, floored loosely at the same 5x).
 BUFFERED_FLOOR = {"Zipf_3": 5.0, "ObjectID": 5.0, "ClientID": 5.0}
-
-#: 4-worker floor over the serial batch path, gated on the machine
-#: actually having >= 4 cores: row partitioning only buys wall-clock
-#: when the forked workers can run concurrently, so smaller hosts emit
-#: a skip block instead of ratios (a 1-core container measures pure
-#: orchestration overhead).  The Zipf_3 floor was set when batches
-#: travelled through shared memory; it has not been re-measured on the
-#: pipe transport (no >= 4-core host has run it since).
-PARALLEL_FLOOR = 2.5
-PARALLEL_FLOOR_DATASETS = ("Zipf_3", "ObjectID", "ClientID")
-
 
 def _make_sketch() -> PersistentCountMin:
     return PersistentCountMin(
@@ -122,7 +107,7 @@ def _gc_quiesced():
         gc.enable()
 
 
-def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
+def _bench_workload(name: str) -> dict:
     length = harness.scaled(200_000)
     stream = harness.get_dataset(name, length)
     times = stream.times.tolist()
@@ -145,33 +130,6 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
             start = time.perf_counter()
             batched.ingest(stream, batch_size=BATCH_SIZE)
             batch_s = min(batch_s, time.perf_counter() - start)
-
-    # Parallel execution layer: same batch plan fanned over forked
-    # row-workers over their pipes.  The final merge
-    # (detach) is part of the timed cost — that is what a caller pays
-    # before the state is queryable.  Hosts below the core floor emit
-    # the skip block instead of time-sliced ratios.
-    parallel: dict = dict(skip_parallel) if skip_parallel else {}
-    for workers in () if skip_parallel else WORKER_WIDTHS:
-        par_s = float("inf")
-        par_sketch = None
-        for _ in range(REPS):
-            par_sketch = _make_sketch()
-            par_sketch.set_workers(workers)
-            with _gc_quiesced():
-                start = time.perf_counter()
-                par_sketch.ingest(stream, batch_size=BATCH_SIZE)
-                par_sketch.detach_workers()
-                par_s = min(par_s, time.perf_counter() - start)
-        _assert_equal_answers(f"{name}[workers={workers}]",
-                              par_sketch, scalar, items)
-        parallel[str(workers)] = {
-            "equal": True,
-            "batch_s": par_s,
-            "batch_rps": length / par_s,
-            "speedup_vs_scalar": scalar_s / par_s,
-            "speedup_vs_batch": batch_s / par_s,
-        }
 
     _assert_equal_answers(name, batched, scalar, items)
 
@@ -220,7 +178,6 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
         "batch_s": batch_s,
         "batch_rps": length / batch_s,
         "speedup": scalar_s / batch_s,
-        "parallel": parallel,
         "buffered": {
             "window": BUFFER_WINDOW,
             "exact": {
@@ -244,7 +201,7 @@ def _bench_workload(name: str, skip_parallel: dict | None) -> dict:
 
 def _assert_equal_answers(name, candidate, scalar, items) -> None:
     """Cheap equality proxy (the bit-level property is pinned by
-    tests/test_batch_ingest.py and tests/test_parallel.py): identical
+    tests/test_batch_ingest.py): identical
     persistence footprint and identical answers on a spread of
     historical point queries."""
     if candidate.persistence_words() != scalar.persistence_words():
@@ -285,12 +242,10 @@ def _assert_within_envelope(name, lossy, scalar, items, max_item_mass):
 
 def run_benchmark() -> dict:
     header = cpu_header()
-    skip_parallel = parallel_skip_block()
     results = {}
     rows = []
     for name in DATASETS:
-        stats = _bench_workload(name, skip_parallel)
-        par = stats["parallel"]
+        stats = _bench_workload(name)
         buffered = stats["buffered"]
         rows.append(
             (
@@ -299,18 +254,15 @@ def run_benchmark() -> dict:
                 round(stats["scalar_rps"], 0),
                 round(stats["batch_rps"], 0),
                 round(stats["speedup"], 1),
-                round(par["2"]["batch_rps"], 0) if "2" in par else "skipped",
-                round(par["4"]["batch_rps"], 0) if "4" in par else "skipped",
                 round(buffered["coalesce"]["buffered_rps"], 0),
                 round(buffered["coalesce"]["speedup_vs_scalar"], 1),
             )
         )
         results[name] = stats
     payload = {
-        "schema": "bench_ingest_throughput/v4",
+        "schema": "bench_ingest_throughput/v5",
         "scale": harness.bench_scale(),
         **header,
-        "workers": list(WORKER_WIDTHS),
         "buffer_window": BUFFER_WINDOW,
         "shape": {"width": WIDTH, "depth": DEPTH, "delta": DELTA},
         "workloads": results,
@@ -325,8 +277,6 @@ def run_benchmark() -> dict:
             "scalar rec/s",
             "batch rec/s",
             "speedup",
-            "2-worker rec/s",
-            "4-worker rec/s",
             "coalesced rec/s",
             "coalesced speedup",
         ],
@@ -355,26 +305,6 @@ def test_ingest_throughput(benchmark):
             f"{name}: coalesced ingest only {got:.1f}x over the scalar "
             f"loop (floor {BUFFERED_FLOOR[name]}x)"
         )
-        parallel = stats["parallel"]
-        if "skipped" in parallel:
-            # Small host: the skip block must be explicit, not ratios.
-            assert parallel["skipped"] == "cpus < 4", parallel
-            continue
-        for workers in WORKER_WIDTHS:
-            assert parallel[str(workers)]["equal"]
-    # Parallel scaling floor only binds where the cores exist to scale
-    # onto; elsewhere the skip block above already documented why (and a
-    # forced run on a small host records numbers without gating them).
-    measured = "skipped" not in payload["workloads"][DATASETS[0]]["parallel"]
-    if measured and effective_cpus() >= 4:
-        for name in PARALLEL_FLOOR_DATASETS:
-            got = payload["workloads"][name]["parallel"]["4"][
-                "speedup_vs_batch"
-            ]
-            assert got >= PARALLEL_FLOOR, (
-                f"{name}: 4-worker ingest only {got:.1f}x over the "
-                f"serial batch path (floor {PARALLEL_FLOOR}x)"
-            )
 
 
 if __name__ == "__main__":

@@ -19,11 +19,6 @@ import pytest
 #: The paper's three workloads (Section 6.1).
 DATASETS = ("Zipf_3", "ClientID", "ObjectID")
 
-#: Cores a parallel measurement needs before its ratios mean anything:
-#: below this, forked workers time-slice one core and the "speedup" is
-#: pure orchestration overhead.
-PARALLEL_MIN_CPUS = 4
-
 
 def cpu_header() -> dict:
     """CPU facts stamped into every ``BENCH_*.json`` header.
@@ -31,39 +26,13 @@ def cpu_header() -> dict:
     ``cpus`` is the machine's core count; ``cpu_affinity`` is the set of
     cores this process may actually run on (containers and taskset often
     hand out fewer than the machine has), or ``None`` where the platform
-    has no affinity API.  Consumers judging parallel ratios should trust
-    the affinity width over the raw core count.
+    has no affinity API.
     """
     try:
         affinity: list[int] | None = sorted(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         affinity = None
     return {"cpus": os.cpu_count(), "cpu_affinity": affinity}
-
-
-def effective_cpus() -> int:
-    """Cores actually available to this process (affinity-aware)."""
-    header = cpu_header()
-    if header["cpu_affinity"]:
-        return len(header["cpu_affinity"])
-    return header["cpus"] or 1
-
-
-def parallel_skip_block(minimum: int = PARALLEL_MIN_CPUS) -> dict | None:
-    """The explicit skip block parallel benches emit on small hosts.
-
-    Returns ``None`` when the host has enough cores to measure parallel
-    scaling honestly; otherwise a ``{"skipped": "cpus < N", ...}`` block
-    that replaces the ratios — a recorded 0.4x "speedup" from a 1-core
-    container reads like a regression when it is really just time-slicing.
-    Set ``REPRO_BENCH_FORCE_PARALLEL=1`` to measure anyway.
-    """
-    if os.environ.get("REPRO_BENCH_FORCE_PARALLEL") == "1":
-        return None
-    cores = effective_cpus()
-    if cores >= minimum:
-        return None
-    return {"skipped": f"cpus < {minimum}", "effective_cpus": cores}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

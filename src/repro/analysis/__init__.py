@@ -4,13 +4,13 @@ Three layers:
 
 * :mod:`repro.analysis.sketchlint` — the analyzer driver.  Module rules
   (SL001..SL007 and SL010, :mod:`~repro.analysis.rules`) are per-file
-  AST visitors; project rules (SL012..SL018,
+  AST visitors; project rules (SL012, SL014, SL016, SL018,
   :mod:`~repro.analysis.interproc`) run over a whole-program symbol
   table, call graph and dataflow summaries
   (:mod:`~repro.analysis.symbols`, :mod:`~repro.analysis.callgraph`,
   :mod:`~repro.analysis.dataflow`) and see through helper wrappers:
-  durability escapes, fork-shared mutable state, contract-coverage
-  gaps, unpropagated RNG state.  Run it with
+  durability escapes, contract-coverage gaps, swallowed durability
+  errors, update-buffer bypasses.  Run it with
   ``python -m repro.analysis src`` or ``repro lint``; ``--format
   sarif`` and ``--baseline`` serve the CI gate.
 * :mod:`repro.analysis.contracts` — a runtime contract layer (decorators

@@ -367,40 +367,6 @@ class Project:
         return []
 
     # ------------------------------------------------------------------ #
-    # Shipped-callable resolution (fork dispatch arguments)
-    # ------------------------------------------------------------------ #
-
-    def resolve_callable(
-        self, fn: FunctionInfo, expr: ast.expr
-    ) -> list[FunctionInfo]:
-        """Resolve a callable *expression* (a fork-dispatch argument)."""
-        if isinstance(expr, ast.Lambda):
-            found = self.symbols.functions.get(
-                f"{fn.qualname}.<lambda:{expr.lineno}>"
-            )
-            return [found] if found is not None else []
-        if isinstance(expr, ast.Name):
-            return self._resolve_name(fn, expr.id)
-        chain = _attr_chain(expr)
-        if chain is not None and chain[0] == "self" and len(chain) == 2:
-            cls = self._class_of(fn)
-            if cls is not None:
-                found = self._resolve_in_class(cls, chain[1], virtual=True)
-                if found:
-                    return found
-        if chain is not None and len(chain) >= 2:
-            module = self.module_of(fn)
-            if module is not None:
-                target = module.imports.get(chain[0])
-                if target is not None:
-                    resolved = self.symbols.resolve_dotted(
-                        ".".join([target, *chain[1:]])
-                    )
-                    if isinstance(resolved, FunctionInfo):
-                        return [resolved]
-        return []
-
-    # ------------------------------------------------------------------ #
     # Reachability
     # ------------------------------------------------------------------ #
 

@@ -2,16 +2,13 @@
 
 For each function the symbol table indexes, :func:`summarize` computes a
 :class:`DataflowSummary`: which names the function binds locally, which
-free (module-level or closure) names it reads and writes, which
-receivers it *mutates* (attribute/subscript assignment or a mutating
-method call), which ``self`` attributes it reads and mutates, whether it
-touches an RNG, and simple local type bindings (``x = ClassName(...)``)
-that the call-graph builder uses to resolve method receivers.
+``self`` attributes it reads, and simple local type bindings
+(``x = ClassName(...)``) that the call-graph builder uses to resolve
+method receivers.
 
 The pass is deliberately flow-insensitive — a single set union over the
-function body — because the interprocedural rules built on it (SL012,
-SL013, SL015) need reachability-grade answers ("could this callee
-mutate shared state?"), not path-sensitive proofs.  Nested function and
+function body — because the call graph built on it needs
+reachability-grade answers, not path-sensitive proofs.  Nested function and
 lambda bodies are *excluded* from their parent's summary: each nested
 scope is its own symbol-table entry, and closures are linked through
 :attr:`DataflowSummary.captured` instead.
@@ -53,18 +50,8 @@ class DataflowSummary:
 
     #: names bound in this scope (params, assignments, nested defs, ...)
     bound: frozenset[str] = frozenset()
-    #: free names read (module globals, closure captures, builtins removed)
-    free_reads: frozenset[str] = frozenset()
-    #: free names rebound (``global x; x = ...`` or augmented assignment)
-    free_writes: frozenset[str] = frozenset()
-    #: free names whose object is mutated (``x.append(...)``, ``x[k] = v``)
-    free_mutations: frozenset[str] = frozenset()
     #: attributes read from ``self``
     self_reads: frozenset[str] = frozenset()
-    #: attributes of ``self`` that are assigned or mutated
-    self_mutations: frozenset[str] = frozenset()
-    #: any ``*rng*``-named value read or called
-    touches_rng: bool = False
     #: local name -> bare class name from ``x = ClassName(...)`` bindings
     local_types: dict[str, str] = field(default_factory=dict)
     #: names of functions/lambdas defined in this scope
@@ -73,30 +60,15 @@ class DataflowSummary:
     captured: frozenset[str] = frozenset()
 
 
-def _attr_root(node: ast.expr) -> tuple[str | None, str | None]:
-    """``(root_name, first_attr)`` of an attribute chain, if rooted at a Name.
+def _attr_root(node: ast.expr) -> str | None:
+    """Root name of an attribute chain, if rooted at a Name.
 
-    ``self._shards[k].x`` -> ("self", "_shards"); ``conn.send`` ->
-    ("conn", "send"); anything not rooted at a plain name -> (None, None).
+    ``self._shards[k].x`` -> "self"; ``conn.send`` -> "conn"; anything
+    not rooted at a plain name -> None.
     """
-    attrs: list[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            break
-    if isinstance(node, ast.Name):
-        return node.id, (attrs[-1] if attrs else None)
-    return None, None
-
-
-def _is_rng_name(name: str) -> bool:
-    return "rng" in name.lower()
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 class _ScopeVisitor(ast.NodeVisitor):
@@ -109,9 +81,7 @@ class _ScopeVisitor(ast.NodeVisitor):
         self.writes: set[str] = set()
         self.mutations: set[str] = set()
         self.self_reads: set[str] = set()
-        self.self_mutations: set[str] = set()
         self.globals_decl: set[str] = set()
-        self.touches_rng = False
         self.local_types: dict[str, str] = {}
         self.nested: set[str] = set()
         self.nested_nodes: list[ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda] = []
@@ -173,12 +143,8 @@ class _ScopeVisitor(ast.NodeVisitor):
                 self.bound.add(node.id)
         else:
             self.reads.add(node.id)
-        if _is_rng_name(node.id):
-            self.touches_rng = True
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if _is_rng_name(node.attr):
-            self.touches_rng = True
         if (
             isinstance(node.value, ast.Name)
             and node.value.id == "self"
@@ -229,23 +195,14 @@ class _ScopeVisitor(ast.NodeVisitor):
                 self.local_types[targets[0].id] = name
 
     def _mutate_target(self, node: ast.expr) -> None:
-        root, attr = _attr_root(node)
-        if root is None:
-            return
-        if root == "self":
-            if attr is not None:
-                self.self_mutations.add(attr)
-        else:
+        root = _attr_root(node)
+        if root is not None and root != "self":
             self.mutations.add(root)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
-            root, attr = _attr_root(func.value)
-            if root == "self" and attr is not None:
-                self.self_mutations.add(attr)
-            elif root is not None and root != "self":
-                self.mutations.add(root)
+            self._mutate_target(func.value)
         self.generic_visit(node)
 
 
@@ -266,7 +223,7 @@ def _scope_params(node: ast.AST) -> set[str]:
 
 def free_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
     """Free (unbound) names a function scope references, nested scopes
-    included — the closure footprint a fork ships along with the code."""
+    included — the closure footprint of a nested scope."""
     visitor = _ScopeVisitor(node)
     visitor.visit(node)
     bound = visitor.bound | _scope_params(node)
@@ -286,15 +243,9 @@ def summarize(
     captured: set[str] = set()
     for nested in visitor.nested_nodes:
         captured |= free_names(nested) & bound
-    strip = _BUILTIN_NAMES
     return DataflowSummary(
         bound=frozenset(bound),
-        free_reads=frozenset(visitor.reads - bound - strip),
-        free_writes=frozenset(visitor.writes - strip),
-        free_mutations=frozenset(visitor.mutations - bound - strip),
         self_reads=frozenset(visitor.self_reads),
-        self_mutations=frozenset(visitor.self_mutations),
-        touches_rng=visitor.touches_rng,
         local_types=dict(visitor.local_types),
         nested=frozenset(visitor.nested),
         captured=frozenset(captured),

@@ -12,8 +12,8 @@ Two engines share one driver:
   table, call graph and dataflow summaries
   (:mod:`repro.analysis.symbols` / :mod:`~repro.analysis.callgraph` /
   :mod:`~repro.analysis.dataflow`), which see through helper wrappers
-  and across modules: durability escapes, fork-shared mutable state,
-  contract-coverage gaps, unpropagated RNG state.
+  and across modules: durability escapes, contract-coverage gaps,
+  swallowed durability errors, update-buffer bypasses.
 
 Suppression is per line::
 

@@ -3,9 +3,8 @@
 The whole-program half of sketchlint starts here.  A
 :class:`SymbolTable` indexes every parsed module of an analysis run —
 module-level functions, classes and their methods (including nested
-functions and lambdas, which is where fork-shipped closures live), the
-import alias table of each module, and the module-level mutable globals
-that the fork-safety analysis cares about.  The call-graph builder
+functions and lambdas), and the import alias table of each module.
+The call-graph builder
 (:mod:`repro.analysis.callgraph`) resolves call sites against this
 table; the dataflow pass (:mod:`repro.analysis.dataflow`) summarizes
 the function bodies it indexes.
@@ -20,19 +19,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-
-#: Module-level calls whose result is a mutable container.
-_MUTABLE_FACTORIES = {
-    "list",
-    "dict",
-    "set",
-    "bytearray",
-    "defaultdict",
-    "deque",
-    "Counter",
-    "OrderedDict",
-}
-
 
 def module_name_for_path(path: str) -> str:
     """Derive a dotted module name from a (POSIX) file path.
@@ -132,27 +118,6 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level variable name -> looks mutable (list/dict/set/...).
-    global_vars: dict[str, bool] = field(default_factory=dict)
-
-    def mutable_globals(self) -> set[str]:
-        """Names of module-level variables bound to mutable containers."""
-        return {name for name, mutable in self.global_vars.items() if mutable}
-
-
-def _is_mutable_value(node: ast.expr) -> bool:
-    if isinstance(
-        node,
-        (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-    ):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        return name in _MUTABLE_FACTORIES
-    return False
 
 
 def _resolve_relative(module: str, target: str | None, level: int) -> str:
@@ -247,7 +212,6 @@ class SymbolTable:
         info = ModuleInfo(path=path, name=name, tree=tree, source=source)
         self.modules[name] = info
         self._collect_imports(info)
-        self._collect_globals(info)
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, stmt, cls=None, parent=None)
@@ -282,22 +246,6 @@ class SymbolTable:
                     local = alias.asname or alias.name
                     info.imports[local] = (
                         f"{base}.{alias.name}" if base else alias.name
-                    )
-
-    def _collect_globals(self, info: ModuleInfo) -> None:
-        for stmt in info.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets, value = [stmt.target], stmt.value
-            elif isinstance(stmt, ast.AugAssign):
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    info.global_vars[target.id] = (
-                        value is not None and _is_mutable_value(value)
                     )
 
     def _add_function(

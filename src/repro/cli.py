@@ -186,7 +186,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             args.directory,
             policy=policy,
             checkpoint_every=args.checkpoint_every,
-            workers=args.workers,
             buffer_window=args.buffer_window,
             buffer_mode=args.buffer_mode,
         )
@@ -211,7 +210,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             store,
             policy=policy,
             checkpoint_every=args.checkpoint_every,
-            workers=args.workers,
             buffer_window=args.buffer_window,
             buffer_mode=args.buffer_mode,
         )
@@ -528,14 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--width", type=int, default=2048)
     ingest.add_argument("--depth", type=int, default=5)
     ingest.add_argument("--seed", type=int, default=0)
-    ingest.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker-pool width for parallel batch plans (with "
-        "--batch-size; output is bit-identical to serial)",
-    )
     ingest.add_argument(
         "--buffer-window",
         type=int,

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.analysis import contracts
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
-from repro.parallel import IngestError, WorkerPool, fork_available
 from repro.streams.model import Stream
 from repro.streams.records import INT64_LIMIT
 
@@ -29,7 +28,6 @@ if TYPE_CHECKING:  # repro.engine depends on repro.core; import lazily.
         FrozenHeavyHitters,
         FrozenPWCAMS,
     )
-    from repro.parallel.pool import WorkerHandler
 
 #: Longest validated run that replays through the scalar ``_ingest``
 #: reference instead of the sketch's columnar plan.  The plan's cost is
@@ -45,46 +43,22 @@ def _item_domain_error(item: int) -> ValueError:
     return ValueError(f"item must lie in [0, 2**63), got {item}")
 
 
+def _int64_column(values: Any, name: str) -> np.ndarray:
+    """``values`` as an int64 column; :class:`ValueError` if one of them
+    does not fit (numpy raises a bare ``OverflowError``)."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in int64") from None
+
+
 class PersistentSketch(ABC):
-    """Base class: clock management, bulk ingest, worker-pool lifecycle.
+    """Base class: clock management, bulk ingest, the update buffer."""
 
-    With ``workers > 1`` a sketch that supports partition-parallel
-    ingestion (:meth:`_parallel_supported`) routes every validated batch
-    to a pool of forked workers, each *owning* a fixed partition of the
-    sketch's independent state (hash rows, time shards, dyadic levels)
-    for the life of the pool.  Worker state is merged back lazily: any
-    query, freeze, serialization or scalar update first drains the pool
-    (:meth:`_ensure_synced` / :meth:`detach_workers`), so callers never
-    observe a half-merged sketch and parallel output stays bit-identical
-    to serial.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self) -> None:
         self._clock = 0
-        self._workers = int(workers)
-        self._pool: WorkerPool | None = None
-        self._pool_stale = False
-        self._pool_broken = False
         self._buffer: UpdateBuffer | None = None
         self._buffer_flushing = False
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool width used for parallel batch plans (1 = serial)."""
-        return self._workers
-
-    def set_workers(self, workers: int) -> None:
-        """Change the pool width; takes effect on the next batch.
-
-        Drains and retires any live pool first, so resizing never loses
-        updates and is safe at any point between batches.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.detach_workers()
-        self._workers = int(workers)
 
     @property
     def now(self) -> int:
@@ -121,9 +95,9 @@ class PersistentSketch(ABC):
     def flush_buffer(self) -> None:
         """Feed staged buffered updates through the normal batch plan.
 
-        Every query, freeze, serialization or worker drain funnels
-        through here (via :meth:`_ensure_synced`), so callers never
-        observe a sketch that lags its absorbed stream.  The sketch
+        Every query, finalize, freeze, serialization and shard expiry
+        calls this first, so callers never observe a sketch that lags
+        its absorbed stream.  The sketch
         clock is *not* rewound by the replayed tail: absorbed updates
         already advanced it at absorption time.
         """
@@ -154,13 +128,15 @@ class PersistentSketch(ABC):
             (:class:`ValueError` otherwise, before any state is touched).
         count:
             Frequency change; ``+1`` in the cash-register model, ``+/-1``
-            in the turnstile model.
+            in the turnstile model.  Must fit in int64.
         time:
-            Integer timestamp, strictly greater than all previous ones.
-            Auto-incremented when omitted.
+            Integer timestamp, strictly greater than all previous ones
+            and below ``2**63``.  Auto-incremented when omitted.
         """
         if not 0 <= item < INT64_LIMIT:
             raise _item_domain_error(item)
+        if not -INT64_LIMIT <= count < INT64_LIMIT:
+            raise ValueError(f"count must fit in int64, got {count}")
         if time is None:
             time = self._clock + 1
         elif time <= self._clock:
@@ -168,17 +144,14 @@ class PersistentSketch(ABC):
                 f"timestamps must be strictly increasing: {time} <= "
                 f"{self._clock}"
             )
+        if time >= INT64_LIMIT:
+            raise ValueError(f"time must fit in int64, got {time}")
         if self._buffer is not None:
-            # Buffered absorption touches no sketch state, so the pool
-            # can stay attached; the eventual flush goes through the
-            # same batch dispatch a direct batch would.
+            # The eventual flush goes through the same batch dispatch a
+            # direct batch would.
             self._buffer.absorb_scalar(time, item, count, self._apply_batch)
             self._clock = time
             return
-        # Scalar updates mutate master-side state the forked workers can
-        # never see; merge and retire any pool first so the next parallel
-        # batch re-forks from the post-update state.
-        self.detach_workers()
         # Apply before advancing the clock: a rejected update (bad item,
         # turnstile violation, ...) must not leave the clock pointing at
         # a time no structure ever recorded, or every later default-
@@ -212,9 +185,10 @@ class PersistentSketch(ABC):
     ) -> None:
         """Ingest a column of updates at once.
 
-        Validates the whole batch up front — equal lengths, items in
-        ``[0, 2**63)`` and first time beyond the clock
-        (:class:`ValueError`, as scalar :meth:`update` raises), strictly
+        Validates the whole batch up front — equal lengths, times and
+        counts that fit in int64, items in ``[0, 2**63)`` and first time
+        beyond the clock (:class:`ValueError`, as scalar :meth:`update`
+        raises), strictly
         increasing times inside the batch
         (:class:`~repro.analysis.contracts.ContractViolation`) — then
         hands the columns to :meth:`_apply_batch`: runs of at most
@@ -224,16 +198,13 @@ class PersistentSketch(ABC):
         either way; no state is touched when validation fails.
         ``counts`` defaults to all-ones (the cash-register model).
         """
-        times = np.asarray(times, dtype=np.int64)
-        try:
-            items = np.asarray(items, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("items must lie in [0, 2**63)") from None
+        times = _int64_column(times, "times")
+        items = _int64_column(items, "items")
         n = times.shape[0]
         if counts is None:
             counts = np.ones(n, dtype=np.int64)
         else:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = _int64_column(counts, "counts")
         if items.shape[0] != n or counts.shape[0] != n:
             raise ValueError(
                 "times, items and counts must have equal lengths, got "
@@ -267,8 +238,8 @@ class PersistentSketch(ABC):
     def _apply_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Dispatch one validated batch to the pool, the scalar
-        reference or the columnar plan.
+        """Dispatch one validated batch to the scalar reference or the
+        columnar plan.
 
         The single hand-off point below the buffer tier: unbuffered
         batches come straight from :meth:`ingest_batch`, buffered ones
@@ -276,151 +247,32 @@ class PersistentSketch(ABC):
         is what makes exact-mode buffering bit-identical to unbuffered
         ingestion (chunk boundaries are invisible to every route).
 
-        A pool, when configured, takes every batch: forked workers own
-        state the master cannot see.  Otherwise runs of at most
-        ``_SCALAR_RUN_MAX`` records replay record by record through
-        :meth:`PersistentSketch._ingest_batch`, after the plan's
-        up-front content checks (:meth:`_prevalidate_batch`), so a
-        rejected short run still touches no state.  Longer runs go
+        Runs of at most ``_SCALAR_RUN_MAX`` records replay record by
+        record through :meth:`PersistentSketch._ingest_batch`, after the
+        plan's up-front content checks (:meth:`_prevalidate_batch`), so
+        a rejected short run still touches no state.  Longer runs go
         through the sketch's columnar :meth:`_ingest_batch`.
         """
-        if (
-            self._workers > 1
-            and self._parallel_supported()
-            and fork_available()
-        ):
-            self._ingest_batch_via_pool(times, items, counts)
-        elif times.shape[0] <= _SCALAR_RUN_MAX:
+        if times.shape[0] <= _SCALAR_RUN_MAX:
             self._prevalidate_batch(times, items, counts)
             PersistentSketch._ingest_batch(self, times, items, counts)
         else:
             self._ingest_batch(times, items, counts)
-
-    # ------------------------------------------------------------------ #
-    # Worker-pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        """Whether this sketch type has a partition-parallel batch plan."""
-        return False
-
-    def _worker_handler(self, index: int, nworkers: int) -> WorkerHandler:
-        """Build worker ``index``'s handler *inside* the forked child.
-
-        ``self`` here is the fork-inherited copy of the master, so the
-        handler can take ownership of its partition's live state without
-        any serialization cost.
-        """
-        raise NotImplementedError
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        """Partition one validated batch and feed it to the pool."""
-        raise NotImplementedError
-
-    def _install_worker_states(self, states: list[Any]) -> None:
-        """Merge every worker's collected partition state into master."""
-        raise NotImplementedError
 
     def _prevalidate_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
         """Content checks a columnar plan performs before touching state.
 
-        Runs before the scalar short-run replay and before the parallel
-        dispatch's poison scope, so a batch the columnar plan would
-        reject cleanly (bad item, expired shard) is rejected just as
-        cleanly on both — no record is applied, no worker sees it and
-        the sketch stays usable.
+        Runs before the scalar short-run replay, so a batch the columnar
+        plan would reject cleanly (bad item) is rejected just as cleanly
+        there: no record is applied and the sketch stays usable.
         """
-
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(self._workers, self._worker_handler)
-        return self._pool
-
-    def _ingest_batch_via_pool(
-        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
-    ) -> None:
-        if self._pool_broken:
-            raise IngestError(
-                "parallel workers previously failed with unmerged updates; "
-                "rebuild the sketch (e.g. recover from the WAL)"
-            )
-        self._prevalidate_batch(times, items, counts)
-        try:
-            pool = self._ensure_pool()
-            self._ingest_batch_parallel(times, items, counts, pool)
-        except BaseException:
-            # The batch may be half-applied across workers and the
-            # master's RNG/counter side may have advanced: poison the
-            # sketch so queries refuse stale answers.  A durable
-            # front-end (the runtime WAL) replays everything on recovery.
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close(terminate=True)
-            self._pool_broken = True
-            raise
-        self._pool_stale = True
-
-    def _ensure_synced(self) -> None:
-        """Flush the buffer tier and merge outstanding worker state.
-
-        The buffer flush comes first: a flush may itself feed the pool,
-        and the collect below then drains exactly what it produced.
-        After this returns, master state reflects every absorbed update
-        (the pool stays alive for the next batch).
-        """
-        self.flush_buffer()
-        if self._pool_broken:
-            raise IngestError(
-                "parallel workers died with unmerged updates; the sketch "
-                "refuses to serve stale answers — recover from the WAL"
-            )
-        if not self._pool_stale:
-            return
-        pool = self._pool
-        if pool is None or pool.closed:
-            self._pool_broken = True
-            raise IngestError(
-                "worker pool vanished with unmerged updates; recover "
-                "from the WAL"
-            )
-        try:
-            self._install_worker_states(pool.collect())
-        except BaseException:
-            self._pool = None
-            self._pool_broken = True
-            pool.close(terminate=True)
-            raise
-        self._pool_stale = False
-
-    def detach_workers(self) -> None:
-        """Merge worker state and retire the pool (re-forked on demand).
-
-        Required before any master-side mutation a forked worker cannot
-        observe: scalar updates, finalize, freeze, serialization, shard
-        expiry.  A no-op for serial sketches.
-        """
-        try:
-            self._ensure_synced()
-        finally:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close()
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pipes and child processes cannot cross pickle; drain first so
-        # the pickled state is complete, then drop the pool itself.
-        self.detach_workers()
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        return state
+        # Flush first so the pickled state is complete.
+        self.flush_buffer()
+        return dict(self.__dict__)
 
     def _ingest_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
@@ -468,9 +320,9 @@ class PersistentSketch(ABC):
         return freeze(self)
 
     def _resolve_window(self, s: float, t: float | None) -> tuple[float, float]:
-        # Every query funnels through here: merge any outstanding worker
-        # state first so answers never lag the ingested stream.
-        self._ensure_synced()
+        # Every query funnels through here: flush staged updates first so
+        # answers never lag the ingested stream.
+        self.flush_buffer()
         if t is None:
             t = self._clock
         elif t > self._clock:

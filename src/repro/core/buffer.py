@@ -76,8 +76,8 @@ class UpdateBuffer:
     """Coalescing front tier for one sketch's validated update columns.
 
     The buffer never touches sketch state itself: every flush hands a
-    time-ordered update batch to ``apply`` (the sketch's serial-or-pool
-    batch dispatch), which is exactly the path unbuffered batches take.
+    time-ordered update batch to ``apply`` (the sketch's batch
+    dispatch), which is exactly the path unbuffered batches take.
     Callers guarantee absorbed columns are already validated (equal
     lengths, strictly increasing times beyond the sketch clock) —
     the buffer preserves absorption order, so concatenated staged

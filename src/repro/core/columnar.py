@@ -16,11 +16,10 @@ thin wrapper over the sketch-level API.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from repro.parallel.pool import WorkerPool
 from repro.persistence.tracker import CounterTracker
 
 #: Update-weighted mean run length (``sum(c_i^2) / n`` over the row's
@@ -234,82 +233,3 @@ def _feed_row_scalar(
             trackers[col] = tracker
         tracker.feed(t, value)
 
-
-# --------------------------------------------------------------------- #
-# Row-parallel execution (PersistentCountMin / PWCAMS family)
-# --------------------------------------------------------------------- #
-
-
-class TrackedRowWorker:
-    """Forked worker owning hash rows ``index, index + n, ...``.
-
-    Lives inside a child process of a
-    :class:`~repro.parallel.pool.WorkerPool`; ``counters`` and
-    ``trackers`` are the fork-inherited master lists, of which only the
-    owned rows are ever touched or shipped back.
-    """
-
-    def __init__(
-        self,
-        counters: list[list[int]],
-        trackers: list[dict[int, CounterTracker]],
-        make_tracker: Callable[[], CounterTracker],
-        index: int,
-        nworkers: int,
-    ) -> None:
-        self._counters = counters
-        self._trackers = trackers
-        self._make_tracker = make_tracker
-        self._rows = list(range(index, len(counters), nworkers))
-
-    def feed(self, payload: tuple[np.ndarray, dict[int, Any]]) -> None:
-        """Apply ``(times, {row: (row_cols, row_counts)})`` to owned rows."""
-        times, rows = payload
-        for row, (row_cols, row_counts) in rows.items():
-            feed_tracked_row(
-                self._counters[row],
-                self._trackers[row],
-                row_cols,
-                times,
-                row_counts,
-                self._make_tracker,
-            )
-
-    def collect(self) -> list[tuple[int, list[int], dict[int, CounterTracker]]]:
-        """Ship every owned row's counters and trackers back to master."""
-        return [
-            (row, self._counters[row], self._trackers[row])
-            for row in self._rows
-        ]
-
-
-def feed_rows_parallel(
-    pool: WorkerPool,
-    times: np.ndarray,
-    row_payloads: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Stride-partition per-row ``(cols, counts)`` payloads over the pool.
-
-    Worker ``i`` receives exactly the rows it owns (``row % nworkers ==
-    i``), mirroring :class:`TrackedRowWorker`'s ownership rule.
-    """
-    payloads = []
-    for index in range(pool.nworkers):
-        rows = {
-            row: row_payloads[row]
-            for row in range(index, len(row_payloads), pool.nworkers)
-        }
-        payloads.append((times, rows))
-    pool.feed(payloads)
-
-
-def install_row_states(
-    counters: list[list[int]],
-    trackers: list[dict[int, CounterTracker]],
-    states: list[list[tuple[int, list[int], dict[int, CounterTracker]]]],
-) -> None:
-    """Merge collected per-row worker states back into the master lists."""
-    for state in states:
-        for row, row_counters, row_trackers in state:
-            counters[row] = row_counters
-            trackers[row] = row_trackers

@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.base import PersistentSketch
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.hashing.families import IdentityHashFamily
-from repro.parallel.pool import WorkerPool
 from repro.persistence.tracker import PLATracker
 
 
@@ -35,34 +34,6 @@ def check_universe(items: np.ndarray, universe: int) -> None:
     if bad.any():
         offender = int(items[int(np.argmax(bad))])
         raise ValueError(f"item {offender} outside universe [0, {universe})")
-
-
-class _LevelWorker:
-    """Forked worker owning dyadic levels ``index, index + n, ...``.
-
-    Each feed broadcasts the raw batch columns; the worker shifts items
-    to its owned levels' granularity locally (cheaper than shipping a
-    shifted copy per level) and drives the owned level sketches' own
-    batch plans.  The master keeps the mass tracker: it is a single
-    tracker, inherently serial, and cheap."""
-
-    def __init__(
-        self, structure: PersistentHeavyHitters, index: int, nworkers: int
-    ) -> None:
-        self._structure = structure
-        self._levels = list(range(index, len(structure._sketches), nworkers))
-
-    def feed(self, payload: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        times, items, counts = payload
-        for level in self._levels:
-            self._structure._sketches[level].ingest_batch(
-                times, items >> level, counts
-            )
-
-    def collect(self) -> list[tuple[int, PersistentSketch]]:
-        return [
-            (level, self._structure._sketches[level]) for level in self._levels
-        ]
 
 
 class PersistentHeavyHitters(PersistentSketch):
@@ -100,9 +71,8 @@ class PersistentHeavyHitters(PersistentSketch):
         seed: int = 0,
         sketch_factory: Callable[..., PersistentSketch] | None = None,
         exact_small_levels: bool = True,
-        workers: int = 1,
     ):
-        super().__init__(workers=workers)
+        super().__init__()
         if universe < 2:
             raise ValueError(f"universe must be >= 2, got {universe}")
         self.universe = universe
@@ -164,40 +134,13 @@ class PersistentHeavyHitters(PersistentSketch):
         self._mass.feed_many(times.tolist(), totals.tolist())
         self._mass_total = int(totals[-1])
 
-    # ------------------------------------------------------------------ #
-    # Level-parallel plan (levels are disjoint sub-sketches)
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        return True
-
-    def _worker_handler(self, index: int, nworkers: int) -> _LevelWorker:
-        return _LevelWorker(self, index, nworkers)
-
     def _prevalidate_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
         # Same up-front validation as the columnar plan: a bad item must
         # reject the batch before the scalar replay applies the records
-        # ahead of it, or before any worker state is touched.
+        # ahead of it.
         check_universe(items, self.universe)
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        pool.feed([(times, items, counts)] * pool.nworkers)
-        totals = self._mass_total + np.cumsum(counts)
-        self._mass.feed_many(times.tolist(), totals.tolist())
-        self._mass_total = int(totals[-1])
-
-    def _install_worker_states(self, states: list) -> None:
-        for state in states:
-            for level, sketch in state:
-                self._sketches[level] = sketch
 
     def finalize(self) -> None:
         """Flush open PLA runs in every level sketch and the mass tracker.
@@ -205,7 +148,7 @@ class PersistentHeavyHitters(PersistentSketch):
         Optional for live queries; required (and done automatically) by
         ``freeze()`` before exporting columnar history arrays.
         """
-        self.detach_workers()
+        self.flush_buffer()
         for sketch in self._sketches:
             finalize = getattr(sketch, "finalize", None)
             if finalize is not None:
@@ -322,7 +265,7 @@ class PersistentHeavyHitters(PersistentSketch):
         return ranked[:k]
 
     def persistence_words(self) -> int:
-        self._ensure_synced()
+        self.flush_buffer()
         return (
             sum(sketch.persistence_words() for sketch in self._sketches)
             + self._mass.words()

@@ -29,7 +29,6 @@ from repro.analysis import contracts
 from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
-from repro.parallel.pool import WorkerPool
 from repro.persistence.history_list import SampledHistoryList
 from repro.persistence.sampling import bulk_uniforms
 from repro.persistence.timeline import TimelineIndex
@@ -51,9 +50,7 @@ def _feed_sampled_row(
 
     ``uniforms_row`` holds this row's slice of the sketch-RNG draw
     sequence, in update order, shape ``(m, copies)`` — acceptance is a
-    pure function of it, so the caller may run rows in any process.  The
-    row body is shared verbatim by the serial plan and the row-parallel
-    workers; bit-equality between the two is equality of inputs.
+    pure function of it.
     """
     keys = row_cols * 2 + b_flags
     order = np.argsort(keys, kind="stable")
@@ -89,44 +86,6 @@ def _feed_sampled_row(
         components[col][b] = values_list[hi - 1]
 
 
-class _SampledRowWorker:
-    """Forked worker owning hash rows ``index, index + n, ...`` of a
-    sampled AMS sketch.  Never draws randomness itself: every uniform is
-    pre-drawn by the master's RNG and shipped in the payload, so the
-    sample sets are bit-identical to serial regardless of worker count."""
-
-    def __init__(self, sketch: PersistentAMS, index: int, nworkers: int) -> None:
-        self._sketch = sketch
-        self._rows = list(range(index, sketch.depth, nworkers))
-
-    def feed(
-        self,
-        payload: tuple[np.ndarray, np.ndarray, dict[int, tuple]],
-    ) -> None:
-        a_times, a_mags, rows = payload
-        sketch = self._sketch
-        for row, (row_cols, b_flags, uniforms_row) in rows.items():
-            _feed_sampled_row(
-                sketch._components[row],
-                sketch._histories[row],
-                row_cols,
-                b_flags,
-                a_times,
-                a_mags,
-                uniforms_row,
-                sketch.probability,
-                sketch.copies,
-                sketch._rng,
-            )
-
-    def collect(self) -> list[tuple]:
-        sketch = self._sketch
-        return [
-            (row, sketch._components[row], sketch._histories[row])
-            for row in self._rows
-        ]
-
-
 class PersistentAMS(PersistentSketch):
     """Sampling-based persistent AMS sketch.
 
@@ -159,9 +118,8 @@ class PersistentAMS(PersistentSketch):
         seed: int = 0,
         independent_copies: int = 2,
         sampling_seed: int | None = None,
-        workers: int = 1,
     ):
-        super().__init__(workers=workers)
+        super().__init__()
         if delta < 1:
             raise ValueError(f"delta must be >= 1, got {delta}")
         if independent_copies < 1:
@@ -275,62 +233,6 @@ class PersistentAMS(PersistentSketch):
         self.total += int(counts.sum())
 
     # ------------------------------------------------------------------ #
-    # Row-parallel plan: master pre-draws the full uniform block (its RNG
-    # advances exactly as in the serial plan) and ships each worker the
-    # per-row slices, so acceptance never depends on worker scheduling.
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        return True
-
-    def _worker_handler(self, index: int, nworkers: int) -> _SampledRowWorker:
-        return _SampledRowWorker(self, index, nworkers)
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        magnitudes = np.abs(counts)
-        active = np.flatnonzero(magnitudes > 0)
-        m = int(active.shape[0])
-        if m:
-            a_items = items[active]
-            a_times = times[active]
-            a_mags = magnitudes[active]
-            a_counts = counts[active]
-            columns = self.buckets.buckets_many(a_items)
-            signs = self.signs.signs_many(a_items)
-            uniforms = bulk_uniforms(
-                self._rng, m * self.depth * self.copies
-            ).reshape(m, self.depth, self.copies)
-            payloads = []
-            for index in range(pool.nworkers):
-                rows = {}
-                for row in range(index, self.depth, pool.nworkers):
-                    b_flags = (signs[row] * a_counts > 0).astype(np.int64)
-                    rows[row] = (columns[row], b_flags, uniforms[:, row, :])
-                payloads.append((a_times, a_mags, rows))
-            pool.feed(payloads)
-        self.total += int(counts.sum())
-
-    def _install_worker_states(self, states: list) -> None:
-        for state in states:
-            for row, components, histories_row in state:
-                self._components[row] = components
-                for by_sign in histories_row:
-                    for lists in by_sign:
-                        for history in lists.values():
-                            # Collected lists carry a pickled *copy* of
-                            # the sketch RNG; rewire them to the master's
-                            # single RNG so any later scalar offer draws
-                            # from the exact serial sequence.
-                            history._rng = self._rng
-                self._histories[row] = histories_row
-
-    # ------------------------------------------------------------------ #
     # Counter reconstruction
     # ------------------------------------------------------------------ #
 
@@ -342,7 +244,7 @@ class PersistentAMS(PersistentSketch):
 
     def counter_estimate(self, row: int, col: int, t: float, copy: int = 0) -> float:
         """Unbiased estimate of counter ``C[row][col]`` at time ``t``."""
-        self._ensure_synced()
+        self.flush_buffer()
         if t <= 0:
             return 0.0
         return self._component_at(row, 1, copy, col, t) - self._component_at(
@@ -380,7 +282,7 @@ class PersistentAMS(PersistentSketch):
         calling this method again after further ingest (holistic queries
         issued after new updates silently fall back to binary searches).
         """
-        self._ensure_synced()
+        self.flush_buffer()
         timeline = {}
         for row in range(self.depth):
             for b in range(2):
@@ -479,7 +381,7 @@ class PersistentAMS(PersistentSketch):
                 "join-size estimation requires sketches with identical "
                 "width, depth and hash seed"
             )
-        other._ensure_synced()
+        other.flush_buffer()
         s, t = self._resolve_window(s, t)
         row_estimates = []
         use_timeline = self._timeline_fresh() and other._timeline_fresh()
@@ -517,7 +419,7 @@ class PersistentAMS(PersistentSketch):
     # ------------------------------------------------------------------ #
 
     def persistence_words(self) -> int:
-        self._ensure_synced()
+        self.flush_buffer()
         return sum(
             history.words()
             for row_hist in self._histories

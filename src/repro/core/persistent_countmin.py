@@ -27,7 +27,6 @@ from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig
 from repro.hashing.families import IdentityHashFamily
-from repro.parallel.pool import WorkerPool
 from repro.persistence.tracker import (
     CounterTracker,
     PWCTracker,
@@ -36,8 +35,8 @@ from repro.persistence.tracker import (
 
 
 def _pla_tracker_factory(delta: float, initial_value: float) -> YoungPLATracker:
-    """Default tracker factory; module-level so sketches stay picklable
-    (shard and level sub-sketches cross worker pipes whole).  Returns the
+    """Default tracker factory; module-level so sketches stay picklable.
+    Returns the
     slim young tier: first touch stages one point, the full O'Rourke
     machinery materializes on the second feed — answers are bit-identical
     to an eager :class:`~repro.persistence.tracker.PLATracker` throughout
@@ -80,9 +79,8 @@ class PersistentCountMin(PersistentSketch):
         seed: int = 0,
         tracker_factory: Callable[[float, float], CounterTracker] | None = None,
         hashes: BucketHashFamily | IdentityHashFamily | None = None,
-        workers: int = 1,
     ):
-        super().__init__(workers=workers)
+        super().__init__()
         self.width = width
         self.depth = depth
         self.delta = float(delta)
@@ -137,44 +135,9 @@ class PersistentCountMin(PersistentSketch):
             )
         self.total += int(counts.sum())
 
-    # ------------------------------------------------------------------ #
-    # Row-parallel plan (hash rows evolve independently; Section 3.2)
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        return True
-
-    def _make_tracker(self) -> CounterTracker:
-        return self._tracker_factory(self.delta, 0.0)
-
-    def _worker_handler(
-        self, index: int, nworkers: int
-    ) -> columnar.TrackedRowWorker:
-        return columnar.TrackedRowWorker(
-            self._counters, self._trackers, self._make_tracker, index, nworkers
-        )
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        columns = self.hashes.buckets_many(items)
-        columnar.feed_rows_parallel(
-            pool,
-            times,
-            [(columns[row], counts) for row in range(self.depth)],
-        )
-        self.total += int(counts.sum())
-
-    def _install_worker_states(self, states: list) -> None:
-        columnar.install_row_states(self._counters, self._trackers, states)
-
     def finalize(self) -> None:
         """Flush open PLA runs.  Optional: queries also work mid-stream."""
-        self.detach_workers()
+        self.flush_buffer()
         for trackers in self._trackers:
             for tracker in trackers.values():
                 tracker.finalize()
@@ -185,7 +148,7 @@ class PersistentCountMin(PersistentSketch):
 
     def counter_at(self, row: int, col: int, t: float) -> float:
         """Approximate value of counter ``C[row][col]`` at time ``t``."""
-        self._ensure_synced()
+        self.flush_buffer()
         tracker = self._trackers[row].get(col)
         if tracker is None:
             return 0.0
@@ -232,7 +195,7 @@ class PersistentCountMin(PersistentSketch):
     # ------------------------------------------------------------------ #
 
     def persistence_words(self) -> int:
-        self._ensure_synced()
+        self.flush_buffer()
         return sum(
             tracker.words()
             for trackers in self._trackers
@@ -256,7 +219,6 @@ class PWCCountMin(PersistentCountMin):
         delta: float,
         seed: int = 0,
         hashes: BucketHashFamily | IdentityHashFamily | None = None,
-        workers: int = 1,
     ):
         super().__init__(
             width=width,
@@ -265,5 +227,4 @@ class PWCCountMin(PersistentCountMin):
             seed=seed,
             tracker_factory=_pwc_tracker_factory,
             hashes=hashes,
-            workers=workers,
         )

@@ -17,8 +17,7 @@ import numpy as np
 from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
-from repro.parallel.pool import WorkerPool
-from repro.persistence.tracker import CounterTracker, PWCTracker
+from repro.persistence.tracker import PWCTracker
 
 
 class PWCAMS(PersistentSketch):
@@ -32,9 +31,8 @@ class PWCAMS(PersistentSketch):
         depth: int,
         delta: float,
         seed: int = 0,
-        workers: int = 1,
     ):
-        super().__init__(workers=workers)
+        super().__init__()
         self.width = width
         self.depth = depth
         self.delta = float(delta)
@@ -83,48 +81,9 @@ class PWCAMS(PersistentSketch):
             )
         self.total += int(counts.sum())
 
-    # ------------------------------------------------------------------ #
-    # Row-parallel plan (rows independent given bucket/sign columns)
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        return True
-
-    def _make_tracker(self) -> CounterTracker:
-        return PWCTracker(delta=self.delta, initial_value=0.0)
-
-    def _worker_handler(
-        self, index: int, nworkers: int
-    ) -> columnar.TrackedRowWorker:
-        return columnar.TrackedRowWorker(
-            self._counters, self._trackers, self._make_tracker, index, nworkers
-        )
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        columns = self.buckets.buckets_many(items)
-        signs = self.signs.signs_many(items)
-        columnar.feed_rows_parallel(
-            pool,
-            times,
-            [
-                (columns[row], signs[row] * counts)
-                for row in range(self.depth)
-            ],
-        )
-        self.total += int(counts.sum())
-
-    def _install_worker_states(self, states: list) -> None:
-        columnar.install_row_states(self._counters, self._trackers, states)
-
     def counter_at(self, row: int, col: int, t: float) -> float:
         """Approximate value of counter ``C[row][col]`` at time ``t``."""
-        self._ensure_synced()
+        self.flush_buffer()
         tracker = self._trackers[row].get(col)
         if tracker is None:
             return 0.0
@@ -176,7 +135,7 @@ class PWCAMS(PersistentSketch):
                 "join-size estimation requires sketches with identical "
                 "width, depth and hash seed"
             )
-        other._ensure_synced()
+        other.flush_buffer()
         s, t = self._resolve_window(s, t)
         row_estimates = []
         for row in range(self.depth):
@@ -190,7 +149,7 @@ class PWCAMS(PersistentSketch):
         return median(row_estimates)
 
     def persistence_words(self) -> int:
-        self._ensure_synced()
+        self.flush_buffer()
         return sum(
             tracker.words()
             for trackers in self._trackers

@@ -662,7 +662,7 @@ class FrozenPWCAMS:
     """Frozen :class:`PWCAMS` snapshot (signed trackers)."""
 
     def __init__(self, sketch: PWCAMS) -> None:
-        sketch.detach_workers()
+        sketch.flush_buffer()
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -725,7 +725,7 @@ class FrozenAMS:
     """Frozen :class:`PersistentAMS` snapshot (sampled history lists)."""
 
     def __init__(self, sketch: PersistentAMS) -> None:
-        sketch.detach_workers()
+        sketch.flush_buffer()
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -878,8 +878,8 @@ class FrozenHeavyHitters:
     """Frozen :class:`PersistentHeavyHitters` (dyadic stack + mass)."""
 
     def __init__(self, structure: PersistentHeavyHitters) -> None:
-        # Drains any ingest worker pool and flushes open PLA runs in
-        # every level before the per-level tables are compiled.
+        # Flushes staged updates and open PLA runs in every level
+        # before the per-level tables are compiled.
         structure.finalize()
         self.universe = structure.universe
         self.levels = structure.levels
@@ -973,7 +973,7 @@ class FrozenShardedSketch:
     """Frozen :class:`ShardedPersistentSketch`: per-shard frozen snapshots."""
 
     def __init__(self, store: ShardedPersistentSketch) -> None:
-        store.detach_workers()
+        store.flush_buffer()
         self.shard_length = store.shard_length
         self.now = store.now
         self.name = "frozen(sharded)"
@@ -1075,16 +1075,16 @@ def freeze(
 ):
     """Compile a live persistent sketch into a frozen columnar snapshot.
 
-    Finalizes the sketch (flushing open PLA runs, draining any worker
-    pool) and snapshots its histories as of ``sketch.now``.  The
+    Finalizes the sketch (flushing staged updates and open PLA runs)
+    and snapshots its histories as of ``sketch.now``.  The
     returned object answers ``point`` / ``point_many`` /
     ``self_join_size`` (and, for the dyadic structure,
     ``heavy_hitters`` / ``window_mass``) with answers bit-equal to the
     live query path at a fraction of the cost.
     """
-    detach = getattr(sketch, "detach_workers", None)
-    if callable(detach):
-        detach()
+    flush = getattr(sketch, "flush_buffer", None)
+    if callable(flush):
+        flush()
     if isinstance(sketch, PersistentCountMin):
         return FrozenCountMin(sketch)
     if isinstance(sketch, PWCAMS):
@@ -1190,9 +1190,9 @@ class FrozenStoreView:
 def freeze_store(store) -> FrozenStoreView:
     """Freeze every stream of ``store`` into a :class:`FrozenStoreView`.
 
-    Drains any live ingest worker pools first (freezing is a master-side
-    read), then compiles each stream's sketches via :func:`freeze`.
+    Flushes every sketch's staged updates first, then compiles each
+    stream's sketches via :func:`freeze`.
     """
-    store.drain_workers(strict=False)
+    store.flush_buffers()
     return FrozenStoreView(store)
 

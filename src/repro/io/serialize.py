@@ -578,14 +578,13 @@ _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = 
 def to_dict(sketch: Any) -> dict:
     """Encode a sketch as a self-describing document.
 
-    Drains any worker pool first: encoders read (and finalize) master
-    state, so the archive must include every merged update — and the
-    encoders themselves mutate trackers, which forked workers could
-    never observe.
+    Flushes any staged buffered updates first: encoders read (and
+    finalize) sketch state, so the archive must include every absorbed
+    update.
     """
-    detach = getattr(sketch, "detach_workers", None)
-    if callable(detach):
-        detach()
+    flush = getattr(sketch, "flush_buffer", None)
+    if callable(flush):
+        flush()
     for name, (cls, encode, _decode) in _CODECS.items():
         # Exact type match: PWCCountMin subclasses PersistentCountMin but
         # needs its own codec.

@@ -14,7 +14,7 @@ crash-safe ingestion loop:
   dead-letter file) plus bounded retry-with-backoff for snapshot I/O;
 * :class:`~repro.runtime.faults.FaultPlan` — deterministic fault
   injection (torn writes, transient ``OSError``, simulated crashes,
-  worker kills/hangs, at-rest corruption) driving the crash-recovery
+  at-rest corruption) driving the crash-recovery
   and chaos-matrix property tests;
 * :func:`~repro.runtime.fsck.run_fsck` — the durability scrubber behind
   ``repro fsck``: re-verifies every WAL frame and checkpoint, classifies

@@ -52,20 +52,6 @@ class FaultPlan:
         Let the Nth checkpoint commit, then corrupt its archives by
         truncation *and crash* (recovery must detect the damage and fall
         back to the previous checkpoint + a longer WAL replay).
-    pool_kill_worker / pool_kill_at_batch:
-        ``SIGKILL`` worker ``pool_kill_worker`` just before the pool
-        dispatches its Nth ``feed`` (dead-worker detection + respawn).
-    pool_hang_worker / pool_hang_at_batch / pool_hang_seconds:
-        Make that worker sleep without replying at the Nth ``feed``
-        (reply-deadline detection; pair with
-        ``pool_reply_deadline_s`` so tests don't wait out the default).
-    pool_reply_deadline_s:
-        Override the pool's per-reply deadline while this plan is
-        installed (see :func:`repro.parallel.pool.pool_faults`).
-    pool_fail_respawns:
-        Force the first N respawn attempts to fail (exercises the
-        capped backoff and, when it exceeds the respawn budget, the
-        inline serial fallback).
     flip_byte_in_segment / flip_byte_offset:
         At-rest corruption (:meth:`apply_at_rest`): XOR one byte at
         ``flip_byte_offset`` of the Nth WAL segment (1-based, oldest
@@ -89,14 +75,6 @@ class FaultPlan:
     crash_at_checkpoint: int | None = None
     truncate_snapshot_at_checkpoint: int | None = None
 
-    pool_kill_worker: int | None = None
-    pool_kill_at_batch: int | None = None
-    pool_hang_worker: int | None = None
-    pool_hang_at_batch: int | None = None
-    pool_hang_seconds: float = 3600.0
-    pool_reply_deadline_s: float | None = None
-    pool_fail_respawns: int = 0
-
     flip_byte_in_segment: int | None = None
     flip_byte_offset: int = 0
     truncate_checkpoint_at_rest: int | None = None
@@ -106,9 +84,7 @@ class FaultPlan:
 
     records_seen: int = field(default=0, init=False)
     checkpoints_seen: int = field(default=0, init=False)
-    pool_batches_seen: int = field(default=0, init=False)
     _io_errors_raised: int = field(default=0, init=False)
-    _respawns_failed: int = field(default=0, init=False)
 
     # ------------------------------------------------------------------ #
     # Record-path hooks (called by the runtime / WAL)
@@ -190,37 +166,6 @@ class FaultPlan:
     def corrupt_committed_snapshot(self) -> bool:
         """Whether to truncate the just-committed snapshot and crash."""
         return self.checkpoints_seen == self.truncate_snapshot_at_checkpoint
-
-    # ------------------------------------------------------------------ #
-    # Worker-pool hooks (called by repro.parallel.pool when installed
-    # via pool_faults(); duck-typed there to avoid an import cycle)
-    # ------------------------------------------------------------------ #
-
-    def pool_feed_actions(self) -> list[tuple[int, str, float]]:
-        """Advance the pool-batch ordinal; scripted ``(worker, action,
-        arg)`` tuples for this ``feed`` (action in ``{"kill", "hang"}``)."""
-        self.pool_batches_seen += 1
-        actions: list[tuple[int, str, float]] = []
-        if (
-            self.pool_kill_worker is not None
-            and self.pool_batches_seen == self.pool_kill_at_batch
-        ):
-            actions.append((self.pool_kill_worker, "kill", 0.0))
-        if (
-            self.pool_hang_worker is not None
-            and self.pool_batches_seen == self.pool_hang_at_batch
-        ):
-            actions.append(
-                (self.pool_hang_worker, "hang", self.pool_hang_seconds)
-            )
-        return actions
-
-    def pool_respawn_should_fail(self) -> bool:
-        """Whether the next worker respawn attempt is scripted to fail."""
-        if self._respawns_failed < self.pool_fail_respawns:
-            self._respawns_failed += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------ #
     # At-rest corruption (applied to a closed runtime directory)

@@ -104,7 +104,6 @@ class IngestRuntime:
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
         applied_seq: int = 0,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -113,13 +112,11 @@ class IngestRuntime:
             raise ValueError("checkpoint_every must be >= 1")
         self.directory = Path(directory)
         self.store = store
-        if workers is not None:
-            store.set_workers(workers)
         if buffer_window is not None:
-            # Execution-layer knob, like ``workers``: the update buffer
-            # sits *below* the WAL (records are durable before they are
-            # absorbed), so buffered state never outruns durability and
-            # checkpoints flush it implicitly via the save drain.
+            # Execution-layer knob: the update buffer sits *below* the
+            # WAL (records are durable before they are absorbed), so
+            # buffered state never outruns durability and checkpoints
+            # flush it implicitly when they save.
             store.configure_buffer(window=buffer_window, mode=buffer_mode)
         self.policy = policy or IngestPolicy()
         self.checkpoint_every = checkpoint_every
@@ -163,7 +160,6 @@ class IngestRuntime:
         checkpoint_every: int = 1000,
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -192,7 +188,6 @@ class IngestRuntime:
             checkpoint_every=checkpoint_every,
             faults=faults,
             sleep=sleep,
-            workers=workers,
             buffer_window=buffer_window,
             buffer_mode=buffer_mode,
             probe=probe,
@@ -209,7 +204,6 @@ class IngestRuntime:
         checkpoint_every: int = 1000,
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -336,15 +330,14 @@ class IngestRuntime:
             faults=faults,
             sleep=sleep,
             applied_seq=last_seq,
-            # WAL replay above ran serially and *unbuffered* on the
-            # freshly-opened store; the pool width and buffer window only
-            # affect batches ingested from here on.  Unbuffered replay is
+            # WAL replay above ran *unbuffered* on the freshly-opened
+            # store; the buffer window only affects batches ingested from
+            # here on.  Unbuffered replay is
             # deliberate: in exact mode flush boundaries are invisible so
             # buffering would change nothing, and in coalesce mode the WAL
             # holds the raw uncoalesced records — replaying them verbatim
             # restores a history at least as accurate as the crashed
             # run's, never a wider one.
-            workers=workers,
             buffer_window=buffer_window,
             buffer_mode=buffer_mode,
             probe=probe,
@@ -389,11 +382,10 @@ class IngestRuntime:
     def close(self) -> None:
         """Seal the WAL (no implicit checkpoint; state is already durable).
 
-        Worker pools are drained tolerantly: a poisoned pool is simply
-        released — its lost batch was durable in the WAL before dispatch,
-        so the next :meth:`recover` replays it.
+        Staged buffered updates are flushed into the in-memory store
+        first, so it answers for every acknowledged record.
         """
-        self.store.drain_workers(strict=False)
+        self.store.flush_buffers()
         self.wal.close()
 
     # ------------------------------------------------------------------ #

@@ -83,7 +83,7 @@ class ServingRuntime:
     serving routes still agree: checkpoint saves flush every sketch's
     buffer before encoding (so the snapshots a cutover freezes already
     contain every buffered update up to their sequence), and live reads
-    flush through ``_ensure_synced`` on query — frozen and live answers
+    flush through ``flush_buffer`` on query — frozen and live answers
     for the same horizon stay bit-equal in exact mode, and coalesce-mode
     divergence is bounded by the documented window mass
     (:mod:`repro.core.buffer`).

@@ -23,46 +23,6 @@ import numpy as np
 from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.core.persistent_countmin import PersistentCountMin
-from repro.parallel.pool import WorkerPool
-
-
-class _ShardWorker:
-    """Forked worker owning time shards with ``shard_id % n == index``.
-
-    Shards are created lazily as the stream reaches them, so a worker
-    may *create* owned shards the master has never seen; it tracks every
-    shard it touched since the fork and ships exactly those back on
-    collect (untouched shards are bit-identical in master already)."""
-
-    def __init__(
-        self, sketch: ShardedPersistentSketch, index: int, nworkers: int
-    ) -> None:
-        self._sketch = sketch
-        self._index = index
-        self._nworkers = nworkers
-        self._touched: set[int] = set()
-
-    def feed(self, payload: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        times, items, counts = payload
-        sketch = self._sketch
-        shard_ids = (times - 1) // sketch.shard_length
-        for lo, hi in columnar.group_slices(shard_ids):
-            shard_id = int(shard_ids[lo])
-            if shard_id % self._nworkers != self._index:
-                continue
-            shard = sketch._shards.get(shard_id)
-            if shard is None:
-                width, depth, delta, seed = sketch._params
-                shard = sketch._factory(width, depth, delta, seed + shard_id)
-                sketch._shards[shard_id] = shard
-            shard.ingest_batch(times[lo:hi], items[lo:hi], counts[lo:hi])
-            self._touched.add(shard_id)
-
-    def collect(self) -> list[tuple[int, PersistentSketch]]:
-        return [
-            (shard_id, self._sketch._shards[shard_id])
-            for shard_id in sorted(self._touched)
-        ]
 
 
 class ShardedPersistentSketch(PersistentSketch):
@@ -89,9 +49,8 @@ class ShardedPersistentSketch(PersistentSketch):
         seed: int = 0,
         sketch_factory: Callable[[int, int, float, int], PersistentSketch]
         | None = None,
-        workers: int = 1,
     ):
-        super().__init__(workers=workers)
+        super().__init__()
         if shard_length < 1:
             raise ValueError(
                 f"shard_length must be >= 1, got {shard_length}"
@@ -157,55 +116,15 @@ class ShardedPersistentSketch(PersistentSketch):
                 self._shards[shard_id] = shard
             shard.ingest_batch(times[lo:hi], items[lo:hi], counts[lo:hi])
 
-    # ------------------------------------------------------------------ #
-    # Shard-parallel plan (time shards are fully disjoint sub-sketches)
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        return True
-
-    def _worker_handler(self, index: int, nworkers: int) -> _ShardWorker:
-        return _ShardWorker(self, index, nworkers)
-
-    def _prevalidate_batch(
-        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
-    ) -> None:
-        # Shard ids are non-decreasing within a batch, so only the first
-        # record can fall in expired history — the exact check (and
-        # error) the serial plan performs before touching any state.
-        if self._shard_id(int(times[0])) <= self._dropped_through:
-            raise ValueError(
-                f"time {int(times[0])} falls in an expired shard "
-                f"(retention boundary at shard {self._dropped_through})"
-            )
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        pool.feed([(times, items, counts)] * pool.nworkers)
-
-    def _install_worker_states(self, states: list) -> None:
-        for state in states:
-            for shard_id, shard in state:
-                self._shards[shard_id] = shard
-        # Serial ingest creates shards in ascending time order; restore
-        # that insertion order so iteration-order-sensitive consumers
-        # (serialization, debugging dumps) see the serial layout.
-        self._shards = dict(sorted(self._shards.items()))
-
     def drop_before(self, time: float) -> int:
         """Expire every shard that ends at or before ``time``.
 
         Returns the number of shards dropped.  Queries touching expired
         history raise, rather than silently undercounting.
         """
-        # Expiry is a master-side mutation the forked workers cannot see:
-        # merge and retire the pool first (it re-forks on demand).
-        self.detach_workers()
+        # Staged updates may fall in the shards about to expire: apply
+        # them first, exactly as an unbuffered sketch already has.
+        self.flush_buffer()
         boundary = int(time) // self.shard_length - 1
         dropped = 0
         for shard_id in sorted(self._shards):
@@ -254,11 +173,11 @@ class ShardedPersistentSketch(PersistentSketch):
     @property
     def shard_count(self) -> int:
         """Number of live shards."""
-        self._ensure_synced()
+        self.flush_buffer()
         return len(self._shards)
 
     def persistence_words(self) -> int:
-        self._ensure_synced()
+        self.flush_buffer()
         return sum(
             shard.persistence_words() for shard in self._shards.values()
         )

@@ -90,11 +90,6 @@ class SketchStore:
         typically wider than ``width``.
     seed:
         Store-wide hash seed; all joinable streams share it.
-    workers:
-        Worker-pool width for every sketch's parallel batch plans
-        (1 = serial).  An execution-layer knob, not part of the durable
-        state: it is not persisted by :meth:`save` — pass it again (or
-        call :meth:`set_workers`) after :meth:`open`.
     """
 
     def __init__(
@@ -103,15 +98,11 @@ class SketchStore:
         depth: int = 5,
         join_width: int = 4096,
         seed: int = 0,
-        workers: int = 1,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.width = width
         self.depth = depth
         self.join_width = join_width
         self.seed = seed
-        self.workers = int(workers)
         self._buffer_window: int | None = None
         self._buffer_mode = "exact"
         self._streams: dict[str, _StreamState] = {}
@@ -124,20 +115,12 @@ class SketchStore:
             if state.join_sketch is not None:
                 yield state.join_sketch
 
-    def set_workers(self, workers: int) -> None:
-        """Resize every sketch's worker pool (drains live pools first)."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        for sketch in self._sketches():
-            sketch.set_workers(workers)
-
     def configure_buffer(
         self, window: int | None, mode: str = "exact"
     ) -> None:
         """Enable/disable the two-stage update buffer on every sketch.
 
-        Like ``workers``, an execution-layer knob: not persisted by
+        An execution-layer knob: not persisted by
         :meth:`save` (which flushes first), so pass it again after
         :meth:`open`.  Streams created later inherit the configuration.
         See :mod:`repro.core.buffer` for the exact/coalesce semantics.
@@ -152,22 +135,6 @@ class SketchStore:
         for sketch in self._sketches():
             sketch.flush_buffer()
 
-    def drain_workers(self, strict: bool = True) -> None:
-        """Merge and retire every sketch's worker pool.
-
-        With ``strict=False`` a poisoned pool (workers died with
-        unmerged updates) is released without raising — shutdown-path
-        semantics, where the WAL already holds the truth.
-        """
-        from repro.parallel import IngestError
-
-        for sketch in self._sketches():
-            try:
-                sketch.detach_workers()
-            except IngestError:
-                if strict:
-                    raise
-
     # ------------------------------------------------------------------ #
     # Stream management
     # ------------------------------------------------------------------ #
@@ -181,7 +148,6 @@ class SketchStore:
             depth=self.depth,
             delta=spec.delta,
             seed=self.seed,
-            workers=self.workers,
         )
         hh_sketch = (
             PersistentHeavyHitters(
@@ -190,7 +156,6 @@ class SketchStore:
                 depth=self.depth,
                 delta=spec.delta,
                 seed=self.seed + 1,
-                workers=self.workers,
             )
             if spec.heavy_hitters or spec.quantiles
             else None
@@ -205,7 +170,6 @@ class SketchStore:
                 # crc32, not hash(): str hashes are salted per process,
                 # and the sampling stream must not depend on PYTHONHASHSEED.
                 sampling_seed=zlib.crc32(spec.name.encode()) & 0x7FFFFFFF,
-                workers=self.workers,
             )
             if spec.joinable
             else None
@@ -396,10 +360,9 @@ class SketchStore:
         return directory
 
     def _write_contents(self, directory: Path) -> None:
-        # Snapshots must capture fully-merged state: drain every worker
-        # pool (strictly — a poisoned pool must fail the checkpoint, not
-        # persist half a batch) before any sketch is encoded.
-        self.drain_workers(strict=True)
+        # Snapshots must capture every absorbed update: flush each
+        # sketch's staged buffer before any sketch is encoded.
+        self.flush_buffers()
         manifest = {
             "format": "repro-store",
             "version": 1,

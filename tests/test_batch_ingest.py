@@ -55,18 +55,12 @@ from repro.streams.model import Stream
 
 # Memoization caches (hash families) and weakref plumbing are not sketch
 # state: the scalar path warms per-item caches the vectorized path never
-# touches, by design.  Worker-pool bookkeeping is execution plumbing the
-# parallel equality tests compare around (the pool itself holds no
-# sketch state once drained).
+# touches, by design.
 _NON_STATE_ATTRS = {
     "_cache",
     "__weakref__",
-    "_workers",
-    "_pool",
-    "_pool_stale",
-    "_pool_broken",
-    # The update-buffer tier is execution plumbing like the pool: a
-    # flushed buffer holds no sketch state, only lifetime counters the
+    # The update-buffer tier is execution plumbing: a flushed buffer
+    # holds no sketch state, only lifetime counters the
     # buffered/unbuffered equality tests compare around.
     "_buffer",
     "_buffer_flushing",
@@ -338,6 +332,35 @@ def test_item_outside_int64_domain_rejected_untouched(name, bad):
     for times, items in _bad_item_batches(bad):
         with pytest.raises(ValueError):
             sketch.ingest_batch(times, items)
+    assert sketch.now == clock
+    assert fingerprint(sketch) == before
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("bad", [2**63, 2**64])
+def test_time_and_count_outside_int64_rejected_untouched(name, bad):
+    """Times and counts must fit the int64 columns the batches, the WAL
+    and the checkpoints use: ``update`` and ``ingest_batch`` on both
+    routes reject them with ValueError, before any state is touched."""
+    sketch = FACTORIES[name]()
+    prefix = fixed_stream(40)
+    sketch.ingest_batch(prefix.times, prefix.items, prefix.counts)
+    before, clock = fingerprint(sketch), sketch.now
+    with pytest.raises(ValueError):
+        sketch.update(1, 1, bad)
+    for count in (bad, -bad - 1):
+        with pytest.raises(ValueError):
+            sketch.update(1, count, clock + 1)
+        with pytest.raises(ValueError):
+            sketch.update(1, count)
+    for n in (3, _SCALAR_RUN_MAX + 5):
+        times = list(range(clock + 1, clock + n)) + [bad]
+        with pytest.raises(ValueError):
+            sketch.ingest_batch(times, [1] * n)
+        times = list(range(clock + 1, clock + n + 1))
+        for count in (bad, -bad - 1):
+            with pytest.raises(ValueError):
+                sketch.ingest_batch(times, [1] * n, [1] * (n - 1) + [count])
     assert sketch.now == clock
     assert fingerprint(sketch) == before
 

@@ -3,7 +3,7 @@
 ISSUE 7's acceptance harness.  Each cell drives one
 :class:`~repro.runtime.faults.FaultPlan` fault through the full stack —
 WAL + checkpoint durability, the fsck scrubber, the health state
-machine, and the self-healing worker pool — and asserts one of exactly
+machine and the serving daemon — and asserts one of exactly
 two outcomes:
 
 * **full recovery**: the surviving runtime answers bit-identically to
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel import fork_available, pool_faults
 from repro.runtime import (
     DegradedError,
     FaultPlan,
@@ -377,26 +376,6 @@ def test_enospc_degrades_heals_and_loses_nothing(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Worker-pool faults: heal in place, never a wrong answer
-# --------------------------------------------------------------------- #
-
-needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-
-POOL_CELLS = {
-    "worker-sigkilled": FaultPlan(pool_kill_worker=0, pool_kill_at_batch=2),
-    "worker-hung": FaultPlan(
-        pool_hang_worker=0,
-        pool_hang_at_batch=2,
-        pool_hang_seconds=30.0,
-        pool_reply_deadline_s=0.2,
-    ),
-    "respawn-exhausted-serial-fallback": FaultPlan(
-        pool_kill_worker=0, pool_kill_at_batch=2, pool_fail_respawns=99
-    ),
-}
-
-
-# --------------------------------------------------------------------- #
 # Serving daemon: crash/restart under concurrent client load
 # --------------------------------------------------------------------- #
 
@@ -496,31 +475,4 @@ def test_server_crash_under_load_restarts_bit_identically(tmp_path):
     finally:
         restarted.stop()
     # The full embedded-API equivalence sweep, sketch family by family.
-    assert_identical_answers(twin, recovered)
-
-
-@needs_fork
-@pytest.mark.parametrize("cell", sorted(POOL_CELLS))
-def test_pool_cells_heal_and_stay_bit_identical(tmp_path, cell):
-    records = make_records()
-    twin = run_uninterrupted(tmp_path, records)
-    victim = IngestRuntime.create(
-        tmp_path / "victim",
-        make_store(),
-        checkpoint_every=CHECKPOINT_EVERY,
-        sleep=lambda _t: None,
-        workers=2,
-    )
-    with pool_faults(POOL_CELLS[cell]):
-        for lo in range(0, len(records), 40):
-            victim.ingest_batch(records[lo : lo + 40])
-    victim.store.drain_workers()
-    assert victim.health()["state"] == "healthy", "pool faults heal in place"
-    assert victim.applied_seq == N_RECORDS
-    assert_identical_answers(twin, victim)
-
-    # And the WAL saw every batch: recovery lands on the same answers.
-    victim.close()
-    recovered = recover(tmp_path / "victim")
-    assert recovered.applied_seq == N_RECORDS
     assert_identical_answers(twin, recovered)

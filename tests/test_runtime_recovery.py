@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.persistent_countmin import PWCCountMin
-from repro.parallel import fork_available, pool_faults
 from repro.runtime import (
     FaultPlan,
     IngestPolicy,
@@ -221,87 +220,52 @@ class TestPWCVariant:
         assert_identical_answers(twin, recovered)
 
 
-class TestBatchAndParallelFaultPoints:
-    """The same kill-and-recover property, through the other feed paths.
+class TestBatchFaultPoints:
+    """The same kill-and-recover property, through ``ingest_batch``.
 
-    ``ingest_batch`` frames chunks with one fsync, and ``workers=2``
-    routes the apply through the self-healing worker pool — the
-    acceptance property must survive both: crash anywhere, recover,
-    re-send the unacknowledged tail, and every query answer is
-    bit-identical to the scalar uninterrupted twin.
+    ``ingest_batch`` frames chunks with one fsync; the acceptance
+    property must survive it: crash anywhere, recover, re-send the
+    unacknowledged tail, and every query answer is bit-identical to the
+    scalar uninterrupted twin.
     """
 
     BATCH = 37  # deliberately coprime with the checkpoint cadence
 
-    def _crash_recover_batched(self, root, plan, records, workers):
+    def _crash_recover_batched(self, root, plan, records):
         victim = IngestRuntime.create(
             root / "victim",
             make_store(),
             checkpoint_every=CHECKPOINT_EVERY,
             faults=plan,
             sleep=lambda _t: None,
-            workers=workers,
         )
         with pytest.raises(SimulatedCrash):
             for lo in range(0, len(records), self.BATCH):
                 victim.ingest_batch(records[lo : lo + self.BATCH])
         victim.close()
         recovered = IngestRuntime.recover(
-            root / "victim",
-            checkpoint_every=CHECKPOINT_EVERY,
-            workers=workers,
+            root / "victim", checkpoint_every=CHECKPOINT_EVERY
         )
         durable = recovered.applied_seq
         assert durable < len(records)
         assert recovered.ingest_batch(records[durable:]) == len(records) - durable
-        recovered.store.drain_workers()
         return recovered
 
-    @pytest.mark.parametrize("at", [50, 101, 130])
-    def test_batch_crash_recovers_to_identical_answers(self, tmp_path, at):
-        records = make_records()
-        twin = run_uninterrupted(tmp_path, records)
-        recovered = self._crash_recover_batched(
-            tmp_path, FaultPlan(torn_write_at_record=at), records, workers=1
-        )
-        assert_identical_answers(twin, recovered)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
     @pytest.mark.parametrize(
         "plan",
         [
-            FaultPlan(crash_before_record=101),
+            FaultPlan(torn_write_at_record=50),
             FaultPlan(torn_write_at_record=101),
+            FaultPlan(torn_write_at_record=130),
+            FaultPlan(crash_before_record=101),
             FaultPlan(crash_after_record=101),
         ],
-        ids=["before101", "torn101", "after101"],
+        ids=["50", "101", "130", "before101", "after101"],
     )
-    def test_parallel_batch_crash_recovers_to_identical_answers(
-        self, tmp_path, plan
-    ):
+    def test_batch_crash_recovers_to_identical_answers(self, tmp_path, plan):
         records = make_records()
         twin = run_uninterrupted(tmp_path, records)
-        recovered = self._crash_recover_batched(
-            tmp_path, plan, records, workers=2
-        )
-        assert_identical_answers(twin, recovered)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-    def test_worker_kill_then_crash_then_recover(self, tmp_path):
-        """Compound fault: a pool worker is SIGKILLed (healed in-flight
-        by respawn + replay), then the process crashes mid-batch — the
-        recovered runtime must still answer bit-identically."""
-        records = make_records()
-        twin = run_uninterrupted(tmp_path, records)
-        plan = FaultPlan(
-            crash_after_record=130,
-            pool_kill_worker=0,
-            pool_kill_at_batch=2,
-        )
-        with pool_faults(plan):
-            recovered = self._crash_recover_batched(
-                tmp_path, plan, records, workers=2
-            )
+        recovered = self._crash_recover_batched(tmp_path, plan, records)
         assert_identical_answers(twin, recovered)
 
 

@@ -426,148 +426,6 @@ def test_sl012_regression_cross_module_wrapper_defeats_sl009(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# SL013 — fork-shared mutable state (interprocedural)
-# --------------------------------------------------------------------- #
-
-
-def test_sl013_flags_worker_mutating_module_global():
-    source = """
-        _CACHE = {}
-
-        def _worker(task):
-            _CACHE[task] = 1
-            return task
-
-        def launch(tasks):
-            return pool.map(_worker, tasks)
-    """
-    assert "SL013" in codes(source)
-
-
-def test_sl013_flags_mutation_one_call_deep():
-    source = """
-        _CACHE = {}
-
-        def _remember(task):
-            _CACHE[task] = 1
-
-        def _worker(task):
-            _remember(task)
-            return task
-
-        def launch(tasks):
-            return pool.map(_worker, tasks)
-    """
-    assert "SL013" in codes(source)
-
-
-def test_sl013_flags_bound_method_mutating_instance_state():
-    source = """
-        class Ingest:
-            def _work(self, task):
-                self.seen.append(task)
-                return task
-
-            def launch(self, tasks):
-                return pool.map(self._work, tasks)
-    """
-    assert "SL013" in codes(source)
-
-
-def test_sl013_flags_worker_reading_mutable_global():
-    source = """
-        _REGISTRY = {}
-
-        def _worker(task):
-            return _REGISTRY[task]
-
-        def launch(tasks):
-            return pool.map(_worker, tasks)
-    """
-    assert "SL013" in codes(source)
-
-
-def test_sl013_passes_pure_and_immutable_global_workers():
-    assert "SL013" not in codes(
-        """
-        def _worker(task):
-            return task * 2
-
-        def launch(tasks):
-            return pool.map(_worker, tasks)
-        """
-    )
-    assert "SL013" not in codes(
-        """
-        _SCALE = 3
-
-        def _worker(task):
-            return task * _SCALE
-
-        def launch(tasks):
-            return pool.map(_worker, tasks)
-        """
-    )
-
-
-def test_sl013_passes_shipped_constructor():
-    # The instance is built inside the child; its __init__ self-writes
-    # initialize post-fork state, not shared state.
-    assert "SL013" not in codes(
-        """
-        class Snapshot:
-            def __init__(self, source):
-                self.data = dict(source)
-
-        def freeze_all(sources):
-            return pool.map(Snapshot, sources)
-        """
-    )
-
-
-def test_sl013_suppression_for_designed_cow_ownership():
-    source = (
-        "class Ingest:\n"
-        "    def _work(self, task):\n"
-        "        self.seen.append(task)\n"
-        "        return task\n"
-        "\n"
-        "    def launch(self, tasks):\n"
-        "        return pool.map(self._work, tasks)  "
-        "# sketchlint: disable=SL013 — per-shard CoW ownership, merged on collect\n"
-    )
-    assert "SL013" not in codes(source)
-
-
-def test_sl013_regression_wrapper_defeats_syntactic_rules(tmp_path):
-    """A worker imported from another module mutates a global there;
-    per-module scans of either file alone see no hazard."""
-    found = tree_codes(
-        tmp_path,
-        {
-            "src/repro/parallel/dispatch.py": """
-                from __future__ import annotations
-
-                from repro.parallel.jobs import work
-
-                def launch(tasks):
-                    return pool.map(work, tasks)
-            """,
-            "src/repro/parallel/jobs.py": """
-                from __future__ import annotations
-
-                _SEEN = []
-
-                def work(task):
-                    _SEEN.append(task)
-                    return task
-            """,
-        },
-    )
-    assert "SL013" in found
-
-
-# --------------------------------------------------------------------- #
 # SL014 — contract-coverage gap (interprocedural)
 # --------------------------------------------------------------------- #
 
@@ -632,8 +490,10 @@ def test_sl014_passes_guarded_or_contracted_feed_when_selected():
 
 
 def test_retired_rule_codes_are_gone():
-    # SL008, SL009 and SL011 were folded into SL014, SL012 and SL015.
-    for code in ("SL008", "SL009", "SL011"):
+    # SL008, SL009 and SL011 were folded into SL014, SL012 and SL015;
+    # SL013, SL015 and SL017 guarded forks and memory mappings, and
+    # none is left in the tree.
+    for code in ("SL008", "SL009", "SL011", "SL013", "SL015", "SL017"):
         assert code not in RULES
         assert code not in PROJECT_RULES
         with pytest.raises(KeyError):
@@ -713,151 +573,6 @@ def test_sl014_suppression():
         "        self.value = value\n"
     )
     assert "SL014" not in codes(source)
-
-
-# --------------------------------------------------------------------- #
-# SL015 — unpropagated RNG state (interprocedural)
-# --------------------------------------------------------------------- #
-
-
-def test_sl015_flags_rng_consumed_one_call_deep_in_worker():
-    source = """
-        def _helper(state):
-            return state.rng.random()
-
-        def _task(state):
-            return _helper(state)
-
-        def launch(tasks):
-            return pool.map(_task, tasks)
-    """
-    assert "SL015" in codes(source)  # dispatcher never says "rng" lexically
-
-
-def test_sl015_passes_spawned_per_worker_generators():
-    assert "SL015" not in codes(
-        """
-        def _helper(child):
-            return child.random()
-
-        def _task(pair):
-            return _helper(pair[0])
-
-        def launch(tasks, master):
-            children = master.spawn(len(tasks))
-            return pool.map(_task, list(zip(children, tasks)))
-        """
-    )
-
-
-def test_sl015_passes_state_transplant_assignment():
-    assert "SL015" not in codes(
-        """
-        def _task(state):
-            return state.rng.random()
-
-        def _merge(master, results):
-            master.rng = results[0]
-
-        def launch(tasks, master):
-            out = pool.map(_task, tasks)
-            _merge(master, out)
-            return out
-        """
-    )
-
-
-def test_sl015_passes_rng_free_workers():
-    assert "SL015" not in codes(
-        """
-        def _task(x):
-            return x * 2
-
-        def launch(tasks):
-            return pool.map(_task, tasks)
-        """
-    )
-
-
-def test_sl015_flags_rng_near_pool_submit():
-    source = """
-        def dispatch(self, times, items, counts, pool):
-            draws = self._rng.random(len(times))
-            pool.feed([(times, items, counts)] * pool.nworkers)
-    """
-    assert "SL015" in codes(source)
-
-
-def test_sl015_flags_rng_captured_by_fork_launcher():
-    source = """
-        def launch(self, tasks):
-            rng = self._rng
-            return pool.map(lambda t: rng.random(), tasks)
-    """
-    assert "SL015" in codes(source)
-
-
-def test_sl015_flags_rng_captured_by_fork_launcher_once():
-    # The dispatcher itself touches the RNG: the lexical case reports the
-    # dispatch once, even though the shipped lambda consumes it too.
-    source = """
-        def launch(self, tasks):
-            rng = self._rng
-            return pool.map(lambda t: rng.random(), tasks)
-    """
-    findings = lint_source(textwrap.dedent(source), SRC_PATH, select=["SL015"])
-    assert len(findings) == 1
-
-
-def test_sl015_passes_predrawn_and_spawned_dispatch():
-    predrawn = """
-        def dispatch(self, times, pool):
-            uniforms = bulk_uniforms(self._rng, len(times))
-            pool.feed([(uniforms, times)] * pool.nworkers)
-    """
-    assert "SL015" not in codes(predrawn)
-    spawned = """
-        def launch(self, tasks):
-            children = self._rng.spawn(4)
-            return pool.map(run, list(zip(children, tasks)))
-    """
-    assert "SL015" not in codes(spawned)
-
-
-def test_sl015_passes_non_pool_feed():
-    # tracker.feed is a tracker primitive, not a pool submission.
-    assert "SL015" not in codes(
-        """
-        def apply(self, tracker, times):
-            values = self._rng.random(len(times))
-            tracker.feed(times, values)
-        """
-    )
-
-
-def test_sl015_suppression_for_deliberate_broadcast():
-    source = (
-        "def launch(self, tasks):\n"
-        "    rng = self._rng\n"
-        "    return pool.map(lambda t: rng.bit_count(), tasks)  "
-        "# sketchlint: disable=SL015 — workers ignore the RNG\n"
-    )
-    assert "SL015" not in codes(source)
-
-
-def test_sl015_suppression():
-    source = (
-        "def _helper(state):\n"
-        "    return state.rng.random()\n"
-        "\n"
-        "def _task(state):\n"
-        "    return _helper(state)\n"
-        "\n"
-        "def launch(tasks):\n"
-        "    return pool.map(_task, tasks)  "
-        "# sketchlint: disable=SL015 — workers share one deliberate stream\n"
-    )
-    assert "SL015" not in codes(source)
 
 
 # --------------------------------------------------------------------- #
@@ -968,149 +683,6 @@ def test_sl016_suppression():
 
 
 # --------------------------------------------------------------------- #
-# SL017 — unpaired memory mapping (interprocedural)
-# --------------------------------------------------------------------- #
-
-
-def test_sl017_flags_never_closed_mapping():
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(payload):
-            segment = SharedMemory(create=True, size=len(payload))
-            segment.buf[:] = payload
-            return segment.name
-    """
-    assert "SL017" in codes(source)
-
-
-def test_sl017_flags_straight_line_close():
-    """A close an exception can skip is not lifecycle management."""
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def probe():
-            segment = SharedMemory(create=True, size=16)
-            segment.buf[0] = 1
-            segment.close()
-            segment.unlink()
-    """
-    assert "SL017" in codes(source)
-
-
-def test_sl017_flags_project_subclass_of_shared_memory():
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        class Quiet(SharedMemory):
-            def __del__(self):
-                pass
-
-        def leak():
-            segment = Quiet(create=True, size=16)
-            return segment.buf[0]
-    """
-    assert "SL017" in codes(source)
-
-
-def test_sl017_passes_finally_with_and_error_path_pairs():
-    assert "SL017" not in codes(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def probe():
-            segment = SharedMemory(create=True, size=16)
-            try:
-                segment.buf[0] = 1
-            finally:
-                segment.close()
-                segment.unlink()
-        """
-    )
-    assert "SL017" not in codes(
-        """
-        import mmap
-
-        def scan(fileno, length):
-            with mmap.mmap(fileno, length) as view:
-                return view[:8]
-        """
-    )
-    assert "SL017" not in codes(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(payload):
-            segment = SharedMemory(create=True, size=len(payload))
-            try:
-                segment.buf[: len(payload)] = payload
-            except Exception:
-                segment.close()
-                segment.unlink()
-                raise
-            segment.close()
-            return segment.name
-        """
-    )
-
-
-def test_sl017_attribute_store_needs_class_cleanup():
-    flagged = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        class Holder:
-            def __init__(self, size):
-                self._shm = SharedMemory(create=True, size=size)
-    """
-    assert "SL017" in codes(flagged)
-    clean = flagged + """
-            def close(self):
-                self._shm.close()
-    """
-    assert "SL017" not in codes(clean)
-
-
-def test_sl017_delegation_checks_resolved_callee():
-    flagged = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def _fill(segment, payload):
-            segment.buf[: len(payload)] = payload
-
-        def publish(payload):
-            segment = SharedMemory(create=True, size=len(payload))
-            _fill(segment, payload)
-    """
-    assert "SL017" in codes(flagged)
-    clean = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def _consume(segment, payload):
-            try:
-                segment.buf[: len(payload)] = payload
-            finally:
-                segment.close()
-
-        def publish(payload):
-            segment = SharedMemory(create=True, size=len(payload))
-            _consume(segment, payload)
-    """
-    assert "SL017" not in codes(clean)
-
-
-def test_sl017_suppression():
-    source = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "\n"
-        "def pin():\n"
-        "    segment = SharedMemory(create=True, size=16)  "
-        "# sketchlint: disable=SL017 — deliberately pinned until exit\n"
-        "    return segment.buf[0]\n"
-    )
-    assert "SL017" not in codes(source)
-
-
-# --------------------------------------------------------------------- #
 # SL018 — buffer-tier bypass (interprocedural)
 # --------------------------------------------------------------------- #
 
@@ -1190,7 +762,7 @@ def test_sl018_flush_may_sit_anywhere_on_the_path():
 
         class MySketch(PersistentSketch):
             def _counter_at(self, item, t):
-                self.detach_workers()
+                self.flush_buffer()
                 return self._trackers[item].value_at(t)
 
             def point(self, item, t):
@@ -1292,15 +864,7 @@ def test_run_lint_text_and_json(tmp_path):
 
 def test_rule_table_is_complete():
     assert sorted(RULES) == [f"SL00{i}" for i in range(1, 8)] + ["SL010"]
-    assert sorted(PROJECT_RULES) == [
-        "SL012",
-        "SL013",
-        "SL014",
-        "SL015",
-        "SL016",
-        "SL017",
-        "SL018",
-    ]
+    assert sorted(PROJECT_RULES) == ["SL012", "SL014", "SL016", "SL018"]
     for cls in (*RULES.values(), *PROJECT_RULES.values()):
         assert cls.summary and cls.rationale
 
@@ -1317,7 +881,7 @@ def test_sarif_output(tmp_path):
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "sketchlint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"SL001", "SL012", "SL015"} <= rule_ids
+    assert {"SL001", "SL012", "SL016"} <= rule_ids
     results = run["results"]
     assert results[0]["ruleId"] == "SL005"
     location = results[0]["locations"][0]["physicalLocation"]
