@@ -56,34 +56,44 @@ def _feed_sampled_row(
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     slices = columnar.group_slices(sorted_keys)
+    edges = [lo for lo, _hi in slices] + [len(keys)]
+    run_keys = sorted_keys[edges[:-1]].tolist()
     bases = np.array(
-        [
-            components[int(sorted_keys[lo]) // 2][int(sorted_keys[lo]) % 2]
-            for lo, _hi in slices
-        ],
-        dtype=np.int64,
+        [components[key // 2][key % 2] for key in run_keys], dtype=np.int64
     )
-    values_list = columnar.run_values(bases, a_mags[order], slices).tolist()
-    times_list = a_times[order].tolist()
+    values = columnar.run_values(bases, a_mags[order], slices)
+    times = a_times[order]
     accepted = uniforms_row[order] < probability
-    for lo, hi in slices:
-        key = int(sorted_keys[lo])
+    # Each copy's accepted positions, taken once for the whole row and
+    # cut per (column, component) run at the run edges.
+    lasts = values[np.array(edges[1:]) - 1].tolist()
+    hit_runs = []
+    for copy in range(copies):
+        hits = np.flatnonzero(accepted[:, copy])
+        hit_runs.append(
+            (
+                times[hits].tolist(),
+                values[hits].tolist(),
+                np.searchsorted(hits, edges).tolist(),
+            )
+        )
+    for run, key in enumerate(run_keys):
         col, b = key // 2, key % 2
         for copy in range(copies):
             lists = histories_row[b][copy]
             history = lists.get(col)
             if history is None:
+                # Created even when no offer is accepted, as the scalar
+                # ``offer`` path does.
                 history = SampledHistoryList(
                     probability=probability, rng=rng
                 )
                 lists[col] = history
-            hits = np.flatnonzero(accepted[lo:hi, copy]).tolist()
-            if hits:
-                history.extend(
-                    [times_list[lo + k] for k in hits],
-                    [values_list[lo + k] for k in hits],
-                )
-        components[col][b] = values_list[hi - 1]
+            hit_times, hit_values, bounds = hit_runs[copy]
+            first, last = bounds[run], bounds[run + 1]
+            if last > first:
+                history.extend(hit_times[first:last], hit_values[first:last])
+        components[col][b] = lasts[run]
 
 
 class PersistentAMS(PersistentSketch):

@@ -16,6 +16,12 @@ Serializing a PLA-backed sketch first flushes open runs into segments
 run keeps exactly the same query answers.  Loaded sketches accept
 further updates; the sampling RNG state of a ``PersistentAMS`` is
 captured so its random behaviour continues identically.
+
+The component codecs split every sketch into its append-only arrays
+(PLA segments, PWC records, sampled history entries) and a small tail.
+This module writes the two back together as one document; a store
+checkpoint writes them apart, the arrays as columnar generations
+(:mod:`repro.io.generations`).
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.core.heavy_hitters import PersistentHeavyHitters
 from repro.core.historical_ams import HistoricalAMS, _EpochedComponent
@@ -38,8 +47,8 @@ from repro.persistence.epochs import Epoch, EpochManager
 from repro.persistence.history_list import SampledHistoryList
 from repro.persistence.tracker import PLATracker, PWCTracker, YoungPLATracker
 from repro.pla.orourke import OnlinePLA
-from repro.pla.piecewise import PiecewiseLinearFunction
 from repro.pla.segment import Segment
+from repro.sketch.ams import AMSSketch
 
 FORMAT = "repro-sketch"
 VERSION = 1
@@ -57,118 +66,326 @@ class SerializationError(ValueError):
 # --------------------------------------------------------------------- #
 # Component codecs
 # --------------------------------------------------------------------- #
+#
+# A component is one append-only history: a PLA tracker's segments, a
+# PWC tracker's records or a sampled history list's entries.  Each kind
+# splits a component into a small *skeleton* (its parameters, fixed once
+# the component exists) and parallel entry *columns*.  The v1 document
+# puts the columns inline next to the skeleton (``inline``/``outline``);
+# the store's generations (:mod:`repro.io.generations`) write only the
+# entry columns past a watermark (``entries``) and the skeleton once,
+# packed into a fixed row (``pack``/``unpack``).
 
 
-def _encode_pla_function(function: PiecewiseLinearFunction) -> dict:
-    return {
-        "initial_value": function.initial_value,
-        "t_start": [seg.t_start for seg in function],
-        "t_end": [seg.t_end for seg in function],
-        "slope": [seg.slope for seg in function],
-        "value_at_start": [seg.value_at_start for seg in function],
-    }
+class _PLAKind:
+    """PLA tracker: skeleton ``delta``, initial value and young staging."""
 
+    name = "pla"
+    columns = ("t_start", "t_end", "slope", "value_at_start")
+    dtypes = (np.int64, np.int64, np.float64, np.float64)
+    fields = ("delta", "initial_value", "young", "t0", "v0", "young_initial")
+    field_dtypes = (
+        np.float64, np.float64, np.int64, np.int64, np.float64, np.float64,
+    )
 
-def _decode_pla_function(state: dict) -> PiecewiseLinearFunction:
-    function = PiecewiseLinearFunction(initial_value=state["initial_value"])
-    for t0, t1, slope, v0 in zip(
-        state["t_start"], state["t_end"], state["slope"],
-        state["value_at_start"],
-    ):
-        function.append(
-            Segment(t_start=t0, t_end=t1, slope=slope, value_at_start=v0)
-        )
-    return function
-
-
-def _encode_pla_tracker(tracker: PLATracker) -> dict:
-    # Young trackers carry a staged first touch next to the (possibly
-    # still unmaterialized) PLA; encode it so decode restores the exact
-    # structural state and a recovered store fingerprints identically
-    # to the live one (tests/test_runtime_batch.py pins this).
-    young: dict = {}
-    if isinstance(tracker, YoungPLATracker):
-        young = {
-            "young": True,
-            "t0": tracker._t0,
-            "v0": tracker._v0,
-            "initial_value": tracker._initial,
+    @staticmethod
+    def skeleton(tracker: PLATracker) -> dict:
+        # Young trackers carry a staged first touch next to the (possibly
+        # still unmaterialized) PLA; keep it so decode restores the exact
+        # structural state and a recovered store fingerprints identically
+        # to the live one (tests/test_runtime_batch.py pins this).
+        young: dict = {}
+        if isinstance(tracker, YoungPLATracker):
+            young = {
+                "young": True,
+                "t0": tracker._t0,
+                "v0": tracker._v0,
+                "initial_value": tracker._initial,
+            }
+        tracker.finalize()
+        pla = tracker._pla
+        return {
+            "delta": pla.delta,
+            "function": {"initial_value": pla.function.initial_value},
+            **young,
         }
-    tracker.finalize()
-    pla = tracker._pla
+
+    @staticmethod
+    def finalize(tracker: PLATracker) -> None:
+        tracker.finalize()
+
+    @staticmethod
+    def length(tracker: PLATracker) -> int:
+        return len(tracker._pla.function._segments)
+
+    @staticmethod
+    def entries(tracker: PLATracker, start: int) -> tuple[list, ...]:
+        segments = tracker._pla.function._segments[start:]
+        return (
+            [seg.t_start for seg in segments],
+            [seg.t_end for seg in segments],
+            [seg.slope for seg in segments],
+            [seg.value_at_start for seg in segments],
+        )
+
+    @staticmethod
+    def build(skeleton: dict, context: Any) -> PLATracker:
+        delta = skeleton["delta"]
+        initial = skeleton["function"]["initial_value"]
+        tracker: PLATracker
+        if skeleton.get("young"):
+            young_tracker = YoungPLATracker(
+                delta=delta, initial_value=skeleton["initial_value"]
+            )
+            young_tracker._t0 = skeleton["t0"]
+            young_tracker._v0 = skeleton["v0"]
+            # Encoding finalized the live tracker, which materialized its
+            # ``_pla``; mirror that state exactly (a finalized PLA is
+            # fully described by its delta and emitted function).
+            young_tracker._pla = OnlinePLA(delta=delta, initial_value=initial)
+            tracker = young_tracker
+        else:
+            tracker = PLATracker(delta=delta, initial_value=initial)
+        return tracker
+
+    @staticmethod
+    def prepare(columns: tuple[list, ...]) -> tuple[list, ...]:
+        return columns[0], list(map(Segment, *columns))
+
+    @staticmethod
+    def extend(tracker: PLATracker, prepared: tuple[list, ...]) -> None:
+        function = tracker._pla.function
+        function._starts.extend(prepared[0])
+        function._segments.extend(prepared[1])
+
+    @staticmethod
+    def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
+        function = dict(skeleton["function"])
+        function.update(zip(_PLAKind.columns, columns))
+        return {**skeleton, "function": function}
+
+    @staticmethod
+    def outline(document: dict) -> tuple[dict, tuple[list, ...]]:
+        function = document["function"]
+        skeleton = {
+            **document,
+            "function": {"initial_value": function["initial_value"]},
+        }
+        return skeleton, tuple(function[name] for name in _PLAKind.columns)
+
+    @staticmethod
+    def pack(skeleton: dict) -> tuple:
+        young = bool(skeleton.get("young"))
+        return (
+            skeleton["delta"],
+            skeleton["function"]["initial_value"],
+            int(young),
+            skeleton["t0"] if young else -1,
+            skeleton["v0"] if young else 0.0,
+            skeleton["initial_value"] if young else 0.0,
+        )
+
+    @staticmethod
+    def unpack(row: tuple) -> dict:
+        delta, initial, young, t0, v0, young_initial = row
+        skeleton: dict = {
+            "delta": delta,
+            "function": {"initial_value": initial},
+        }
+        if young:
+            skeleton.update(
+                young=True, t0=t0, v0=v0, initial_value=young_initial
+            )
+        return skeleton
+
+    @staticmethod
+    def default(context: Any) -> dict:
+        return {"delta": context, "function": {"initial_value": 0.0}}
+
+
+class _HistoryKind:
+    """Sampled history list: skeleton ``probability`` and initial value."""
+
+    name = "history"
+    columns = ("times", "values")
+    dtypes = (np.int64, np.int64)
+    fields = ("probability", "initial_value")
+    field_dtypes = (np.float64, np.int64)
+
+    @staticmethod
+    def skeleton(history: SampledHistoryList) -> dict:
+        return {
+            "probability": history.probability,
+            "initial_value": history.initial_value,
+        }
+
+    @staticmethod
+    def finalize(history: SampledHistoryList) -> None:
+        """Sampled records are appended eagerly: nothing to flush."""
+
+    @staticmethod
+    def length(history: SampledHistoryList) -> int:
+        return len(history._times)
+
+    @staticmethod
+    def entries(history: SampledHistoryList, start: int) -> tuple[list, ...]:
+        return history._times[start:], history._values[start:]
+
+    @staticmethod
+    def build(skeleton: dict, context: Any) -> SampledHistoryList:
+        return SampledHistoryList(
+            probability=skeleton["probability"],
+            rng=context[0],
+            initial_value=skeleton["initial_value"],
+        )
+
+    @staticmethod
+    def prepare(columns: tuple[list, ...]) -> tuple[list, ...]:
+        return columns
+
+    @staticmethod
+    def extend(history: SampledHistoryList, columns: tuple[list, ...]) -> None:
+        history._times.extend(columns[0])
+        history._values.extend(columns[1])
+
+    @staticmethod
+    def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
+        return {**skeleton, "times": columns[0], "values": columns[1]}
+
+    @staticmethod
+    def outline(document: dict) -> tuple[dict, tuple[list, ...]]:
+        skeleton = {
+            "probability": document["probability"],
+            "initial_value": document["initial_value"],
+        }
+        return skeleton, (list(document["times"]), list(document["values"]))
+
+    @staticmethod
+    def pack(skeleton: dict) -> tuple:
+        return (skeleton["probability"], skeleton["initial_value"])
+
+    @staticmethod
+    def unpack(row: tuple) -> dict:
+        return {"probability": row[0], "initial_value": row[1]}
+
+    @staticmethod
+    def default(context: Any) -> dict:
+        return {"probability": context[1], "initial_value": 0}
+
+
+class _PWCKind:
+    """PWC tracker: skeleton ``delta`` and initial value.
+
+    ``last_recorded`` is part of the v1 skeleton but not of the packed
+    one: it is always the last recorded value (the initial value before
+    any record), so :meth:`extend` re-derives it.
+    """
+
+    name = "pwc"
+    columns = ("times", "values")
+    dtypes = (np.int64, np.float64)
+    fields = ("delta", "initial_value")
+    field_dtypes = (np.float64, np.float64)
+
+    @staticmethod
+    def skeleton(tracker: PWCTracker) -> dict:
+        pwc = tracker._pwc
+        return {
+            "delta": pwc.delta,
+            "initial_value": pwc.function.initial_value,
+            "last_recorded": pwc._last_recorded,
+        }
+
+    finalize = staticmethod(_HistoryKind.finalize)
+
+    @staticmethod
+    def length(tracker: PWCTracker) -> int:
+        return len(tracker._pwc.function._times)
+
+    @staticmethod
+    def entries(tracker: PWCTracker, start: int) -> tuple[list, ...]:
+        function = tracker._pwc.function
+        return function._times[start:], function._values[start:]
+
+    @staticmethod
+    def build(skeleton: dict, context: Any) -> PWCTracker:
+        tracker = PWCTracker(
+            delta=skeleton["delta"], initial_value=skeleton["initial_value"]
+        )
+        if "last_recorded" in skeleton:
+            tracker._pwc._last_recorded = skeleton["last_recorded"]
+        return tracker
+
+    prepare = staticmethod(_HistoryKind.prepare)
+
+    @staticmethod
+    def extend(tracker: PWCTracker, columns: tuple[list, ...]) -> None:
+        pwc = tracker._pwc
+        for t, value in zip(*columns):
+            pwc.function.append(t, value)
+        if len(columns[1]):
+            pwc._last_recorded = columns[1][-1]
+
+    @staticmethod
+    def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
+        return {
+            "delta": skeleton["delta"],
+            "initial_value": skeleton["initial_value"],
+            "times": columns[0],
+            "values": columns[1],
+            "last_recorded": skeleton["last_recorded"],
+        }
+
+    @staticmethod
+    def outline(document: dict) -> tuple[dict, tuple[list, ...]]:
+        skeleton = {
+            "delta": document["delta"],
+            "initial_value": document["initial_value"],
+            "last_recorded": document["last_recorded"],
+        }
+        return skeleton, (document["times"], document["values"])
+
+    @staticmethod
+    def pack(skeleton: dict) -> tuple:
+        return (skeleton["delta"], skeleton["initial_value"])
+
+    @staticmethod
+    def unpack(row: tuple) -> dict:
+        return {"delta": row[0], "initial_value": row[1]}
+
+    @staticmethod
+    def default(context: Any) -> dict:
+        return {"delta": context, "initial_value": 0.0}
+
+
+PLA = _PLAKind()
+HISTORY = _HistoryKind()
+PWC = _PWCKind()
+
+
+def _encode_component(kind: Any, component: Any) -> dict:
+    return kind.inline(kind.skeleton(component), kind.entries(component, 0))
+
+
+def _decode_component(kind: Any, document: dict, context: Any = None) -> Any:
+    skeleton, columns = kind.outline(document)
+    component = kind.build(skeleton, context)
+    kind.extend(component, kind.prepare(columns))
+    return component
+
+
+def _encode_map(kind: Any, components: dict) -> dict:
     return {
-        "delta": pla.delta,
-        "function": _encode_pla_function(pla.function),
-        **young,
+        str(col): _encode_component(kind, component)
+        for col, component in components.items()
     }
 
 
-def _decode_pla_tracker(state: dict) -> PLATracker:
-    function = _decode_pla_function(state["function"])
-    tracker: PLATracker
-    if state.get("young"):
-        young_tracker = YoungPLATracker(
-            delta=state["delta"], initial_value=state["initial_value"]
-        )
-        young_tracker._t0 = state["t0"]
-        young_tracker._v0 = state["v0"]
-        # ``finalize()`` during encode materialized the live ``_pla``;
-        # mirror that state exactly (a finalized PLA is fully described
-        # by its delta and emitted function).
-        young_tracker._pla = OnlinePLA(
-            delta=state["delta"], initial_value=function.initial_value
-        )
-        tracker = young_tracker
-    else:
-        tracker = PLATracker(
-            delta=state["delta"], initial_value=function.initial_value
-        )
-    pla = tracker._pla
-    pla.function = function
-    pla._on_segment = function.append
-    return tracker
-
-
-def _encode_pwc_tracker(tracker: PWCTracker) -> dict:
-    pwc = tracker._pwc
+def _decode_map(kind: Any, documents: dict, context: Any = None) -> dict:
     return {
-        "delta": pwc.delta,
-        "initial_value": pwc.function.initial_value,
-        "times": list(pwc.function._times),
-        "values": list(pwc.function._values),
-        "last_recorded": pwc._last_recorded,
+        int(col): _decode_component(kind, document, context)
+        for col, document in documents.items()
     }
-
-
-def _decode_pwc_tracker(state: dict) -> PWCTracker:
-    tracker = PWCTracker(
-        delta=state["delta"], initial_value=state["initial_value"]
-    )
-    pwc = tracker._pwc
-    for t, value in zip(state["times"], state["values"]):
-        pwc.function.append(t, value)
-    pwc._last_recorded = state["last_recorded"]
-    return tracker
-
-
-def _encode_history(history: SampledHistoryList) -> dict:
-    return {
-        "probability": history.probability,
-        "initial_value": history.initial_value,
-        "times": list(history._times),
-        "values": list(history._values),
-    }
-
-
-def _decode_history(state: dict, rng) -> SampledHistoryList:
-    history = SampledHistoryList(
-        probability=state["probability"],
-        rng=rng,
-        initial_value=state["initial_value"],
-    )
-    history._times = list(state["times"])
-    history._values = list(state["values"])
-    return history
 
 
 def _encode_rng_state(rng) -> list:
@@ -181,12 +398,36 @@ def _decode_rng_state(encoded: list) -> tuple:
     return (version, tuple(internal), gauss)
 
 
+@dataclass
+class Container:
+    """One map of same-kind components inside a sketch.
+
+    ``key`` is ``(level, row, sign, copy)``: with the stream, the sketch
+    and a component's column it forms the generation key.  ``context``
+    is what :meth:`build` needs besides the skeleton; ``fixed`` marks a
+    container whose skeletons live in the tail (the heavy-hitter mass
+    tracker), so generations carry only its entries.
+    """
+
+    key: tuple[int, int, int, int]
+    components: dict
+    kind: Any
+    context: Any
+    fixed: bool = False
+
+
 # --------------------------------------------------------------------- #
-# Sketch codecs
+# Sketch codecs: a tail plus component maps
 # --------------------------------------------------------------------- #
 
 
-def _tracked_cm_state(sketch: PersistentCountMin, encode_tracker) -> dict:
+def _identity_hashes(state: dict):
+    if not state["identity_hashes"]:
+        return None
+    return IdentityHashFamily(state["width"], state["depth"])
+
+
+def _cm_tail(sketch: PersistentCountMin) -> dict:
     return {
         "width": sketch.width,
         "depth": sketch.depth,
@@ -196,64 +437,58 @@ def _tracked_cm_state(sketch: PersistentCountMin, encode_tracker) -> dict:
         "clock": sketch.now,
         "total": sketch.total,
         "counters": [list(row) for row in sketch._counters],
-        "trackers": [
-            {str(col): encode_tracker(tracker) for col, tracker in row.items()}
-            for row in sketch._trackers
-        ],
     }
 
 
-def _restore_tracked_cm(sketch, state: dict, decode_tracker) -> None:
+def _cm_shell(state: dict, cls: type) -> PersistentCountMin:
+    sketch = cls(
+        width=state["width"],
+        depth=state["depth"],
+        delta=state["delta"],
+        seed=state["seed"],
+        hashes=_identity_hashes(state),
+    )
     sketch._clock = state["clock"]
     sketch.total = state["total"]
     sketch._counters = [list(row) for row in state["counters"]]
-    sketch._trackers = [
-        {int(col): decode_tracker(tr) for col, tr in row.items()}
-        for row in state["trackers"]
+    return sketch
+
+
+def _cm_containers(sketch: PersistentCountMin, level: int) -> list[Container]:
+    kind = PWC if type(sketch) is PWCCountMin else PLA
+    return [
+        Container((level, row, 0, 0), trackers, kind, sketch.delta)
+        for row, trackers in enumerate(sketch._trackers)
     ]
 
 
 def _encode_persistent_cm(sketch: PersistentCountMin) -> dict:
-    return _tracked_cm_state(sketch, _encode_pla_tracker)
+    return {
+        **_cm_tail(sketch),
+        "trackers": [_encode_map(PLA, row) for row in sketch._trackers],
+    }
 
 
 def _decode_persistent_cm(state: dict) -> PersistentCountMin:
-    sketch = PersistentCountMin(
-        width=state["width"],
-        depth=state["depth"],
-        delta=state["delta"],
-        seed=state["seed"],
-        hashes=(
-            IdentityHashFamily(state["width"], state["depth"])
-            if state["identity_hashes"]
-            else None
-        ),
-    )
-    _restore_tracked_cm(sketch, state, _decode_pla_tracker)
+    sketch = _cm_shell(state, PersistentCountMin)
+    sketch._trackers = [_decode_map(PLA, row) for row in state["trackers"]]
     return sketch
 
 
 def _encode_pwc_cm(sketch: PWCCountMin) -> dict:
-    return _tracked_cm_state(sketch, _encode_pwc_tracker)
+    return {
+        **_cm_tail(sketch),
+        "trackers": [_encode_map(PWC, row) for row in sketch._trackers],
+    }
 
 
 def _decode_pwc_cm(state: dict) -> PWCCountMin:
-    sketch = PWCCountMin(
-        width=state["width"],
-        depth=state["depth"],
-        delta=state["delta"],
-        seed=state["seed"],
-        hashes=(
-            IdentityHashFamily(state["width"], state["depth"])
-            if state["identity_hashes"]
-            else None
-        ),
-    )
-    _restore_tracked_cm(sketch, state, _decode_pwc_tracker)
+    sketch = _cm_shell(state, PWCCountMin)
+    sketch._trackers = [_decode_map(PWC, row) for row in state["trackers"]]
     return sketch
 
 
-def _encode_persistent_ams(sketch: PersistentAMS) -> dict:
+def _ams_tail(sketch: PersistentAMS) -> dict:
     return {
         "width": sketch.width,
         "depth": sketch.depth,
@@ -264,20 +499,10 @@ def _encode_persistent_ams(sketch: PersistentAMS) -> dict:
         "total": sketch.total,
         "rng_state": _encode_rng_state(sketch._rng),
         "components": sketch._components,
-        "histories": [
-            [
-                [
-                    {str(col): _encode_history(h) for col, h in lists.items()}
-                    for lists in by_sign
-                ]
-                for by_sign in row_hist
-            ]
-            for row_hist in sketch._histories
-        ],
     }
 
 
-def _decode_persistent_ams(state: dict) -> PersistentAMS:
+def _ams_shell(state: dict) -> PersistentAMS:
     sketch = PersistentAMS(
         width=state["width"],
         depth=state["depth"],
@@ -291,15 +516,38 @@ def _decode_persistent_ams(state: dict) -> PersistentAMS:
     sketch._components = [
         [list(pair) for pair in row] for row in state["components"]
     ]
+    return sketch
+
+
+def _ams_containers(sketch: PersistentAMS) -> list[Container]:
+    context = (sketch._rng, sketch.probability)
+    return [
+        Container((-1, row, b, copy), lists, HISTORY, context)
+        for row, by_sign in enumerate(sketch._histories)
+        for b, by_copy in enumerate(by_sign)
+        for copy, lists in enumerate(by_copy)
+    ]
+
+
+def _encode_persistent_ams(sketch: PersistentAMS) -> dict:
+    return {
+        **_ams_tail(sketch),
+        "histories": [
+            [
+                [_encode_map(HISTORY, lists) for lists in by_sign]
+                for by_sign in row_hist
+            ]
+            for row_hist in sketch._histories
+        ],
+    }
+
+
+def _decode_persistent_ams(state: dict) -> PersistentAMS:
+    sketch = _ams_shell(state)
+    context = (sketch._rng, sketch.probability)
     sketch._histories = [
         [
-            [
-                {
-                    int(col): _decode_history(h, sketch._rng)
-                    for col, h in lists.items()
-                }
-                for lists in by_sign
-            ]
+            [_decode_map(HISTORY, lists, context) for lists in by_sign]
             for by_sign in row_hist
         ]
         for row_hist in state["histories"]
@@ -316,13 +564,7 @@ def _encode_pwc_ams(sketch: PWCAMS) -> dict:
         "clock": sketch.now,
         "total": sketch.total,
         "counters": [list(row) for row in sketch._counters],
-        "trackers": [
-            {
-                str(col): _encode_pwc_tracker(tracker)
-                for col, tracker in row.items()
-            }
-            for row in sketch._trackers
-        ],
+        "trackers": [_encode_map(PWC, row) for row in sketch._trackers],
     }
 
 
@@ -336,26 +578,11 @@ def _decode_pwc_ams(state: dict) -> PWCAMS:
     sketch._clock = state["clock"]
     sketch.total = state["total"]
     sketch._counters = [list(row) for row in state["counters"]]
-    sketch._trackers = [
-        {int(col): _decode_pwc_tracker(tr) for col, tr in row.items()}
-        for row in state["trackers"]
-    ]
+    sketch._trackers = [_decode_map(PWC, row) for row in state["trackers"]]
     return sketch
 
 
-def _encode_heavy_hitters(structure: PersistentHeavyHitters) -> dict:
-    structure._mass.finalize()
-    return {
-        "universe": structure.universe,
-        "clock": structure.now,
-        "mass_total": structure._mass_total,
-        "mass": _encode_pla_tracker(structure._mass),
-        "levels": [to_dict(sketch) for sketch in structure._sketches],
-    }
-
-
-def _decode_heavy_hitters(state: dict) -> PersistentHeavyHitters:
-    levels = [from_dict(doc) for doc in state["levels"]]
+def _hh_shell(state: dict, levels: list) -> PersistentHeavyHitters:
     level0 = levels[0]
     structure = PersistentHeavyHitters(
         universe=state["universe"],
@@ -366,7 +593,22 @@ def _decode_heavy_hitters(state: dict) -> PersistentHeavyHitters:
     structure._sketches = levels
     structure._clock = state["clock"]
     structure._mass_total = state["mass_total"]
-    structure._mass = _decode_pla_tracker(state["mass"])
+    return structure
+
+
+def _encode_heavy_hitters(structure: PersistentHeavyHitters) -> dict:
+    return {
+        "universe": structure.universe,
+        "clock": structure.now,
+        "mass_total": structure._mass_total,
+        "mass": _encode_component(PLA, structure._mass),
+        "levels": [to_dict(sketch) for sketch in structure._sketches],
+    }
+
+
+def _decode_heavy_hitters(state: dict) -> PersistentHeavyHitters:
+    structure = _hh_shell(state, [from_dict(doc) for doc in state["levels"]])
+    structure._mass = _decode_component(PLA, state["mass"])
     return structure
 
 
@@ -398,7 +640,7 @@ def _encode_historical_cm(sketch: HistoricalCountMin) -> dict:
             encoded_row[str(col)] = {
                 "epoch_ids": list(counter.epoch_ids),
                 "trackers": [
-                    _encode_pla_tracker(tracker)
+                    _encode_component(PLA, tracker)
                     for tracker in counter.trackers
                 ],
             }
@@ -424,11 +666,7 @@ def _decode_historical_cm(state: dict) -> HistoricalCountMin:
         depth=state["depth"],
         eps=state["eps"],
         seed=state["seed"],
-        hashes=(
-            IdentityHashFamily(state["width"], state["depth"])
-            if state["identity_hashes"]
-            else None
-        ),
+        hashes=_identity_hashes(state),
     )
     sketch._clock = state["clock"]
     sketch.total = state["total"]
@@ -442,7 +680,7 @@ def _decode_historical_cm(state: dict) -> HistoricalCountMin:
             counter = _EpochedCounter()
             counter.epoch_ids = list(entry["epoch_ids"])
             counter.trackers = [
-                _decode_pla_tracker(tr) for tr in entry["trackers"]
+                _decode_component(PLA, tr) for tr in entry["trackers"]
             ]
             decoded_row[int(col)] = counter
         tracked.append(decoded_row)
@@ -462,7 +700,8 @@ def _encode_historical_ams(sketch: HistoricalAMS) -> dict:
                         str(col): {
                             "epoch_ids": list(entry.epoch_ids),
                             "histories": [
-                                _encode_history(h) for h in entry.histories
+                                _encode_component(HISTORY, h)
+                                for h in entry.histories
                             ],
                         }
                         for col, entry in lists.items()
@@ -511,10 +750,6 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
     sketch._updates_until_check = state["updates_until_check"]
     sketch._rng.setstate(_decode_rng_state(state["rng_state"]))
     sketch._epochs = _decode_epochs(state["epochs"])
-    import numpy as np
-
-    from repro.sketch.ams import AMSSketch
-
     aux_state = state["aux"]
     aux = AMSSketch(
         width=aux_state["width"],
@@ -527,6 +762,7 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
     sketch._components = [
         [list(pair) for pair in row] for row in state["components"]
     ]
+    context = (sketch._rng, None)
     tracked = []
     for row_hist in state["tracked"]:
         by_sign = []
@@ -538,7 +774,7 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
                     component = _EpochedComponent()
                     component.epoch_ids = list(entry["epoch_ids"])
                     component.histories = [
-                        _decode_history(h, sketch._rng)
+                        _decode_component(HISTORY, h, context)
                         for h in entry["histories"]
                     ]
                     decoded[int(col)] = component
@@ -547,6 +783,93 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
         tracked.append(by_sign)
     sketch._tracked = tracked
     return sketch
+
+
+# --------------------------------------------------------------------- #
+# The split the store's generations are written from
+# --------------------------------------------------------------------- #
+
+
+def split(sketch: Any) -> tuple[dict, list[Container]]:
+    """``(tail, containers)`` of a sketch a store holds.
+
+    The tail is a JSON-ready dict of everything mutable (counters,
+    clocks, totals, RNG state) with its ``"type"``; the containers are
+    the sketch's live component maps, in a fixed order that
+    :func:`shell` reproduces.  Callers finalize each component (its
+    kind's ``finalize``) before reading its entries.
+    """
+    if type(sketch) in (PersistentCountMin, PWCCountMin):
+        return {"type": type(sketch).__name__, **_cm_tail(sketch)}, (
+            _cm_containers(sketch, -1)
+        )
+    if type(sketch) is PersistentAMS:
+        return {"type": "PersistentAMS", **_ams_tail(sketch)}, (
+            _ams_containers(sketch)
+        )
+    if type(sketch) is PersistentHeavyHitters:
+        tail = {
+            "type": "PersistentHeavyHitters",
+            "universe": sketch.universe,
+            "clock": sketch.now,
+            "mass_total": sketch._mass_total,
+            "mass": PLA.skeleton(sketch._mass),
+            "levels": [_cm_tail(level) for level in sketch._sketches],
+        }
+        containers = [
+            Container((-1, 0, 0, 0), {0: sketch._mass}, PLA, None, fixed=True)
+        ]
+        for level, level_sketch in enumerate(sketch._sketches):
+            containers.extend(_cm_containers(level_sketch, level))
+        return tail, containers
+    raise SerializationError(
+        f"no generation codec for {type(sketch).__name__}"
+    )
+
+
+#: Fields every tail of a type must carry (checked before decoding).
+_CM_TAIL = (
+    "width", "depth", "delta", "seed", "identity_hashes", "clock", "total",
+    "counters",
+)
+TAIL_FIELDS = {
+    "PersistentCountMin": _CM_TAIL,
+    "PWCCountMin": _CM_TAIL,
+    "PersistentAMS": (
+        "width", "depth", "delta", "seed", "copies", "clock", "total",
+        "rng_state", "components",
+    ),
+    "PersistentHeavyHitters": (
+        "universe", "clock", "mass_total", "mass", "levels",
+    ),
+}
+
+
+def shell(tail: dict) -> tuple[Any, list[Container]]:
+    """Rebuild a sketch from its tail, with empty component maps.
+
+    Returns the sketch and the containers of :func:`split`, in the same
+    order, for the generations to fill.
+    """
+    name = tail.get("type")
+    if name in ("PersistentCountMin", "PWCCountMin"):
+        cls = PersistentCountMin if name == "PersistentCountMin" else PWCCountMin
+        sketch = _cm_shell(tail, cls)
+        return sketch, _cm_containers(sketch, -1)
+    if name == "PersistentAMS":
+        sketch = _ams_shell(tail)
+        return sketch, _ams_containers(sketch)
+    if name == "PersistentHeavyHitters":
+        levels = [_cm_shell(level, PersistentCountMin) for level in tail["levels"]]
+        structure = _hh_shell(tail, levels)
+        structure._mass = PLA.build(tail["mass"], None)
+        containers = [
+            Container((-1, 0, 0, 0), {0: structure._mass}, PLA, None, fixed=True)
+        ]
+        for level, level_sketch in enumerate(levels):
+            containers.extend(_cm_containers(level_sketch, level))
+        return structure, containers
+    raise SerializationError(f"no generation codec for tail type {name!r}")
 
 
 _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {
@@ -601,8 +924,12 @@ def to_dict(sketch: Any) -> dict:
 
 
 def from_dict(document: dict) -> Any:
-    """Decode a sketch from a document produced by :func:`to_dict`."""
-    if document.get("format") != FORMAT:
+    """Decode a sketch from a document produced by :func:`to_dict`.
+
+    A document that is not a sketch, or whose state lacks or mistypes a
+    field, raises :class:`SerializationError`.
+    """
+    if not isinstance(document, dict) or document.get("format") != FORMAT:
         raise SerializationError("not a repro-sketch document")
     if document.get("version") != VERSION:
         raise SerializationError(
@@ -611,8 +938,15 @@ def from_dict(document: dict) -> Any:
     name = document.get("type")
     if name not in _CODECS:
         raise SerializationError(f"unknown sketch type {name!r}")
+    if not isinstance(document.get("state"), dict):
+        raise SerializationError(f"{name} document has no state")
     _cls, _encode, decode = _CODECS[name]
-    return decode(document["state"])
+    try:
+        return decode(document["state"])
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise SerializationError(
+            f"malformed {name} state: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def save(sketch: Any, path: str | Path) -> Path:
@@ -654,6 +988,7 @@ def load(path: str | Path) -> Any:
         raise SerializationError(f"{path}: archive is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path}: archive is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SerializationError(f"{path}: archive is not a sketch document")
-    return from_dict(document)
+    try:
+        return from_dict(document)
+    except SerializationError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc

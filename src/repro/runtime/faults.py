@@ -18,6 +18,7 @@ as a real ``kill -9`` would not be.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 class SimulatedCrash(BaseException):
@@ -181,8 +182,6 @@ class FaultPlan:
         to detect.  Unlike the crash hooks, these mutate files directly
         rather than interrupting a live runtime.
         """
-        from pathlib import Path
-
         directory = Path(directory)
         actions: list[str] = []
         if self.flip_byte_in_segment is not None:
@@ -212,10 +211,10 @@ class FaultPlan:
                 shutil.rmtree(target)
                 actions.append(f"deleted checkpoint {target.name}")
             else:
-                for archive in sorted(target.glob("*.json.gz")):
-                    blob = archive.read_bytes()
-                    archive.write_bytes(blob[: len(blob) // 2])  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
-                actions.append(f"truncated archives of {target.name}")
+                for path in own_files(target):
+                    blob = path.read_bytes()
+                    path.write_bytes(blob[: len(blob) // 2])  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
+                actions.append(f"truncated own files of {target.name}")
         pointer = directory / "CHECKPOINT"
         if self.delete_pointer_at_rest:
             pointer.unlink(missing_ok=True)
@@ -224,3 +223,14 @@ class FaultPlan:
             pointer.write_text("{ not json", encoding="utf-8")  # sketchlint: disable=SL012 — corruption injection: the non-atomic in-place write IS the fault
             actions.append("corrupted CHECKPOINT pointer")
         return actions
+
+
+def own_files(checkpoint: Path) -> list[Path]:
+    """A checkpoint's own files: its manifest and every generation no
+    other checkpoint hard-links (damaging a shared generation is a
+    different fault, one that no fallback routes around)."""
+    return sorted(
+        path
+        for path in checkpoint.iterdir()
+        if path.is_file() and path.stat().st_nlink == 1
+    )

@@ -50,7 +50,7 @@ import numpy as np
 from repro.analysis import contracts
 from repro.io import SerializationError
 from repro.io.atomic import atomic_write_text
-from repro.runtime.faults import FaultPlan, SimulatedCrash
+from repro.runtime.faults import FaultPlan, SimulatedCrash, own_files
 from repro.runtime.fsck import FsckReport, run_fsck
 from repro.runtime.health import DegradedError, HealthMonitor
 from repro.runtime.policies import (
@@ -226,13 +226,15 @@ class IngestRuntime:
         :attr:`fsck_report`.
 
         Then tries checkpoints newest-first, skipping any whose snapshot
-        no longer opens cleanly (truncated archive, damaged manifest);
-        the WAL tail past the chosen checkpoint is replayed sequentially.
-        The newest intact checkpoint is decoded once: replay runs into
-        the store fsck decoded to verdict it, and a frozen view of it,
-        taken before replay, is held for the first serving cutover
-        (:meth:`take_checkpoint_view`).  ``fsck=False`` and fallbacks to
-        an older checkpoint open from disk.
+        no longer opens cleanly (damaged generation or manifest); the
+        WAL tail past the chosen checkpoint is replayed sequentially.
+        fsck only checks checkpoints (manifests and CRCs), so the chosen
+        checkpoint is decoded once, here.  A checkpoint fsck found
+        ``partial`` (damage confined to a generation every checkpoint
+        shares) opens without that generation, and the runtime comes up
+        degraded as for lost WAL records.  A frozen view of the decoded
+        checkpoint, taken before replay, is held for the first serving
+        cutover (:meth:`take_checkpoint_view`).
         After replay the recovered store's timeline contracts are
         re-validated (regardless of ``REPRO_CONTRACTS``), so a corrupt
         recovery can never serve queries silently.
@@ -255,18 +257,17 @@ class IngestRuntime:
         candidates = cls._checkpoints(directory)
         if not candidates:
             raise RecoveryError(f"{directory}: no checkpoints to recover from")
-        # fsck already decoded the best intact checkpoint to verdict it:
-        # replay into that store instead of decoding the directory again.
-        handed = report.take_store() if report is not None else None
+        # Each candidate is opened from disk, newest first; the one fsck
+        # named best opens without the damaged generations it accounted
+        # as lost (a ``partial`` checkpoint).
+        best = report.best_checkpoint() if report is not None else None
         failures: list[str] = []
         store: SketchStore | None = None
         covered = 0
         for covered_seq, path in reversed(candidates):
-            if handed is not None and handed[0] == covered_seq:
-                covered, store = handed
-                break
+            without = best.damaged if best is not None and best.name == path.name else ()
             try:
-                store = SketchStore.open(path)
+                store = SketchStore.open(path, without=without)
                 covered = covered_seq
                 break
             except SerializationError as exc:
@@ -316,7 +317,7 @@ class IngestRuntime:
                 target = directory / "checkpoints" / f"ckpt-{last_seq:012d}"
                 if target.exists():  # damaged leftover (fsck=False path)
                     shutil.rmtree(target)
-                store.save(target)
+                store.save(target, seq=last_seq)
                 resnapped = last_seq
                 checkpoint_view = None  # no longer the newest checkpoint
         with contracts.enforced(True):
@@ -363,9 +364,10 @@ class IngestRuntime:
                     "wal-quarantined",
                     f"fsck quarantined damaged history: "
                     f"{report.lost_records} acknowledged records lost, "
-                    f"{report.unknown_damaged_frames} frames undecodable; "
-                    "call acknowledge_data_loss() to accept and resume "
-                    "writes",
+                    f"{report.unknown_damaged_frames} frames undecodable, "
+                    f"{len(report.lost_generations)} checkpoint "
+                    "generations left out; call acknowledge_data_loss() "
+                    "to accept and resume writes",
                     recoverable=False,
                 )
         # Re-align the checkpoint schedule with an uninterrupted run:
@@ -733,7 +735,7 @@ class IngestRuntime:
         def attempt() -> Path:
             if faults is not None:
                 faults.before_snapshot()
-            return self.store.save(target)
+            return self.store.save(target, seq=covered)
 
         run_with_retry(
             attempt,
@@ -771,10 +773,11 @@ class IngestRuntime:
 
     @staticmethod
     def _truncate_snapshot(target: Path) -> None:
-        """Simulated media damage: cut every archive in half."""
-        for archive in sorted(target.glob("*.json.gz")):
-            data = archive.read_bytes()
-            with open(archive, "wb") as handle:  # sketchlint: disable=SL012 — test-only fault injector: the torn write IS the point
+        """Simulated media damage: cut the checkpoint's own files (its
+        manifest and the generations no other checkpoint links) in half."""
+        for path in own_files(target):
+            data = path.read_bytes()
+            with open(path, "wb") as handle:  # sketchlint: disable=SL012 — test-only fault injector: the torn write IS the point
                 handle.write(data[: len(data) // 2])
 
     def _prune(self, covered: int) -> None:

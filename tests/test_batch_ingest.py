@@ -64,6 +64,9 @@ _NON_STATE_ATTRS = {
     # buffered/unbuffered equality tests compare around.
     "_buffer",
     "_buffer_flushing",
+    # A store's last committed save (what its next save appends to) is
+    # persistence plumbing, not sketch state.
+    "_saved",
 }
 
 

@@ -211,6 +211,23 @@ class TestCorruptFiles:
         with pytest.raises(SerializationError):
             load(path)
 
+    @pytest.mark.parametrize(
+        "drop", ["state", "total"], ids=["no-state", "state-without-field"]
+    )
+    def test_incomplete_document_names_path(self, tmp_path, drop):
+        import json as _json
+
+        document = to_dict(PersistentCountMin(width=8, depth=2, delta=4))
+        if drop == "state":
+            del document["state"]
+        else:
+            del document["state"][drop]
+        path = tmp_path / "sketch.json"
+        path.write_text(_json.dumps(document))
+        with pytest.raises(SerializationError) as excinfo:
+            load(path)
+        assert str(path) in str(excinfo.value)
+
     def test_save_is_atomic_on_crash(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous archive intact."""
         import os as _os
