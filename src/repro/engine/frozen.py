@@ -8,7 +8,10 @@ realization of that idea, in the snapshot / read-optimized-view shape of
 Rinberg et al.'s concurrent sketches and Hokusai's time-partitioned
 sketch serving: ``freeze(sketch)`` compiles a finalized sketch into
 immutable columnar numpy state, and the frozen object answers ``point``,
-``point_many``, ``self_join_size`` and heavy-hitter queries.
+``point_many``, ``self_join_size`` and heavy-hitter queries.  A store
+checkpoint already holds its histories as keyed columns, so
+``freeze_columns`` builds the same view of it without building, or
+finalizing, a single tracker.
 
 Reads pay per probe when small and per batch when large.  A vectorized
 batch costs a fixed ~350µs of numpy dispatch (much of it Carter-Wegman
@@ -51,11 +54,12 @@ sketch may keep ingesting afterwards without affecting the snapshot.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from itertools import repeat
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +68,8 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro.engine.batch import _batch_signs, batch_hash_columns
+from repro.io.generations import KINDS, SKETCHES, Columns, KindColumns
+from repro.io.serialize import Container, SerializationError, containers, shell
 from repro.store.sharded import ShardedPersistentSketch
 
 #: Rank-key overflow guard: fall back to per-query bisects when
@@ -465,83 +471,139 @@ class _ScalarPointCache:
         return diffs
 
 
-def _export_tracker_row(trackers: dict) -> tuple[list[int], list, list[float]]:
-    """One sketch row's sorted columns, exported arrays and initials."""
-    ordered = sorted(trackers)
-    exports = [trackers[col].export_arrays() for col in ordered]
-    initials = [trackers[col].initial_value for col in ordered]
-    return ordered, exports, initials
+def _column_table(
+    n_rows: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    initials: np.ndarray,
+    entry_rows: np.ndarray,
+    entry_cols: np.ndarray,
+    starts: np.ndarray,
+    values: np.ndarray,
+    ends: np.ndarray | None = None,
+    slopes: np.ndarray | None = None,
+    compensation: float | None = None,
+) -> _ColumnTable:
+    """Assemble a frozen table from keyed component columns.
 
-
-def _tracker_table(rows: list[dict]) -> _ColumnTable:
-    """Columnar table of PLA/PWC trackers, all sketch rows concatenated."""
-    row_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    ordered_cols: list[int] = []
-    exports = []
-    initials: list[float] = []
-    for r, trackers in enumerate(rows):
-        ordered, row_exports, row_initials = _export_tracker_row(trackers)
-        row_offsets[r + 1] = row_offsets[r] + len(ordered)
-        ordered_cols.extend(ordered)
-        exports.extend(row_exports)
-        initials.extend(row_initials)
-    offsets = np.zeros(len(exports) + 1, dtype=np.int64)
-    for i, (starts, _e, _sl, _v) in enumerate(exports):
-        offsets[i + 1] = offsets[i] + len(starts)
-    if exports:
-        starts = np.concatenate([e[0] for e in exports])
-        ends = np.concatenate([e[1] for e in exports])
-        slopes = np.concatenate([e[2] for e in exports])
-        values = np.concatenate([e[3] for e in exports])
-    else:
-        starts = np.empty(0, dtype=np.int64)
-        ends = np.empty(0, dtype=np.int64)
-        slopes = np.empty(0, dtype=np.float64)
-        values = np.empty(0, dtype=np.float64)
+    Every frozen table is assembled here, from live trackers and from
+    checkpoint columns alike.  Component ``i`` is the counter
+    ``(rows[i], cols[i])`` of a sketch with ``n_rows`` rows, starting
+    from ``initials[i]``; components come in any order and each key
+    appears once.  Entry ``j`` belongs to the component keyed
+    ``(entry_rows[j], entry_cols[j])``, and each component's entries
+    come in append order (other components' may interleave).  Slots are
+    the components sorted by ``(row, col)``, and a stable sort of the
+    entries by slot gives the per-counter CSR layout.  Segment tables
+    pass ``ends`` and ``slopes``; history tables pass ``compensation``.
+    """
+    span = int(max(cols.max(initial=-1), entry_cols.max(initial=-1))) + 1
+    keys = rows.astype(np.int64) * span + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    slot = np.searchsorted(keys, entry_rows.astype(np.int64) * span + entry_cols)
+    by_slot = np.argsort(slot, kind="stable")
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=len(keys)), out=offsets[1:])
     return _ColumnTable(
-        row_offsets,
-        np.array(ordered_cols, dtype=np.int64),
+        np.searchsorted(keys, np.arange(n_rows + 1, dtype=np.int64) * span),
+        cols[order].astype(np.int64),
         offsets,
-        starts,
-        ends,
-        slopes,
-        values,
-        np.array(initials, dtype=np.float64),
+        starts[by_slot],
+        None if ends is None else ends[by_slot],
+        None if slopes is None else slopes[by_slot],
+        values[by_slot],
+        initials[order].astype(np.float64),
+        compensation,
     )
 
 
-def _history_table(rows: list[dict], probability: float) -> _ColumnTable:
-    """Columnar table of sampled histories, all sketch rows concatenated."""
-    row_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    ordered_cols: list[int] = []
-    arrays = []
-    initials: list[float] = []
-    for r, lists in enumerate(rows):
-        ordered = sorted(lists)
-        row_offsets[r + 1] = row_offsets[r] + len(ordered)
-        ordered_cols.extend(ordered)
-        for col in ordered:
-            arrays.append(lists[col].as_arrays())
-            initials.append(float(lists[col].initial_value))
-    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-    for i, (times, _values) in enumerate(arrays):
-        offsets[i + 1] = offsets[i] + len(times)
-    if arrays:
-        starts = np.concatenate([a[0] for a in arrays])
-        values = np.concatenate([a[1] for a in arrays])
-    else:
-        starts = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-    return _ColumnTable(
-        row_offsets,
-        np.array(ordered_cols, dtype=np.int64),
-        offsets,
-        starts,
-        None,
-        None,
-        values,
+def _live_table(
+    rows: list[dict], compensation: float | None = None
+) -> _ColumnTable:
+    """Frozen table of live components, one ``{col: component}`` map per
+    sketch row: PLA/PWC trackers, or sampled history lists when
+    ``compensation`` is given."""
+    keys = []
+    initials = []
+    exports = []
+    for row, components in enumerate(rows):
+        for col, component in components.items():
+            keys.append((row, col))
+            initials.append(component.initial_value)
+            exports.append(
+                component.export_arrays()
+                if compensation is None
+                else component.as_arrays()
+            )
+    dtypes = (
+        (np.int64, np.int64, np.float64, np.float64)
+        if compensation is None
+        else (np.int64, np.float64)
+    )
+    columns = [
+        np.concatenate([arrays[i] for arrays in exports])
+        if exports
+        else np.empty(0, dtype=dtype)
+        for i, dtype in enumerate(dtypes)
+    ]
+    starts, ends, slopes, values = (
+        columns if compensation is None else (columns[0], None, None, columns[1])
+    )
+    key = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    entry = np.repeat(key, [len(arrays[0]) for arrays in exports], axis=0)
+    return _column_table(
+        len(rows),
+        key[:, 0],
+        key[:, 1],
         np.array(initials, dtype=np.float64),
-        compensation=1.0 / probability,
+        entry[:, 0],
+        entry[:, 1],
+        starts,
+        values,
+        ends,
+        slopes,
+        compensation,
+    )
+
+
+def _checkpoint_table(
+    kinds: dict[str, KindColumns],
+    prefix: tuple[int, int],
+    rows: list[Container],
+    compensation: float | None,
+) -> _ColumnTable:
+    """Frozen table of a checkpoint's sketch ``prefix`` (stream, sketch
+    slot), whose shell holds ``rows`` (one container per sketch row),
+    cut from the checkpoint's columns ``kinds``.  A fixed container's
+    components have their skeletons in the tail, not the columns."""
+    kind = rows[0].kind
+    level, _row, sign, copy = rows[0].key
+    table = kinds[kind.name].table(prefix + (level, sign, copy))
+    fixed = {
+        (container.key[1], col): component.initial_value
+        for container in rows
+        if container.fixed
+        for col, component in container.components.items()
+    }
+    fixed_key = np.array(list(fixed), dtype=np.int64).reshape(-1, 2)
+    row_ids = np.concatenate((table.rows, fixed_key[:, 0]))
+    cols = np.concatenate((table.cols, fixed_key[:, 1]))
+    initials = np.concatenate((kind.initials(table.fields), list(fixed.values())))
+    # A component whose skeleton was in a generation left out is
+    # rebuilt with default parameters: it starts from 0.
+    span = int(max(cols.max(initial=-1), table.entry_cols.max(initial=-1))) + 1
+    known = np.append(np.sort(row_ids * span + cols), np.iinfo(np.int64).max)
+    wanted = table.entry_rows * span + table.entry_cols
+    orphans = np.unique(wanted[known[np.searchsorted(known, wanted)] != wanted])
+    if len(orphans):
+        row_ids = np.concatenate((row_ids, orphans // span))
+        cols = np.concatenate((cols, orphans % span))
+        initials = np.concatenate((initials, np.zeros(len(orphans))))
+    starts, ends, slopes, values = kind.export(table.entries)
+    return _column_table(
+        len(rows), row_ids, cols, initials, table.entry_rows, table.entry_cols,
+        starts, values, ends, slopes, compensation,
     )
 
 
@@ -566,14 +628,13 @@ def _expand_unique(
 class FrozenCountMin:
     """Frozen :class:`PersistentCountMin` / :class:`PWCCountMin` snapshot."""
 
-    def __init__(self, sketch: PersistentCountMin) -> None:
-        sketch.finalize()
+    def __init__(self, sketch: PersistentCountMin, table: _ColumnTable) -> None:
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
         self.name = f"frozen({sketch.name})"
         self.hashes = sketch.hashes
-        self._table = _tracker_table(sketch._trackers)
+        self._table = table
         self._scalar_cache: _ScalarPointCache | None = None
 
     # -- point ---------------------------------------------------------- #
@@ -661,15 +722,14 @@ class FrozenCountMin:
 class FrozenPWCAMS:
     """Frozen :class:`PWCAMS` snapshot (signed trackers)."""
 
-    def __init__(self, sketch: PWCAMS) -> None:
-        sketch.flush_buffer()
+    def __init__(self, sketch: PWCAMS, table: _ColumnTable) -> None:
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
         self.name = f"frozen({sketch.name})"
         self.buckets = sketch.buckets
         self.signs = sketch.signs
-        self._table = _tracker_table(sketch._trackers)
+        self._table = table
         self._scalar_cache: _ScalarPointCache | None = None
 
     def point_many(
@@ -724,8 +784,9 @@ class FrozenPWCAMS:
 class FrozenAMS:
     """Frozen :class:`PersistentAMS` snapshot (sampled history lists)."""
 
-    def __init__(self, sketch: PersistentAMS) -> None:
-        sketch.flush_buffer()
+    def __init__(
+        self, sketch: PersistentAMS, tables: list[list[_ColumnTable]]
+    ) -> None:
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -734,19 +795,7 @@ class FrozenAMS:
         self.buckets = sketch.buckets
         self.signs = sketch.signs
         # _tables[b][copy]: all sketch rows of one (sign, copy) component.
-        self._tables = [
-            [
-                _history_table(
-                    [
-                        sketch._histories[row][b][copy]
-                        for row in range(sketch.depth)
-                    ],
-                    sketch.probability,
-                )
-                for copy in range(sketch.copies)
-            ]
-            for b in range(2)
-        ]
+        self._tables = tables
         self._plan: tuple[list[int], list] | None = None
 
     def point_many(
@@ -877,20 +926,20 @@ class FrozenAMS:
 class FrozenHeavyHitters:
     """Frozen :class:`PersistentHeavyHitters` (dyadic stack + mass)."""
 
-    def __init__(self, structure: PersistentHeavyHitters) -> None:
-        # Flushes staged updates and open PLA runs in every level
-        # before the per-level tables are compiled.
-        structure.finalize()
+    def __init__(
+        self,
+        structure: PersistentHeavyHitters,
+        levels: list[FrozenCountMin],
+        mass: _ColumnTable,
+    ) -> None:
         self.universe = structure.universe
         self.levels = structure.levels
         self.now = structure.now
         self.name = f"frozen({structure.name})"
-        self._sketches = [FrozenCountMin(level) for level in structure._sketches]
+        self._sketches = levels
         # One tracker read at two points per query: numpy dispatch would
         # cost more than the two bisects.
-        self._mass = _ScalarPointCache(
-            _tracker_table([{0: structure._mass}])
-        )
+        self._mass = _ScalarPointCache(mass)
 
     def window_mass(self, s: float = 0, t: float | None = None) -> float:
         """Estimate of ``||f_{s,t}||_1`` from the frozen mass tracker."""
@@ -1060,6 +1109,45 @@ class FrozenShardedSketch:
 # --------------------------------------------------------------------- #
 
 
+def _frozen_sketch(
+    sketch: PersistentCountMin | PersistentAMS | PersistentHeavyHitters,
+    found: list[Container],
+    build: Callable[[list[Container], float | None], _ColumnTable],
+) -> FrozenCountMin | FrozenAMS | FrozenHeavyHitters:
+    """Frozen form of a sketch a store holds, live or a checkpoint's
+    shell, given its :func:`~repro.io.serialize.containers`.  ``build``
+    assembles one table from the containers of its rows, with the
+    sampled histories' read compensation."""
+
+    def table(level: int, sign: int = 0, copy: int = 0) -> _ColumnTable:
+        rows = [
+            container
+            for container in found
+            if (container.key[0], container.key[2], container.key[3])
+            == (level, sign, copy)
+        ]
+        compensation = (
+            1.0 / sketch.probability if isinstance(sketch, PersistentAMS) else None
+        )
+        return build(rows, compensation)
+
+    if isinstance(sketch, PersistentHeavyHitters):
+        return FrozenHeavyHitters(
+            sketch,
+            [
+                FrozenCountMin(level_sketch, table(level))
+                for level, level_sketch in enumerate(sketch._sketches)
+            ],
+            table(-1),
+        )
+    if isinstance(sketch, PersistentAMS):
+        return FrozenAMS(
+            sketch,
+            [[table(-1, b, copy) for copy in range(sketch.copies)] for b in range(2)],
+        )
+    return FrozenCountMin(sketch, table(-1))
+
+
 def freeze(
     sketch: PersistentCountMin
     | PWCAMS
@@ -1085,30 +1173,39 @@ def freeze(
     flush = getattr(sketch, "flush_buffer", None)
     if callable(flush):
         flush()
-    if isinstance(sketch, PersistentCountMin):
-        return FrozenCountMin(sketch)
     if isinstance(sketch, PWCAMS):
-        return FrozenPWCAMS(sketch)
-    if isinstance(sketch, PersistentAMS):
-        return FrozenAMS(sketch)
-    if isinstance(sketch, PersistentHeavyHitters):
-        return FrozenHeavyHitters(sketch)
+        return FrozenPWCAMS(sketch, _live_table(sketch._trackers))
     if isinstance(sketch, ShardedPersistentSketch):
         return FrozenShardedSketch(sketch)
-    raise TypeError(
-        f"freeze() does not support {type(sketch).__name__}; supported: "
-        f"PersistentCountMin, PWCCountMin, PWCAMS, PersistentAMS, "
-        f"PersistentHeavyHitters, ShardedPersistentSketch"
+    if not isinstance(
+        sketch, (PersistentCountMin, PersistentAMS, PersistentHeavyHitters)
+    ):
+        raise TypeError(
+            f"freeze() does not support {type(sketch).__name__}; supported: "
+            f"PersistentCountMin, PWCCountMin, PWCAMS, PersistentAMS, "
+            f"PersistentHeavyHitters, ShardedPersistentSketch"
+        )
+    if not isinstance(sketch, PersistentAMS):
+        # Flushes open PLA runs (in every level of the dyadic
+        # structure) before the tables are compiled.
+        sketch.finalize()
+    return _frozen_sketch(
+        sketch,
+        containers(sketch),
+        lambda rows, compensation: _live_table(
+            [container.components for container in rows], compensation
+        ),
     )
 
 
 class FrozenStoreView:
     """Immutable multi-stream query view over a whole sketch store.
 
-    Built by :func:`freeze_store`: every stream's point sketch — and its
-    heavy-hitter hierarchy and join sketch where the stream spec enables
-    them — is compiled into its frozen columnar form, keyed by stream
-    name.  The view is the degraded-mode serving surface of
+    Built by :func:`freeze_store` from a live store, or by
+    :func:`freeze_columns` from a checkpoint's columns: every stream's
+    point sketch — and its heavy-hitter hierarchy and join sketch where
+    the stream spec enables them — in its frozen columnar form, keyed
+    by stream name.  The view is the degraded-mode serving surface of
     :class:`repro.runtime.IngestRuntime`: a runtime that has stopped
     accepting writes keeps answering point / heavy-hitter / self-join
     queries from this snapshot at frozen-engine speed.
@@ -1119,19 +1216,20 @@ class FrozenStoreView:
     the live hierarchy pairing); query them on the store itself.
     """
 
-    def __init__(self, store) -> None:
+    def __init__(self, streams: dict[str, tuple]) -> None:
+        """``streams`` maps a stream name to its frozen ``(point, hh,
+        join)`` sketches, ``None`` where the spec has none."""
         self._point: dict = {}
         self._hh: dict = {}
         self._join: dict = {}
         self._clocks: dict = {}
-        for name in store.streams():
-            state = store._state(name)
-            self._point[name] = freeze(state.point_sketch)
-            if state.hh_sketch is not None:
-                self._hh[name] = freeze(state.hh_sketch)
-            if state.join_sketch is not None:
-                self._join[name] = freeze(state.join_sketch)
-            self._clocks[name] = int(state.point_sketch.now)
+        for name, (point, hh, join) in streams.items():
+            self._point[name] = point
+            if hh is not None:
+                self._hh[name] = hh
+            if join is not None:
+                self._join[name] = join
+            self._clocks[name] = int(point.now)
 
     def streams(self) -> list:
         """Names of all frozen streams."""
@@ -1194,5 +1292,49 @@ def freeze_store(store) -> FrozenStoreView:
     stream's sketches via :func:`freeze`.
     """
     store.flush_buffers()
-    return FrozenStoreView(store)
+    streams = {}
+    for name in store.streams():
+        state = store._state(name)
+        streams[name] = tuple(
+            None if sketch is None else freeze(sketch)
+            for sketch in (state.point_sketch, state.hh_sketch, state.join_sketch)
+        )
+    return FrozenStoreView(streams)
 
+
+def freeze_columns(columns: Columns) -> FrozenStoreView:
+    """A :class:`FrozenStoreView` of a version 2 checkpoint, built
+    straight from its generation columns.
+
+    Each sketch is a shell rebuilt from its manifest tail
+    (:func:`repro.io.serialize.shell`) for its shape, clock and hashes;
+    its tables are cut from the concatenated generations.  No tracker
+    is built, finalized or exported: the checkpoint's save finalized
+    every run already.  The view equals ``freeze_store`` of the store
+    the same checkpoint opens, array for array.  Malformed columns
+    raise :class:`~repro.io.SerializationError`.
+    """
+    try:
+        kinds = {kind.name: columns.kind(kind) for kind in KINDS}
+        streams = {}
+        for index, entry in enumerate(columns.manifest["streams"]):
+            frozen = []
+            for slot, name in enumerate(SKETCHES):
+                tail = entry["tails"].get(name)
+                if tail is None:
+                    frozen.append(None)
+                    continue
+                sketch, found = shell(tail)
+                frozen.append(
+                    _frozen_sketch(
+                        sketch,
+                        found,
+                        functools.partial(_checkpoint_table, kinds, (index, slot)),
+                    )
+                )
+            streams[entry["name"]] = tuple(frozen)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SerializationError(
+            f"malformed checkpoint columns: {type(exc).__name__}: {exc}"
+        ) from exc
+    return FrozenStoreView(streams)

@@ -44,10 +44,10 @@ merges a run of the newest generations into one by exact concatenation,
 and no save's entries are rewritten more than :func:`rewrite_bound`
 times.
 
-Store, runtime, fsck and serving only call this module; it owns the
-layout.  Version 1 manifests (one JSON document per sketch, no CRC) are
-still accepted by :func:`read_manifest`, for the store's read-only v1
-branch.
+Store, runtime, fsck, the frozen engine and serving only call this
+module; it owns the layout.  Version 1 manifests (one JSON document per
+sketch, no CRC) are still accepted by :func:`read_manifest`, for the
+store's read-only v1 branch.
 """
 
 from __future__ import annotations
@@ -114,6 +114,93 @@ class Saved:
     bytes_written: int = 0
     #: Of :attr:`bytes_written`, the merged generation's bytes.
     merged_bytes: int = 0
+
+
+@dataclass(frozen=True)
+class Columns:
+    """A version 2 checkpoint as read from disk, before any sketch is
+    built: its manifest and the arrays of every generation read (CRC
+    checked), in manifest order."""
+
+    manifest: dict
+    generations: tuple[dict[str, np.ndarray], ...]
+
+    def kind(self, kind: Any) -> KindColumns:
+        """Component kind ``kind``'s skeletons and entries, all
+        generations concatenated in order."""
+        return KindColumns(kind, self.generations)
+
+
+@dataclass(frozen=True)
+class Table:
+    """The components of one table of a checkpoint, every row of one
+    ``(stream, sketch, level, sign, copy)``.
+
+    ``rows``, ``cols`` and ``fields`` (by the kind's field names) are
+    the skeletons written for them, in creation order; ``entry_rows``,
+    ``entry_cols`` and ``entries`` (by the kind's column names) are
+    their entries, each component's in append order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    fields: dict[str, np.ndarray]
+    entry_rows: np.ndarray
+    entry_cols: np.ndarray
+    entries: dict[str, np.ndarray]
+
+
+class KindColumns:
+    """One component kind's skeletons and entries across a checkpoint's
+    generations, cut into :class:`Table` s."""
+
+    def __init__(
+        self, kind: Any, generations: tuple[dict[str, np.ndarray], ...]
+    ) -> None:
+        parts = generations or (_Generation().arrays(),)
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([part[f"{kind.name}_{name}"] for part in parts])
+
+        self._skeleton_key = column("new_key").astype(np.int64)
+        self._fields = {name: column(f"new_{name}") for name in kind.fields}
+        run_key = column("run_key").astype(np.int64)
+        self._entry_key = np.repeat(run_key[:, :7], run_key[:, 7], axis=0)
+        self._entries = {name: column(name) for name in kind.columns}
+        self._skeletons = _by_table(self._skeleton_key)
+        self._runs = _by_table(self._entry_key)
+
+    def table(self, key: tuple[int, int, int, int, int]) -> Table:
+        """The components of table ``key``: (stream, sketch, level, sign,
+        copy), a generation key without its row and column."""
+        none = np.empty(0, dtype=np.int64)
+        skeletons = self._skeletons.get(key, none)
+        entries = self._runs.get(key, none)
+        return Table(
+            self._skeleton_key[skeletons, 3],
+            self._skeleton_key[skeletons, 4],
+            {name: column[skeletons] for name, column in self._fields.items()},
+            self._entry_key[entries, 3],
+            self._entry_key[entries, 4],
+            {name: column[entries] for name, column in self._entries.items()},
+        )
+
+
+def _by_table(keys: np.ndarray) -> dict[tuple, np.ndarray]:
+    """Positions of the generation ``keys`` per table, in key order."""
+    if not len(keys):
+        return {}
+    tables = keys[:, [0, 1, 2, 5, 6]]
+    low = tables.min(axis=0)
+    codes = np.ravel_multi_index(
+        tuple((tables - low).T), tuple(tables.max(axis=0) - low + 1)
+    )
+    order = np.argsort(codes, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(codes[order])) + 1).tolist(), len(order)]
+    return {
+        tuple(tables[order[lo]].tolist()): order[lo:hi]
+        for lo, hi in zip(bounds, bounds[1:])
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -580,30 +667,51 @@ def _append_container(
             marks[ekey] = length
 
 
+def read_columns(
+    directory: str | Path, manifest: dict, without: Collection[str] = ()
+) -> Columns:
+    """Read a v2 store directory's generations without building any
+    sketch.  Generation files named in ``without`` are left out; every
+    other one must pass its length and CRC check, or
+    :class:`SerializationError` is raised."""
+    directory = Path(directory)
+    return Columns(
+        manifest,
+        tuple(
+            read_generation(directory, gen)
+            for gen in manifest["generations"]
+            if gen["file"] not in without
+        ),
+    )
+
+
 def read(
     directory: str | Path,
     manifest: dict,
     without: Collection[str] = (),
+    columns: list[Columns] | None = None,
 ) -> list[tuple[dict, dict[str, Any]]]:
     """Decode a v2 store directory: ``(spec fields, sketches)`` per
     stream, in manifest order.
 
-    Generation files named in ``without`` are left out (their entries
-    are lost; a component whose skeleton they held is rebuilt with
-    default parameters).  Every other generation must pass its length
-    and CRC check, or :class:`SerializationError` is raised.
+    Generations are read as by :func:`read_columns` (their entries are
+    lost when left out; a component whose skeleton they held is rebuilt
+    with default parameters).  A ``columns`` list receives the
+    :class:`Columns` read, so a frozen view can be built from them
+    without reading the generations again.
     """
     directory = Path(directory)
     try:
+        decoded = read_columns(directory, manifest, without)
         streams, containers = _shells(manifest)
-        for gen in manifest["generations"]:
-            if gen["file"] in without:
-                continue
-            _apply(read_generation(directory, gen), containers)
+        for arrays in decoded.generations:
+            _apply(arrays, containers)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SerializationError(
             f"{directory}: malformed store: {type(exc).__name__}: {exc}"
         ) from exc
+    if columns is not None:
+        columns.append(decoded)
     return streams
 
 

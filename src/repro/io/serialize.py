@@ -74,7 +74,9 @@ class SerializationError(ValueError):
 # puts the columns inline next to the skeleton (``inline``/``outline``);
 # the store's generations (:mod:`repro.io.generations`) write only the
 # entry columns past a watermark (``entries``) and the skeleton once,
-# packed into a fixed row (``pack``/``unpack``).
+# packed into a fixed row (``pack``/``unpack``).  A frozen view of a
+# checkpoint reads the concatenated columns as table columns
+# (``export``/``initials``) without building any component.
 
 
 class _PLAKind:
@@ -202,6 +204,26 @@ class _PLAKind:
     def default(context: Any) -> dict:
         return {"delta": context, "function": {"initial_value": 0.0}}
 
+    @staticmethod
+    def export(entries: dict[str, np.ndarray]) -> tuple:
+        """Frozen table columns ``(starts, ends, slopes, values)`` of
+        entry columns, as :meth:`PLATracker.export_arrays` gives them."""
+        return (
+            entries["t_start"],
+            entries["t_end"],
+            entries["slope"],
+            entries["value_at_start"],
+        )
+
+    @staticmethod
+    def initials(fields: dict[str, np.ndarray]) -> np.ndarray:
+        """The built components' ``initial_value`` per packed skeleton."""
+        return np.where(
+            fields["young"] != 0,
+            fields["young_initial"],
+            fields["initial_value"],
+        )
+
 
 class _HistoryKind:
     """Sampled history list: skeleton ``probability`` and initial value."""
@@ -271,6 +293,16 @@ class _HistoryKind:
     @staticmethod
     def default(context: Any) -> dict:
         return {"probability": context[1], "initial_value": 0}
+
+    @staticmethod
+    def export(entries: dict[str, np.ndarray]) -> tuple:
+        """``(times, None, None, values)``, as
+        :meth:`SampledHistoryList.as_arrays` gives them."""
+        return entries["times"], None, None, entries["values"].astype(np.float64)
+
+    @staticmethod
+    def initials(fields: dict[str, np.ndarray]) -> np.ndarray:
+        return fields["initial_value"]
 
 
 class _PWCKind:
@@ -356,6 +388,15 @@ class _PWCKind:
     @staticmethod
     def default(context: Any) -> dict:
         return {"delta": context, "initial_value": 0.0}
+
+    @staticmethod
+    def export(entries: dict[str, np.ndarray]) -> tuple:
+        """Zero-slope point segments, as
+        :meth:`PWCTracker.export_arrays` gives them."""
+        times = entries["times"]
+        return times, times, np.zeros(len(times)), entries["values"]
+
+    initials = staticmethod(_HistoryKind.initials)
 
 
 PLA = _PLAKind()
@@ -790,41 +831,47 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
 # --------------------------------------------------------------------- #
 
 
+def containers(sketch: Any) -> list[Container]:
+    """The component maps of a sketch a store holds, in the fixed order
+    :func:`split` writes them and :func:`shell` rebuilds them."""
+    if type(sketch) in (PersistentCountMin, PWCCountMin):
+        return _cm_containers(sketch, -1)
+    if type(sketch) is PersistentAMS:
+        return _ams_containers(sketch)
+    if type(sketch) is PersistentHeavyHitters:
+        found = [
+            Container((-1, 0, 0, 0), {0: sketch._mass}, PLA, None, fixed=True)
+        ]
+        for level, level_sketch in enumerate(sketch._sketches):
+            found.extend(_cm_containers(level_sketch, level))
+        return found
+    raise SerializationError(
+        f"no generation codec for {type(sketch).__name__}"
+    )
+
+
 def split(sketch: Any) -> tuple[dict, list[Container]]:
     """``(tail, containers)`` of a sketch a store holds.
 
     The tail is a JSON-ready dict of everything mutable (counters,
     clocks, totals, RNG state) with its ``"type"``; the containers are
-    the sketch's live component maps, in a fixed order that
-    :func:`shell` reproduces.  Callers finalize each component (its
-    kind's ``finalize``) before reading its entries.
+    the sketch's live component maps (:func:`containers`).  Callers
+    finalize each component (its kind's ``finalize``) before reading
+    its entries.
     """
-    if type(sketch) in (PersistentCountMin, PWCCountMin):
-        return {"type": type(sketch).__name__, **_cm_tail(sketch)}, (
-            _cm_containers(sketch, -1)
-        )
+    found = containers(sketch)
     if type(sketch) is PersistentAMS:
-        return {"type": "PersistentAMS", **_ams_tail(sketch)}, (
-            _ams_containers(sketch)
-        )
+        return {"type": "PersistentAMS", **_ams_tail(sketch)}, found
     if type(sketch) is PersistentHeavyHitters:
-        tail = {
+        return {
             "type": "PersistentHeavyHitters",
             "universe": sketch.universe,
             "clock": sketch.now,
             "mass_total": sketch._mass_total,
             "mass": PLA.skeleton(sketch._mass),
             "levels": [_cm_tail(level) for level in sketch._sketches],
-        }
-        containers = [
-            Container((-1, 0, 0, 0), {0: sketch._mass}, PLA, None, fixed=True)
-        ]
-        for level, level_sketch in enumerate(sketch._sketches):
-            containers.extend(_cm_containers(level_sketch, level))
-        return tail, containers
-    raise SerializationError(
-        f"no generation codec for {type(sketch).__name__}"
-    )
+        }, found
+    return {"type": type(sketch).__name__, **_cm_tail(sketch)}, found
 
 
 #: Fields every tail of a type must carry (checked before decoding).
@@ -848,28 +895,22 @@ TAIL_FIELDS = {
 def shell(tail: dict) -> tuple[Any, list[Container]]:
     """Rebuild a sketch from its tail, with empty component maps.
 
-    Returns the sketch and the containers of :func:`split`, in the same
-    order, for the generations to fill.
+    Returns the sketch and its :func:`containers`, for the generations
+    to fill.
     """
     name = tail.get("type")
     if name in ("PersistentCountMin", "PWCCountMin"):
         cls = PersistentCountMin if name == "PersistentCountMin" else PWCCountMin
         sketch = _cm_shell(tail, cls)
-        return sketch, _cm_containers(sketch, -1)
-    if name == "PersistentAMS":
+    elif name == "PersistentAMS":
         sketch = _ams_shell(tail)
-        return sketch, _ams_containers(sketch)
-    if name == "PersistentHeavyHitters":
+    elif name == "PersistentHeavyHitters":
         levels = [_cm_shell(level, PersistentCountMin) for level in tail["levels"]]
-        structure = _hh_shell(tail, levels)
-        structure._mass = PLA.build(tail["mass"], None)
-        containers = [
-            Container((-1, 0, 0, 0), {0: structure._mass}, PLA, None, fixed=True)
-        ]
-        for level, level_sketch in enumerate(levels):
-            containers.extend(_cm_containers(level_sketch, level))
-        return structure, containers
-    raise SerializationError(f"no generation codec for tail type {name!r}")
+        sketch = _hh_shell(tail, levels)
+        sketch._mass = PLA.build(tail["mass"], None)
+    else:
+        raise SerializationError(f"no generation codec for tail type {name!r}")
+    return sketch, containers(sketch)
 
 
 _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {

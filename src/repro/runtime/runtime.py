@@ -51,7 +51,7 @@ from repro.analysis import contracts
 from repro.io import SerializationError
 from repro.io.atomic import atomic_write_text
 from repro.runtime.faults import FaultPlan, SimulatedCrash, own_files
-from repro.runtime.fsck import FsckReport, run_fsck
+from repro.runtime.fsck import FsckReport, _truncate_torn_tail, run_fsck
 from repro.runtime.health import DegradedError, HealthMonitor
 from repro.runtime.policies import (
     DeadLetterFile,
@@ -233,13 +233,16 @@ class IngestRuntime:
         ``partial`` (damage confined to a generation every checkpoint
         shares) opens without that generation, and the runtime comes up
         degraded as for lost WAL records.  A frozen view of the decoded
-        checkpoint, taken before replay, is held for the first serving
-        cutover (:meth:`take_checkpoint_view`).
+        checkpoint, built from the generation columns the open read
+        (each generation is read and CRC-checked once), is held for the
+        first serving cutover (:meth:`take_checkpoint_view`).  Torn WAL
+        tails are truncated once: by fsck's repair pass, or here when
+        ``fsck=False``.
         After replay the recovered store's timeline contracts are
         re-validated (regardless of ``REPRO_CONTRACTS``), so a corrupt
         recovery can never serve queries silently.
         """
-        from repro.engine.frozen import freeze_store
+        from repro.engine.frozen import freeze_columns, freeze_store
         from repro.engine.replay import replay_records
 
         directory = Path(directory)
@@ -263,11 +266,12 @@ class IngestRuntime:
         best = report.best_checkpoint() if report is not None else None
         failures: list[str] = []
         store: SketchStore | None = None
+        columns: list = []
         covered = 0
         for covered_seq, path in reversed(candidates):
             without = best.damaged if best is not None and best.name == path.name else ()
             try:
-                store = SketchStore.open(path, without=without)
+                store = SketchStore.open(path, without=without, columns=columns)
                 covered = covered_seq
                 break
             except SerializationError as exc:
@@ -278,14 +282,22 @@ class IngestRuntime:
                 + "; ".join(failures)
             )
 
-        # Freeze the checkpoint as decoded, before replay mutates it: the
-        # first cutover serves this view instead of re-opening the same
-        # checkpoint from disk.  ``save`` finalized every run before
-        # encoding, so the freeze's finalize leaves the store unchanged.
-        checkpoint_view = (covered, freeze_store(store))
+        # The first cutover serves a view of the checkpoint as decoded
+        # instead of re-opening it from disk.  A version 2 checkpoint's
+        # view is built from the columns the open just read; a version 1
+        # store is frozen before replay mutates it (``save`` finalized
+        # every run, so the freeze leaves the store unchanged).
+        checkpoint_view = (
+            covered,
+            freeze_columns(columns.pop()) if columns else freeze_store(store),
+        )
 
         wal = WriteAheadLog(directory / "wal", next_seq=covered + 1)
-        cls._repair_torn_tails(wal)
+        if not fsck:
+            # fsck's repair pass truncates torn tails; without it, do so
+            # here, so an append never fuses with a partial line.
+            for _start, segment in wal.segments():
+                _truncate_torn_tail(segment)
         last_seq = covered
 
         # Replay in cadence-aligned slices, re-snapshotting at every
@@ -800,30 +812,6 @@ class IngestRuntime:
             if match and path.is_dir():
                 found.append((int(match.group(1)), path))
         return sorted(found)
-
-    @staticmethod
-    def _repair_torn_tails(wal: WriteAheadLog) -> None:
-        """Truncate damaged trailing lines so appends never concatenate.
-
-        A torn append leaves a partial, unterminated final line; writing
-        a new record after it would fuse the two into garbage.  Repair
-        rewrites each segment down to its valid prefix (the dropped
-        record was never acknowledged, so nothing is lost).
-        """
-        from repro.runtime.wal import _decode_line
-
-        for _start, path in wal.segments():
-            raw = path.read_text(encoding="utf-8", errors="replace")
-            lines = raw.splitlines(keepends=True)
-            valid_bytes = 0
-            for line in lines:
-                if line.endswith("\n") and _decode_line(line) is not None:
-                    valid_bytes += len(line.encode("utf-8"))
-                else:
-                    break
-            if valid_bytes < len(raw.encode("utf-8")):
-                with open(path, "r+b") as handle:  # sketchlint: disable=SL012 — recovery-time torn-tail repair truncates in place; only discards bytes already proven invalid
-                    handle.truncate(valid_bytes)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -209,10 +209,18 @@ class WriteAheadLog:
 
         Verifies CRC framing and sequence contiguity.  A damaged line is
         tolerated only as the final non-empty line of its segment (a
-        torn tail); anything else raises :class:`WalCorruption`.
+        torn tail); anything else raises :class:`WalCorruption`.  A
+        segment whose successor starts at or before ``after_seq + 1``
+        holds no record past ``after_seq`` and is never opened.
         """
         expected = after_seq + 1
-        for start, path in self.segments():
+        segments = self.segments()
+        for position, (start, path) in enumerate(segments):
+            following = (
+                segments[position + 1][0] if position + 1 < len(segments) else None
+            )
+            if following is not None and following <= after_seq + 1:
+                continue  # every record here is at or below after_seq
             lines = path.read_text(
                 encoding="utf-8", errors="replace"
             ).splitlines()

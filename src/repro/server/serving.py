@@ -12,24 +12,28 @@ the frozen-engine contract), anything newer is answered wholly live.
 
 Cutover never touches the live store.  Freezing live sketch state would
 finalize open PLA runs and perturb future segmentation, breaking the
-bit-identical-recovery invariant; instead each view is a freeze of the
-newest checkpoint — whose ``save`` already finalized at a cadence
+bit-identical-recovery invariant; instead each view is a frozen view of
+the newest checkpoint — whose ``save`` already finalized at a cadence
 boundary, exactly as recovery replays it — and the view reference is
-swapped atomically.  The first view after a restart comes from
-recovery's own decode of that checkpoint, frozen before the WAL tail
-was replayed into it (:meth:`IngestRuntime.take_checkpoint_view`);
-every later view re-opens the newest checkpoint from disk.  Readers on
-the old view keep it alive; nothing blocks on writers.
+swapped atomically.  The first view after a restart is the one recovery
+built from the columns it decoded that checkpoint from
+(:meth:`IngestRuntime.take_checkpoint_view`); every later view reads
+the newest checkpoint's manifest and generations from disk and builds
+its tables straight from those columns
+(:func:`~repro.engine.frozen.freeze_columns`), with no tracker objects.
+Readers on the old view keep it alive; nothing blocks on writers.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from pathlib import Path
 from typing import Any, Iterable
 
-from repro.engine.frozen import FrozenStoreView, freeze_store
+from repro.engine.frozen import FrozenStoreView, freeze_columns, freeze_store
 from repro.io import SerializationError
+from repro.io.generations import read_columns, read_manifest
 from repro.runtime import IngestRuntime
 from repro.server.protocol import BadRequestError
 from repro.store import SketchStore
@@ -44,6 +48,16 @@ def _check_item(item: int) -> int:
     if not 0 <= item < INT64_LIMIT:
         raise BadRequestError(f"item must lie in [0, 2**63), got {item}")
     return item
+
+
+def _checkpoint_view(path: Path) -> FrozenStoreView:
+    """Frozen view of the checkpoint at ``path``: built from its manifest
+    and generation columns, never from tracker objects.  A version 1
+    checkpoint has no columns; it is opened and frozen."""
+    manifest = read_manifest(path)
+    if manifest["version"] == 1:
+        return freeze_store(SketchStore.open(path))
+    return freeze_columns(read_columns(path, manifest))
 
 
 class ServingView:
@@ -155,10 +169,9 @@ class ServingRuntime:
             frozen = self.runtime.take_checkpoint_view(seq)
             if frozen is None:
                 try:
-                    store = SketchStore.open(path)
+                    frozen = _checkpoint_view(path)
                 except (SerializationError, OSError) as exc:  # sketchlint: disable=SL016 — checkpoint pruned or damaged mid-load: this tick skips, the next one retries, and the reason is surfaced in the returned status
                     return self._status(False, f"checkpoint unreadable: {exc}")
-                frozen = freeze_store(store)
             self._view = ServingView(seq, frozen, self._clock())
             self.cutovers += 1
             return self._status(True, f"view advanced to checkpoint seq {seq}")

@@ -23,7 +23,7 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.io import load as load_archive
 from repro.io.atomic import replace_directory
-from repro.io.generations import Saved, read_manifest
+from repro.io.generations import Columns, Saved, read_manifest
 from repro.io.generations import read as load_sketch
 from repro.io.generations import write as save_sketch
 
@@ -416,7 +416,10 @@ class SketchStore:
 
     @classmethod
     def open(
-        cls, directory: str | Path, without: Collection[str] = ()
+        cls,
+        directory: str | Path,
+        without: Collection[str] = (),
+        columns: list[Columns] | None = None,
     ) -> "SketchStore":
         """Load a store previously written by :meth:`save`.
 
@@ -425,9 +428,12 @@ class SketchStore:
         generation, so checkpoint recovery can treat any damaged store
         directory uniformly and fall back.  Generation files named in
         ``without`` are left out: recovery opens a checkpoint without a
-        damaged generation that fsck accounted as lost.  Version 1
-        directories (one archive per sketch) open read-only: the first
-        save of the opened store writes version 2.
+        damaged generation that fsck accounted as lost.  A ``columns``
+        list receives the version 2 directory's decoded generations
+        (:class:`~repro.io.generations.Columns`): recovery builds its
+        first frozen view from them.  Version 1 directories (one archive
+        per sketch) open read-only: the first save of the opened store
+        writes version 2.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -440,7 +446,7 @@ class SketchStore:
         if manifest["version"] == 1:
             streams = _read_v1(directory, manifest)
         else:
-            streams = load_sketch(directory, manifest, without)
+            streams = load_sketch(directory, manifest, without, columns)
         for entry, sketches in streams:
             spec = StreamSpec(
                 name=entry["name"],

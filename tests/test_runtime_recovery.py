@@ -408,11 +408,105 @@ def count_opens(monkeypatch):
     return opened
 
 
+def count_generation_reads(monkeypatch):
+    """Count generation reads by checkpoint directory name."""
+    from repro.io import generations
+
+    reads = []
+    original = generations.read_generation
+
+    def counted(directory, gen):
+        reads.append(Path(directory).name)
+        return original(directory, gen)
+
+    monkeypatch.setattr(generations, "read_generation", counted)
+    return reads
+
+
 def own_generations(checkpoint):
     """Generation files of ``checkpoint`` that no other checkpoint links."""
     from repro.runtime.faults import own_files
 
     return [path for path in own_files(checkpoint) if path.suffix == ".npz"]
+
+
+class TestWalReadOnce:
+    """Recovery truncates a torn tail once, by fsck's repair pass or, when
+    it runs without fsck, by itself; replay opens only the segments
+    holding records past the checkpoint."""
+
+    @pytest.mark.parametrize("fsck", [True, False], ids=["fsck", "no-fsck"])
+    def test_torn_tail_is_truncated_once(self, tmp_path, fsck, monkeypatch):
+        import repro.runtime.runtime as runtime_module
+        from repro.runtime.wal import _decode_line
+
+        records = make_records()
+        victim = IngestRuntime.create(
+            tmp_path / "victim",
+            make_store(),
+            checkpoint_every=CHECKPOINT_EVERY,
+            faults=FaultPlan(torn_write_at_record=101),
+        )
+        with pytest.raises(SimulatedCrash):
+            for raw in records:
+                victim.ingest(raw)
+        # The torn append opened the segment the next append goes to.
+        torn = tmp_path / "victim" / "wal" / "segment-000000000101.wal"
+        assert not torn.read_bytes().endswith(b"\n")
+        truncations = []
+        original = runtime_module._truncate_torn_tail
+
+        def counted(path):
+            truncations.append(path.name)
+            return original(path)
+
+        monkeypatch.setattr(runtime_module, "_truncate_torn_tail", counted)
+        recovered = IngestRuntime.recover(
+            tmp_path / "victim", checkpoint_every=CHECKPOINT_EVERY, fsck=fsck
+        )
+        # fsck truncated it; the runtime's own pass runs only without it.
+        assert len(truncations) == (0 if fsck else 2)
+        assert recovered.applied_seq == 100
+        assert torn.read_bytes() == b""
+        for raw in records[100:]:
+            assert recovered.ingest(raw) is True
+        recovered.close()
+        segments = sorted((tmp_path / "victim" / "wal").glob("segment-*.wal"))
+        for segment in segments:
+            for line in segment.read_text().splitlines(keepends=True):
+                assert _decode_line(line) is not None, segment.name
+        again = IngestRuntime.recover(
+            tmp_path / "victim", checkpoint_every=CHECKPOINT_EVERY, fsck=fsck
+        )
+        assert again.applied_seq == len(records)
+        twin = run_uninterrupted(tmp_path, records)
+        assert_identical_answers(twin, again)
+
+    def test_damaged_covered_segment_is_never_replayed(self, tmp_path, monkeypatch):
+        import repro.runtime.wal as wal_module
+
+        directory = build_closed(tmp_path)
+        covered = directory / "wal" / "segment-000000000051.wal"
+        lines = covered.read_text().splitlines(keepends=True)
+        assert len(lines) == 50  # records 51..100, all below ckpt-100
+        lines[20] = lines[20].replace('"item"', '"itex"')
+        covered.write_text("".join(lines))
+        decoded = []
+        original = wal_module._decode_line
+
+        def counted(line):
+            decoded.append(line)
+            return original(line)
+
+        monkeypatch.setattr(wal_module, "_decode_line", counted)
+        recovered = IngestRuntime.recover(
+            directory, checkpoint_every=CHECKPOINT_EVERY, fsck=False
+        )
+        # Replay decoded the tail past the checkpoint and nothing else.
+        assert len(decoded) == N_SHUTDOWN - 100
+        assert recovered.applied_seq == N_SHUTDOWN
+        twin = run_uninterrupted(tmp_path, make_records(N_SHUTDOWN))
+        assert_identical_answers(twin, recovered)
 
 
 class TestCheckpointHandoff:
@@ -512,9 +606,13 @@ class TestCheckpointHandoff:
         assert (directory / "checkpoints" / "ckpt-000000000100").is_dir()
         assert recovered._checkpoint_view is None
         opened = count_opens(monkeypatch)
+        reads = count_generation_reads(monkeypatch)
         serving = ServingRuntime(recovered)
         assert serving.maybe_cutover(force=True)["view_seq"] == 100
-        assert opened == ["ckpt-000000000100"]
+        # The cutover reads the newest checkpoint's generations from
+        # disk and builds its view from their columns, not trackers.
+        assert opened == []
+        assert reads and set(reads) == {"ckpt-000000000100"}
         t = serving.view().clock("urls")
         for item in range(0, UNIVERSE, 5):
             assert serving.point("urls", item, 0, t, mode="frozen") == (

@@ -74,6 +74,26 @@ class TestAppendReplay:
         with pytest.raises(WalCorruption):
             list(WriteAheadLog(tmp_path).replay(0))
 
+    def test_replay_never_opens_a_fully_covered_segment(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        for t in range(1, 6):
+            wal.append(_record(time=t))
+        wal.rotate()
+        for t in range(6, 9):
+            wal.append(_record(time=t))
+        wal.close()
+        # A segment holding one record past the floor is still read.
+        assert [r["seq"] for r in WriteAheadLog(tmp_path).replay(4)] == [5, 6, 7, 8]
+        covered = wal.segments()[0][1]
+        lines = covered.read_text().splitlines(keepends=True)
+        lines[2] = "corrupted line\n"
+        covered.write_text("".join(lines))
+        # Records 1..5 are at or below the floor: the damage is unread.
+        assert [r["seq"] for r in WriteAheadLog(tmp_path).replay(5)] == [6, 7, 8]
+        # Record 5 is needed and sits past the damage.
+        with pytest.raises(WalCorruption):
+            list(WriteAheadLog(tmp_path).replay(4))
+
     def test_scripted_torn_write_crashes_after_partial_line(self, tmp_path):
         plan = FaultPlan(torn_write_at_record=2)
         wal = WriteAheadLog(tmp_path, faults=plan)

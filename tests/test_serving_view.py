@@ -15,7 +15,7 @@ from repro.io import SerializationError
 from repro.runtime import DegradedError, IngestRuntime
 from repro.server.serving import ServingRuntime
 from repro.store import SketchStore, StreamSpec
-from tests.test_runtime_recovery import count_opens
+from tests.test_runtime_recovery import count_generation_reads, count_opens
 
 CHECKPOINT_EVERY = 50
 N_RECORDS = 120
@@ -291,12 +291,12 @@ class TestCutover:
         serving, _records = served
         before = serving.view()
 
-        def boom(cls, directory):
+        from repro.io import generations
+
+        def boom(directory, gen):
             raise SerializationError("pruned from under us")
 
-        monkeypatch.setattr(
-            SketchStore, "open", classmethod(boom)
-        )
+        monkeypatch.setattr(generations, "read_generation", boom)
         status = serving.maybe_cutover(force=True)
         assert status["swapped"] is False
         assert "unreadable" in status["reason"]
@@ -382,9 +382,11 @@ class TestRecoveredViewHandoff:
         runtime.ingest_batch(make_records(150)[130:])  # crosses boundary 150
         assert runtime._checkpoint_view is None
         opened = count_opens(monkeypatch)
+        reads = count_generation_reads(monkeypatch)
         serving = ServingRuntime(runtime)
         assert serving.maybe_cutover(force=True)["view_seq"] == 150
-        assert opened == ["ckpt-000000000150"]
+        assert opened == []
+        assert reads and set(reads) == {"ckpt-000000000150"}
         for item in range(0, UNIVERSE, 5):
             assert serving.point("urls", item, 0, 150, mode="frozen") == (
                 serving.point("urls", item, 0, 150, mode="live")

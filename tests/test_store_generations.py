@@ -22,10 +22,13 @@ import numpy as np
 import pytest
 
 import repro.store.store as store_module
+from repro.core.persistent_countmin import PWCCountMin
+from repro.engine.frozen import freeze_columns, freeze_store
 from repro.io import SerializationError
 from repro.io.generations import (
     MAX_GENERATIONS,
     merge_start,
+    read_columns,
     read_manifest,
     rewrite_bound,
 )
@@ -370,3 +373,181 @@ def test_bootstrap_checkpoint_writes_only_a_manifest(tmp_path):
     (bootstrap,) = (tmp_path / "rt" / "checkpoints").glob("ckpt-*")
     assert [p.name for p in bootstrap.iterdir()] == ["manifest.json"]
     runtime.close()
+
+
+# --------------------------------------------------------------------- #
+# Frozen views built straight from checkpoint columns
+# --------------------------------------------------------------------- #
+
+
+def all_sketches_store():
+    """The fixture store plus a stream whose point sketch is PWC: every
+    sketch a stream can hold (point, heavy hitters with their mass
+    tracker, sampled-AMS join) and both tracker kinds."""
+    store = feed_fixture_store()
+    store.create(StreamSpec("steps", delta=2.0))
+    store._state("steps").point_sketch = PWCCountMin(
+        width=store.width, depth=store.depth, delta=2.0, seed=store.seed
+    )
+    return store
+
+
+def column_view(directory, without=()):
+    directory = Path(directory)
+    return freeze_columns(read_columns(directory, read_manifest(directory), without))
+
+
+def disk_view(directory, without=()):
+    return freeze_store(SketchStore.open(directory, without=without))
+
+
+def frozen_tables(view):
+    """Every table of a frozen store view, keyed by where it sits."""
+    tables = {}
+    for name in view.streams():
+        tables[name, "point"] = view._point[name]._table
+        hh = view._hh.get(name)
+        if hh is not None:
+            tables[name, "mass"] = hh._mass
+            for level, sketch in enumerate(hh._sketches):
+                tables[name, "level", level] = sketch._table
+        join = view._join.get(name)
+        if join is not None:
+            for b, by_copy in enumerate(join._tables):
+                for copy, table in enumerate(by_copy):
+                    tables[name, "join", b, copy] = table
+    return tables
+
+
+def assert_tables_equal(got, want):
+    got_tables, want_tables = frozen_tables(got), frozen_tables(want)
+    assert got_tables.keys() == want_tables.keys()
+    for where, table in want_tables.items():
+        other = got_tables[where]
+        assert type(other) is type(table), where
+        for attr in type(table).__slots__:
+            a, b = getattr(other, attr), getattr(table, attr)
+            if isinstance(b, np.ndarray):
+                assert isinstance(a, np.ndarray), (where, attr)
+                assert a.dtype == b.dtype, (where, attr)
+                assert np.array_equal(a, b), (where, attr)
+            else:
+                assert a == b, (where, attr)
+
+
+def assert_same_answers(got, want, seams, rng):
+    """Answer for answer, over windows that end at, straddle and span
+    the generation seams (the stream clocks at each save)."""
+    assert got.streams() == want.streams()
+    items = list(range(0, 64, 3))
+    for name in want.streams():
+        now = want.clock(name)
+        assert got.clock(name) == now
+        cuts = [0] + [seam for seam in seams[name] if seam <= now] + [now]
+        windows = [(0, now)]
+        windows += [(max(0, cut - 7), min(now, cut + 7)) for cut in cuts]
+        windows += list(zip(cuts, cuts[2:]))
+        for _ in range(6):
+            s = int(rng.integers(0, now))
+            windows.append((s, int(rng.integers(s, now + 1))))
+        for s, t in windows:
+            for item in items:
+                assert got.point(name, item, s, t) == want.point(name, item, s, t)
+            pairs = [(s, t)] * len(items)
+            assert got.point_many(name, items, pairs).tolist() == (
+                want.point_many(name, items, pairs).tolist()
+            )
+            if name in want._hh:
+                assert got.heavy_hitters(name, 0.05, s, t) == (
+                    want.heavy_hitters(name, 0.05, s, t)
+                )
+                assert got.window_mass(name, s, t) == want.window_mass(name, s, t)
+            if name in want._join:
+                assert got.self_join_size(name, s, t) == (
+                    want.self_join_size(name, s, t)
+                )
+
+
+def save_chain(tmp_path, store, saves, rng):
+    """Grow and save ``store`` ``saves`` times; the saved directories
+    and each stream's clock at every save (its generation seams)."""
+    seams: dict[str, list[int]] = {name: [] for name in store.streams()}
+    directories = []
+    for k in range(saves):
+        grow(store, rng)
+        directories.append(store.save(tmp_path / f"s{k}", seq=100 * (k + 1)))
+        for name in store.streams():
+            seams[name].append(store._state(name).point_sketch.now)
+    return directories, seams
+
+
+def test_column_view_equals_open_and_freeze_across_compaction(tmp_path):
+    rng = np.random.default_rng(11)
+    directories, seams = save_chain(
+        tmp_path, all_sketches_store(), 2 * MAX_GENERATIONS + 2, rng
+    )
+    for k, directory in enumerate(directories):
+        got, want = column_view(directory), disk_view(directory)
+        assert_tables_equal(got, want)
+        # The first save, the first merge of every generation, the last.
+        if k in (0, MAX_GENERATIONS, len(directories) - 1):
+            assert_same_answers(got, want, seams, rng)
+    assert len(read_manifest(directories[-1])["generations"]) > 1
+
+
+@pytest.mark.parametrize("lost", [0, 1], ids=["first", "middle"])
+def test_column_view_of_a_partial_checkpoint_equals_open_without(tmp_path, lost):
+    """Left out, the first generation takes most skeletons with it: their
+    components' later entries start from default parameters."""
+    rng = np.random.default_rng(12)
+    directories, seams = save_chain(tmp_path, all_sketches_store(), 3, rng)
+    directory = directories[-1]
+    without = {read_manifest(directory)["generations"][lost]["file"]}
+    got, want = column_view(directory, without), disk_view(directory, without)
+    assert_tables_equal(got, want)
+    assert_same_answers(got, want, seams, rng)
+
+
+def test_empty_checkpoint_column_view(tmp_path):
+    store = all_sketches_store()
+    empty = SketchStore(width=16, depth=3, join_width=32, seed=5)
+    for name in store.streams():
+        empty.create(store._state(name).spec)
+    directory = empty.save(tmp_path / "empty", seq=0)
+    assert read_manifest(directory)["generations"] == []
+    assert_tables_equal(column_view(directory), disk_view(directory))
+
+
+def test_v1_checkpoint_views_open_and_freeze(tmp_path, monkeypatch):
+    """A version 1 checkpoint has no columns: recovery and cutover keep
+    the open-and-freeze route through the store's read-only v1 branch."""
+    import repro.engine.frozen as frozen_module
+    from repro.server.serving import _checkpoint_view
+
+    want = disk_view(FIXTURE_V1)
+
+    def no_columns(columns):
+        raise AssertionError("a v1 checkpoint has no columns to build from")
+
+    monkeypatch.setattr(frozen_module, "freeze_columns", no_columns)
+    monkeypatch.setattr("repro.server.serving.freeze_columns", no_columns)
+    assert_tables_equal(_checkpoint_view(FIXTURE_V1), want)
+
+    directory = tmp_path / "rt"
+    shutil.copytree(FIXTURE_V1, directory / "checkpoints" / "ckpt-000000000000")
+    recovered = IngestRuntime.recover(directory)
+    assert recovered.fsck_report.best_covered_seq == 0
+    got = recovered.take_checkpoint_view(0)
+    assert_tables_equal(got, want)
+    seams = {name: [] for name in want.streams()}
+    assert_same_answers(got, want, seams, np.random.default_rng(13))
+
+
+def test_recovered_view_equals_a_disk_freeze_table_for_table(tmp_path):
+    directory = tmp_path / "rt"
+    runtime = IngestRuntime.create(directory, make_store(), checkpoint_every=EVERY)
+    runtime.ingest_batch(make_records())
+    runtime.close()
+    newest = sorted((directory / "checkpoints").glob("ckpt-*"))[-1]
+    recovered = IngestRuntime.recover(directory, checkpoint_every=EVERY)
+    assert_tables_equal(recovered.take_checkpoint_view(2 * EVERY), disk_view(newest))
