@@ -22,7 +22,7 @@ helper wrappers that defeat the per-module rules:
   ``_apply_batch``) from outside the dispatch module that owns the
   update buffer — staged records would be reordered around it — and,
   dually, a public sketch query/freeze method whose resolved call tree
-  reads per-counter history (``value_at`` / ``export_arrays``) with no
+  reads per-counter history (``value_at``) with no
   buffer-flushing verb anywhere on the path, which would serve answers
   that lag the absorbed stream.
 
@@ -495,7 +495,7 @@ _BUFFER_DISPATCH_MODULES = {"repro.core.base"}
 _FLUSH_VERBS = {"flush_buffer", "flush_buffers", "finalize"}
 
 #: Call names that read per-counter history state.
-_TRACKER_READS = {"value_at", "export_arrays"}
+_TRACKER_READS = {"value_at"}
 
 #: Root class of the buffered sketch hierarchy.
 _SKETCH_ROOTS = {"PersistentSketch"}
@@ -542,7 +542,7 @@ class BufferBypassRule(ProjectRule):
     owning dispatch module (``repro.core.base``).  The second walks the
     resolved call tree of every public method of every
     ``PersistentSketch`` subclass and flags trees that contain a
-    history read (``value_at`` / ``export_arrays``) but no flush verb;
+    history read (``value_at``) but no flush verb;
     an unresolvable delegation contributes neither, so every finding
     rests on an actually-visible unflushed read, quoted as a call path.
     """

@@ -145,8 +145,8 @@ class PersistentHeavyHitters(PersistentSketch):
     def finalize(self) -> None:
         """Flush open PLA runs in every level sketch and the mass tracker.
 
-        Optional for live queries; required (and done automatically) by
-        ``freeze()`` before exporting columnar history arrays.
+        Optional for live queries; a freeze or a checkpoint does it to
+        every component before reading its history columns.
         """
         self.flush_buffer()
         for sketch in self._sketches:

@@ -14,9 +14,12 @@ deterministic schemes (asserted in ``tests/test_engine.py``).
     batch_ingest(sketch, stream)      # == sketch.ingest(stream), faster
 
 The read side is :mod:`repro.engine.frozen`: ``freeze(sketch)`` compiles
-a finalized sketch into an immutable columnar snapshot that answers
-``point`` / ``point_many`` / holistic queries bit-equal to the live path
-(asserted in ``tests/test_frozen.py``) via vectorized predecessor search.
+a sketch into an immutable columnar snapshot that answers ``point`` /
+``point_many`` / holistic queries bit-equal to the live path (asserted
+in ``tests/test_frozen.py``) via vectorized predecessor search.  The
+frozen engine has one input layout, the generation columns a store
+checkpoint writes (:mod:`repro.io.generations`): a live sketch is laid
+out as one in-memory generation first, a checkpoint is read as written.
 """
 
 from __future__ import annotations

@@ -6,12 +6,17 @@ history touched.  The paper's query-time remarks (Sections 3.3/4.2)
 motivate *batched* predecessor search; this module is the serving-side
 realization of that idea, in the snapshot / read-optimized-view shape of
 Rinberg et al.'s concurrent sketches and Hokusai's time-partitioned
-sketch serving: ``freeze(sketch)`` compiles a finalized sketch into
-immutable columnar numpy state, and the frozen object answers ``point``,
-``point_many``, ``self_join_size`` and heavy-hitter queries.  A store
-checkpoint already holds its histories as keyed columns, so
-``freeze_columns`` builds the same view of it without building, or
-finalizing, a single tracker.
+sketch serving: ``freeze(sketch)`` compiles a sketch into immutable
+columnar numpy state, and the frozen object answers ``point``,
+``point_many``, ``self_join_size`` and heavy-hitter queries.
+
+There is one route in and one layout: the keyed generation columns of
+:mod:`repro.io.generations`.  A store checkpoint already holds its
+histories that way, so ``freeze_columns`` cuts its tables from them
+without building a single tracker; ``freeze`` first lays a live
+sketch's components out as one in-memory generation
+(:func:`~repro.io.generations.sketch_columns`) and then cuts its tables
+exactly the same way.  Every table is assembled by ``_build_table``.
 
 Reads pay per probe when small and per batch when large.  A vectorized
 batch costs a fixed ~350µs of numpy dispatch (much of it Carter-Wegman
@@ -47,19 +52,19 @@ accumulate in sorted column order precisely so both paths sum in the
 same order.
 
 Freezing finalizes the live sketch (flushing open PLA runs — a no-op
-for queries, since the emitted segment evaluates identically to the
-open-run bisector) and snapshots it *as of* ``sketch.now``; the live
-sketch may keep ingesting afterwards without affecting the snapshot.
+for the answers it gives now, since the emitted segment evaluates
+identically to the open-run bisector, but a cut in its later
+compression) and snapshots it *as of* ``sketch.now``; the live sketch
+may keep ingesting afterwards without affecting the snapshot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from itertools import repeat
 from statistics import median
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,7 +73,7 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro.engine.batch import _batch_signs, batch_hash_columns
-from repro.io.generations import KINDS, SKETCHES, Columns, KindColumns
+from repro.io.generations import SKETCHES, Columns, KindColumns, sketch_columns
 from repro.io.serialize import Container, SerializationError, containers, shell
 from repro.store.sharded import ShardedPersistentSketch
 
@@ -471,112 +476,26 @@ class _ScalarPointCache:
         return diffs
 
 
-def _column_table(
-    n_rows: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    initials: np.ndarray,
-    entry_rows: np.ndarray,
-    entry_cols: np.ndarray,
-    starts: np.ndarray,
-    values: np.ndarray,
-    ends: np.ndarray | None = None,
-    slopes: np.ndarray | None = None,
-    compensation: float | None = None,
-) -> _ColumnTable:
-    """Assemble a frozen table from keyed component columns.
-
-    Every frozen table is assembled here, from live trackers and from
-    checkpoint columns alike.  Component ``i`` is the counter
-    ``(rows[i], cols[i])`` of a sketch with ``n_rows`` rows, starting
-    from ``initials[i]``; components come in any order and each key
-    appears once.  Entry ``j`` belongs to the component keyed
-    ``(entry_rows[j], entry_cols[j])``, and each component's entries
-    come in append order (other components' may interleave).  Slots are
-    the components sorted by ``(row, col)``, and a stable sort of the
-    entries by slot gives the per-counter CSR layout.  Segment tables
-    pass ``ends`` and ``slopes``; history tables pass ``compensation``.
-    """
-    span = int(max(cols.max(initial=-1), entry_cols.max(initial=-1))) + 1
-    keys = rows.astype(np.int64) * span + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    slot = np.searchsorted(keys, entry_rows.astype(np.int64) * span + entry_cols)
-    by_slot = np.argsort(slot, kind="stable")
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(slot, minlength=len(keys)), out=offsets[1:])
-    return _ColumnTable(
-        np.searchsorted(keys, np.arange(n_rows + 1, dtype=np.int64) * span),
-        cols[order].astype(np.int64),
-        offsets,
-        starts[by_slot],
-        None if ends is None else ends[by_slot],
-        None if slopes is None else slopes[by_slot],
-        values[by_slot],
-        initials[order].astype(np.float64),
-        compensation,
-    )
-
-
-def _live_table(
-    rows: list[dict], compensation: float | None = None
-) -> _ColumnTable:
-    """Frozen table of live components, one ``{col: component}`` map per
-    sketch row: PLA/PWC trackers, or sampled history lists when
-    ``compensation`` is given."""
-    keys = []
-    initials = []
-    exports = []
-    for row, components in enumerate(rows):
-        for col, component in components.items():
-            keys.append((row, col))
-            initials.append(component.initial_value)
-            exports.append(
-                component.export_arrays()
-                if compensation is None
-                else component.as_arrays()
-            )
-    dtypes = (
-        (np.int64, np.int64, np.float64, np.float64)
-        if compensation is None
-        else (np.int64, np.float64)
-    )
-    columns = [
-        np.concatenate([arrays[i] for arrays in exports])
-        if exports
-        else np.empty(0, dtype=dtype)
-        for i, dtype in enumerate(dtypes)
-    ]
-    starts, ends, slopes, values = (
-        columns if compensation is None else (columns[0], None, None, columns[1])
-    )
-    key = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    entry = np.repeat(key, [len(arrays[0]) for arrays in exports], axis=0)
-    return _column_table(
-        len(rows),
-        key[:, 0],
-        key[:, 1],
-        np.array(initials, dtype=np.float64),
-        entry[:, 0],
-        entry[:, 1],
-        starts,
-        values,
-        ends,
-        slopes,
-        compensation,
-    )
-
-
-def _checkpoint_table(
+def _build_table(
     kinds: dict[str, KindColumns],
     prefix: tuple[int, int],
     rows: list[Container],
     compensation: float | None,
 ) -> _ColumnTable:
-    """Frozen table of a checkpoint's sketch ``prefix`` (stream, sketch
-    slot), whose shell holds ``rows`` (one container per sketch row),
-    cut from the checkpoint's columns ``kinds``.  A fixed container's
-    components have their skeletons in the tail, not the columns."""
+    """The frozen table of sketch ``prefix`` (stream, sketch slot) whose
+    sketch rows hold the containers ``rows``, cut from generation
+    columns ``kinds``: a checkpoint's, or a live sketch's
+    (:func:`~repro.io.generations.sketch_columns`).  Every frozen table
+    is assembled here.
+
+    A component is the counter keyed ``(row, col)``.  Its skeleton is
+    in the columns, or in ``rows`` for a fixed container; one whose
+    skeleton was in a generation left out is rebuilt with default
+    parameters and starts from 0.  Slots are the components sorted by
+    key, and a stable sort of the entries (each component's in append
+    order) by slot gives the per-counter CSR layout.  Segment tables
+    evaluate ``ends``/``slopes``; history tables pass ``compensation``.
+    """
     kind = rows[0].kind
     level, _row, sign, copy = rows[0].key
     table = kinds[kind.name].table(prefix + (level, sign, copy))
@@ -589,21 +508,31 @@ def _checkpoint_table(
     fixed_key = np.array(list(fixed), dtype=np.int64).reshape(-1, 2)
     row_ids = np.concatenate((table.rows, fixed_key[:, 0]))
     cols = np.concatenate((table.cols, fixed_key[:, 1]))
-    initials = np.concatenate((kind.initials(table.fields), list(fixed.values())))
-    # A component whose skeleton was in a generation left out is
-    # rebuilt with default parameters: it starts from 0.
-    span = int(max(cols.max(initial=-1), table.entry_cols.max(initial=-1))) + 1
-    known = np.append(np.sort(row_ids * span + cols), np.iinfo(np.int64).max)
-    wanted = table.entry_rows * span + table.entry_cols
-    orphans = np.unique(wanted[known[np.searchsorted(known, wanted)] != wanted])
-    if len(orphans):
-        row_ids = np.concatenate((row_ids, orphans // span))
-        cols = np.concatenate((cols, orphans % span))
-        initials = np.concatenate((initials, np.zeros(len(orphans))))
+    span = int(max(cols.max(initial=0), table.entry_cols.max(initial=0))) + 1
+    keys = row_ids * span + cols
+    entry_keys = table.entry_rows * span + table.entry_cols
+    orphans = np.setdiff1d(entry_keys, keys)
+    keys = np.concatenate((keys, orphans))
+    initials = np.concatenate(
+        (kind.initials(table.fields), list(fixed.values()), np.zeros(len(orphans)))
+    )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    slot = np.searchsorted(keys, entry_keys)
+    by_slot = np.argsort(slot, kind="stable")
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=len(keys)), out=offsets[1:])
     starts, ends, slopes, values = kind.export(table.entries)
-    return _column_table(
-        len(rows), row_ids, cols, initials, table.entry_rows, table.entry_cols,
-        starts, values, ends, slopes, compensation,
+    return _ColumnTable(
+        np.searchsorted(keys, np.arange(len(rows) + 1, dtype=np.int64) * span),
+        keys % span,
+        offsets,
+        starts[by_slot],
+        None if ends is None else ends[by_slot],
+        None if slopes is None else slopes[by_slot],
+        values[by_slot],
+        initials[order].astype(np.float64),
+        compensation,
     )
 
 
@@ -1027,12 +956,10 @@ class FrozenShardedSketch:
         self.now = store.now
         self.name = "frozen(sharded)"
         self._dropped_through = store._dropped_through
-        self._shards: dict = {}
-        for shard_id, shard in sorted(store._shards.items()):
-            finalize = getattr(shard, "finalize", None)
-            if finalize is not None:
-                finalize()
-            self._shards[shard_id] = freeze(shard)
+        self._shards = {
+            shard_id: freeze(shard)
+            for shard_id, shard in sorted(store._shards.items())
+        }
 
     def _shard_id(self, time: float) -> int:
         return (int(time) - 1) // self.shard_length
@@ -1110,14 +1037,15 @@ class FrozenShardedSketch:
 
 
 def _frozen_sketch(
-    sketch: PersistentCountMin | PersistentAMS | PersistentHeavyHitters,
+    sketch: PersistentCountMin | PWCAMS | PersistentAMS | PersistentHeavyHitters,
     found: list[Container],
-    build: Callable[[list[Container], float | None], _ColumnTable],
-) -> FrozenCountMin | FrozenAMS | FrozenHeavyHitters:
-    """Frozen form of a sketch a store holds, live or a checkpoint's
-    shell, given its :func:`~repro.io.serialize.containers`.  ``build``
-    assembles one table from the containers of its rows, with the
-    sampled histories' read compensation."""
+    kinds: dict[str, KindColumns],
+    prefix: tuple[int, int],
+) -> FrozenCountMin | FrozenPWCAMS | FrozenAMS | FrozenHeavyHitters:
+    """Frozen form of ``sketch``, live or a checkpoint's shell, given its
+    :func:`~repro.io.serialize.containers`: every table is cut from the
+    generation columns ``kinds`` of sketch ``prefix`` (stream, sketch
+    slot)."""
 
     def table(level: int, sign: int = 0, copy: int = 0) -> _ColumnTable:
         rows = [
@@ -1129,7 +1057,7 @@ def _frozen_sketch(
         compensation = (
             1.0 / sketch.probability if isinstance(sketch, PersistentAMS) else None
         )
-        return build(rows, compensation)
+        return _build_table(kinds, prefix, rows, compensation)
 
     if isinstance(sketch, PersistentHeavyHitters):
         return FrozenHeavyHitters(
@@ -1145,6 +1073,8 @@ def _frozen_sketch(
             sketch,
             [[table(-1, b, copy) for copy in range(sketch.copies)] for b in range(2)],
         )
+    if isinstance(sketch, PWCAMS):
+        return FrozenPWCAMS(sketch, table(-1))
     return FrozenCountMin(sketch, table(-1))
 
 
@@ -1163,39 +1093,30 @@ def freeze(
 ):
     """Compile a live persistent sketch into a frozen columnar snapshot.
 
-    Finalizes the sketch (flushing staged updates and open PLA runs)
-    and snapshots its histories as of ``sketch.now``.  The
-    returned object answers ``point`` / ``point_many`` /
-    ``self_join_size`` (and, for the dyadic structure,
-    ``heavy_hitters`` / ``window_mass``) with answers bit-equal to the
-    live query path at a fraction of the cost.
+    Flushes staged updates, then lays the sketch's components out as
+    one in-memory generation (:func:`~repro.io.generations.sketch_columns`,
+    which finalizes open PLA runs) and cuts its tables from those
+    columns exactly as :func:`freeze_columns` cuts a checkpoint's.  The
+    snapshot is as of ``sketch.now``; the returned object answers
+    ``point`` / ``point_many`` / ``self_join_size`` (and, for the dyadic
+    structure, ``heavy_hitters`` / ``window_mass``) with answers
+    bit-equal to the live query path at a fraction of the cost.
     """
     flush = getattr(sketch, "flush_buffer", None)
     if callable(flush):
         flush()
-    if isinstance(sketch, PWCAMS):
-        return FrozenPWCAMS(sketch, _live_table(sketch._trackers))
     if isinstance(sketch, ShardedPersistentSketch):
         return FrozenShardedSketch(sketch)
     if not isinstance(
-        sketch, (PersistentCountMin, PersistentAMS, PersistentHeavyHitters)
+        sketch, (PersistentCountMin, PWCAMS, PersistentAMS, PersistentHeavyHitters)
     ):
         raise TypeError(
             f"freeze() does not support {type(sketch).__name__}; supported: "
             f"PersistentCountMin, PWCCountMin, PWCAMS, PersistentAMS, "
             f"PersistentHeavyHitters, ShardedPersistentSketch"
         )
-    if not isinstance(sketch, PersistentAMS):
-        # Flushes open PLA runs (in every level of the dyadic
-        # structure) before the tables are compiled.
-        sketch.finalize()
-    return _frozen_sketch(
-        sketch,
-        containers(sketch),
-        lambda rows, compensation: _live_table(
-            [container.components for container in rows], compensation
-        ),
-    )
+    found = containers(sketch)
+    return _frozen_sketch(sketch, found, sketch_columns(found).kinds(), (0, 0))
 
 
 class FrozenStoreView:
@@ -1315,7 +1236,7 @@ def freeze_columns(columns: Columns) -> FrozenStoreView:
     raise :class:`~repro.io.SerializationError`.
     """
     try:
-        kinds = {kind.name: columns.kind(kind) for kind in KINDS}
+        kinds = columns.kinds()
         streams = {}
         for index, entry in enumerate(columns.manifest["streams"]):
             frozen = []
@@ -1325,13 +1246,7 @@ def freeze_columns(columns: Columns) -> FrozenStoreView:
                     frozen.append(None)
                     continue
                 sketch, found = shell(tail)
-                frozen.append(
-                    _frozen_sketch(
-                        sketch,
-                        found,
-                        functools.partial(_checkpoint_table, kinds, (index, slot)),
-                    )
-                )
+                frozen.append(_frozen_sketch(sketch, found, kinds, (index, slot)))
             streams[entry["name"]] = tuple(frozen)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SerializationError(

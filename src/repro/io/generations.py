@@ -45,7 +45,9 @@ and no save's entries are rewritten more than :func:`rewrite_bound`
 times.
 
 Store, runtime, fsck, the frozen engine and serving only call this
-module; it owns the layout.  Version 1 manifests (one JSON document per
+module; it owns the layout.  The frozen engine reads nothing else: a
+live sketch it freezes is first laid out as one in-memory generation
+(:func:`sketch_columns`).  Version 1 manifests (one JSON document per
 sketch, no CRC) are still accepted by :func:`read_manifest`, for the
 store's read-only v1 branch.
 """
@@ -120,15 +122,16 @@ class Saved:
 class Columns:
     """A version 2 checkpoint as read from disk, before any sketch is
     built: its manifest and the arrays of every generation read (CRC
-    checked), in manifest order."""
+    checked), in manifest order.  A live sketch laid out by
+    :func:`sketch_columns` has one generation and no manifest."""
 
     manifest: dict
     generations: tuple[dict[str, np.ndarray], ...]
 
-    def kind(self, kind: Any) -> KindColumns:
-        """Component kind ``kind``'s skeletons and entries, all
-        generations concatenated in order."""
-        return KindColumns(kind, self.generations)
+    def kinds(self) -> dict[str, KindColumns]:
+        """Each component kind's skeletons and entries, by kind name,
+        all generations concatenated in order."""
+        return {kind.name: KindColumns(kind, self.generations) for kind in KINDS}
 
 
 @dataclass(frozen=True)
@@ -665,6 +668,17 @@ def _append_container(
                 kind.entries(component, start),
             )
             marks[ekey] = length
+
+
+def sketch_columns(containers: Iterable[Any]) -> Columns:
+    """One live sketch's :func:`~repro.io.serialize.containers` as the
+    columns of a checkpoint of one stream: every component finalized
+    and appended in full, with no watermarks, to one in-memory
+    generation under stream 0, sketch slot 0.  Nothing is written."""
+    gen = _Generation()
+    for container in containers:
+        _append_container(gen, {}, (0, 0), container)
+    return Columns({}, (gen.arrays(),))
 
 
 def read_columns(

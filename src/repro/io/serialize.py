@@ -74,9 +74,9 @@ class SerializationError(ValueError):
 # puts the columns inline next to the skeleton (``inline``/``outline``);
 # the store's generations (:mod:`repro.io.generations`) write only the
 # entry columns past a watermark (``entries``) and the skeleton once,
-# packed into a fixed row (``pack``/``unpack``).  A frozen view of a
-# checkpoint reads the concatenated columns as table columns
-# (``export``/``initials``) without building any component.
+# packed into a fixed row (``pack``/``unpack``).  The frozen engine
+# reads generation columns, a checkpoint's or a live sketch's, as table
+# columns (``export``/``initials``) without building any component.
 
 
 class _PLAKind:
@@ -207,7 +207,7 @@ class _PLAKind:
     @staticmethod
     def export(entries: dict[str, np.ndarray]) -> tuple:
         """Frozen table columns ``(starts, ends, slopes, values)`` of
-        entry columns, as :meth:`PLATracker.export_arrays` gives them."""
+        entry columns: the segments verbatim."""
         return (
             entries["t_start"],
             entries["t_end"],
@@ -296,8 +296,8 @@ class _HistoryKind:
 
     @staticmethod
     def export(entries: dict[str, np.ndarray]) -> tuple:
-        """``(times, None, None, values)``, as
-        :meth:`SampledHistoryList.as_arrays` gives them."""
+        """``(times, None, None, values)``, values as floats: a read
+        adds the ``1/p - 1`` compensation of Equation (1)."""
         return entries["times"], None, None, entries["values"].astype(np.float64)
 
     @staticmethod
@@ -391,8 +391,8 @@ class _PWCKind:
 
     @staticmethod
     def export(entries: dict[str, np.ndarray]) -> tuple:
-        """Zero-slope point segments, as
-        :meth:`PWCTracker.export_arrays` gives them."""
+        """Each record as a zero-slope point segment: read clamped to
+        ``[start, end]``, it evaluates like :meth:`PWCTracker.value_at`."""
         times = entries["times"]
         return times, times, np.zeros(len(times)), entries["values"]
 
@@ -495,8 +495,10 @@ def _cm_shell(state: dict, cls: type) -> PersistentCountMin:
     return sketch
 
 
-def _cm_containers(sketch: PersistentCountMin, level: int) -> list[Container]:
-    kind = PWC if type(sketch) is PWCCountMin else PLA
+def _cm_containers(
+    sketch: PersistentCountMin | PWCAMS, level: int
+) -> list[Container]:
+    kind = PWC if type(sketch) in (PWCCountMin, PWCAMS) else PLA
     return [
         Container((level, row, 0, 0), trackers, kind, sketch.delta)
         for row, trackers in enumerate(sketch._trackers)
@@ -833,8 +835,9 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
 
 def containers(sketch: Any) -> list[Container]:
     """The component maps of a sketch a store holds, in the fixed order
-    :func:`split` writes them and :func:`shell` rebuilds them."""
-    if type(sketch) in (PersistentCountMin, PWCCountMin):
+    :func:`split` writes them and :func:`shell` rebuilds them; and of a
+    ``PWCAMS``, which only the frozen engine reads this way."""
+    if type(sketch) in (PersistentCountMin, PWCCountMin, PWCAMS):
         return _cm_containers(sketch, -1)
     if type(sketch) is PersistentAMS:
         return _ams_containers(sketch)
@@ -871,6 +874,8 @@ def split(sketch: Any) -> tuple[dict, list[Container]]:
             "mass": PLA.skeleton(sketch._mass),
             "levels": [_cm_tail(level) for level in sketch._sketches],
         }, found
+    if type(sketch) is PWCAMS:
+        raise SerializationError("no generation codec for PWCAMS")
     return {"type": type(sketch).__name__, **_cm_tail(sketch)}, found
 
 

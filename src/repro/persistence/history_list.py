@@ -21,8 +21,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from random import Random
 
-import numpy as np
-
 from repro.analysis import contracts
 
 #: Machine words per record (value + timestamp), per Section 6.2.
@@ -142,16 +140,3 @@ class SampledHistoryList:
     def words(self) -> int:
         """Space in machine words (2 per record, per Section 6.2)."""
         return WORDS_PER_RECORD * len(self._times)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar export ``(times, values)`` of the sampled records.
-
-        ``times`` is strictly increasing; the frozen query engine
-        (:mod:`repro.engine.frozen`) concatenates these across counters
-        for vectorized predecessor search and applies the ``1/p - 1``
-        compensation of Equation (1) at read time.
-        """
-        return (
-            np.array(self._times, dtype=np.int64),
-            np.array(self._values, dtype=np.float64),
-        )

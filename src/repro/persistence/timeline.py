@@ -20,8 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis import contracts
 
 
@@ -127,20 +125,3 @@ class TimelineIndex:
     def words(self) -> int:
         """Index overhead in machine words (3 per augmented element)."""
         return sum(3 * len(level.times) for level in self._levels)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar export of the indexed lists: ``(times, offsets)``.
-
-        ``times`` concatenates the original (pre-cascade) timestamp lists
-        in order; ``offsets`` has one entry per list plus a terminator, so
-        list ``i`` occupies ``times[offsets[i]:offsets[i + 1]]``.  This is
-        the CSR-style layout the frozen query engine builds its batched
-        ``np.searchsorted`` predecessor search over.
-        """
-        offsets = np.zeros(len(self._lists) + 1, dtype=np.int64)
-        for i, lst in enumerate(self._lists):
-            offsets[i + 1] = offsets[i] + len(lst)
-        times = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, lst in enumerate(self._lists):
-            times[int(offsets[i]) : int(offsets[i + 1])] = lst
-        return times, offsets

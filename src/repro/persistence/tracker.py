@@ -56,21 +56,6 @@ class CounterTracker(ABC):
     def initial_value(self) -> float:
         """Counter value before the first recorded segment/record."""
 
-    @abstractmethod
-    def export_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar export ``(starts, ends, slopes, values_at_start)``.
-
-        A uniform segment view of the history regardless of compressor:
-        PLA trackers export their segments verbatim; PWC trackers export
-        each record as a zero-slope point segment.  Reading at time ``t``
-        means evaluating the predecessor segment clamped into
-        ``[start, end]`` — exactly what :meth:`value_at` does — which is
-        what lets the frozen query engine (:mod:`repro.engine.frozen`)
-        serve every tracker type with one vectorized code path.
-        """
-
 
 class PLATracker(CounterTracker):
     """Piecewise-linear history with additive error ``delta`` (Section 3)."""
@@ -103,18 +88,6 @@ class PLATracker(CounterTracker):
     def initial_value(self) -> float:
         return self._pla.function.initial_value
 
-    def export_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._pla.segment_count(include_open=True) > len(
-            self._pla.function
-        ):
-            raise ValueError(
-                "PLA tracker has an open run; call finalize() before "
-                "exporting arrays (freeze() does this for you)"
-            )
-        return self._pla.function.as_arrays()
-
 
 class YoungPLATracker(PLATracker):
     """Slim first-touch tier in front of :class:`PLATracker`.
@@ -125,8 +98,7 @@ class YoungPLATracker(PLATracker):
     ingest cost (the SF-sketch slim/fat split, PAPERS.md).  A young
     tracker stages the first observation in two slots and materializes
     the backing :class:`~repro.pla.orourke.OnlinePLA` only on the second
-    feed or on any cold-path call (finalize, segment counts, array
-    export).
+    feed or on any cold-path call (finalize, segment counts).
 
     Exactness: a single staged point answers every query identically to
     a one-point ``OnlinePLA`` — one open run emits no segments, so
@@ -220,13 +192,6 @@ class YoungPLATracker(PLATracker):
     def initial_value(self) -> float:
         return self._initial
 
-    def export_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if not hasattr(self, "_pla"):
-            self._materialize()
-        return super().export_arrays()
-
 
 class PWCTracker(CounterTracker):
     """Piecewise-constant history with threshold ``delta`` (Section 2)."""
@@ -258,9 +223,3 @@ class PWCTracker(CounterTracker):
     @property
     def initial_value(self) -> float:
         return self._pwc.function.initial_value
-
-    def export_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        times, values = self._pwc.function.as_arrays()
-        return times, times, np.zeros(len(times), dtype=np.float64), values

@@ -5,8 +5,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.pla.segment import WORDS_PER_SEGMENT, Segment
 
 
@@ -61,23 +59,3 @@ class PiecewiseLinearFunction:
     def words(self) -> int:
         """Space in machine words (3 per segment, per Section 6.2)."""
         return WORDS_PER_SEGMENT * len(self._segments)
-
-    def as_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar export ``(starts, ends, slopes, values_at_start)``.
-
-        The arrays are parallel, one entry per segment, with ``starts``
-        strictly increasing — the layout the frozen query engine
-        (:mod:`repro.engine.frozen`) concatenates across counters for
-        vectorized predecessor search.
-        """
-        segments = self._segments
-        return (
-            np.array([seg.t_start for seg in segments], dtype=np.int64),
-            np.array([seg.t_end for seg in segments], dtype=np.int64),
-            np.array([seg.slope for seg in segments], dtype=np.float64),
-            np.array(
-                [seg.value_at_start for seg in segments], dtype=np.float64
-            ),
-        )

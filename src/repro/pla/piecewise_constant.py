@@ -54,17 +54,6 @@ class PiecewiseConstantFunction:
         """Space in machine words (2 per record, per Section 6.2)."""
         return WORDS_PER_RECORD * len(self._times)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar export ``(times, values)`` of the recorded pairs.
-
-        ``times`` is strictly increasing; used by the frozen query engine
-        (:mod:`repro.engine.frozen`) for vectorized predecessor search.
-        """
-        return (
-            np.array(self._times, dtype=np.int64),
-            np.array(self._values, dtype=np.float64),
-        )
-
 
 class OnlinePWC:
     """Online recorder: store the counter when it drifts more than ``delta``.

@@ -38,6 +38,7 @@ after recovery is exactly-once, not a duplicate.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 import shutil
@@ -853,8 +854,13 @@ class IngestRuntime:
         self.monitor.acknowledge()
 
     def frozen_view(self) -> Any:
-        """Freeze every stream's point sketch into an immutable query
+        """Freeze every sketch of every stream into an immutable query
         view (:func:`repro.engine.frozen.freeze_store`).
+
+        The live store is left untouched: a freeze flushes buffers and
+        finalizes open PLA runs, which would cut the live compression
+        at positions no checkpoint or recovery replay shares, so it
+        freezes a copy.
 
         Serves even while the runtime is degraded read-only — that is
         the point of degraded mode — but a ``FAILED`` runtime refuses
@@ -873,7 +879,7 @@ class IngestRuntime:
         cached = self._frozen_cache
         if cached is not None and cached[0] == self.applied_seq:
             return cached[1]
-        view = freeze_store(self.store)
+        view = freeze_store(copy.deepcopy(self.store))
         self._frozen_cache = (self.applied_seq, view)
         return view
 

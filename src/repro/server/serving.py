@@ -271,11 +271,11 @@ class ServingRuntime:
                 f"mode must be one of {'/'.join(_MODES)}, got {mode!r}"
             )
         self.runtime.monitor.check_readable()
-        if n == 0:
-            return []
         live_clock = self.runtime._clocks.get(stream)
         if live_clock is None:
             raise KeyError(f"unknown stream {stream!r}")
+        if n == 0:
+            return []
         resolved = [
             (float(s), float(live_clock) if t is None else float(t))
             for s, t in pairs

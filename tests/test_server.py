@@ -167,6 +167,15 @@ class TestTypedErrors:
         with pytest.raises(KeyError, match="nope"):
             client.point("nope", 1)
 
+    @pytest.mark.parametrize("items", [[], [1]], ids=["no-items", "one-item"])
+    def test_point_many_unknown_stream(self, server, client, items):
+        """An unknown stream is refused however few the items, in
+        process and on the wire (as ``unknown-stream``)."""
+        with pytest.raises(KeyError, match="nope"):
+            server.serving.point_many("nope", items)
+        with pytest.raises(KeyError, match="nope"):
+            client.point_many("nope", items)
+
     def test_unknown_verb(self, client):
         with pytest.raises(ValueError, match="unknown verb"):
             client._call("frobnicate")

@@ -468,14 +468,18 @@ def assert_same_answers(got, want, seams, rng):
                 )
 
 
-def save_chain(tmp_path, store, saves, rng):
+def save_chain(tmp_path, store, saves, rng, live_views=None):
     """Grow and save ``store`` ``saves`` times; the saved directories
-    and each stream's clock at every save (its generation seams)."""
+    and each stream's clock at every save (its generation seams).  A
+    ``live_views`` list receives ``freeze_store`` of the live store
+    right after each save."""
     seams: dict[str, list[int]] = {name: [] for name in store.streams()}
     directories = []
     for k in range(saves):
         grow(store, rng)
         directories.append(store.save(tmp_path / f"s{k}", seq=100 * (k + 1)))
+        if live_views is not None:
+            live_views.append(freeze_store(store))
         for name in store.streams():
             seams[name].append(store._state(name).point_sketch.now)
     return directories, seams
@@ -483,12 +487,16 @@ def save_chain(tmp_path, store, saves, rng):
 
 def test_column_view_equals_open_and_freeze_across_compaction(tmp_path):
     rng = np.random.default_rng(11)
+    live_views = []
     directories, seams = save_chain(
-        tmp_path, all_sketches_store(), 2 * MAX_GENERATIONS + 2, rng
+        tmp_path, all_sketches_store(), 2 * MAX_GENERATIONS + 2, rng, live_views
     )
     for k, directory in enumerate(directories):
         got, want = column_view(directory), disk_view(directory)
         assert_tables_equal(got, want)
+        # A live freeze at the save equals the column view of its
+        # checkpoint, dtypes included.
+        assert_tables_equal(live_views[k], got)
         # The first save, the first merge of every generation, the last.
         if k in (0, MAX_GENERATIONS, len(directories) - 1):
             assert_same_answers(got, want, seams, rng)
