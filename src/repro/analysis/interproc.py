@@ -405,8 +405,8 @@ class SwallowedDurabilityErrorRule(ProjectRule):
     SL004 flags broad handlers syntactically, everywhere, and says
     nothing about ``except OSError`` — which is *narrow* in general
     code but load-bearing on the durability paths: an ``OSError``
-    swallowed between ``wal.append`` and the acknowledgement means the
-    caller believes a record is durable that was never written.  This
+    swallowed between ``wal.append_many`` and the acknowledgement means
+    the caller believes a record is durable that was never written.  This
     rule walks the call graph from every ``store/`` / ``io/`` /
     ``runtime/`` function and flags any reachable handler that catches
     ``OSError`` / ``Exception`` / bare and neither re-raises, nor

@@ -176,7 +176,7 @@ def _parse_stream_specs(raw_specs: list[str]):
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.runtime import IngestPolicy, IngestRuntime
     from repro.store import SketchStore
-    from repro.streams.records import read_jsonl_records
+    from repro.streams.records import read_jsonl_batches
 
     policy = IngestPolicy(
         on_malformed=args.on_malformed, on_late=args.on_late
@@ -213,14 +213,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             buffer_window=args.buffer_window,
             buffer_mode=args.buffer_mode,
         )
-    if args.batch_size is not None:
-        from repro.streams.records import read_jsonl_batches
-
-        for chunk in read_jsonl_batches(args.records, args.batch_size):
-            runtime.ingest_batch(chunk)
-    else:
-        for _lineno, raw in read_jsonl_records(args.records):
-            runtime.ingest(raw)
+    for chunk in read_jsonl_batches(args.records, args.batch_size):
+        runtime.ingest_batch(chunk)
     runtime.checkpoint()
     runtime.close()
     for key, value in runtime.stats.as_dict().items():
@@ -508,10 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--batch-size",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help="frame WAL records and apply updates in chunks of N "
-        "(one fsync per chunk; bit-identical state, batch-level acks)",
+        "(one fsync per chunk; bit-identical state, batch-level acks; "
+        "default 1: per-record acks)",
     )
     ingest.add_argument(
         "--on-malformed",

@@ -147,9 +147,14 @@ class PersistentSketch(ABC):
         if time >= INT64_LIMIT:
             raise ValueError(f"time must fit in int64, got {time}")
         if self._buffer is not None:
-            # The eventual flush goes through the same batch dispatch a
-            # direct batch would.
-            self._buffer.absorb_scalar(time, item, count, self._apply_batch)
+            # Staged as a one-record batch: the eventual flush goes
+            # through the same batch dispatch a direct batch would.
+            self._buffer.absorb(
+                np.array([time], dtype=np.int64),
+                np.array([item], dtype=np.int64),
+                np.array([count], dtype=np.int64),
+                self._apply_batch,
+            )
             self._clock = time
             return
         # Apply before advancing the clock: a rejected update (bad item,

@@ -88,9 +88,6 @@ class UpdateBuffer:
         "window",
         "mode",
         "_chunks",
-        "_scalar_times",
-        "_scalar_items",
-        "_scalar_counts",
         "_pending",
         "absorbed",
         "fed",
@@ -110,12 +107,8 @@ class UpdateBuffer:
         self.window = int(window)
         self.mode = mode
         #: Staged ``(times, items, counts)`` array triples, absorption
-        #: order; scalar updates stage in plain lists until an array
-        #: absorb or a flush folds them into a chunk.
+        #: order.
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._scalar_times: list[int] = []
-        self._scalar_items: list[int] = []
-        self._scalar_counts: list[int] = []
         self._pending = 0
         #: Lifetime counters surfaced by :meth:`stats`.
         self.absorbed = 0
@@ -162,40 +155,11 @@ class UpdateBuffer:
         if lo < n:
             self._stage(times[lo:], items[lo:], counts[lo:])
 
-    def absorb_scalar(
-        self, time: int, item: int, count: int, apply: Apply
-    ) -> None:
-        """Stage one validated update at list-append cost."""
-        self.absorbed += 1
-        self._scalar_times.append(time)
-        self._scalar_items.append(item)
-        self._scalar_counts.append(count)
-        self._pending += 1
-        if self._pending >= self.window:
-            self._flush(apply)
-
     def _stage(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
-        if times.shape[0] == 0:
-            return
-        if self._scalar_times:
-            self._fold_scalars()
         self._chunks.append((times, items, counts))
         self._pending += times.shape[0]
-
-    def _fold_scalars(self) -> None:
-        """Convert the scalar staging lists into an array chunk in place."""
-        self._chunks.append(
-            (
-                np.asarray(self._scalar_times, dtype=np.int64),
-                np.asarray(self._scalar_items, dtype=np.int64),
-                np.asarray(self._scalar_counts, dtype=np.int64),
-            )
-        )
-        self._scalar_times = []
-        self._scalar_items = []
-        self._scalar_counts = []
 
     # ------------------------------------------------------------------ #
     # Flush
@@ -207,8 +171,6 @@ class UpdateBuffer:
             self._flush(apply)
 
     def _flush(self, apply: Apply) -> None:
-        if self._scalar_times:
-            self._fold_scalars()
         chunks = self._chunks
         if len(chunks) == 1:
             times, items, counts = chunks[0]

@@ -1126,10 +1126,9 @@ class FrozenStoreView:
     :func:`freeze_columns` from a checkpoint's columns: every stream's
     point sketch — and its heavy-hitter hierarchy and join sketch where
     the stream spec enables them — in its frozen columnar form, keyed
-    by stream name.  The view is the degraded-mode serving surface of
-    :class:`repro.runtime.IngestRuntime`: a runtime that has stopped
-    accepting writes keeps answering point / heavy-hitter / self-join
-    queries from this snapshot at frozen-engine speed.
+    by stream name.  :class:`repro.server.ServingRuntime` serves its
+    frozen route from one, built off the newest checkpoint — including
+    while the runtime is degraded and refuses writes.
 
     The view is as-of snapshot time: the live store may keep ingesting
     afterwards without affecting answers here.  Cross-stream

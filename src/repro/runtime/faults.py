@@ -2,9 +2,10 @@
 
 Crash-safety claims are worthless untested, and crashes found by chance
 are unreproducible.  A :class:`FaultPlan` scripts *exactly* where the
-runtime fails: at the Nth WAL record (before durability, torn mid-write,
-or after durability), at the Nth checkpoint (transient ``OSError`` for
-the retry path, or a crash between snapshot commit and pointer flip).
+runtime fails: at the Nth WAL record (before it is written, torn
+mid-write, or at the fsync of the frame that holds it), at the Nth
+checkpoint (transient ``OSError`` for the retry path, or a crash
+between snapshot commit and pointer flip).
 Because every trigger is a plain counter threshold, a test can enumerate
 every fault point of a given workload and assert recovery at each one —
 the crash-recovery property test in ``tests/test_runtime_recovery.py``.
@@ -32,14 +33,19 @@ class FaultPlan:
     Attributes
     ----------
     crash_before_record:
-        Crash when ingesting the Nth record, before anything reaches the
-        WAL (the record is lost — the caller never got an acknowledgment).
+        Crash when the WAL frame reaches the Nth record, before its line
+        is written.  The frame's earlier lines are made durable first —
+        the prefix a real crash mid-frame could leave — and none of the
+        frame was acknowledged, so the caller re-sends it whole.
     torn_write_at_record:
         Crash while appending the Nth record to the WAL, after roughly
         half its bytes hit the file (a torn write recovery must discard).
     crash_after_record:
-        Crash right after the Nth record is durable in the WAL but before
-        it is applied to the in-memory store (recovery must replay it).
+        Crash at the fsync of the frame that holds the Nth record, after
+        the frame is durable in the WAL but before it is applied to the
+        in-memory store (recovery must replay the whole frame).  For
+        :meth:`~repro.runtime.IngestRuntime.ingest` the frame is the one
+        record.
     io_error_at_checkpoint:
         Raise ``OSError`` at the start of the Nth checkpoint attempt,
         ``io_error_count`` consecutive times (exercises retry/backoff).
@@ -104,22 +110,14 @@ class FaultPlan:
         """Whether the current record's WAL append should be torn."""
         return self.records_seen == self.torn_write_at_record
 
-    def after_record_durable(self) -> None:
-        """Crash hook between WAL durability and store application."""
-        if self.records_seen == self.crash_after_record:
-            raise SimulatedCrash(
-                f"scripted crash after record {self.records_seen} "
-                "reached the WAL"
-            )
-
     def after_batch_durable(self, first_record: int) -> None:
-        """Batch analogue of :meth:`after_record_durable`.
+        """Crash hook between WAL durability and store application.
 
-        A batch becomes durable at its single trailing fsync, so a
-        post-durability crash scripted for *any* record of the batch
+        A frame becomes durable at its single trailing fsync, so a
+        post-durability crash scripted for *any* record of the frame
         fires there — records after the scripted ordinal are already in
-        the WAL (and will be replayed), which is the semantic difference
-        batch framing introduces.
+        the WAL (and will be replayed).  ``first_record`` is the frame's
+        first record ordinal.
         """
         if self.crash_after_record is None:
             return

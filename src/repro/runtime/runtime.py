@@ -2,11 +2,12 @@
 
 Durability protocol (WAL-before-apply, snapshot-behind)::
 
-    ingest(record)
+    ingest_batch(records)
       1. classify: malformed / late records go through the policy
-      2. resolve the timestamp (auto-tick against the stream's clock)
-      3. append to the write-ahead log, fsync     <- record is durable
-      4. apply to the in-memory store
+      2. resolve timestamps (auto-tick against the stream's clock)
+      3. frame the accepted records into the write-ahead log, one
+         fsync per frame                          <- records are durable
+      4. apply the frame to the in-memory store
       5. every `checkpoint_every` records: checkpoint()
 
     checkpoint()
@@ -17,13 +18,12 @@ Durability protocol (WAL-before-apply, snapshot-behind)::
          (the two newest checkpoints are retained, so one damaged
          snapshot never loses history)
 
-:meth:`IngestRuntime.ingest_batch` is the chunked form of the same
-protocol: accepted records are framed into the WAL with one fsync per
-chunk (record-granular CRC lines, so replay is unchanged), applied
-through the sketches' columnar batch planners, and chunks are cut at
-checkpoint boundaries — the resulting state, statistics and checkpoint
-cadence are bit-identical to per-record ingest; only acknowledgment
-granularity coarsens to the batch.
+:meth:`IngestRuntime.ingest_batch` is the only write path, and
+:meth:`IngestRuntime.ingest` is a one-record frame.  WAL lines stay
+record-granular CRC lines, so replay does not see the framing; frames
+are cut at checkpoint boundaries, so the resulting state, statistics
+and checkpoint cadence are bit-identical however a stream is split into
+calls — only acknowledgment granularity follows the frame.
 
 A crash at *any* point leaves the directory recoverable:
 :meth:`IngestRuntime.recover` loads the newest checkpoint that opens
@@ -38,7 +38,6 @@ after recovery is exactly-once, not a duplicate.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 import shutil
@@ -141,8 +140,6 @@ class IngestRuntime:
             if store._state(name).spec.universe is not None
         }
         self._since_checkpoint = 0
-        # (applied_seq, view) of the last frozen_view() build.
-        self._frozen_cache: tuple[int, Any] | None = None
         # (covered_seq, view) of the checkpoint recover() decoded, until
         # the first cutover takes it or a newer checkpoint supersedes it.
         self._checkpoint_view: tuple[int, Any] | None = None
@@ -416,8 +413,8 @@ class IngestRuntime:
         record, or ``(kind, reason, wire)`` with ``kind`` in
         ``{"malformed", "late"}`` for the caller's :meth:`_reject`.
         ``clock_of`` supplies the stream clock to judge lateness
-        against — the live clocks for scalar ingest, a view including
-        not-yet-applied records for batch ingest.
+        against: a view that includes records accepted earlier in the
+        batch but not yet applied.
         """
         if isinstance(raw, IngestRecord):
             record = raw
@@ -464,79 +461,40 @@ class IngestRuntime:
         return ("ok", record, time)
 
     def ingest(self, raw: object) -> bool:
-        """Ingest one raw record through the policy pipeline.
+        """Ingest one raw record as a one-record :meth:`ingest_batch`.
 
         Returns ``True`` when the record was applied, ``False`` when the
         active policy dropped or quarantined it.  Acknowledgment
         contract: once this method returns ``True`` the record is
         durable in the WAL; a record that never returned (crash) may be
         re-sent after recovery without double counting.
-
-        While the runtime is degraded (see :meth:`health`) this raises
-        :class:`~repro.runtime.health.DegradedError` without consuming
-        the record — unless the degradation is recoverable and the
-        periodic re-probe just proved the disk writable again, in which
-        case the runtime heals and this very record proceeds.
         """
-        self.monitor.check_writable()
-        kind, record, time = self._classify(raw, self._clocks.get)
-        if kind != "ok":
-            return self._reject(kind, record, time)
-
-        if self.faults is not None:
-            self.faults.next_record()
-        try:
-            seq = self.wal.append(
-                {
-                    "stream": record.stream,
-                    "item": record.item,
-                    "count": record.count,
-                    "time": time,
-                }
-            )
-        except OSError as exc:
-            self._degrade_for_wal_error(exc)
-        if self.faults is not None:
-            self.faults.after_record_durable()
-        try:
-            self.store.update(record.stream, record.item, record.count, time)
-        except Exception:
-            # The record is durable but the in-memory state may be
-            # half-applied: live answers can no longer be trusted.
-            self.monitor.fail(
-                "apply-divergence",
-                f"apply of durable record seq {seq} raised; in-memory "
-                "state diverged from the WAL — recover from disk",
-            )
-            raise
-        self._clocks[record.stream] = time
-        self.applied_seq = seq
-        self.stats.ingested += 1
-        self._since_checkpoint += 1
-        self._maybe_checkpoint()
-        return True
+        return self.ingest_batch((raw,)) == 1
 
     def ingest_batch(self, raws: Iterable[object]) -> int:
         """Ingest raw records through the policy pipeline, batch-framed.
 
-        Semantically equal to calling :meth:`ingest` per record — the
-        resulting store, clocks, statistics and checkpoint positions are
-        bit-identical — but accepted records are framed into the WAL in
-        chunks with a *single* flush + fsync each, and applied to the
-        sketches through their columnar batch planners.
+        The runtime's only write path (:meth:`ingest` is a one-record
+        call).  Accepted records are framed into the WAL in chunks with
+        a *single* flush + fsync each, and applied to the sketches
+        through their batch planners.
 
         Classification stays per-record (malformed / late / auto-tick,
         judged against a clock view that includes records accepted
         earlier in the batch), and chunks are cut at checkpoint
-        boundaries so the checkpoint cadence — which shapes PLA
-        segmentation via finalize-on-snapshot — matches scalar ingest
-        exactly.  Acknowledgment is batch-level: when this method
-        returns, every accepted record is durable.  Returns the number
-        of applied records.
+        boundaries, so the checkpoint cadence — which shapes PLA
+        segmentation via finalize-on-snapshot — and the resulting store,
+        clocks and statistics are bit-identical however the records are
+        split into calls.  Acknowledgment is batch-level: when this
+        method returns, every accepted record is durable.  Returns the
+        number of applied records.
 
-        Degraded-mode semantics match :meth:`ingest`: a degraded runtime
-        refuses the whole batch up front with
-        :class:`~repro.runtime.health.DegradedError`.
+        While the runtime is degraded (see :meth:`health`) this raises
+        :class:`~repro.runtime.health.DegradedError` for the whole batch
+        up front, without consuming a record — unless the degradation is
+        recoverable and the periodic re-probe just proved the disk
+        writable again, in which case the runtime heals and this very
+        batch proceeds.
         """
         self.monitor.check_writable()
         pending: list[tuple[str, int, int, int]] = []
@@ -563,15 +521,15 @@ class IngestRuntime:
                     else self.policy.on_late
                 )
                 if action == "raise":
-                    # Scalar semantics: records preceding the offender
-                    # are durable and applied before the raise.
+                    # Records preceding the offender are durable and
+                    # applied before the raise.
                     flush()
                 self._reject(kind, record, time)
                 continue
             pending.append((record.stream, record.item, record.count, time))
             pending_clocks[record.stream] = time
             if self._since_checkpoint + len(pending) >= self.checkpoint_every:
-                flush()  # the due checkpoint fires at the scalar position
+                flush()  # the due checkpoint fires at its record position
         flush()
         return applied
 
@@ -615,52 +573,37 @@ class IngestRuntime:
         return len(pending)
 
     def ingest_stream(
-        self, name: str, stream: Stream, batch_size: int | None = None
+        self, name: str, stream: Stream, batch_size: int = 1
     ) -> int:
         """Ingest a materialized stream into stream ``name``; returns
         the number of applied records.
 
-        With ``batch_size`` set, records are WAL-framed and applied in
-        chunks of that many records (one fsync per chunk) via
-        :meth:`ingest_batch`; the resulting state is bit-identical to
-        the per-record default, only acknowledgment granularity changes.
+        Records are WAL-framed and applied in chunks of ``batch_size``
+        (one fsync per chunk) via :meth:`ingest_batch`; the default of
+        one is per-record acknowledgment.  The resulting state is
+        bit-identical for every chunk size.
         """
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError(
-                    f"batch_size must be >= 1, got {batch_size}"
-                )
-            applied = 0
-            chunk: list[IngestRecord] = []
-            for update in stream:
-                chunk.append(
-                    IngestRecord(
-                        stream=name,
-                        item=update.item,
-                        count=update.count,
-                        time=update.time,
-                    )
-                )
-                if len(chunk) >= batch_size:
-                    applied += self.ingest_batch(chunk)
-                    chunk = []
-            if chunk:
-                applied += self.ingest_batch(chunk)
-            return applied
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         applied = 0
+        chunk: list[IngestRecord] = []
         for update in stream:
-            if self.ingest(
+            chunk.append(
                 IngestRecord(
                     stream=name,
                     item=update.item,
                     count=update.count,
                     time=update.time,
                 )
-            ):
-                applied += 1
+            )
+            if len(chunk) >= batch_size:
+                applied += self.ingest_batch(chunk)
+                chunk = []
+        if chunk:
+            applied += self.ingest_batch(chunk)
         return applied
 
-    def _reject(self, kind: str, reason: str, raw: object) -> bool:
+    def _reject(self, kind: str, reason: str, raw: object) -> None:
         if kind == "malformed":
             self.stats.malformed += 1
             action = self.policy.on_malformed
@@ -674,12 +617,11 @@ class IngestRuntime:
         if action == "quarantine":
             self.dead_letters.append(kind, reason, raw)
             self.stats.quarantined += 1
-        return False
 
     def _degrade_for_wal_error(self, exc: OSError) -> NoReturn:
         """Flip read-only on a failed WAL append and surface the cause.
 
-        The record/batch was *not* acknowledged (the append raised before
+        The batch was *not* acknowledged (the append raised before
         durability), so rejecting it loses nothing; the periodic re-probe
         heals the runtime once the disk accepts durable writes again.
         """
@@ -852,36 +794,6 @@ class IngestRuntime:
         writable (see the sticky ``wal-quarantined`` cause on
         :meth:`recover`)."""
         self.monitor.acknowledge()
-
-    def frozen_view(self) -> Any:
-        """Freeze every sketch of every stream into an immutable query
-        view (:func:`repro.engine.frozen.freeze_store`).
-
-        The live store is left untouched: a freeze flushes buffers and
-        finalizes open PLA runs, which would cut the live compression
-        at positions no checkpoint or recovery replay shares, so it
-        freezes a copy.
-
-        Serves even while the runtime is degraded read-only — that is
-        the point of degraded mode — but a ``FAILED`` runtime refuses
-        (its in-memory state is suspect).
-
-        The view is memoized on ``applied_seq``: a repeat call with no
-        intervening ingest returns the *same* object in O(1) instead of
-        recompiling the whole store, so a periodic cutover tick (or a
-        degraded runtime polled by its health endpoint) costs nothing
-        while the store is quiet.  Any applied record invalidates the
-        cache.
-        """
-        from repro.engine.frozen import freeze_store
-
-        self.monitor.check_readable()
-        cached = self._frozen_cache
-        if cached is not None and cached[0] == self.applied_seq:
-            return cached[1]
-        view = freeze_store(copy.deepcopy(self.store))
-        self._frozen_cache = (self.applied_seq, view)
-        return view
 
     def take_checkpoint_view(self, covered_seq: int) -> Any:
         """Hand over the frozen view :meth:`recover` built of checkpoint

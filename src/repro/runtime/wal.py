@@ -72,8 +72,8 @@ class WriteAheadLog:
         Sequence number the next appended record receives.  A fresh
         runtime starts at 1; recovery resumes at ``applied_seq + 1``.
     faults:
-        Optional :class:`FaultPlan`; consulted per append for scripted
-        torn writes.
+        Optional :class:`FaultPlan`; consulted per appended record for
+        scripted pre-write crashes and torn writes.
     """
 
     def __init__(
@@ -100,38 +100,20 @@ class WriteAheadLog:
             self._handle = open(path, "a", encoding="utf-8")  # sketchlint: disable=SL012 — the WAL is the durability mechanism: fsync-per-append plus recovery-time torn-tail repair
         return self._handle
 
-    def append(self, record: dict[str, Any]) -> int:
-        """Durably append one record; returns its sequence number.
-
-        The record dict must not contain ``seq`` (the log owns it).  The
-        append is acknowledged only after ``fsync``; a scripted torn
-        write flushes a partial line and then simulates a crash.
-        """
-        seq = self.next_seq
-        line = _encode_line({"seq": seq, **record})
-        handle = self._active_handle()
-        if self.faults is not None and self.faults.tear_this_record():
-            handle.write(line[: max(1, len(line) // 2)])
-            handle.flush()
-            os.fsync(handle.fileno())
-            raise SimulatedCrash(f"scripted torn WAL write at seq {seq}")
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
-        self.next_seq = seq + 1
-        return seq
-
     def append_many(self, records: list[dict[str, Any]]) -> list[int]:
-        """Durably append a batch of records with ONE flush + fsync.
+        """Durably append a batch of records with ONE flush + fsync;
+        returns their sequence numbers.
 
-        Framing stays record-granular — one CRC'd line per record,
-        byte-identical to what :meth:`append` writes — so replay and
-        torn-tail repair are unchanged.  Scripted faults keep their
-        per-record ordinals: a crash or torn write at the k-th record
-        first makes the batch's earlier complete lines durable, which is
-        exactly the prefix a real crash mid-batch could leave on disk
-        (none of the batch was acknowledged, so recovery replaying that
-        prefix is still exactly-once).
+        The only append: a single record is a one-record batch.  The
+        record dicts must not contain ``seq`` (the log owns it).
+        Framing stays record-granular — one CRC'd line per record — so
+        replay and torn-tail repair do not see batch boundaries.
+        Scripted faults keep their per-record ordinals: a crash or torn
+        write at the k-th record first makes the batch's earlier
+        complete lines durable, which is exactly the prefix a real crash
+        mid-batch could leave on disk (none of the batch was
+        acknowledged, so recovery replaying that prefix is still
+        exactly-once).
         """
         if not records:
             return []

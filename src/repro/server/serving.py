@@ -26,6 +26,7 @@ Readers on the old view keep it alive; nothing blocks on writers.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from pathlib import Path
@@ -48,6 +49,17 @@ def _check_item(item: int) -> int:
     if not 0 <= item < INT64_LIMIT:
         raise BadRequestError(f"item must lie in [0, 2**63), got {item}")
     return item
+
+
+def _check_window(s: float, t: float | None) -> None:
+    """Reject a non-finite window endpoint before routing: ``nan``
+    compares false against every clock, so it would route live and come
+    back as ``nan`` (or a conversion error) instead of a typed error."""
+    for name, value in (("s", s), ("t", t)):
+        if value is not None and not math.isfinite(value):
+            raise BadRequestError(
+                f"window endpoint {name} must be finite, got {value}"
+            )
 
 
 def _checkpoint_view(path: Path) -> FrozenStoreView:
@@ -241,6 +253,7 @@ class ServingRuntime:
     ) -> float:
         """Window frequency estimate, frozen- or live-routed."""
         _check_item(item)
+        _check_window(s, t)
         view, rt = self._route(stream, t, mode)
         if view is not None:
             return float(view.frozen.point(stream, item, s, rt))
@@ -261,7 +274,8 @@ class ServingRuntime:
         The batch is split by routing mask — frozen-eligible probes go
         through the frozen engine, the rest through the live store — and
         reassembled in input order.  Every item must lie in
-        ``[0, 2**63)`` (:class:`BadRequestError` otherwise, on any route).
+        ``[0, 2**63)`` and every window endpoint must be finite
+        (:class:`BadRequestError` otherwise, on any route).
         """
         probes = [_check_item(int(item)) for item in items]
         n = len(probes)
@@ -322,7 +336,9 @@ class ServingRuntime:
             and not isinstance(windows[0], (tuple, list))
         ):
             s, t = windows
-            return [(float(s), None if t is None else float(t))] * n
+            pair = (float(s), None if t is None else float(t))
+            _check_window(*pair)
+            return [pair] * n
         pairs = list(windows)
         if len(pairs) != n:
             raise ValueError(
@@ -335,6 +351,7 @@ class ServingRuntime:
                 raise ValueError(f"window must be an (s, t) pair, got {pair!r}")
             s, t = pair
             out.append((float(s), None if t is None else float(t)))
+            _check_window(*out[-1])
         return out
 
     def heavy_hitters(
@@ -346,6 +363,7 @@ class ServingRuntime:
         mode: str = "auto",
     ) -> dict[int, float]:
         """Window heavy hitters, frozen- or live-routed."""
+        _check_window(s, t)
         view, rt = self._route(stream, t, mode)
         if view is not None:
             hits = view.frozen.heavy_hitters(stream, phi, s, rt)
@@ -362,6 +380,7 @@ class ServingRuntime:
         mode: str = "auto",
     ) -> float:
         """Window second frequency moment, frozen- or live-routed."""
+        _check_window(s, t)
         view, rt = self._route(stream, t, mode)
         if view is not None:
             return float(view.frozen.self_join_size(stream, s, rt))
@@ -376,6 +395,7 @@ class ServingRuntime:
         mode: str = "auto",
     ) -> float:
         """Window L1 mass estimate, frozen- or live-routed."""
+        _check_window(s, t)
         view, rt = self._route(stream, t, mode)
         if view is not None:
             return float(view.frozen.window_mass(stream, s, rt))

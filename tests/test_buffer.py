@@ -92,13 +92,19 @@ def test_flush_boundaries_are_chunking_invariant():
 
 
 def test_scalar_and_array_absorption_interleave_in_order():
+    """One-record absorptions (how a buffered ``update`` stages) and
+    longer ones flush as one column in absorption order."""
     log = []
     buffer = UpdateBuffer(window=100)
     apply = _collecting_apply(log)
-    buffer.absorb_scalar(1, 10, 2, apply)
+
+    def one(time, item, count):
+        return tuple(np.array([v], dtype=np.int64) for v in (time, item, count))
+
+    buffer.absorb(*one(1, 10, 2), apply)
     times = np.array([2, 3], dtype=np.int64)
     buffer.absorb(times, times * 10, times * 0 + 1, apply)
-    buffer.absorb_scalar(4, 40, 1, apply)
+    buffer.absorb(*one(4, 40, 1), apply)
     buffer.flush(apply)
     assert log == [([1, 2, 3, 4], [10, 20, 30, 40], [2, 1, 1, 1])]
     buffer.flush(apply)  # empty flush is a no-op
@@ -166,6 +172,14 @@ def test_exact_buffered_bit_identical_to_unbuffered(
     buffered.flush_buffer()
     assert fingerprint(buffered) == fingerprint(plain)
     assert buffered.buffer_stats()["absorbed"] == len(stream)
+    # A buffered update() stages a one-record batch: same flush points.
+    looped = FACTORIES[name]()
+    looped.configure_buffer(window=window, mode="exact")
+    for update in stream:
+        looped.update(update.item, update.count, update.time)
+    looped.flush_buffer()
+    assert fingerprint(looped) == fingerprint(plain)
+    assert looped.buffer_stats() == buffered.buffer_stats()
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))

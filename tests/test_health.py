@@ -26,6 +26,7 @@ from repro.runtime import (
     IngestRuntime,
     SnapshotRetryError,
 )
+from repro.server.serving import ServingRuntime
 from tests.test_runtime_batch import make_raws, make_store
 
 # --------------------------------------------------------------------- #
@@ -210,11 +211,14 @@ def test_snapshot_retries_exhausted_degrades_but_keeps_serving(tmp_path):
     assert health["cause"] == "snapshot-retries-exhausted"
     with pytest.raises(DegradedError, match="snapshot-retries-exhausted"):
         runtime.ingest(raws[10])
-    # Live queries and the frozen view still serve.
+    # Live queries and serving reads on both routes still serve.
     now = runtime._clocks["urls"]
-    assert runtime.store.point("urls", 1, 0, now) is not None
-    view = runtime.frozen_view()
-    assert view.streams() == ["ads", "urls"]
+    live = runtime.store.point("urls", 1, 0, now)
+    serving = ServingRuntime(runtime)
+    assert serving.maybe_cutover(force=True)["swapped"] is True
+    assert serving.view().frozen.streams() == ["ads", "urls"]
+    assert serving.point("urls", 1, 0, 0, mode="frozen") == 0.0
+    assert serving.point("urls", 1) == live  # t=None resolves live
     runtime.close()
 
 
@@ -280,9 +284,13 @@ def test_degraded_runtime_heals_through_probe_and_resumes(tmp_path):
 
 def test_failed_runtime_refuses_frozen_view(tmp_path):
     runtime = IngestRuntime.create(tmp_path / "rt", make_store())
+    serving = ServingRuntime(runtime)
+    assert serving.maybe_cutover(force=True)["swapped"] is True
     runtime.monitor.fail("apply-divergence", "post-durability exception")
-    with pytest.raises(DegradedError):
-        runtime.frozen_view()
+    # Neither route serves: the frozen view is refused like live state.
+    for mode in ("frozen", "live"):
+        with pytest.raises(DegradedError):
+            serving.point("urls", 1, 0, 0, mode=mode)
     with pytest.raises(DegradedError):
         runtime.ingest({"stream": "urls", "item": 1, "time": 1})
     runtime.close()

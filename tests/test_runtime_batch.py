@@ -1,16 +1,19 @@
 """Batch-framed WAL ingestion: equality with scalar ingest and crash safety.
 
 ``IngestRuntime.ingest_batch`` frames accepted records into the WAL with
-one fsync per chunk and applies them through the columnar sketch
-planners.  These tests pin the contract down: the WAL *bytes*, clocks,
-statistics, checkpoint cadence and full store state must be bit-identical
-to per-record :meth:`ingest`, and a crash in the middle of a batch must
-recover exactly like a crash between scalar records — the unacknowledged
+one fsync per chunk and applies them through the sketch batch planners;
+per-record :meth:`ingest` is a one-record frame of it.  These tests pin
+the contract down: the WAL *bytes*, clocks, statistics, checkpoint
+cadence and full store state must be bit-identical however the feed is
+framed, and equal to an independent reference — a plain store fed by
+``SketchStore.update`` one record at a time.  A crash in the middle of
+a frame must recover like a crash between frames — the unacknowledged
 tail is re-sent, nothing double-counts.
 """
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +73,38 @@ def make_raws(n=400, dirty=True):
     return raws
 
 
+def accepted(raws):
+    """``(stream, item, count, time)`` of every :func:`make_raws` record
+    the runtime accepts: a known stream, an integer item and a time
+    strictly past the stream's clock (auto-ticked when absent)."""
+    clocks = {"urls": 0, "ads": 0}
+    out = []
+    for raw in raws:
+        stream, item = raw.get("stream"), raw.get("item")
+        if stream not in clocks or not isinstance(item, int):
+            continue
+        time = raw.get("time", clocks[stream] + 1)
+        if time <= clocks[stream]:
+            continue
+        clocks[stream] = time
+        out.append((stream, item, raw.get("count", 1), time))
+    return out
+
+
+def reference_state(records, checkpoint_every, directory):
+    """Fingerprint of a plain store fed by ``SketchStore.update``, one
+    call per ``(stream, item, count, time)``, and saved at the runtime's
+    checkpoint positions (a save finalizes open PLA runs, so the cadence
+    is part of the state)."""
+    store = make_store()
+    store.save(directory / "ckpt-000000000000", seq=0)
+    for seq, (stream, item, count, time) in enumerate(records, start=1):
+        store.update(stream, item, count, time)
+        if seq % checkpoint_every == 0:
+            store.save(directory / f"ckpt-{seq:012d}", seq=seq)
+    return fingerprint(store._streams)
+
+
 def wal_bytes(runtime):
     return b"".join(
         path.read_bytes() for _seq, path in runtime.wal.segments()
@@ -111,6 +146,9 @@ class TestBatchEqualsScalar:
         assert batched.stats.as_dict() == scalar.stats.as_dict()
         assert wal_bytes(batched) == wal_bytes(scalar)
         assert store_state(batched) == store_state(scalar)
+        assert store_state(batched) == reference_state(
+            accepted(raws), 100, tmp_path / "reference"
+        )
         # Checkpoint cadence (which shapes PLA segmentation) matched too.
         scalar_cp = sorted(p.name for p in (tmp_path / "scalar").iterdir())
         batched_cp = sorted(p.name for p in (tmp_path / "batched").iterdir())
@@ -130,6 +168,10 @@ class TestBatchEqualsScalar:
         assert batched.ingest_stream("urls", stream, batch_size=64) == 300
         assert wal_bytes(batched) == wal_bytes(scalar)
         assert store_state(batched) == store_state(scalar)
+        records = [("urls", u.item, u.count, u.time) for u in stream]
+        assert store_state(batched) == reference_state(
+            records, 90, tmp_path / "reference"
+        )
         with pytest.raises(ValueError, match="batch_size"):
             batched.ingest_stream("urls", stream, batch_size=0)
 
@@ -187,7 +229,7 @@ class TestWalBatchFraming:
         ]
         one = WriteAheadLog(tmp_path / "one")
         for record in records:
-            one.append(record)
+            one.append_many([record])
         many = WriteAheadLog(tmp_path / "many")
         seqs = many.append_many(records)
         assert seqs == list(range(1, 26))
@@ -203,23 +245,28 @@ class TestWalBatchFraming:
 
 
 class TestCrashDuringBatch:
-    """A batch crash recovers exactly like a scalar crash.
+    """A crash mid-frame recovers like a crash between frames.
 
-    The fault ordinal 143 lands mid-chunk (chunks of 50, checkpoints at
-    120): torn writes and pre-WAL crashes leave the durable prefix at
+    The fault ordinal 143 lands mid-chunk for frames of 50 (checkpoints
+    at 120): torn writes and pre-WAL crashes leave the durable prefix at
     142, a post-durability crash leaves the whole framed chunk (150)
-    durable but unapplied — recovery replays it from the WAL.
+    durable but unapplied — recovery replays it from the WAL.  Fed
+    per record through :meth:`ingest`, the frame is the one record, so
+    a post-durability crash leaves 143 durable.
     """
 
     @pytest.mark.parametrize(
-        "plan, durable",
+        "plan, durable, durable_per_record",
         [
-            (FaultPlan(crash_before_record=143), 142),
-            (FaultPlan(torn_write_at_record=143), 142),
-            (FaultPlan(crash_after_record=143), 150),
+            (FaultPlan(crash_before_record=143), 142, 142),
+            (FaultPlan(torn_write_at_record=143), 142, 142),
+            (FaultPlan(crash_after_record=143), 150, 143),
         ],
+        ids=["plan0-142", "plan1-142", "plan2-150"],
     )
-    def test_recover_and_resend_matches_twin(self, tmp_path, plan, durable):
+    def test_recover_and_resend_matches_twin(
+        self, tmp_path, plan, durable, durable_per_record
+    ):
         raws = make_raws(n=300, dirty=False)
         twin = IngestRuntime.create(
             tmp_path / "twin", make_store(), checkpoint_every=120
@@ -227,28 +274,35 @@ class TestCrashDuringBatch:
         for lo in range(0, len(raws), 50):
             twin.ingest_batch(raws[lo : lo + 50])
 
-        victim = IngestRuntime.create(
-            tmp_path / "victim",
-            make_store(),
-            checkpoint_every=120,
-            faults=plan,
-            sleep=lambda _t: None,
-        )
-        with pytest.raises(SimulatedCrash):
+        def batched(runtime):
             for lo in range(0, len(raws), 50):
-                victim.ingest_batch(raws[lo : lo + 50])
+                runtime.ingest_batch(raws[lo : lo + 50])
 
-        recovered = IngestRuntime.recover(
-            tmp_path / "victim", checkpoint_every=120
-        )
-        assert recovered.applied_seq == durable
-        recovered.ingest_batch(raws[recovered.applied_seq :])
+        def per_record(runtime):
+            for raw in raws:
+                runtime.ingest(raw)
 
-        assert recovered.applied_seq == twin.applied_seq
-        assert recovered._clocks == twin._clocks
-        # The recovered runtime's counters cover only the re-sent tail.
-        assert recovered.stats.ingested == len(raws) - durable
-        assert store_state(recovered) == store_state(twin)
+        for feed, expected in ((batched, durable), (per_record, durable_per_record)):
+            directory = tmp_path / feed.__name__
+            victim = IngestRuntime.create(
+                directory,
+                make_store(),
+                checkpoint_every=120,
+                faults=replace(plan),  # a fresh plan: ordinals restart at 0
+                sleep=lambda _t: None,
+            )
+            with pytest.raises(SimulatedCrash):
+                feed(victim)
+
+            recovered = IngestRuntime.recover(directory, checkpoint_every=120)
+            assert recovered.applied_seq == expected, feed.__name__
+            recovered.ingest_batch(raws[recovered.applied_seq :])
+
+            assert recovered.applied_seq == twin.applied_seq
+            assert recovered._clocks == twin._clocks
+            # The recovered runtime's counters cover only the re-sent tail.
+            assert recovered.stats.ingested == len(raws) - expected
+            assert store_state(recovered) == store_state(twin)
 
 
 class TestChunkedReader:

@@ -30,7 +30,7 @@ class TestFraming:
 class TestAppendReplay:
     def test_append_assigns_contiguous_seqs(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        seqs = [wal.append(_record(time=t)) for t in range(1, 6)]
+        seqs = [wal.append_many([_record(time=t)])[0] for t in range(1, 6)]
         assert seqs == [1, 2, 3, 4, 5]
         replayed = list(wal.replay(0))
         assert [r["seq"] for r in replayed] == seqs
@@ -39,13 +39,13 @@ class TestAppendReplay:
     def test_replay_after_floor(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 11):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         assert [r["seq"] for r in wal.replay(7)] == [8, 9, 10]
 
     def test_torn_tail_dropped(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 4):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.close()
         segment = wal.segments()[0][1]
         with open(segment, "a") as handle:
@@ -55,7 +55,7 @@ class TestAppendReplay:
     def test_damage_mid_segment_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 4):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.close()
         segment = wal.segments()[0][1]
         lines = segment.read_text().splitlines(keepends=True)
@@ -67,20 +67,20 @@ class TestAppendReplay:
 
     def test_sequence_gap_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        wal.append(_record(time=1))
+        wal.append_many([_record(time=1)])
         wal.close()
         wal2 = WriteAheadLog(tmp_path, next_seq=5)
-        wal2.append(_record(time=2))
+        wal2.append_many([_record(time=2)])
         with pytest.raises(WalCorruption):
             list(WriteAheadLog(tmp_path).replay(0))
 
     def test_replay_never_opens_a_fully_covered_segment(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 6):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.rotate()
         for t in range(6, 9):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.close()
         # A segment holding one record past the floor is still read.
         assert [r["seq"] for r in WriteAheadLog(tmp_path).replay(4)] == [5, 6, 7, 8]
@@ -97,11 +97,9 @@ class TestAppendReplay:
     def test_scripted_torn_write_crashes_after_partial_line(self, tmp_path):
         plan = FaultPlan(torn_write_at_record=2)
         wal = WriteAheadLog(tmp_path, faults=plan)
-        plan.next_record()
-        wal.append(_record(time=1))
-        plan.next_record()
+        wal.append_many([_record(time=1)])
         with pytest.raises(SimulatedCrash):
-            wal.append(_record(time=2))
+            wal.append_many([_record(time=2)])
         # The torn tail is dropped; record 1 survives.
         assert [r["seq"] for r in WriteAheadLog(tmp_path).replay(0)] == [1]
 
@@ -109,9 +107,9 @@ class TestAppendReplay:
 class TestRotationPruning:
     def test_rotate_starts_new_segment(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        wal.append(_record(time=1))
+        wal.append_many([_record(time=1)])
         wal.rotate()
-        wal.append(_record(time=2))
+        wal.append_many([_record(time=2)])
         starts = [start for start, _path in wal.segments()]
         assert starts == [1, 2]
         assert [r["seq"] for r in wal.replay(0)] == [1, 2]
@@ -119,12 +117,12 @@ class TestRotationPruning:
     def test_prune_keeps_uncovered_segments(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 4):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.rotate()
         for t in range(4, 7):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         wal.rotate()
-        wal.append(_record(time=7))
+        wal.append_many([_record(time=7)])
         # Everything through seq 6 is covered by a checkpoint.
         removed = wal.prune(6)
         assert len(removed) == 2
@@ -134,6 +132,6 @@ class TestRotationPruning:
     def test_prune_never_removes_active_tail(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for t in range(1, 4):
-            wal.append(_record(time=t))
+            wal.append_many([_record(time=t)])
         assert wal.prune(3) == []
         assert [r["seq"] for r in wal.replay(0)] == [1, 2, 3]

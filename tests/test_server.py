@@ -203,6 +203,40 @@ class TestTypedErrors:
                 client.point_many("urls", items, windows=[0, t], mode=mode)
         assert client.point_many("urls", [1], windows=[0, t], mode=mode)
 
+    @pytest.mark.parametrize("mode", ["auto", "frozen", "live"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_window_is_bad_request(self, server, client, bad, mode):
+        """Every read verb refuses a non-finite ``s`` or ``t`` before
+        routing, in process and on the wire, on every route — never a
+        ``nan`` answer from the live side or a conversion error."""
+        client.ingest_batch(make_records(60))
+        client.cutover()
+        t = server.serving.view().clock("urls")
+        for reads in (server.serving, client):
+            for s, end in ((0, bad), (bad, t)):
+                calls = {
+                    "point": lambda: reads.point("urls", 1, s, end, mode=mode),
+                    "point_many": lambda: reads.point_many(
+                        "urls", [1, 2], windows=[s, end], mode=mode
+                    ),
+                    "point_many/per-probe": lambda: reads.point_many(
+                        "urls", [1, 2], windows=[[0, t], [s, end]], mode=mode
+                    ),
+                    "heavy_hitters": lambda: reads.heavy_hitters(
+                        "urls", 0.05, s, end, mode=mode
+                    ),
+                    "self_join_size": lambda: reads.self_join_size(
+                        "urls", s, end, mode=mode
+                    ),
+                    "window_mass": lambda: reads.window_mass(
+                        "urls", s, end, mode=mode
+                    ),
+                }
+                for verb, call in calls.items():
+                    with pytest.raises(BadRequestError, match="finite"):
+                        call()
+                        pytest.fail(f"{verb} answered (s={s}, t={end})")
+
     def test_malformed_and_late_records(self, tmp_path):
         runtime = IngestRuntime.create(
             tmp_path / "strict",

@@ -15,27 +15,11 @@ from repro.io import SerializationError
 from repro.runtime import DegradedError, IngestRuntime
 from repro.server.serving import ServingRuntime
 from repro.store import SketchStore, StreamSpec
-from tests.test_batch_ingest import fingerprint
 from tests.test_runtime_recovery import count_generation_reads, count_opens
 
 CHECKPOINT_EVERY = 50
 N_RECORDS = 120
 UNIVERSE = 32
-
-
-def live_answers(store):
-    """Point answers over every item and a spread of windows, plus the
-    heavy hitters and self-join of the whole history."""
-    now = store._state("urls").point_sketch.now
-    windows = [(0, now), (0, now // 2), (now // 3, now), (now - 9, now - 2)]
-    out = [
-        store.point("urls", item, s, t)
-        for item in range(UNIVERSE)
-        for s, t in windows
-    ]
-    out.append(store.heavy_hitters("urls", 0.05, 0, now))
-    out.append(store.self_join_size("urls", 0, now))
-    return out
 
 
 def make_store():
@@ -80,55 +64,6 @@ def served(tmp_path):
     for raw in records[CHECKPOINT_EVERY:]:
         assert serving.ingest(raw) is True
     return serving, records
-
-
-class TestFrozenViewMemoization:
-    """Satellite 2: ``IngestRuntime.frozen_view`` is O(1) when idle."""
-
-    def test_idle_calls_share_one_view(self, tmp_path):
-        runtime = IngestRuntime.create(
-            tmp_path / "rt", make_store(), checkpoint_every=CHECKPOINT_EVERY
-        )
-        for raw in make_records(20):
-            runtime.ingest(raw)
-        first = runtime.frozen_view()
-        assert runtime.frozen_view() is first
-
-    def test_ingest_invalidates(self, tmp_path):
-        runtime = IngestRuntime.create(
-            tmp_path / "rt", make_store(), checkpoint_every=CHECKPOINT_EVERY
-        )
-        records = make_records(21)
-        for raw in records[:20]:
-            runtime.ingest(raw)
-        first = runtime.frozen_view()
-        runtime.ingest(records[20])
-        second = runtime.frozen_view()
-        assert second is not first
-        assert second.clock("urls") == 21
-
-    def test_polling_leaves_the_live_store_unchanged(self, tmp_path):
-        """A freeze finalizes open PLA runs; frozen_view must not do that
-        to the live store, or its compression diverges from a twin that
-        never polled and from what recovery rebuilds."""
-        polled = IngestRuntime.create(
-            tmp_path / "polled", make_store(), checkpoint_every=CHECKPOINT_EVERY
-        )
-        twin = IngestRuntime.create(
-            tmp_path / "twin", make_store(), checkpoint_every=CHECKPOINT_EVERY
-        )
-        for i, raw in enumerate(make_records(290)):
-            polled.ingest(raw)
-            twin.ingest(raw)
-            if i % 7 == 6:
-                polled.frozen_view()
-        assert fingerprint(polled.store) == fingerprint(twin.store)
-        assert live_answers(polled.store) == live_answers(twin.store)
-        polled.close()
-        recovered = IngestRuntime.recover(tmp_path / "polled")
-        assert live_answers(recovered.store) == live_answers(twin.store)
-        recovered.close()
-        twin.close()
 
 
 class TestBoundarySemantics:
