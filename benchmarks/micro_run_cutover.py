@@ -47,7 +47,8 @@ from repro.core import base, columnar
 from repro.eval import harness
 from repro.eval.reporting import report
 from repro.io.serialize import to_dict
-from repro.persistence.tracker import PLATracker
+from repro.persistence.column_log import PLA, ColumnLog
+from repro.pla.orourke import OnlinePLA
 from repro.store import SketchStore, StreamSpec
 from repro.streams.worldcup import object_id_stream
 
@@ -73,8 +74,16 @@ REPS = 5
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_run_cutover.json"
 
 
-def _make_tracker() -> PLATracker:
-    return PLATracker(delta=DELTA)
+def _tracker_maker(trackers: dict[int, OnlinePLA]):
+    """``make_tracker`` for one row: each counter a PLA tracker keyed by
+    its column in one shared log."""
+    log = ColumnLog(PLA)
+
+    def make(col: int) -> OnlinePLA:
+        tracker = trackers[col] = OnlinePLA(DELTA, 0.0, log, col)
+        return tracker
+
+    return make
 
 
 def _row_workload(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -106,13 +115,14 @@ def _time_path(
     try:
         best = float("inf")
         counters: list[int] = []
-        trackers: dict[int, PLATracker] = {}
+        trackers: dict[int, OnlinePLA] = {}
         for _ in range(REPS):
             counters = [0] * distinct
             trackers = {}
+            make_tracker = _tracker_maker(trackers)
             start = time.perf_counter()
             columnar.feed_tracked_row(
-                counters, trackers, row_cols, times, counts, _make_tracker
+                counters, trackers, row_cols, times, counts, make_tracker
             )
             best = min(best, time.perf_counter() - start)
     finally:

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pla.segment import Segment
 
@@ -193,12 +195,12 @@ def check_sketch(sketch: Any, what: str = "sketch") -> None:
     """Structural invariants of one persistent sketch, recursively.
 
     Duck-typed so the contract layer needs no imports from
-    :mod:`repro.core` (which imports *this* module): Count-Min-style
-    sketches expose ``_trackers`` (per-counter PLA/PWC histories),
-    sampled AMS sketches expose ``_histories``, and the dyadic
+    :mod:`repro.core` (which imports *this* module): a persistent sketch
+    keeps its history in a column log ``_log``
+    (:class:`~repro.persistence.column_log.ColumnLog`), and the dyadic
     heavy-hitter hierarchy exposes ``_sketches`` plus a ``_mass``
-    tracker.  Used by checkpoint recovery to re-validate a rebuilt store
-    before it may serve queries.
+    tracker with a log of its own.  Used by checkpoint recovery to
+    re-validate a rebuilt store before it may serve queries.
     """
     if not ENABLED:
         return
@@ -208,44 +210,60 @@ def check_sketch(sketch: Any, what: str = "sketch") -> None:
             check_sketch(sub, what=f"{what}[level {level}]")
     mass = getattr(sketch, "_mass", None)
     if mass is not None:
-        _check_tracker(mass, what=f"{what}.mass")
-    trackers = getattr(sketch, "_trackers", None)
-    if trackers is not None:
-        for row, table in enumerate(trackers):
-            for col, tracker in table.items():
-                _check_tracker(tracker, what=f"{what}[{row}][{col}]")
-    histories = getattr(sketch, "_histories", None)
-    if histories is not None:
-        for row, by_sign in enumerate(histories):
-            for sign, copies in enumerate(by_sign):
-                for copy, table in enumerate(copies):
-                    for col, history in table.items():
-                        check_history_list(
-                            history,
-                            what=(
-                                f"{what}[{row}][b={sign}][copy {copy}]"
-                                f"[col {col}]"
-                            ),
-                        )
+        check_log(mass.log, what=f"{what}.mass")
+    log = getattr(sketch, "_log", None)
+    if log is not None:
+        check_log(log, what=what)
 
 
-def _check_tracker(tracker: Any, what: str) -> None:
-    """Timeline invariants of a PLA/PWC counter tracker."""
-    pla = getattr(tracker, "_pla", None)
-    if pla is not None:
-        starts = [segment.t_start for segment in pla.function]
-        ends = [segment.t_end for segment in pla.function]
-        check_sorted_timeline([starts], what=f"{what} (PLA segment starts)")
-        for t_start, t_end in zip(starts, ends):
-            if t_end < t_start:
-                raise ContractViolation(
-                    f"{what}: PLA segment ends before it starts "
-                    f"({t_end} < {t_start})"
-                )
-    pwc = getattr(tracker, "_pwc", None)
-    if pwc is not None:
-        check_sorted_timeline(
-            [pwc.function._times], what=f"{what} (PWC record times)"
+def check_log(log: Any, what: str = "log") -> None:
+    """Timeline invariants of every component of a column log, checked
+    with array operations over the rows grouped per component.
+
+    Each component's times strictly increase; a PLA segment never ends
+    before it starts; a sampled history's values never decrease and
+    never undercut the component's initial value (the component is
+    monotone by construction).
+    """
+    if not ENABLED:
+        return
+    keys, columns = log.entries()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    times = columns[0][order]
+    same = keys[1:] == keys[:-1]
+    _first_bad(
+        same & (times[1:] <= times[:-1]), keys, times,
+        f"{what}: a component's times are not strictly increasing",
+    )
+    if log.kind.name == "pla":
+        _first_bad(
+            columns[1][order] < times, keys, times,
+            f"{what}: a PLA segment ends before it starts",
+        )
+    if log.kind.name == "history":
+        values = columns[1][order]
+        _first_bad(
+            same & (values[1:] < values[:-1]), keys, times,
+            f"{what}: a sampled value decreased; components must be monotone",
+        )
+        component_keys, _params, initials = log.components()
+        by_key = np.argsort(component_keys)
+        at = np.searchsorted(component_keys, keys, sorter=by_key)
+        _first_bad(
+            values < initials[by_key[at]], keys, times,
+            f"{what}: a sampled value undercuts its component's starting value",
+        )
+
+
+def _first_bad(
+    bad: np.ndarray, keys: np.ndarray, times: np.ndarray, message: str
+) -> None:
+    where = np.flatnonzero(bad)
+    if len(where):
+        i = int(where[0])
+        raise ContractViolation(
+            f"{message} (component key {int(keys[i])}, t={int(times[i])})"
         )
 
 
@@ -269,26 +287,6 @@ def check_store(store: Any, what: str = "store") -> None:
 
 
 def check_history_list(history: Any, what: str = "history list") -> None:
-    """Structural invariants of a sampled history list (Section 4.1).
-
-    Timestamps strictly increase, sampled values never decrease (the
-    component is monotone by construction), value/time lengths match,
-    and no sampled value undercuts the component's starting value.
-    """
-    if not ENABLED:
-        return
-    times = history.sample_times()
-    values = history._values
-    if len(times) != len(values):
-        raise ContractViolation(
-            f"{what}: {len(times)} timestamps vs {len(values)} values"
-        )
-    check_sorted_timeline([times], what=what)
-    previous = history.initial_value
-    for t, value in zip(times, values):
-        if value < previous:
-            raise ContractViolation(
-                f"{what}: sampled value decreased at t={t} "
-                f"({value} < {previous}); component must be monotone"
-            )
-        previous = value
+    """Structural invariants of a sampled history list (Section 4.1):
+    :func:`check_log` over the column log that holds its entries."""
+    check_log(history.log, what=what)

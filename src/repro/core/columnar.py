@@ -98,12 +98,13 @@ def feed_tracked_row(
     row_cols: np.ndarray,
     times: np.ndarray,
     counts: np.ndarray,
-    make_tracker: Callable[[], CounterTracker],
+    make_tracker: Callable[[int], CounterTracker],
 ) -> None:
     """Apply one row's updates: group by column, feed trackers per run.
 
     Every update feeds its column's tracker (count 0 included, exactly
-    like the scalar path).  Runs are handed over as integer numpy
+    like the scalar path); ``make_tracker(col)`` creates and registers a
+    missing one.  Runs are handed over as integer numpy
     columns: trackers with a fused batch path consume them directly,
     the rest convert back to Python scalars so the recorded state
     matches scalar feeding bit-for-bit.
@@ -168,7 +169,7 @@ def _feed_row_columnar(
     row_cols: np.ndarray,
     times: np.ndarray,
     counts: np.ndarray,
-    make_tracker: Callable[[], CounterTracker],
+    make_tracker: Callable[[int], CounterTracker],
 ) -> None:
     """The columnar body: stable argsort, run extraction, per-run feeds.
 
@@ -198,8 +199,7 @@ def _feed_row_columnar(
         col = col_list[lo]
         tracker = trackers.get(col)
         if tracker is None:
-            tracker = make_tracker()
-            trackers[col] = tracker
+            tracker = make_tracker(col)
         if hi - lo >= LONG_RUN_MIN:
             tracker.feed_many(sorted_times[lo:hi], values[lo:hi])
         else:
@@ -214,7 +214,7 @@ def _feed_row_scalar(
     row_cols: np.ndarray,
     times: np.ndarray,
     counts: np.ndarray,
-    make_tracker: Callable[[], CounterTracker],
+    make_tracker: Callable[[int], CounterTracker],
 ) -> None:
     """Per-update replay of one row: the scalar reference path.
 
@@ -229,7 +229,6 @@ def _feed_row_scalar(
         counters[col] = value
         tracker = trackers.get(col)
         if tracker is None:
-            tracker = make_tracker()
-            trackers[col] = tracker
+            tracker = make_tracker(col)
         tracker.feed(t, value)
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.base import PersistentSketch
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.hashing.families import IdentityHashFamily
-from repro.persistence.tracker import PLATracker
+from repro.pla.orourke import OnlinePLA
 
 
 def check_universe(items: np.ndarray, universe: int) -> None:
@@ -104,7 +104,8 @@ class PersistentHeavyHitters(PersistentSketch):
                 self._sketches.append(
                     factory(min(width, ranges), depth, delta, seed + level)
                 )
-        self._mass = PLATracker(delta=delta, initial_value=0.0)
+        # The running total, with a PLA log of its own (one component).
+        self._mass = OnlinePLA(delta=delta, initial_value=0.0)
         self._mass_total = 0
 
     def _ingest(self, item: int, count: int, time: int) -> None:

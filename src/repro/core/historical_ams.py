@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
+from repro.persistence.column_log import HISTORY, ColumnLog
 from repro.persistence.epochs import EpochManager
 from repro.persistence.history_list import SampledHistoryList
 from repro.sketch.l2_tracker import L2Tracker
@@ -44,15 +45,13 @@ class _EpochedComponent:
         probability: float,
         start_value: int,
         rng: Random,
+        log: ColumnLog,
+        key: int,
     ) -> SampledHistoryList:
         if not self.epoch_ids or self.epoch_ids[-1] != epoch_index:
             self.epoch_ids.append(epoch_index)
             self.histories.append(
-                SampledHistoryList(
-                    probability=probability,
-                    rng=rng,
-                    initial_value=start_value,
-                )
+                SampledHistoryList(probability, rng, start_value, log, key)
             )
         return self.histories[-1]
 
@@ -131,11 +130,18 @@ class HistoricalAMS(PersistentSketch):
             ]
             for _ in range(depth)
         ]
+        # One history log for every epoch's lists.
+        self._log = ColumnLog(HISTORY)
         self.total = 0
 
     # ------------------------------------------------------------------ #
     # Ingest
     # ------------------------------------------------------------------ #
+
+    def _key(self, epoch_index: int, row: int, b: int, copy: int, col: int) -> int:
+        """Log key of one component's history list in an epoch."""
+        table = ((epoch_index * self.depth + row) * 2 + b) * self.copies + copy
+        return table * self.width + col
 
     def _ingest(self, item: int, count: int, time: int) -> None:
         self._aux.update(item, count)
@@ -164,7 +170,8 @@ class HistoricalAMS(PersistentSketch):
                     entry = _EpochedComponent()
                     tracked[col] = entry
                 history = entry.history_for(
-                    current.index, self._probability, before, self._rng
+                    current.index, self._probability, before, self._rng, self._log,
+                    self._key(current.index, row, b, copy, col),
                 )
                 history.offer(time, value)
 
@@ -209,7 +216,8 @@ class HistoricalAMS(PersistentSketch):
                         entry = _EpochedComponent()
                         tracked[col] = entry
                     history = entry.history_for(
-                        current.index, self._probability, before, self._rng
+                        current.index, self._probability, before, self._rng, self._log,
+                        self._key(current.index, row, b, copy, col),
                     )
                     history.offer(time, value)
 

@@ -23,8 +23,9 @@ from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig
 from repro.hashing.families import IdentityHashFamily
+from repro.persistence.column_log import PLA, ColumnLog
 from repro.persistence.epochs import EpochManager
-from repro.persistence.tracker import PLATracker
+from repro.pla.orourke import OnlinePLA
 
 
 class _EpochedCounter:
@@ -34,21 +35,21 @@ class _EpochedCounter:
 
     def __init__(self) -> None:
         self.epoch_ids: list[int] = []
-        self.trackers: list[PLATracker] = []
+        self.trackers: list[OnlinePLA] = []
 
     def tracker_for(
-        self, epoch_index: int, delta: float, start_value: float
-    ) -> PLATracker:
-        """The open tracker for ``epoch_index``, creating it if needed."""
+        self, epoch_index: int, delta: float, start_value: float,
+        log: ColumnLog, key: int,
+    ) -> OnlinePLA:
+        """The open tracker for ``epoch_index``, creating it (as component
+        ``key`` of ``log``) if needed."""
         if not self.epoch_ids or self.epoch_ids[-1] != epoch_index:
             if self.trackers:
                 # The closed epoch's open run becomes archived state: it
                 # must stay queryable, so it is flushed into a segment.
                 self.trackers[-1].finalize()
             self.epoch_ids.append(epoch_index)
-            self.trackers.append(
-                PLATracker(delta=delta, initial_value=start_value)
-            )
+            self.trackers.append(OnlinePLA(delta, start_value, log, key))
         return self.trackers[-1]
 
     def value_at(self, epoch_index: int, t: float) -> float:
@@ -61,9 +62,6 @@ class _EpochedCounter:
         if idx < 0:
             return 0.0
         return self.trackers[idx].value_at(t)
-
-    def words(self) -> int:
-        return sum(tracker.words() for tracker in self.trackers)
 
 
 class HistoricalCountMin(PersistentSketch):
@@ -110,7 +108,13 @@ class HistoricalCountMin(PersistentSketch):
         self._tracked: list[dict[int, _EpochedCounter]] = [
             {} for _ in range(depth)
         ]
+        # One PLA log for every epoch's trackers.
+        self._log = ColumnLog(PLA)
         self.total = 0
+
+    def _key(self, epoch_index: int, row: int, col: int) -> int:
+        """Log key of counter ``(row, col)``'s tracker in an epoch."""
+        return (epoch_index * self.depth + row) * self.width + col
 
     def _ingest(self, item: int, count: int, time: int) -> None:
         self.total += count
@@ -133,7 +137,8 @@ class HistoricalCountMin(PersistentSketch):
                 counter = _EpochedCounter()
                 tracked[col] = counter
             tracker = counter.tracker_for(
-                current.index, self._delta, float(before)
+                current.index, self._delta, float(before), self._log,
+                self._key(current.index, row, col),
             )
             tracker.feed(time, value)
 
@@ -195,7 +200,8 @@ class HistoricalCountMin(PersistentSketch):
                         counter = _EpochedCounter()
                         tracked[col] = counter
                     tracker = counter.tracker_for(
-                        epoch_index, delta, float(bases[gidx])
+                        epoch_index, delta, float(bases[gidx]), self._log,
+                        self._key(epoch_index, row, col),
                     )
                     tracker.feed_many(
                         sorted_times[g_lo:g_hi], values_list[g_lo:g_hi]
@@ -230,11 +236,7 @@ class HistoricalCountMin(PersistentSketch):
         return len(self._epochs)
 
     def persistence_words(self) -> int:
-        return sum(
-            counter.words()
-            for tracked in self._tracked
-            for counter in tracked.values()
-        )
+        return self._log.words()
 
     def ephemeral_words(self) -> int:
         """Size of the underlying counter array."""

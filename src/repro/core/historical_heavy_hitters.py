@@ -22,7 +22,7 @@ from repro.core.base import PersistentSketch
 from repro.core.heavy_hitters import check_universe
 from repro.core.historical_countmin import HistoricalCountMin
 from repro.hashing.families import IdentityHashFamily
-from repro.pla.piecewise_constant import PiecewiseConstantFunction
+from repro.pla.piecewise_constant import OnlinePWC
 
 
 class HistoricalHeavyHitters(PersistentSketch):
@@ -82,9 +82,10 @@ class HistoricalHeavyHitters(PersistentSketch):
                 self._sketches.append(factory(width, depth, eps, seed + level))
         # Exact running mass ||f_t||_1, tracked piecewise-constant at
         # relative resolution eps (so the threshold inherits only a
-        # relative error).
+        # relative error): the records are made by the threshold below,
+        # through ``record``, not by the recorder's own drift rule.
         self._mass_total = 0
-        self._mass_records = PiecewiseConstantFunction()
+        self._mass_records = OnlinePWC(delta=1.0)
         self._next_mass_record = 1.0
 
     def _ingest(self, item: int, count: int, time: int) -> None:
@@ -96,7 +97,7 @@ class HistoricalHeavyHitters(PersistentSketch):
             sketch.update(item >> level, count, time)
         self._mass_total += count
         if abs(self._mass_total) >= self._next_mass_record:
-            self._mass_records.append(time, float(self._mass_total))
+            self._mass_records.record(time, float(self._mass_total))
             self._next_mass_record = max(
                 abs(self._mass_total) * (1.0 + self.eps),
                 self._next_mass_record + 1.0,
@@ -118,7 +119,7 @@ class HistoricalHeavyHitters(PersistentSketch):
         for time, count in zip(times.tolist(), counts.tolist()):  # sketchlint: disable=SL010 — mass-record thresholds are sequential
             self._mass_total += count
             if abs(self._mass_total) >= self._next_mass_record:
-                self._mass_records.append(time, float(self._mass_total))
+                self._mass_records.record(time, float(self._mass_total))
                 self._next_mass_record = max(
                     abs(self._mass_total) * (1.0 + self.eps),
                     self._next_mass_record + 1.0,

@@ -20,8 +20,10 @@ independence.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from statistics import median
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from repro.analysis import contracts
 from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
+from repro.persistence.column_log import HISTORY, ColumnLog
 from repro.persistence.history_list import SampledHistoryList
 from repro.persistence.sampling import bulk_uniforms
 from repro.persistence.timeline import TimelineIndex
@@ -44,13 +47,14 @@ def _feed_sampled_row(
     uniforms_row: np.ndarray,
     probability: float,
     copies: int,
-    rng: Random,
+    make_history: Callable[[int, int, int], SampledHistoryList],
 ) -> None:
     """Apply one hash row's active updates from pre-drawn uniforms.
 
     ``uniforms_row`` holds this row's slice of the sketch-RNG draw
     sequence, in update order, shape ``(m, copies)`` — acceptance is a
-    pure function of it.
+    pure function of it.  ``make_history(b, copy, col)`` creates and
+    registers a missing history list.
     """
     keys = row_cols * 2 + b_flags
     order = np.argsort(keys, kind="stable")
@@ -85,10 +89,7 @@ def _feed_sampled_row(
             if history is None:
                 # Created even when no offer is accepted, as the scalar
                 # ``offer`` path does.
-                history = SampledHistoryList(
-                    probability=probability, rng=rng
-                )
-                lists[col] = history
+                history = make_history(b, copy, col)
             hit_times, hit_values, bounds = hit_runs[copy]
             first, last = bounds[run], bounds[run + 1]
             if last > first:
@@ -162,6 +163,7 @@ class PersistentAMS(PersistentSketch):
             ]
             for _ in range(depth)
         ]
+        self._log = ColumnLog(HISTORY)
         self.total = 0
         # Optional fractional-cascading index over the history lists;
         # see build_timeline().
@@ -173,6 +175,20 @@ class PersistentAMS(PersistentSketch):
     # ------------------------------------------------------------------ #
     # Ingest
     # ------------------------------------------------------------------ #
+
+    def _history(self, row: int, b: int, copy: int, col: int) -> SampledHistoryList:
+        """Create component ``(row, col, b)``'s history list ``copy`` on
+        its first offer; its log key is ``((row * 2 + b) * copies + copy)
+        * width + col``."""
+        history = SampledHistoryList(
+            self.probability,
+            self._rng,
+            0,
+            self._log,
+            ((row * 2 + b) * self.copies + copy) * self.width + col,
+        )
+        self._histories[row][b][copy][col] = history
+        return history
 
     def _ingest(self, item: int, count: int, time: int) -> None:
         cols = self.buckets.buckets(item)
@@ -188,13 +204,9 @@ class PersistentAMS(PersistentSketch):
             value = component[b] + magnitude
             component[b] = value
             for copy in range(self.copies):
-                lists = self._histories[row][b][copy]
-                history = lists.get(col)
+                history = self._histories[row][b][copy].get(col)
                 if history is None:
-                    history = SampledHistoryList(
-                        probability=self.probability, rng=self._rng
-                    )
-                    lists[col] = history
+                    history = self._history(row, b, copy, col)
                 history.offer(time, value)
         self.total += count
 
@@ -238,7 +250,7 @@ class PersistentAMS(PersistentSketch):
                     uniforms[:, row, :],
                     probability,
                     self.copies,
-                    self._rng,
+                    partial(self._history, row),
                 )
         self.total += int(counts.sum())
 
@@ -293,16 +305,12 @@ class PersistentAMS(PersistentSketch):
         issued after new updates silently fall back to binary searches).
         """
         self.flush_buffer()
+        contracts.check_log(self._log, what="history log")
         timeline = {}
         for row in range(self.depth):
             for b in range(2):
                 for copy in range(self.copies):
                     lists = self._histories[row][b][copy]
-                    if contracts.ENABLED:
-                        for history in lists.values():
-                            contracts.check_history_list(
-                                history, what=f"history[{row}][{b}][{copy}]"
-                            )
                     cols = sorted(lists)
                     timeline[(row, b, copy)] = (
                         cols,
@@ -430,13 +438,7 @@ class PersistentAMS(PersistentSketch):
 
     def persistence_words(self) -> int:
         self.flush_buffer()
-        return sum(
-            history.words()
-            for row_hist in self._histories
-            for by_sign in row_hist
-            for lists in by_sign
-            for history in lists.values()
-        )
+        return self._log.words()
 
     def ephemeral_words(self) -> int:
         """Size of the underlying component arrays."""

@@ -7,7 +7,9 @@ time by a per-counter history compressor (a
 with additive error ``Delta`` for the paper's technique, or the
 record-on-deviation piecewise-constant recorder for the baseline.
 Trackers are created lazily, on a counter's first update, so untouched
-counters cost nothing.
+counters cost nothing.  Every tracker appends what it records to the
+sketch's one :class:`~repro.persistence.column_log.ColumnLog`, keyed
+``row * width + col``.
 
 A historical-window point query ``(i, (s, t])`` reconstructs
 ``C_t[j][h_j(i)] - C_s[j][h_j(i)]`` from the histories and returns the
@@ -18,8 +20,8 @@ probability ``1 - delta``.
 
 from __future__ import annotations
 
+from functools import partial
 from statistics import median
-from typing import Callable
 
 import numpy as np
 
@@ -27,27 +29,10 @@ from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig
 from repro.hashing.families import IdentityHashFamily
-from repro.persistence.tracker import (
-    CounterTracker,
-    PWCTracker,
-    YoungPLATracker,
-)
-
-
-def _pla_tracker_factory(delta: float, initial_value: float) -> YoungPLATracker:
-    """Default tracker factory; module-level so sketches stay picklable.
-    Returns the
-    slim young tier: first touch stages one point, the full O'Rourke
-    machinery materializes on the second feed — answers are bit-identical
-    to an eager :class:`~repro.persistence.tracker.PLATracker` throughout
-    (see ``YoungPLATracker``), and high-cardinality streams skip ~all of
-    the construction cost for their long one-touch tail."""
-    return YoungPLATracker(delta=delta, initial_value=initial_value)
-
-
-def _pwc_tracker_factory(delta: float, initial_value: float) -> PWCTracker:
-    """PWC tracker factory; module-level for the same pickling reason."""
-    return PWCTracker(delta=delta, initial_value=initial_value)
+from repro.persistence.column_log import PLA, PWC, ColumnLog
+from repro.persistence.tracker import CounterTracker
+from repro.pla.orourke import OnlinePLA
+from repro.pla.piecewise_constant import OnlinePWC
 
 
 class PersistentCountMin(PersistentSketch):
@@ -62,14 +47,14 @@ class PersistentCountMin(PersistentSketch):
         Additive persistence error ``Delta`` of Theorems 3.1/3.2.
     seed:
         Hash seed.
-    tracker_factory:
-        Callable ``(delta, initial_value) -> CounterTracker``; defaults to
-        the PLA tracker.  :class:`PWCCountMin` plugs in the
-        piecewise-constant recorder instead.
     """
 
     #: Display name used by the evaluation harness (paper's legend).
     name = "PLA"
+    #: The recorder of each counter's history (:class:`PWCCountMin`
+    #: plugs in the piecewise-constant one), and its log rows' kind.
+    _recorder: type[OnlinePLA] | type[OnlinePWC] = OnlinePLA
+    _kind = PLA
 
     def __init__(
         self,
@@ -77,7 +62,6 @@ class PersistentCountMin(PersistentSketch):
         depth: int,
         delta: float,
         seed: int = 0,
-        tracker_factory: Callable[[float, float], CounterTracker] | None = None,
         hashes: BucketHashFamily | IdentityHashFamily | None = None,
     ):
         super().__init__()
@@ -90,7 +74,6 @@ class PersistentCountMin(PersistentSketch):
         )
         if self.hashes.width != width or self.hashes.depth != depth:
             raise ValueError("hash family shape does not match sketch shape")
-        self._tracker_factory = tracker_factory or _pla_tracker_factory
         # Current counter values and lazily created per-counter trackers.
         self._counters: list[list[int]] = [
             [0] * width for _ in range(depth)
@@ -98,7 +81,16 @@ class PersistentCountMin(PersistentSketch):
         self._trackers: list[dict[int, CounterTracker]] = [
             {} for _ in range(depth)
         ]
+        self._log = ColumnLog(self._kind)
         self.total = 0
+
+    def _track(self, row: int, col: int) -> CounterTracker:
+        """Create counter ``(row, col)``'s tracker on its first update."""
+        tracker = self._recorder(
+            self.delta, 0.0, self._log, row * self.width + col
+        )
+        self._trackers[row][col] = tracker
+        return tracker
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -111,11 +103,9 @@ class PersistentCountMin(PersistentSketch):
             counters = self._counters[row]
             value = counters[col] + count
             counters[col] = value
-            trackers = self._trackers[row]
-            tracker = trackers.get(col)
+            tracker = self._trackers[row].get(col)
             if tracker is None:
-                tracker = self._tracker_factory(self.delta, 0.0)
-                trackers[col] = tracker
+                tracker = self._track(row, col)
             tracker.feed(time, value)
         self.total += count
 
@@ -131,16 +121,14 @@ class PersistentCountMin(PersistentSketch):
                 columns[row],
                 times,
                 counts,
-                lambda: self._tracker_factory(self.delta, 0.0),
+                partial(self._track, row),
             )
         self.total += int(counts.sum())
 
     def finalize(self) -> None:
         """Flush open PLA runs.  Optional: queries also work mid-stream."""
         self.flush_buffer()
-        for trackers in self._trackers:
-            for tracker in trackers.values():
-                tracker.finalize()
+        self._log.finalize_open()
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -196,11 +184,7 @@ class PersistentCountMin(PersistentSketch):
 
     def persistence_words(self) -> int:
         self.flush_buffer()
-        return sum(
-            tracker.words()
-            for trackers in self._trackers
-            for tracker in trackers.values()
-        )
+        return self._log.words()
 
     def ephemeral_words(self) -> int:
         """Size of the underlying counter array."""
@@ -211,20 +195,5 @@ class PWCCountMin(PersistentCountMin):
     """The ``PWC_CountMin`` baseline: piecewise-constant counter records."""
 
     name = "PWC_CountMin"
-
-    def __init__(
-        self,
-        width: int,
-        depth: int,
-        delta: float,
-        seed: int = 0,
-        hashes: BucketHashFamily | IdentityHashFamily | None = None,
-    ):
-        super().__init__(
-            width=width,
-            depth=depth,
-            delta=delta,
-            seed=seed,
-            tracker_factory=_pwc_tracker_factory,
-            hashes=hashes,
-        )
+    _recorder = OnlinePWC
+    _kind = PWC

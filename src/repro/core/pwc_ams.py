@@ -10,6 +10,7 @@ sampling-based persistent AMS sketch exists to fix (Section 4.2).
 
 from __future__ import annotations
 
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -17,7 +18,8 @@ import numpy as np
 from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
-from repro.persistence.tracker import PWCTracker
+from repro.persistence.column_log import PWC, ColumnLog
+from repro.pla.piecewise_constant import OnlinePWC
 
 
 class PWCAMS(PersistentSketch):
@@ -43,10 +45,17 @@ class PWCAMS(PersistentSketch):
         self._counters: list[list[int]] = [
             [0] * width for _ in range(depth)
         ]
-        self._trackers: list[dict[int, PWCTracker]] = [
+        self._trackers: list[dict[int, OnlinePWC]] = [
             {} for _ in range(depth)
         ]
+        self._log = ColumnLog(PWC)
         self.total = 0
+
+    def _track(self, row: int, col: int) -> OnlinePWC:
+        """Create counter ``(row, col)``'s recorder on its first update."""
+        tracker = OnlinePWC(self.delta, 0.0, self._log, row * self.width + col)
+        self._trackers[row][col] = tracker
+        return tracker
 
     def _ingest(self, item: int, count: int, time: int) -> None:
         cols = self.buckets.buckets(item)
@@ -56,11 +65,9 @@ class PWCAMS(PersistentSketch):
             counters = self._counters[row]
             value = counters[col] + sgns[row] * count
             counters[col] = value
-            trackers = self._trackers[row]
-            tracker = trackers.get(col)
+            tracker = self._trackers[row].get(col)
             if tracker is None:
-                tracker = PWCTracker(delta=self.delta, initial_value=0.0)
-                trackers[col] = tracker
+                tracker = self._track(row, col)
             tracker.feed(time, value)
         self.total += count
 
@@ -77,7 +84,7 @@ class PWCAMS(PersistentSketch):
                 columns[row],
                 times,
                 signs[row] * counts,
-                lambda: PWCTracker(delta=self.delta, initial_value=0.0),
+                partial(self._track, row),
             )
         self.total += int(counts.sum())
 
@@ -150,11 +157,7 @@ class PWCAMS(PersistentSketch):
 
     def persistence_words(self) -> int:
         self.flush_buffer()
-        return sum(
-            tracker.words()
-            for trackers in self._trackers
-            for tracker in trackers.values()
-        )
+        return self._log.words()
 
     def ephemeral_words(self) -> int:
         """Size of the underlying counter array."""

@@ -14,7 +14,7 @@ There is one route in and one layout: the keyed generation columns of
 :mod:`repro.io.generations`.  A store checkpoint already holds its
 histories that way, so ``freeze_columns`` cuts its tables from them
 without building a single tracker; ``freeze`` first lays a live
-sketch's components out as one in-memory generation
+sketch's column logs out as one in-memory generation
 (:func:`~repro.io.generations.sketch_columns`) and then cuts its tables
 exactly the same way.  Every table is assembled by ``_build_table``.
 
@@ -51,11 +51,11 @@ of the live readers on both routes, and the live self-join paths
 accumulate in sorted column order precisely so both paths sum in the
 same order.
 
-Freezing finalizes the live sketch (flushing open PLA runs — a no-op
-for the answers it gives now, since the emitted segment evaluates
-identically to the open-run bisector, but a cut in its later
-compression) and snapshots it *as of* ``sketch.now``; the live sketch
-may keep ingesting afterwards without affecting the snapshot.
+Freezing reads the live sketch without changing it: an open PLA run
+enters the snapshot as the segment it would emit now, which evaluates
+identically to the open-run bisector, and stays open in the sketch.
+The snapshot is *as of* ``sketch.now``; the live sketch may keep
+ingesting afterwards without affecting it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro.engine.batch import _batch_signs, batch_hash_columns
 from repro.io.generations import SKETCHES, Columns, KindColumns, sketch_columns
-from repro.io.serialize import Container, SerializationError, containers, shell
+from repro.io.serialize import SerializationError, Slot, shell, slots
+from repro.persistence.column_log import HISTORY, PWC, LogKind
 from repro.store.sharded import ShardedPersistentSketch
 
 #: Rank-key overflow guard: fall back to per-query bisects when
@@ -476,35 +477,56 @@ class _ScalarPointCache:
         return diffs
 
 
+def _export(kind: LogKind, entries: dict[str, np.ndarray]) -> tuple:
+    """Table columns ``(starts, ends, slopes, values)`` of a kind's rows.
+
+    PLA segments are taken verbatim.  A PWC record is a zero-slope point
+    segment: read clamped to ``[start, end]`` it evaluates like
+    :meth:`~repro.pla.piecewise_constant.OnlinePWC.value_at`.  A history
+    entry has no extent (``ends``/``slopes`` None) and a float value: a
+    read adds the ``1/p - 1`` compensation of Equation (1).
+    """
+    if kind is HISTORY:
+        return entries["times"], None, None, entries["values"].astype(np.float64)
+    if kind is PWC:
+        times = entries["times"]
+        return times, times, np.zeros(len(times)), entries["values"]
+    return (
+        entries["t_start"], entries["t_end"], entries["slope"],
+        entries["value_at_start"],
+    )
+
+
 def _build_table(
     kinds: dict[str, KindColumns],
     prefix: tuple[int, int],
-    rows: list[Container],
+    slot: Slot,
+    sign: int,
+    copy: int,
     compensation: float | None,
 ) -> _ColumnTable:
-    """The frozen table of sketch ``prefix`` (stream, sketch slot) whose
-    sketch rows hold the containers ``rows``, cut from generation
-    columns ``kinds``: a checkpoint's, or a live sketch's
+    """The frozen table of the ``(sign, copy)`` components of log
+    ``slot`` of sketch ``prefix`` (stream, sketch slot), cut from
+    generation columns ``kinds``: a checkpoint's, or a live sketch's
     (:func:`~repro.io.generations.sketch_columns`).  Every frozen table
     is assembled here.
 
     A component is the counter keyed ``(row, col)``.  Its skeleton is
-    in the columns, or in ``rows`` for a fixed container; one whose
-    skeleton was in a generation left out is rebuilt with default
-    parameters and starts from 0.  Slots are the components sorted by
-    key, and a stable sort of the entries (each component's in append
-    order) by slot gives the per-counter CSR layout.  Segment tables
-    evaluate ``ends``/``slopes``; history tables pass ``compensation``.
+    in the columns, or in the slot for a fixed one; one whose skeleton
+    was in a generation left out is rebuilt with default parameters and
+    starts from 0.  Slots are the components sorted by key, and a stable
+    sort of the entries (each component's in append order) by slot gives
+    the per-counter CSR layout.  Segment tables evaluate
+    ``ends``/``slopes``; history tables pass ``compensation``.
     """
-    kind = rows[0].kind
-    level, _row, sign, copy = rows[0].key
-    table = kinds[kind.name].table(prefix + (level, sign, copy))
-    fixed = {
-        (container.key[1], col): component.initial_value
-        for container in rows
-        if container.fixed
-        for col, component in container.components.items()
-    }
+    kind = slot.log.kind
+    n_rows = len(slot.tables) // (slot.signs * slot.copies)
+    table = kinds[kind.name].table(prefix + (slot.level, sign, copy))
+    fixed = (
+        {(0, col): c.initial_value for col, c in slot.tables[0].items()}
+        if slot.fixed
+        else {}
+    )
     fixed_key = np.array(list(fixed), dtype=np.int64).reshape(-1, 2)
     row_ids = np.concatenate((table.rows, fixed_key[:, 0]))
     cols = np.concatenate((table.cols, fixed_key[:, 1]))
@@ -514,17 +536,17 @@ def _build_table(
     orphans = np.setdiff1d(entry_keys, keys)
     keys = np.concatenate((keys, orphans))
     initials = np.concatenate(
-        (kind.initials(table.fields), list(fixed.values()), np.zeros(len(orphans)))
+        (kind.unpack(table.fields)[1], list(fixed.values()), np.zeros(len(orphans)))
     )
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    slot = np.searchsorted(keys, entry_keys)
-    by_slot = np.argsort(slot, kind="stable")
+    slot_of = np.searchsorted(keys, entry_keys)
+    by_slot = np.argsort(slot_of, kind="stable")
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(slot, minlength=len(keys)), out=offsets[1:])
-    starts, ends, slopes, values = kind.export(table.entries)
+    np.cumsum(np.bincount(slot_of, minlength=len(keys)), out=offsets[1:])
+    starts, ends, slopes, values = _export(kind, table.entries)
     return _ColumnTable(
-        np.searchsorted(keys, np.arange(len(rows) + 1, dtype=np.int64) * span),
+        np.searchsorted(keys, np.arange(n_rows + 1, dtype=np.int64) * span),
         keys % span,
         offsets,
         starts[by_slot],
@@ -1038,44 +1060,41 @@ class FrozenShardedSketch:
 
 def _frozen_sketch(
     sketch: PersistentCountMin | PWCAMS | PersistentAMS | PersistentHeavyHitters,
-    found: list[Container],
+    found: list[Slot],
     kinds: dict[str, KindColumns],
     prefix: tuple[int, int],
 ) -> FrozenCountMin | FrozenPWCAMS | FrozenAMS | FrozenHeavyHitters:
     """Frozen form of ``sketch``, live or a checkpoint's shell, given its
-    :func:`~repro.io.serialize.containers`: every table is cut from the
+    :func:`~repro.io.serialize.slots`: every table is cut from the
     generation columns ``kinds`` of sketch ``prefix`` (stream, sketch
     slot)."""
-
-    def table(level: int, sign: int = 0, copy: int = 0) -> _ColumnTable:
-        rows = [
-            container
-            for container in found
-            if (container.key[0], container.key[2], container.key[3])
-            == (level, sign, copy)
-        ]
-        compensation = (
-            1.0 / sketch.probability if isinstance(sketch, PersistentAMS) else None
-        )
-        return _build_table(kinds, prefix, rows, compensation)
-
     if isinstance(sketch, PersistentHeavyHitters):
+        mass, *levels = found
         return FrozenHeavyHitters(
             sketch,
             [
-                FrozenCountMin(level_sketch, table(level))
-                for level, level_sketch in enumerate(sketch._sketches)
+                FrozenCountMin(level_sketch, _build_table(kinds, prefix, slot, 0, 0, None))
+                for level_sketch, slot in zip(sketch._sketches, levels)
             ],
-            table(-1),
+            _build_table(kinds, prefix, mass, 0, 0, None),
         )
+    (slot,) = found
     if isinstance(sketch, PersistentAMS):
+        compensation = 1.0 / sketch.probability
         return FrozenAMS(
             sketch,
-            [[table(-1, b, copy) for copy in range(sketch.copies)] for b in range(2)],
+            [
+                [
+                    _build_table(kinds, prefix, slot, b, copy, compensation)
+                    for copy in range(sketch.copies)
+                ]
+                for b in range(2)
+            ],
         )
+    table = _build_table(kinds, prefix, slot, 0, 0, None)
     if isinstance(sketch, PWCAMS):
-        return FrozenPWCAMS(sketch, table(-1))
-    return FrozenCountMin(sketch, table(-1))
+        return FrozenPWCAMS(sketch, table)
+    return FrozenCountMin(sketch, table)
 
 
 def freeze(
@@ -1093,11 +1112,12 @@ def freeze(
 ):
     """Compile a live persistent sketch into a frozen columnar snapshot.
 
-    Flushes staged updates, then lays the sketch's components out as
+    Flushes staged updates, then lays the sketch's column logs out as
     one in-memory generation (:func:`~repro.io.generations.sketch_columns`,
-    which finalizes open PLA runs) and cuts its tables from those
-    columns exactly as :func:`freeze_columns` cuts a checkpoint's.  The
-    snapshot is as of ``sketch.now``; the returned object answers
+    which reads open PLA runs' pending segments without finalizing
+    them) and cuts its tables from those columns exactly as
+    :func:`freeze_columns` cuts a checkpoint's.  The snapshot is as of
+    ``sketch.now``; the returned object answers
     ``point`` / ``point_many`` / ``self_join_size`` (and, for the dyadic
     structure, ``heavy_hitters`` / ``window_mass``) with answers
     bit-equal to the live query path at a fraction of the cost.
@@ -1115,7 +1135,7 @@ def freeze(
             f"PersistentCountMin, PWCCountMin, PWCAMS, PersistentAMS, "
             f"PersistentHeavyHitters, ShardedPersistentSketch"
         )
-    found = containers(sketch)
+    found = slots(sketch)
     return _frozen_sketch(sketch, found, sketch_columns(found).kinds(), (0, 0))
 
 

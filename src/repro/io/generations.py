@@ -23,7 +23,8 @@ keyed by the seven integers ``(stream, sketch, level, row, column,
 sign, copy)``: ``stream`` indexes the manifest's stream list,
 ``sketch`` is 0 (point), 1 (heavy hitters) or 2 (join), ``level`` is
 the dyadic level (-1 for none, and for the heavy-hitter mass tracker).
-Per component kind ``<k>`` (``pla``, ``history``, ``pwc``):
+Per component kind ``<k>`` (``pla``, ``history``, ``pwc``; the layouts
+of :mod:`repro.persistence.column_log`):
 
 - ``<k>_new_key`` (int32, n x 7) and ``<k>_new_<field>``: the skeletons
   of components created since the previous generation, in creation
@@ -32,10 +33,16 @@ Per component kind ``<k>`` (``pla``, ``history``, ``pwc``):
   plus the run length;
 - ``<k>_<column>``: the entries of all runs, concatenated in run order.
 
-A save labelled with a sequence number links the previous such save's
-generation files into the new directory (``os.link``: no bytes copied)
-and writes one new generation holding the entries past each
-component's watermark.  Every directory stays self-contained.  With no
+Every sketch keeps its history in column logs, so a generation is a
+slice of each log: the rows past the previous save's watermark, after
+the save finalized the log's open runs, grouped into one run per
+component by a stable sort (:func:`repro.persistence.column_log.group`).
+Only each component's own append order is kept; the order of runs is
+the order of their keys.  A save labelled with a sequence number links
+the previous such save's generation files into the new directory
+(``os.link``: no bytes copied) and writes one new generation holding
+the rows past each log's watermark.  Every directory stays
+self-contained.  With no
 intact base (a fresh store or directory, another filesystem, a missing
 file, a save without a sequence number) the same code path writes one
 full generation.  A checkpoint never holds more than
@@ -47,7 +54,8 @@ times.
 Store, runtime, fsck, the frozen engine and serving only call this
 module; it owns the layout.  The frozen engine reads nothing else: a
 live sketch it freezes is first laid out as one in-memory generation
-(:func:`sketch_columns`).  Version 1 manifests (one JSON document per
+(:func:`sketch_columns`): its logs whole, plus the pending segment of
+every open run, with nothing finalized.  Version 1 manifests (one JSON document per
 sketch, no CRC) are still accepted by :func:`read_manifest`, for the
 store's read-only v1 branch.
 """
@@ -69,7 +77,8 @@ import numpy as np
 
 from repro.io import serialize
 from repro.io.atomic import atomic_write_bytes, atomic_write_text
-from repro.io.serialize import SerializationError
+from repro.io.serialize import SerializationError, Slot
+from repro.persistence import column_log
 
 MANIFEST_NAME = "manifest.json"
 FORMAT = "repro-store"
@@ -82,7 +91,7 @@ MAX_GENERATIONS = 8
 SKETCHES = ("point", "hh", "join")
 
 #: Component kinds a generation carries.
-KINDS = (serialize.PLA, serialize.HISTORY, serialize.PWC)
+KINDS = column_log.KINDS
 
 _GEN_RE = re.compile(r"^gen-\d{12}-\d{12}(?:-\d+)?\.npz$")
 _SEAL_RE = re.compile(rb',"crc32":(\d+)\}\Z')
@@ -99,9 +108,8 @@ _SPEC_FIELDS = (
 class Saved:
     """What a committed save leaves for the next one to build on.
 
-    ``marks`` maps a container key to the number of its components
-    already written, and a component key to the number of its entries
-    already written.  A store adopts it only after its directory swap
+    ``marks`` maps a log's ``(stream, sketch, level)`` to the numbers of
+    its components and of its rows already written.  A store adopts it only after its directory swap
     commits, so a failed or retried save rewrites the same generation.
     """
 
@@ -381,46 +389,69 @@ def damaged_generations(
     return damaged
 
 
+def _generation_keys(prefix: tuple[int, int], slot: Slot, keys: np.ndarray) -> np.ndarray:
+    """Generation keys ``(stream, sketch, level, row, col, sign, copy)``
+    of a slot's log keys."""
+    table, col = np.divmod(keys, slot.width)
+    table, copy = np.divmod(table, slot.copies)
+    row, sign = np.divmod(table, slot.signs)
+    fixed = np.broadcast_to([*prefix, slot.level], (len(keys), 3))
+    return np.column_stack((fixed, row, col, sign, copy))
+
+
 class _Generation:
     """Columns accumulating for one new generation."""
 
     def __init__(self) -> None:
         self.empty = True
-        self._parts = {
-            kind.name: (
-                [],  # new component keys
-                [[] for _ in kind.fields],
-                [],  # run keys + lengths
-                [[] for _ in kind.columns],
-            )
+        self._parts: dict[str, tuple[list, dict[str, list], list, list[list]]] = {
+            kind.name: ([], {name: [] for name in kind.fields}, [], [[] for _ in kind.columns])
             for kind in KINDS
         }
 
-    def new(self, kind: Any, key: tuple, skeleton: dict) -> None:
-        keys, fields, _runs, _columns = self._parts[kind.name]
-        keys.append(key)
-        for column, value in zip(fields, kind.pack(skeleton)):
-            column.append(value)
-        self.empty = False
-
-    def run(self, kind: Any, key: tuple, entries: tuple[list, ...]) -> None:
-        _keys, _fields, runs, columns = self._parts[kind.name]
-        runs.append(key + (len(entries[0]),))
-        for column, values in zip(columns, entries):
-            column.extend(values)
-        self.empty = False
+    def add(
+        self,
+        prefix: tuple[int, int],
+        slot: Slot,
+        components: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+        rows: tuple[np.ndarray, list[np.ndarray]],
+    ) -> None:
+        """Add a slot's new ``components`` (keys, parameters, initial
+        values) and its ``rows`` (keys, columns), grouped into runs."""
+        kind = slot.log.kind
+        new_keys, fields, run_keys, columns = self._parts[kind.name]
+        if components is not None and len(components[0]):
+            new_keys.append(_generation_keys(prefix, slot, components[0]))
+            for name, values in kind.pack(*components[1:]).items():
+                fields[name].append(values)
+            self.empty = False
+        if len(rows[0]):
+            keys, lengths, grouped = column_log.group(*rows)
+            run_keys.append(
+                np.column_stack((_generation_keys(prefix, slot, keys), lengths))
+            )
+            for column, values in zip(columns, grouped):
+                column.append(values)
+            self.empty = False
 
     def arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for kind in KINDS:
-            keys, fields, runs, columns = self._parts[kind.name]
-            out[f"{kind.name}_new_key"] = np.array(keys, dtype=np.int32).reshape(-1, 7)
-            for name, dtype, values in zip(kind.fields, kind.field_dtypes, fields):
-                out[f"{kind.name}_new_{name}"] = np.array(values, dtype=dtype)
-            out[f"{kind.name}_run_key"] = np.array(runs, dtype=np.int32).reshape(-1, 8)
+            new_keys, fields, run_keys, columns = self._parts[kind.name]
+            out[f"{kind.name}_new_key"] = _stack(new_keys, 7, np.int32)
+            for name, dtype in zip(kind.fields, kind.field_dtypes):
+                out[f"{kind.name}_new_{name}"] = _stack(fields[name], 0, dtype)
+            out[f"{kind.name}_run_key"] = _stack(run_keys, 8, np.int32)
             for name, dtype, values in zip(kind.columns, kind.dtypes, columns):
-                out[f"{kind.name}_{name}"] = np.array(values, dtype=dtype)
+                out[f"{kind.name}_{name}"] = _stack(values, 0, dtype)
         return out
+
+
+def _stack(parts: list[np.ndarray], width: int, dtype: Any) -> np.ndarray:
+    """``parts`` concatenated as one ``dtype`` column (``width`` > 0:
+    a matrix of that many columns)."""
+    shape = (0, width) if width else (0,)
+    return np.concatenate(parts).astype(dtype) if parts else np.empty(shape, dtype=dtype)
 
 
 def _gen_name(lo: int, hi: int, taken: Iterable[str]) -> str:
@@ -600,10 +631,10 @@ def _write(
             if live is None:
                 tails[sketch] = None
                 continue
-            tail, containers = serialize.split(live)
+            tail, found = serialize.split(live)
             tails[sketch] = tail
-            for container in containers:
-                _append_container(gen, marks, (index, slot), container)
+            for log_slot in found:
+                _append_slot(gen, marks, (index, slot), log_slot)
         entries.append({**spec, "tails": tails})
     lo = generations[-1]["seq"][1] if generations else 0
     hi = max(lo, seq) if seq is not None else lo + 1
@@ -636,48 +667,43 @@ def _write(
     )
 
 
-def _append_container(
-    gen: _Generation, marks: dict, prefix: tuple[int, int], container: Any
+def _append_slot(
+    gen: _Generation,
+    marks: dict | None,
+    prefix: tuple[int, int],
+    slot: Slot,
 ) -> None:
-    """Add a container's new skeletons and entries past the watermarks."""
-    kind = container.kind
-    level, row, sign, copy = container.key
-    ckey = prefix + container.key
-    components = container.components
-    if not container.fixed:
-        known = marks.get(ckey, 0)
-        if len(components) > known:
-            for col, component in itertools.islice(
-                components.items(), known, None
-            ):
-                gen.new(
-                    kind,
-                    prefix + (level, row, col, sign, copy),
-                    kind.skeleton(component),
-                )
-            marks[ckey] = len(components)
-    for col, component in components.items():
-        kind.finalize(component)
-        length = kind.length(component)
-        ekey = ckey + (col,)
-        start = marks.get(ekey, 0)
-        if length > start:
-            gen.run(
-                kind,
-                prefix + (level, row, col, sign, copy),
-                kind.entries(component, start),
-            )
-            marks[ekey] = length
+    """Add a log's components and rows past its watermarks in ``marks``
+    (a save: open runs are finalized first), or, with no ``marks``, all
+    of them plus the open runs' pending segments (a live freeze: nothing
+    is finalized)."""
+    log = slot.log
+    mark = prefix + (slot.level,)
+    known, written = (marks or {}).get(mark, (0, 0))
+    if marks is not None:
+        log.finalize_open()
+        if (known, written) == (len(log.component_keys), len(log)):
+            return  # nothing new since the watermark
+    keys, columns = log.entries(written)
+    if marks is None:
+        pending_keys, pending = log.pending()
+        keys = np.concatenate((keys, pending_keys))
+        columns = [np.concatenate(pair) for pair in zip(columns, pending)]
+    gen.add(
+        prefix, slot, None if slot.fixed else log.components(known), (keys, columns)
+    )
+    if marks is not None:
+        marks[mark] = (len(log.component_keys), len(log))
 
 
-def sketch_columns(containers: Iterable[Any]) -> Columns:
-    """One live sketch's :func:`~repro.io.serialize.containers` as the
-    columns of a checkpoint of one stream: every component finalized
-    and appended in full, with no watermarks, to one in-memory
-    generation under stream 0, sketch slot 0.  Nothing is written."""
+def sketch_columns(slots: Iterable[Slot]) -> Columns:
+    """One live sketch's :func:`~repro.io.serialize.slots` as the
+    columns of a checkpoint of one stream: every log in full, plus each
+    open run's pending segment, in one in-memory generation under
+    stream 0, sketch slot 0.  Nothing is finalized or written."""
     gen = _Generation()
-    for container in containers:
-        _append_container(gen, {}, (0, 0), container)
+    for slot in slots:
+        _append_slot(gen, None, (0, 0), slot)
     return Columns({}, (gen.arrays(),))
 
 
@@ -717,9 +743,9 @@ def read(
     directory = Path(directory)
     try:
         decoded = read_columns(directory, manifest, without)
-        streams, containers = _shells(manifest)
+        streams, slots = _shells(manifest)
         for arrays in decoded.generations:
-            _apply(arrays, containers)
+            _apply(arrays, slots)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SerializationError(
             f"{directory}: malformed store: {type(exc).__name__}: {exc}"
@@ -731,7 +757,7 @@ def read(
 
 def _shells(manifest: dict) -> tuple[list, dict]:
     streams = []
-    containers: dict[tuple, Any] = {}
+    slots: dict[tuple, Slot] = {}
     for index, entry in enumerate(manifest["streams"]):
         sketches: dict[str, Any] = {}
         for slot, name in enumerate(SKETCHES):
@@ -740,37 +766,64 @@ def _shells(manifest: dict) -> tuple[list, dict]:
                 sketches[name] = None
                 continue
             sketches[name], found = serialize.shell(tail)
-            for container in found:
-                containers[(index, slot) + container.key] = container
+            for log_slot in found:
+                slots[(index, slot, log_slot.level)] = log_slot
         spec = {key: value for key, value in entry.items() if key != "tails"}
         streams.append((spec, sketches))
-    return streams, containers
+    return streams, slots
 
 
-def _apply(arrays: dict[str, np.ndarray], containers: dict) -> None:
-    """Append one generation's skeletons and entries, in file order."""
+def _apply(arrays: dict[str, np.ndarray], slots: dict) -> None:
+    """Append one generation's skeletons and rows, in file order: each
+    log's rows in one bulk load, each component's positions as a range."""
     for kind in KINDS:
-        keys = arrays[f"{kind.name}_new_key"].tolist()
-        fields = [arrays[f"{kind.name}_new_{name}"].tolist() for name in kind.fields]
-        for key, row in zip(keys, zip(*fields)):
-            stream, slot, level, row_index, col, sign, copy = key
-            container = containers[(stream, slot, level, row_index, sign, copy)]
-            container.components[col] = kind.build(
-                kind.unpack(row), container.context
-            )
-        runs = arrays[f"{kind.name}_run_key"].tolist()
-        prepared = kind.prepare(
-            tuple(arrays[f"{kind.name}_{name}"].tolist() for name in kind.columns)
+        codec = serialize.CODECS[kind.name]
+        params, initials = kind.unpack(
+            {name: arrays[f"{kind.name}_new_{name}"] for name in kind.fields}
         )
-        start = 0
-        for stream, slot, level, row_index, col, sign, copy, count in runs:
-            container = containers[(stream, slot, level, row_index, sign, copy)]
-            component = container.components.get(col)
-            if component is None:  # its skeleton was in a generation left out
-                component = kind.build(
-                    kind.default(container.context), container.context
-                )
-                container.components[col] = component
-            stop = start + count
-            kind.extend(component, tuple(column[start:stop] for column in prepared))
-            start = stop
+        for key, param, initial in zip(
+            arrays[f"{kind.name}_new_key"].tolist(), params.tolist(), initials.tolist()
+        ):
+            stream, sketch, level, row, col, sign, copy = key
+            slots[(stream, sketch, level)].build(
+                row, col, sign, copy, codec.skeleton_of(param, initial)
+            )
+        runs = arrays[f"{kind.name}_run_key"].astype(np.int64)
+        columns = [arrays[f"{kind.name}_{name}"] for name in kind.columns]
+        firsts = np.concatenate(([0], np.cumsum(runs[:, 7])))
+        # Each stretch of consecutive runs of one log loads in one piece.
+        cuts = np.flatnonzero(np.any(np.diff(runs[:, :3], axis=0) != 0, axis=1)) + 1
+        bounds = [0, *cuts.tolist(), len(runs)] if len(runs) else []
+        for lo, hi in zip(bounds, bounds[1:]):
+            slot = slots[tuple(runs[lo, :3].tolist())]
+            _load_runs(slot, runs[lo:hi], firsts[lo:hi], columns)
+
+
+def _load_runs(
+    slot: Slot, runs: np.ndarray, firsts: np.ndarray, columns: list[np.ndarray]
+) -> None:
+    """Append runs of one log (rows starting at ``firsts`` of
+    ``columns``) and give each component its positions."""
+    lengths = runs[:, 7]
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.repeat(firsts - offsets, lengths) + np.arange(int(lengths.sum()))
+    tables = (runs[:, 3] * slot.signs + runs[:, 5]) * slot.copies + runs[:, 6]
+    keys = tables * slot.width + runs[:, 4]
+    base = slot.log.load(
+        np.repeat(keys, lengths), [column[rows] for column in columns]
+    )
+    codec = slot.codec
+    values = slot.log.columns[1]
+    times = columns[0][rows].tolist()
+    for (row, col, sign, copy), table, offset, length in zip(
+        runs[:, 3:7].tolist(), tables.tolist(), offsets.tolist(), lengths.tolist()
+    ):
+        component = slot.tables[table].get(col)
+        if component is None:  # its skeleton was in a generation left out
+            component = slot.build(
+                row, col, sign, copy, codec.skeleton_of(slot.param, 0)
+            )
+        component._pos.extend(range(base + offset, base + offset + length))
+        component._times += times[offset : offset + length]
+        if codec is serialize.PWC:
+            component._last_recorded = values[base + offset + length - 1]

@@ -17,10 +17,11 @@ run keeps exactly the same query answers.  Loaded sketches accept
 further updates; the sampling RNG state of a ``PersistentAMS`` is
 captured so its random behaviour continues identically.
 
-The component codecs split every sketch into its append-only arrays
-(PLA segments, PWC records, sampled history entries) and a small tail.
-This module writes the two back together as one document; a store
-checkpoint writes them apart, the arrays as columnar generations
+Every sketch is a small tail (counters, clocks, RNG state) plus its
+column logs (PLA segments, PWC records, sampled history entries; see
+:mod:`repro.persistence.column_log`).  This module writes the two back
+together as one document, each component's rows inline; a store
+checkpoint writes them apart, the log slices as columnar generations
 (:mod:`repro.io.generations`).
 """
 
@@ -43,11 +44,12 @@ from repro.core.persistent_countmin import PersistentCountMin, PWCCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro.hashing.families import IdentityHashFamily
 from repro.io.atomic import atomic_write_bytes
+from repro.persistence import column_log
+from repro.persistence.column_log import ColumnLog
 from repro.persistence.epochs import Epoch, EpochManager
 from repro.persistence.history_list import SampledHistoryList
-from repro.persistence.tracker import PLATracker, PWCTracker, YoungPLATracker
 from repro.pla.orourke import OnlinePLA
-from repro.pla.segment import Segment
+from repro.pla.piecewise_constant import OnlinePWC
 from repro.sketch.ams import AMSSketch
 
 FORMAT = "repro-sketch"
@@ -67,103 +69,40 @@ class SerializationError(ValueError):
 # Component codecs
 # --------------------------------------------------------------------- #
 #
-# A component is one append-only history: a PLA tracker's segments, a
-# PWC tracker's records or a sampled history list's entries.  Each kind
-# splits a component into a small *skeleton* (its parameters, fixed once
-# the component exists) and parallel entry *columns*.  The v1 document
-# puts the columns inline next to the skeleton (``inline``/``outline``);
-# the store's generations (:mod:`repro.io.generations`) write only the
-# entry columns past a watermark (``entries``) and the skeleton once,
-# packed into a fixed row (``pack``/``unpack``).  The frozen engine
-# reads generation columns, a checkpoint's or a live sketch's, as table
-# columns (``export``/``initials``) without building any component.
+# A component is one history: a PLA tracker's segments, a PWC tracker's
+# records or a sampled history list's entries, all rows of its sketch's
+# column log (:mod:`repro.persistence.column_log`).  Each kind splits a
+# component into a small *skeleton* (its parameter and initial value,
+# fixed once the component exists) and its rows.  The v1 document puts
+# the rows inline next to the skeleton (``inline``/``outline``); the
+# store's generations (:mod:`repro.io.generations`) slice them straight
+# from the log and pack the skeletons as columns (``LogKind.pack``).
 
 
 class _PLAKind:
-    """PLA tracker: skeleton ``delta``, initial value and young staging."""
+    """PLA tracker: skeleton ``delta`` and initial value."""
 
-    name = "pla"
-    columns = ("t_start", "t_end", "slope", "value_at_start")
-    dtypes = (np.int64, np.int64, np.float64, np.float64)
-    fields = ("delta", "initial_value", "young", "t0", "v0", "young_initial")
-    field_dtypes = (
-        np.float64, np.float64, np.int64, np.int64, np.float64, np.float64,
-    )
+    kind = column_log.PLA
 
     @staticmethod
-    def skeleton(tracker: PLATracker) -> dict:
-        # Young trackers carry a staged first touch next to the (possibly
-        # still unmaterialized) PLA; keep it so decode restores the exact
-        # structural state and a recovered store fingerprints identically
-        # to the live one (tests/test_runtime_batch.py pins this).
-        young: dict = {}
-        if isinstance(tracker, YoungPLATracker):
-            young = {
-                "young": True,
-                "t0": tracker._t0,
-                "v0": tracker._v0,
-                "initial_value": tracker._initial,
-            }
-        tracker.finalize()
-        pla = tracker._pla
+    def skeleton(tracker: OnlinePLA) -> dict:
         return {
-            "delta": pla.delta,
-            "function": {"initial_value": pla.function.initial_value},
-            **young,
+            "delta": tracker.delta,
+            "function": {"initial_value": tracker.initial_value},
         }
 
     @staticmethod
-    def finalize(tracker: PLATracker) -> None:
-        tracker.finalize()
-
-    @staticmethod
-    def length(tracker: PLATracker) -> int:
-        return len(tracker._pla.function._segments)
-
-    @staticmethod
-    def entries(tracker: PLATracker, start: int) -> tuple[list, ...]:
-        segments = tracker._pla.function._segments[start:]
-        return (
-            [seg.t_start for seg in segments],
-            [seg.t_end for seg in segments],
-            [seg.slope for seg in segments],
-            [seg.value_at_start for seg in segments],
+    def make(skeleton: dict, log: ColumnLog, key: int, rng: Any) -> OnlinePLA:
+        # A skeleton's young staging fields name a first touch that the
+        # save which wrote them had already finalized into the rows.
+        return OnlinePLA(
+            skeleton["delta"], skeleton["function"]["initial_value"], log, key
         )
-
-    @staticmethod
-    def build(skeleton: dict, context: Any) -> PLATracker:
-        delta = skeleton["delta"]
-        initial = skeleton["function"]["initial_value"]
-        tracker: PLATracker
-        if skeleton.get("young"):
-            young_tracker = YoungPLATracker(
-                delta=delta, initial_value=skeleton["initial_value"]
-            )
-            young_tracker._t0 = skeleton["t0"]
-            young_tracker._v0 = skeleton["v0"]
-            # Encoding finalized the live tracker, which materialized its
-            # ``_pla``; mirror that state exactly (a finalized PLA is
-            # fully described by its delta and emitted function).
-            young_tracker._pla = OnlinePLA(delta=delta, initial_value=initial)
-            tracker = young_tracker
-        else:
-            tracker = PLATracker(delta=delta, initial_value=initial)
-        return tracker
-
-    @staticmethod
-    def prepare(columns: tuple[list, ...]) -> tuple[list, ...]:
-        return columns[0], list(map(Segment, *columns))
-
-    @staticmethod
-    def extend(tracker: PLATracker, prepared: tuple[list, ...]) -> None:
-        function = tracker._pla.function
-        function._starts.extend(prepared[0])
-        function._segments.extend(prepared[1])
 
     @staticmethod
     def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
         function = dict(skeleton["function"])
-        function.update(zip(_PLAKind.columns, columns))
+        function.update(zip(_PLAKind.kind.columns, columns))
         return {**skeleton, "function": function}
 
     @staticmethod
@@ -173,66 +112,18 @@ class _PLAKind:
             **document,
             "function": {"initial_value": function["initial_value"]},
         }
-        return skeleton, tuple(function[name] for name in _PLAKind.columns)
+        return skeleton, tuple(function[name] for name in _PLAKind.kind.columns)
 
     @staticmethod
-    def pack(skeleton: dict) -> tuple:
-        young = bool(skeleton.get("young"))
-        return (
-            skeleton["delta"],
-            skeleton["function"]["initial_value"],
-            int(young),
-            skeleton["t0"] if young else -1,
-            skeleton["v0"] if young else 0.0,
-            skeleton["initial_value"] if young else 0.0,
-        )
+    def skeleton_of(param: float, initial: float) -> dict:
+        return {"delta": param, "function": {"initial_value": initial}}
 
-    @staticmethod
-    def unpack(row: tuple) -> dict:
-        delta, initial, young, t0, v0, young_initial = row
-        skeleton: dict = {
-            "delta": delta,
-            "function": {"initial_value": initial},
-        }
-        if young:
-            skeleton.update(
-                young=True, t0=t0, v0=v0, initial_value=young_initial
-            )
-        return skeleton
-
-    @staticmethod
-    def default(context: Any) -> dict:
-        return {"delta": context, "function": {"initial_value": 0.0}}
-
-    @staticmethod
-    def export(entries: dict[str, np.ndarray]) -> tuple:
-        """Frozen table columns ``(starts, ends, slopes, values)`` of
-        entry columns: the segments verbatim."""
-        return (
-            entries["t_start"],
-            entries["t_end"],
-            entries["slope"],
-            entries["value_at_start"],
-        )
-
-    @staticmethod
-    def initials(fields: dict[str, np.ndarray]) -> np.ndarray:
-        """The built components' ``initial_value`` per packed skeleton."""
-        return np.where(
-            fields["young"] != 0,
-            fields["young_initial"],
-            fields["initial_value"],
-        )
 
 
 class _HistoryKind:
     """Sampled history list: skeleton ``probability`` and initial value."""
 
-    name = "history"
-    columns = ("times", "values")
-    dtypes = (np.int64, np.int64)
-    fields = ("probability", "initial_value")
-    field_dtypes = (np.float64, np.int64)
+    kind = column_log.HISTORY
 
     @staticmethod
     def skeleton(history: SampledHistoryList) -> dict:
@@ -242,33 +133,12 @@ class _HistoryKind:
         }
 
     @staticmethod
-    def finalize(history: SampledHistoryList) -> None:
-        """Sampled records are appended eagerly: nothing to flush."""
-
-    @staticmethod
-    def length(history: SampledHistoryList) -> int:
-        return len(history._times)
-
-    @staticmethod
-    def entries(history: SampledHistoryList, start: int) -> tuple[list, ...]:
-        return history._times[start:], history._values[start:]
-
-    @staticmethod
-    def build(skeleton: dict, context: Any) -> SampledHistoryList:
+    def make(
+        skeleton: dict, log: ColumnLog, key: int, rng: Any
+    ) -> SampledHistoryList:
         return SampledHistoryList(
-            probability=skeleton["probability"],
-            rng=context[0],
-            initial_value=skeleton["initial_value"],
+            skeleton["probability"], rng, skeleton["initial_value"], log, key
         )
-
-    @staticmethod
-    def prepare(columns: tuple[list, ...]) -> tuple[list, ...]:
-        return columns
-
-    @staticmethod
-    def extend(history: SampledHistoryList, columns: tuple[list, ...]) -> None:
-        history._times.extend(columns[0])
-        history._values.extend(columns[1])
 
     @staticmethod
     def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
@@ -280,29 +150,12 @@ class _HistoryKind:
             "probability": document["probability"],
             "initial_value": document["initial_value"],
         }
-        return skeleton, (list(document["times"]), list(document["values"]))
+        return skeleton, (document["times"], document["values"])
 
     @staticmethod
-    def pack(skeleton: dict) -> tuple:
-        return (skeleton["probability"], skeleton["initial_value"])
+    def skeleton_of(param: float, initial: float) -> dict:
+        return {"probability": param, "initial_value": int(initial)}
 
-    @staticmethod
-    def unpack(row: tuple) -> dict:
-        return {"probability": row[0], "initial_value": row[1]}
-
-    @staticmethod
-    def default(context: Any) -> dict:
-        return {"probability": context[1], "initial_value": 0}
-
-    @staticmethod
-    def export(entries: dict[str, np.ndarray]) -> tuple:
-        """``(times, None, None, values)``, values as floats: a read
-        adds the ``1/p - 1`` compensation of Equation (1)."""
-        return entries["times"], None, None, entries["values"].astype(np.float64)
-
-    @staticmethod
-    def initials(fields: dict[str, np.ndarray]) -> np.ndarray:
-        return fields["initial_value"]
 
 
 class _PWCKind:
@@ -310,53 +163,25 @@ class _PWCKind:
 
     ``last_recorded`` is part of the v1 skeleton but not of the packed
     one: it is always the last recorded value (the initial value before
-    any record), so :meth:`extend` re-derives it.
+    any record), so a load re-derives it.
     """
 
-    name = "pwc"
-    columns = ("times", "values")
-    dtypes = (np.int64, np.float64)
-    fields = ("delta", "initial_value")
-    field_dtypes = (np.float64, np.float64)
+    kind = column_log.PWC
 
     @staticmethod
-    def skeleton(tracker: PWCTracker) -> dict:
-        pwc = tracker._pwc
+    def skeleton(tracker: OnlinePWC) -> dict:
         return {
-            "delta": pwc.delta,
-            "initial_value": pwc.function.initial_value,
-            "last_recorded": pwc._last_recorded,
+            "delta": tracker.delta,
+            "initial_value": tracker.initial_value,
+            "last_recorded": tracker._last_recorded,
         }
 
-    finalize = staticmethod(_HistoryKind.finalize)
-
     @staticmethod
-    def length(tracker: PWCTracker) -> int:
-        return len(tracker._pwc.function._times)
-
-    @staticmethod
-    def entries(tracker: PWCTracker, start: int) -> tuple[list, ...]:
-        function = tracker._pwc.function
-        return function._times[start:], function._values[start:]
-
-    @staticmethod
-    def build(skeleton: dict, context: Any) -> PWCTracker:
-        tracker = PWCTracker(
-            delta=skeleton["delta"], initial_value=skeleton["initial_value"]
-        )
+    def make(skeleton: dict, log: ColumnLog, key: int, rng: Any) -> OnlinePWC:
+        tracker = OnlinePWC(skeleton["delta"], skeleton["initial_value"], log, key)
         if "last_recorded" in skeleton:
-            tracker._pwc._last_recorded = skeleton["last_recorded"]
+            tracker._last_recorded = skeleton["last_recorded"]
         return tracker
-
-    prepare = staticmethod(_HistoryKind.prepare)
-
-    @staticmethod
-    def extend(tracker: PWCTracker, columns: tuple[list, ...]) -> None:
-        pwc = tracker._pwc
-        for t, value in zip(*columns):
-            pwc.function.append(t, value)
-        if len(columns[1]):
-            pwc._last_recorded = columns[1][-1]
 
     @staticmethod
     def inline(skeleton: dict, columns: tuple[list, ...]) -> dict:
@@ -378,54 +203,86 @@ class _PWCKind:
         return skeleton, (document["times"], document["values"])
 
     @staticmethod
-    def pack(skeleton: dict) -> tuple:
-        return (skeleton["delta"], skeleton["initial_value"])
+    def skeleton_of(param: float, initial: float) -> dict:
+        return {"delta": param, "initial_value": initial}
 
-    @staticmethod
-    def unpack(row: tuple) -> dict:
-        return {"delta": row[0], "initial_value": row[1]}
-
-    @staticmethod
-    def default(context: Any) -> dict:
-        return {"delta": context, "initial_value": 0.0}
-
-    @staticmethod
-    def export(entries: dict[str, np.ndarray]) -> tuple:
-        """Each record as a zero-slope point segment: read clamped to
-        ``[start, end]``, it evaluates like :meth:`PWCTracker.value_at`."""
-        times = entries["times"]
-        return times, times, np.zeros(len(times)), entries["values"]
-
-    initials = staticmethod(_HistoryKind.initials)
 
 
 PLA = _PLAKind()
 HISTORY = _HistoryKind()
 PWC = _PWCKind()
 
+#: The codec of each log kind, by kind name.
+CODECS = {codec.kind.name: codec for codec in (PLA, HISTORY, PWC)}
 
-def _encode_component(kind: Any, component: Any) -> dict:
-    return kind.inline(kind.skeleton(component), kind.entries(component, 0))
+
+def _encode_component(codec: Any, component: Any) -> dict:
+    if codec is PLA:
+        component.finalize()
+    return codec.inline(
+        codec.skeleton(component), component.log.rows(component)
+    )
 
 
-def _decode_component(kind: Any, document: dict, context: Any = None) -> Any:
-    skeleton, columns = kind.outline(document)
-    component = kind.build(skeleton, context)
-    kind.extend(component, kind.prepare(columns))
+@dataclass
+class Slot:
+    """One column log of a sketch, and where its components live.
+
+    ``tables[(row * signs + sign) * copies + copy]`` maps a column to
+    the component whose log key is ``table * width + col``; with the
+    stream, the sketch slot and ``level`` that is its generation key
+    ``(stream, sketch, level, row, col, sign, copy)``.  ``param`` is a
+    new component's parameter (``delta`` or the sampling probability),
+    ``rng`` a sampled one's random source; ``fixed`` marks the
+    heavy-hitter mass tracker, whose skeleton lives in the tail, so
+    generations carry only its rows.
+    """
+
+    level: int
+    log: ColumnLog
+    tables: list[dict]
+    width: int
+    param: float
+    rng: Any = None
+    signs: int = 1
+    copies: int = 1
+    fixed: bool = False
+
+    @property
+    def codec(self) -> Any:
+        return CODECS[self.log.kind.name]
+
+    def build(
+        self, row: int, col: int, sign: int, copy: int, skeleton: dict
+    ) -> Any:
+        """Create component ``(row, col, sign, copy)`` from its skeleton."""
+        table = (row * self.signs + sign) * self.copies + copy
+        component = self.codec.make(
+            skeleton, self.log, table * self.width + col, self.rng
+        )
+        self.tables[table][col] = component
+        return component
+
+    def restore(
+        self, row: int, col: int, document: dict, sign: int = 0, copy: int = 0
+    ) -> None:
+        """Rebuild a component from its v1 document."""
+        skeleton, columns = self.codec.outline(document)
+        self.log.extend(self.build(row, col, sign, copy, skeleton), columns)
+
+
+def _restore(codec: Any, document: dict, log: ColumnLog, key: int, rng: Any) -> Any:
+    """A component rebuilt from its v1 document, as rows of ``log``."""
+    skeleton, columns = codec.outline(document)
+    component = codec.make(skeleton, log, key, rng)
+    log.extend(component, columns)
     return component
 
 
-def _encode_map(kind: Any, components: dict) -> dict:
+def _encode_map(codec: Any, components: dict) -> dict:
     return {
-        str(col): _encode_component(kind, component)
+        str(col): _encode_component(codec, component)
         for col, component in components.items()
-    }
-
-
-def _decode_map(kind: Any, documents: dict, context: Any = None) -> dict:
-    return {
-        int(col): _decode_component(kind, document, context)
-        for col, document in documents.items()
     }
 
 
@@ -437,24 +294,6 @@ def _encode_rng_state(rng) -> list:
 def _decode_rng_state(encoded: list) -> tuple:
     version, internal, gauss = encoded
     return (version, tuple(internal), gauss)
-
-
-@dataclass
-class Container:
-    """One map of same-kind components inside a sketch.
-
-    ``key`` is ``(level, row, sign, copy)``: with the stream, the sketch
-    and a component's column it forms the generation key.  ``context``
-    is what :meth:`build` needs besides the skeleton; ``fixed`` marks a
-    container whose skeletons live in the tail (the heavy-hitter mass
-    tracker), so generations carry only its entries.
-    """
-
-    key: tuple[int, int, int, int]
-    components: dict
-    kind: Any
-    context: Any
-    fixed: bool = False
 
 
 # --------------------------------------------------------------------- #
@@ -495,40 +334,31 @@ def _cm_shell(state: dict, cls: type) -> PersistentCountMin:
     return sketch
 
 
-def _cm_containers(
-    sketch: PersistentCountMin | PWCAMS, level: int
-) -> list[Container]:
-    kind = PWC if type(sketch) in (PWCCountMin, PWCAMS) else PLA
-    return [
-        Container((level, row, 0, 0), trackers, kind, sketch.delta)
-        for row, trackers in enumerate(sketch._trackers)
-    ]
+def _cm_slot(sketch: PersistentCountMin | PWCAMS, level: int = -1) -> Slot:
+    return Slot(level, sketch._log, sketch._trackers, sketch.width, sketch.delta)
 
 
-def _encode_persistent_cm(sketch: PersistentCountMin) -> dict:
+def _restore_rows(slot: Slot, rows: list) -> None:
+    for row, documents in enumerate(rows):
+        for col, document in documents.items():
+            slot.restore(row, int(col), document)
+
+
+def _encode_cm(sketch: PersistentCountMin) -> dict:
+    codec = _cm_slot(sketch).codec
     return {
         **_cm_tail(sketch),
-        "trackers": [_encode_map(PLA, row) for row in sketch._trackers],
+        "trackers": [_encode_map(codec, row) for row in sketch._trackers],
     }
 
 
-def _decode_persistent_cm(state: dict) -> PersistentCountMin:
-    sketch = _cm_shell(state, PersistentCountMin)
-    sketch._trackers = [_decode_map(PLA, row) for row in state["trackers"]]
-    return sketch
+def _decoder_cm(cls: type) -> Callable[[dict], PersistentCountMin]:
+    def decode(state: dict) -> PersistentCountMin:
+        sketch = _cm_shell(state, cls)
+        _restore_rows(_cm_slot(sketch), state["trackers"])
+        return sketch
 
-
-def _encode_pwc_cm(sketch: PWCCountMin) -> dict:
-    return {
-        **_cm_tail(sketch),
-        "trackers": [_encode_map(PWC, row) for row in sketch._trackers],
-    }
-
-
-def _decode_pwc_cm(state: dict) -> PWCCountMin:
-    sketch = _cm_shell(state, PWCCountMin)
-    sketch._trackers = [_decode_map(PWC, row) for row in state["trackers"]]
-    return sketch
+    return decode
 
 
 def _ams_tail(sketch: PersistentAMS) -> dict:
@@ -562,14 +392,17 @@ def _ams_shell(state: dict) -> PersistentAMS:
     return sketch
 
 
-def _ams_containers(sketch: PersistentAMS) -> list[Container]:
-    context = (sketch._rng, sketch.probability)
-    return [
-        Container((-1, row, b, copy), lists, HISTORY, context)
-        for row, by_sign in enumerate(sketch._histories)
-        for b, by_copy in enumerate(by_sign)
-        for copy, lists in enumerate(by_copy)
-    ]
+def _ams_slot(sketch: PersistentAMS) -> Slot:
+    return Slot(
+        -1,
+        sketch._log,
+        [lists for by_sign in sketch._histories for by_copy in by_sign for lists in by_copy],
+        sketch.width,
+        sketch.probability,
+        sketch._rng,
+        signs=2,
+        copies=sketch.copies,
+    )
 
 
 def _encode_persistent_ams(sketch: PersistentAMS) -> dict:
@@ -587,14 +420,12 @@ def _encode_persistent_ams(sketch: PersistentAMS) -> dict:
 
 def _decode_persistent_ams(state: dict) -> PersistentAMS:
     sketch = _ams_shell(state)
-    context = (sketch._rng, sketch.probability)
-    sketch._histories = [
-        [
-            [_decode_map(HISTORY, lists, context) for lists in by_sign]
-            for by_sign in row_hist
-        ]
-        for row_hist in state["histories"]
-    ]
+    slot = _ams_slot(sketch)
+    for row, row_hist in enumerate(state["histories"]):
+        for b, by_sign in enumerate(row_hist):
+            for copy, documents in enumerate(by_sign):
+                for col, document in documents.items():
+                    slot.restore(row, int(col), document, b, copy)
     return sketch
 
 
@@ -621,11 +452,11 @@ def _decode_pwc_ams(state: dict) -> PWCAMS:
     sketch._clock = state["clock"]
     sketch.total = state["total"]
     sketch._counters = [list(row) for row in state["counters"]]
-    sketch._trackers = [_decode_map(PWC, row) for row in state["trackers"]]
+    _restore_rows(_cm_slot(sketch), state["trackers"])
     return sketch
 
 
-def _hh_shell(state: dict, levels: list) -> PersistentHeavyHitters:
+def _hh_shell(state: dict, levels: list, mass: OnlinePLA) -> PersistentHeavyHitters:
     level0 = levels[0]
     structure = PersistentHeavyHitters(
         universe=state["universe"],
@@ -636,7 +467,13 @@ def _hh_shell(state: dict, levels: list) -> PersistentHeavyHitters:
     structure._sketches = levels
     structure._clock = state["clock"]
     structure._mass_total = state["mass_total"]
+    structure._mass = mass
     return structure
+
+
+def _hh_slot(structure: PersistentHeavyHitters) -> Slot:
+    mass = structure._mass
+    return Slot(-1, mass.log, [{0: mass}], 1, mass.delta, fixed=True)
 
 
 def _encode_heavy_hitters(structure: PersistentHeavyHitters) -> dict:
@@ -650,9 +487,11 @@ def _encode_heavy_hitters(structure: PersistentHeavyHitters) -> dict:
 
 
 def _decode_heavy_hitters(state: dict) -> PersistentHeavyHitters:
-    structure = _hh_shell(state, [from_dict(doc) for doc in state["levels"]])
-    structure._mass = _decode_component(PLA, state["mass"])
-    return structure
+    return _hh_shell(
+        state,
+        [from_dict(doc) for doc in state["levels"]],
+        _restore(PLA, state["mass"], ColumnLog(PLA.kind), 0, None),
+    )
 
 
 def _encode_epochs(manager: EpochManager) -> dict:
@@ -717,13 +556,14 @@ def _decode_historical_cm(state: dict) -> HistoricalCountMin:
     sketch._epochs = _decode_epochs(state["epochs"])
     sketch._counters = [list(row) for row in state["counters"]]
     tracked = []
-    for row in state["tracked"]:
+    for row, documents in enumerate(state["tracked"]):
         decoded_row = {}
-        for col, entry in row.items():
+        for col, entry in documents.items():
             counter = _EpochedCounter()
             counter.epoch_ids = list(entry["epoch_ids"])
             counter.trackers = [
-                _decode_component(PLA, tr) for tr in entry["trackers"]
+                _restore(PLA, doc, sketch._log, sketch._key(e, row, int(col)), None)
+                for e, doc in zip(counter.epoch_ids, entry["trackers"])
             ]
             decoded_row[int(col)] = counter
         tracked.append(decoded_row)
@@ -805,20 +645,22 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
     sketch._components = [
         [list(pair) for pair in row] for row in state["components"]
     ]
-    context = (sketch._rng, None)
     tracked = []
-    for row_hist in state["tracked"]:
+    for row, row_hist in enumerate(state["tracked"]):
         by_sign = []
-        for sign_hist in row_hist:
+        for b, sign_hist in enumerate(row_hist):
             copies = []
-            for lists in sign_hist:
+            for copy, lists in enumerate(sign_hist):
                 decoded = {}
                 for col, entry in lists.items():
                     component = _EpochedComponent()
                     component.epoch_ids = list(entry["epoch_ids"])
                     component.histories = [
-                        _decode_component(HISTORY, h, context)
-                        for h in entry["histories"]
+                        _restore(
+                            HISTORY, doc, sketch._log,
+                            sketch._key(e, row, b, copy, int(col)), sketch._rng,
+                        )
+                        for e, doc in zip(component.epoch_ids, entry["histories"])
                     ]
                     decoded[int(col)] = component
                 copies.append(decoded)
@@ -833,36 +675,32 @@ def _decode_historical_ams(state: dict) -> HistoricalAMS:
 # --------------------------------------------------------------------- #
 
 
-def containers(sketch: Any) -> list[Container]:
-    """The component maps of a sketch a store holds, in the fixed order
+def slots(sketch: Any) -> list[Slot]:
+    """The column logs of a sketch a store holds, in the fixed order
     :func:`split` writes them and :func:`shell` rebuilds them; and of a
     ``PWCAMS``, which only the frozen engine reads this way."""
     if type(sketch) in (PersistentCountMin, PWCCountMin, PWCAMS):
-        return _cm_containers(sketch, -1)
+        return [_cm_slot(sketch)]
     if type(sketch) is PersistentAMS:
-        return _ams_containers(sketch)
+        return [_ams_slot(sketch)]
     if type(sketch) is PersistentHeavyHitters:
-        found = [
-            Container((-1, 0, 0, 0), {0: sketch._mass}, PLA, None, fixed=True)
+        return [_hh_slot(sketch)] + [
+            _cm_slot(level_sketch, level)
+            for level, level_sketch in enumerate(sketch._sketches)
         ]
-        for level, level_sketch in enumerate(sketch._sketches):
-            found.extend(_cm_containers(level_sketch, level))
-        return found
     raise SerializationError(
         f"no generation codec for {type(sketch).__name__}"
     )
 
 
-def split(sketch: Any) -> tuple[dict, list[Container]]:
-    """``(tail, containers)`` of a sketch a store holds.
+def split(sketch: Any) -> tuple[dict, list[Slot]]:
+    """``(tail, slots)`` of a sketch a store holds.
 
     The tail is a JSON-ready dict of everything mutable (counters,
-    clocks, totals, RNG state) with its ``"type"``; the containers are
-    the sketch's live component maps (:func:`containers`).  Callers
-    finalize each component (its kind's ``finalize``) before reading
-    its entries.
+    clocks, totals, RNG state) with its ``"type"``; the slots are the
+    sketch's column logs (:func:`slots`).
     """
-    found = containers(sketch)
+    found = slots(sketch)
     if type(sketch) is PersistentAMS:
         return {"type": "PersistentAMS", **_ams_tail(sketch)}, found
     if type(sketch) is PersistentHeavyHitters:
@@ -897,11 +735,11 @@ TAIL_FIELDS = {
 }
 
 
-def shell(tail: dict) -> tuple[Any, list[Container]]:
-    """Rebuild a sketch from its tail, with empty component maps.
+def shell(tail: dict) -> tuple[Any, list[Slot]]:
+    """Rebuild a sketch from its tail, with empty column logs.
 
-    Returns the sketch and its :func:`containers`, for the generations
-    to fill.
+    Returns the sketch and its :func:`slots`, for the generations to
+    fill.
     """
     name = tail.get("type")
     if name in ("PersistentCountMin", "PWCCountMin"):
@@ -911,18 +749,18 @@ def shell(tail: dict) -> tuple[Any, list[Container]]:
         sketch = _ams_shell(tail)
     elif name == "PersistentHeavyHitters":
         levels = [_cm_shell(level, PersistentCountMin) for level in tail["levels"]]
-        sketch = _hh_shell(tail, levels)
-        sketch._mass = PLA.build(tail["mass"], None)
+        mass = PLA.make(tail["mass"], ColumnLog(PLA.kind), 0, None)
+        sketch = _hh_shell(tail, levels, mass)
     else:
         raise SerializationError(f"no generation codec for tail type {name!r}")
-    return sketch, containers(sketch)
+    return sketch, slots(sketch)
 
 
 _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {
     "PersistentCountMin": (
-        PersistentCountMin, _encode_persistent_cm, _decode_persistent_cm,
+        PersistentCountMin, _encode_cm, _decoder_cm(PersistentCountMin),
     ),
-    "PWCCountMin": (PWCCountMin, _encode_pwc_cm, _decode_pwc_cm),
+    "PWCCountMin": (PWCCountMin, _encode_cm, _decoder_cm(PWCCountMin)),
     "PersistentAMS": (
         PersistentAMS, _encode_persistent_ams, _decode_persistent_ams,
     ),

@@ -17,18 +17,21 @@ deterministic baselines' bias gets amplified.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from random import Random
 
 from repro.analysis import contracts
-
-#: Machine words per record (value + timestamp), per Section 6.2.
-WORDS_PER_RECORD = 2
+from repro.persistence.column_log import HISTORY, ColumnLog
 
 
 class SampledHistoryList:
     """History of one monotone counter component.
+
+    The sampled ``(time, value)`` records are rows of a
+    :class:`~repro.persistence.column_log.ColumnLog` under the
+    component's key; the list keeps their log positions.
 
     Parameters
     ----------
@@ -39,19 +42,29 @@ class SampledHistoryList:
     initial_value:
         Component value before its first increment (nonzero at epoch
         boundaries in the Section 5.2 construction).
+    log, key:
+        The sketch's history log and this component's key in it; a list
+        built without one keeps a log of its own.
     """
 
     __slots__ = (
         "__weakref__",  # contract decorators track instances weakly
         "probability",
         "initial_value",
+        "log",
+        "key",
+        "_pos",
         "_times",
-        "_values",
         "_rng",
     )
 
     def __init__(
-        self, probability: float, rng: Random, initial_value: int = 0
+        self,
+        probability: float,
+        rng: Random,
+        initial_value: int = 0,
+        log: ColumnLog | None = None,
+        key: int = 0,
     ) -> None:
         if not 0 < probability <= 1:
             raise ValueError(
@@ -59,9 +72,12 @@ class SampledHistoryList:
             )
         self.probability = probability
         self.initial_value = initial_value
+        self.log = ColumnLog(HISTORY) if log is None else log
+        self.key = key
+        self._pos: array[int] = array("q")
         self._times: list[int] = []
-        self._values: list[int] = []
         self._rng = rng
+        self.log.register(key, probability, initial_value)
 
     @contracts.monotone_timestamps(param="t")
     def offer(self, t: int, value: int) -> None:
@@ -73,13 +89,12 @@ class SampledHistoryList:
         when enforcement is on.
         """
         if self._rng.random() < self.probability:
-            self._times.append(t)
-            self._values.append(value)
+            self.log.append(self, t, value)
 
     def force_sample(self, t: int, value: int) -> None:
-        """Record unconditionally (used by tests and epoch bootstrapping)."""
-        self._times.append(t)
-        self._values.append(value)
+        """Record unconditionally and unchecked (used by tests and epoch
+        bootstrapping)."""
+        self.log.extend(self, ([t], [value]))
 
     def extend(self, times: Sequence[int], values: Sequence[int]) -> None:
         """Append pre-accepted samples in time order (batch ingest path).
@@ -101,15 +116,15 @@ class SampledHistoryList:
                         f"increasing: {t} <= {prev}"
                     )
                 prev = t
-        self._times.extend(times)
-        self._values.extend(values)
+        self.log.extend(self, (times, values))
 
     def estimate_at(self, t: float) -> float:
         """Unbiased compensated estimate of the component value at ``t``."""
-        idx = bisect_right(self._times, t) - 1
-        if idx < 0:
+        i = bisect_right(self._times, t)
+        if not i:
             return float(self.initial_value)
-        return self._values[idx] + (1.0 / self.probability) - 1.0
+        value: int = self.log.columns[1][self._pos[i - 1]]
+        return value + (1.0 / self.probability) - 1.0
 
     def estimate_at_index(self, idx: int) -> float:
         """Compensated estimate from a precomputed predecessor index.
@@ -121,7 +136,9 @@ class SampledHistoryList:
         """
         if idx < 0:
             return float(self.initial_value)
-        return self._values[idx] + (1.0 / self.probability) - 1.0
+        return (
+            self.log.columns[1][self._pos[idx]] + (1.0 / self.probability) - 1.0
+        )
 
     def sample_times(self) -> list[int]:
         """The sampled timestamps, strictly increasing."""
@@ -129,14 +146,14 @@ class SampledHistoryList:
 
     def last_sampled_at(self, t: float) -> tuple[int, int] | None:
         """The raw predecessor record ``(time, value)``, if any."""
-        idx = bisect_right(self._times, t) - 1
-        if idx < 0:
+        i = bisect_right(self._times, t)
+        if not i:
             return None
-        return self._times[idx], self._values[idx]
+        return self._times[i - 1], self.log.columns[1][self._pos[i - 1]]
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._pos)
 
     def words(self) -> int:
         """Space in machine words (2 per record, per Section 6.2)."""
-        return WORDS_PER_RECORD * len(self._times)
+        return HISTORY.words * len(self._pos)

@@ -10,22 +10,20 @@ This package provides the two "counter compression" substrates of the paper:
   recorder of the baseline solution (Section 2): record a value whenever it
   deviates from the last recorded value by more than ``delta``.
 
-Both emit compact, binary-searchable read-only functions
-(:class:`~repro.pla.piecewise.PiecewiseLinearFunction` and
-:class:`~repro.pla.piecewise_constant.PiecewiseConstantFunction`).
+Both append what they emit (:class:`~repro.pla.segment.Segment` rows or
+``(time, value)`` records) to a
+:class:`~repro.persistence.column_log.ColumnLog` and read it back by
+predecessor search over their own log positions.
 """
 
 from __future__ import annotations
 
 from repro.pla.orourke import OnlinePLA
-from repro.pla.piecewise import PiecewiseLinearFunction
-from repro.pla.piecewise_constant import OnlinePWC, PiecewiseConstantFunction
+from repro.pla.piecewise_constant import OnlinePWC
 from repro.pla.segment import Segment
 
 __all__ = [
     "Segment",
     "OnlinePLA",
-    "PiecewiseLinearFunction",
     "OnlinePWC",
-    "PiecewiseConstantFunction",
 ]

@@ -26,13 +26,13 @@ float precision does not degrade with stream position.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
-from typing import Callable
 
 import numpy as np
 
 from repro.analysis import contracts
-from repro.pla.piecewise import PiecewiseLinearFunction
+from repro.persistence.column_log import PLA, ColumnLog
 from repro.pla.segment import Segment
 
 # Tolerance for feasibility comparisons.  Inputs are integer counters and
@@ -75,6 +75,10 @@ def _cross(ox: float, oy: float, px: float, py: float, qx: float, qy: float) -> 
 class OnlinePLA:
     """Optimal online PLA generator for one counter.
 
+    Emitted segments are rows of a :class:`~repro.persistence.column_log.ColumnLog`
+    under the counter's key; the generator keeps the open run and the
+    log positions of its own segments.
+
     Parameters
     ----------
     delta:
@@ -84,16 +88,19 @@ class OnlinePLA:
         Counter value before any point is fed (0 for a fresh counter;
         nonzero when a counter is re-tracked mid-stream, e.g. at an epoch
         boundary in the Section 5 construction).
-    on_segment:
-        Optional callback invoked with each emitted :class:`Segment`;
-        defaults to appending to :attr:`function`.
+    log, key:
+        The sketch's PLA log and this counter's key in it; a generator
+        built without one keeps a log of its own.
     """
 
     __slots__ = (
         "__weakref__",  # contract decorators track instances weakly
         "delta",
-        "function",
-        "_on_segment",
+        "initial_value",
+        "log",
+        "key",
+        "_pos",
+        "_times",
         "_run_points",
         "_t0",
         "_last_x",
@@ -113,13 +120,20 @@ class OnlinePLA:
         self,
         delta: float,
         initial_value: float = 0.0,
-        on_segment: Callable[[Segment], None] | None = None,
+        log: ColumnLog | None = None,
+        key: int = 0,
     ) -> None:
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
-        self.function = PiecewiseLinearFunction(initial_value=initial_value)
-        self._on_segment = on_segment or self.function.append
+        self.initial_value = initial_value
+        self.log = ColumnLog(PLA) if log is None else log
+        self.key = key
+        # Log positions of this counter's segments, and their start times
+        # (the predecessor-search key).
+        self._pos: array[int] = array("q")
+        self._times: list[int] = []
+        self.log.register(key, self.delta, initial_value)
         # Shadow copy of the current run's fed points, kept only while
         # contracts are enforced so each emitted segment can be checked
         # against the Delta bound; None keeps the hot path branch cheap.
@@ -136,6 +150,8 @@ class OnlinePLA:
         self._count = 0  # points in the current run
         self._first_v = 0.0
         # Upper hull of lowered points (x, v - delta); tangent ptr start_a.
+        # A one-point run keeps no hull: most counters are touched once
+        # between saves, and the second point builds both.
         self._hull_a: list[tuple[float, float]] = []
         self._start_a = 0
         # Lower hull of raised points (x, v + delta); tangent ptr start_b.
@@ -286,6 +302,8 @@ class OnlinePLA:
         # scalar ones (they are then all exact integers).
         x_lim = float(int(t_arr[-1]) - (self._t0 if self._count else int(t_arr[0]))) + 2.0
         y_lim = float(np.max(np.abs(v_arr))) + self.delta + 2.0
+        if self._count == 1:  # its hulls are built from the second point
+            y_lim = max(y_lim, abs(self._first_v) + self.delta + 2.0)
         for hull in (self._hull_a, self._hull_b):
             for _hx, hy in hull:
                 y_lim = max(y_lim, abs(hy) + 2.0)
@@ -442,8 +460,9 @@ class OnlinePLA:
             else:
                 self._hull_b = hull[:start] + chain
 
-    def finalize(self) -> PiecewiseLinearFunction:
-        """Emit the pending segment (if any) and return the PLA function.
+    def finalize(self) -> array[int]:
+        """Emit the pending segment, if any, and return the log positions
+        of every emitted segment (its length is the segment count).
 
         The generator can keep being fed afterwards; finalizing mid-stream
         simply closes the current run.
@@ -451,7 +470,14 @@ class OnlinePLA:
         if self._count > 0:
             self._emit_segment()
             self._reset_run()
-        return self.function
+            del self.log.open[self.key]
+        return self._pos
+
+    def pending(self) -> tuple[int, int, float, float] | None:
+        """The segment :meth:`finalize` would emit now, as its row
+        ``(t_start, t_end, slope, value_at_start)``; None with no open
+        run.  It evaluates exactly like the open-run bisector."""
+        return self._open_row() if self._count else None
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -468,11 +494,11 @@ class OnlinePLA:
         if self._count > 0 and t >= self._t0:
             x = min(float(t - self._t0), self._last_x)
             return self._bisector_at(x)
-        return self.function.value_at(t)
+        return self.log.segment_at(self, t)
 
     def segment_count(self, include_open: bool = True) -> int:
         """Number of emitted segments (plus the open run by default)."""
-        return len(self.function) + (1 if include_open and self._count > 0 else 0)
+        return len(self._pos) + (1 if include_open and self._count > 0 else 0)
 
     def words(self) -> int:
         """Persistent-archive space in machine words.
@@ -485,7 +511,7 @@ class OnlinePLA:
         and is what :meth:`value_at` consults for query times beyond the
         last emitted segment.
         """
-        return self.function.words()
+        return PLA.words * len(self._pos)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -498,14 +524,15 @@ class OnlinePLA:
         self._last_x = 0.0
         self._count = 1
         self._first_v = v
-        self._hull_a = [(0.0, v - self.delta)]
-        self._start_a = 0
-        self._hull_b = [(0.0, v + self.delta)]
-        self._start_b = 0
+        self.log.open[self.key] = self
 
     def _second_point(self, x: float, a: float, b: float) -> None:
         v0_a = self._first_v - self.delta
         v0_b = self._first_v + self.delta
+        self._hull_a = [(0.0, v0_a)]
+        self._start_a = 0
+        self._hull_b = [(0.0, v0_b)]
+        self._start_b = 0
         # Max-slope line: lowered first point up to raised second point.
         self._u_slope = (b - v0_a) / x
         self._u_icept = v0_a
@@ -523,31 +550,27 @@ class OnlinePLA:
         icept = 0.5 * (self._u_icept + self._l_icept)
         return slope * x + icept
 
-    def _emit_segment(self) -> None:
+    def _open_row(self) -> tuple[int, int, float, float]:
+        """The open run's segment; requires ``self._count > 0``."""
         if self._count == 1:
-            segment = Segment(
-                t_start=self._t0,
-                t_end=self._t0,
-                slope=0.0,
-                value_at_start=self._first_v,
-            )
-        else:
-            slope = 0.5 * (self._u_slope + self._l_slope)
-            icept = 0.5 * (self._u_icept + self._l_icept)
-            segment = Segment(
-                t_start=self._t0,
-                t_end=self._t0 + int(self._last_x),
-                slope=slope,
-                value_at_start=icept,
-            )
+            return self._t0, self._t0, 0.0, self._first_v
+        return (
+            self._t0,
+            self._t0 + int(self._last_x),
+            0.5 * (self._u_slope + self._l_slope),
+            0.5 * (self._u_icept + self._l_icept),
+        )
+
+    def _emit_segment(self) -> None:
+        row = self._open_row()
         if self._run_points:
             contracts.check_segment_error(
-                segment,
+                Segment(*row),
                 [point[0] for point in self._run_points],
                 [point[1] for point in self._run_points],
                 self.delta,
             )
-        self._on_segment(segment)
+        self.log.append(self, *row)
 
     def _append_hull_a(self, x: float, y: float) -> None:
         hull = self._hull_a

@@ -9,50 +9,14 @@ predecessor read), which is within ``delta`` of the true counter value.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.analysis import contracts
-
-#: Machine words per record (value + timestamp), per Section 6.2.
-WORDS_PER_RECORD = 2
-
-
-class PiecewiseConstantFunction:
-    """Read side of a piecewise-constant recording."""
-
-    __slots__ = ("_times", "_values", "initial_value")
-
-    def __init__(self, initial_value: float = 0.0) -> None:
-        self._times: list[int] = []
-        self._values: list[float] = []
-        self.initial_value = initial_value
-
-    def append(self, t: int, value: float) -> None:
-        """Record ``value`` at time ``t``; times must strictly increase."""
-        if self._times and t <= self._times[-1]:
-            raise ValueError(
-                f"record times must be strictly increasing: {t} <= "
-                f"{self._times[-1]}"
-            )
-        self._times.append(t)
-        self._values.append(value)
-
-    def value_at(self, t: float) -> float:
-        """Last recorded value at or before ``t`` (``initial_value`` if none)."""
-        idx = bisect_right(self._times, t) - 1
-        if idx < 0:
-            return self.initial_value
-        return self._values[idx]
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def words(self) -> int:
-        """Space in machine words (2 per record, per Section 6.2)."""
-        return WORDS_PER_RECORD * len(self._times)
+from repro.persistence.column_log import PWC, ColumnLog
 
 
 class OnlinePWC:
@@ -66,29 +30,45 @@ class OnlinePWC:
         most ``delta``.
     initial_value:
         Reference value before any record exists.
+    log, key:
+        The sketch's PWC log and this counter's key in it; a recorder
+        built without one keeps a log of its own.
     """
 
-    __slots__ = ("__weakref__", "delta", "function", "_last_recorded")
+    __slots__ = (
+        "__weakref__", "delta", "initial_value", "log", "key", "_pos",
+        "_times", "_last_recorded",
+    )
 
-    def __init__(self, delta: float, initial_value: float = 0.0) -> None:
+    def __init__(
+        self,
+        delta: float,
+        initial_value: float = 0.0,
+        log: ColumnLog | None = None,
+        key: int = 0,
+    ) -> None:
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
-        self.function = PiecewiseConstantFunction(initial_value=initial_value)
+        self.initial_value = initial_value
+        self.log = ColumnLog(PWC) if log is None else log
+        self.key = key
+        self._pos: array[int] = array("q")
+        self._times: list[int] = []
         self._last_recorded = float(initial_value)
+        self.log.register(key, self.delta, initial_value)
 
     @contracts.monotone_timestamps(param="t")
     def feed(self, t: int, value: float) -> None:
         """Observe the counter value at time ``t``; record it if it drifted.
 
-        Non-drifting observations skip the store, so out-of-order times
-        between records are invisible to :class:`PiecewiseConstantFunction`
-        validation; the ``@monotone_timestamps`` contract closes that gap
-        when enforcement is on.
+        Non-drifting observations skip the log, so out-of-order times
+        between records are invisible to its append check; the
+        ``@monotone_timestamps`` contract closes that gap when
+        enforcement is on.
         """
         if abs(value - self._last_recorded) > self.delta:
-            self.function.append(t, value)
-            self._last_recorded = value
+            self.record(t, value)
 
     def feed_many(
         self, times: Sequence[int], values: Sequence[float]
@@ -98,7 +78,7 @@ class OnlinePWC:
         Bit-identical to the scalar loop.  Under contract enforcement the
         scalar path is kept so ``@monotone_timestamps`` state advances per
         observation; otherwise a fused drift walk skips the per-record
-        call overhead (the recorded function still validates ordering).
+        call overhead (the log still validates each record's order).
         Numpy columns are converted to Python scalars first so the
         recorded pairs never hold numpy scalar types.
         """
@@ -112,17 +92,36 @@ class OnlinePWC:
             return
         delta = self.delta
         last = self._last_recorded
-        append = self.function.append
+        append = self.log.append
         for t, value in zip(times, values):
             if abs(value - last) > delta:
-                append(t, value)
+                append(self, t, value)
                 last = value
         self._last_recorded = last
 
     def value_at(self, t: float) -> float:
-        """Approximate counter value at time ``t``."""
-        return self.function.value_at(t)
+        """Last recorded value at or before ``t`` (the multiversion
+        predecessor read), or ``initial_value`` before any record."""
+        i = bisect_right(self._times, t)
+        if not i:
+            return self.initial_value
+        value: float = self.log.columns[1][self._pos[i - 1]]
+        return value
+
+    @contracts.monotone_timestamps(param="t")
+    def record(self, t: int, value: float) -> None:
+        """Record ``value`` at time ``t`` unconditionally; times must
+        strictly increase (the log rejects an out-of-order record)."""
+        self.log.append(self, t, value)
+        self._last_recorded = value
+
+    def record_count(self) -> int:
+        """Number of recorded (time, value) pairs."""
+        return len(self._pos)
+
+    def finalize(self) -> None:
+        """No open state: PWC records eagerly."""
 
     def words(self) -> int:
-        """Space in machine words."""
-        return self.function.words()
+        """Space in machine words (2 per record, per Section 6.2)."""
+        return PWC.words * len(self._pos)

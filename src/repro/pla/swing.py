@@ -15,8 +15,9 @@ equal delta.
 
 from __future__ import annotations
 
-from repro.pla.piecewise import PiecewiseLinearFunction
-from repro.pla.segment import Segment
+from array import array
+
+from repro.persistence.column_log import PLA, ColumnLog
 
 
 class SwingPLA:
@@ -25,12 +26,17 @@ class SwingPLA:
     Guarantees every fed point lies within ``delta`` of the emitted
     piecewise-linear function (same contract as
     :class:`~repro.pla.orourke.OnlinePLA`), but is not optimal in the
-    number of segments.
+    number of segments.  Emitted segments are rows of a log of its
+    own.
     """
 
     __slots__ = (
         "delta",
-        "function",
+        "initial_value",
+        "log",
+        "_pos",
+        "_times",
+        "key",
         "_t0",
         "_v0",
         "_last_x",
@@ -43,7 +49,12 @@ class SwingPLA:
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
-        self.function = PiecewiseLinearFunction(initial_value=initial_value)
+        self.initial_value = initial_value
+        self.log = ColumnLog(PLA)
+        self.key = 0
+        self._pos: array[int] = array("q")
+        self._times: list[int] = []
+        self.log.register(0, self.delta, initial_value)
         self._reset()
 
     def _reset(self) -> None:
@@ -90,22 +101,23 @@ class SwingPLA:
             if self._count == 1
             else 0.5 * (self._slope_lo + self._slope_hi)
         )
-        self.function.append(
-            Segment(
-                t_start=self._t0,
-                t_end=self._t0 + int(self._last_x),
-                slope=slope,
-                value_at_start=self._v0,
-            )
+        self.log.append(
+            self, self._t0, self._t0 + int(self._last_x), slope, self._v0
         )
 
-    def finalize(self) -> PiecewiseLinearFunction:
-        """Emit the pending segment (if any) and return the function."""
+    def finalize(self) -> array[int]:
+        """Emit the pending segment, if any, and return the log positions
+        of every emitted segment."""
         if self._count > 0:
             self._emit()
             self._reset()
-        return self.function
+        return self._pos
+
+    def value_at(self, t: float) -> float:
+        """Value of the emitted segments at ``t`` (finalize first to
+        include the open run)."""
+        return self.log.segment_at(self, t)
 
     def segment_count(self) -> int:
         """Emitted segments plus the open run, if any."""
-        return len(self.function) + (1 if self._count > 0 else 0)
+        return len(self._pos) + (1 if self._count > 0 else 0)

@@ -283,8 +283,8 @@ class IngestRuntime:
         # The first cutover serves a view of the checkpoint as decoded
         # instead of re-opening it from disk.  A version 2 checkpoint's
         # view is built from the columns the open just read; a version 1
-        # store is frozen before replay mutates it (``save`` finalized
-        # every run, so the freeze leaves the store unchanged).
+        # store is frozen before replay mutates it (a freeze leaves the
+        # store unchanged).
         checkpoint_view = (
             covered,
             freeze_columns(columns.pop()) if columns else freeze_store(store),

@@ -10,12 +10,10 @@ that stays bit-equal to the pure-live answer: a query whose window ends
 at or before the frozen clock is answered wholly frozen (bit-equal by
 the frozen-engine contract), anything newer is answered wholly live.
 
-Cutover never touches the live store.  Freezing live sketch state would
-finalize open PLA runs and perturb future segmentation, breaking the
-bit-identical-recovery invariant; instead each view is a frozen view of
-the newest checkpoint — whose ``save`` already finalized at a cadence
-boundary, exactly as recovery replays it — and the view reference is
-swapped atomically.  The first view after a restart is the one recovery
+Cutover never touches the live store: each view is a frozen view of
+the newest checkpoint — whose ``save`` finalized its open runs at a
+cadence boundary, exactly as recovery replays it — and the view
+reference is swapped atomically.  The first view after a restart is the one recovery
 built from the columns it decoded that checkpoint from
 (:meth:`IngestRuntime.take_checkpoint_view`); every later view reads
 the newest checkpoint's manifest and generations from disk and builds
@@ -60,6 +58,22 @@ def _check_window(s: float, t: float | None) -> None:
             raise BadRequestError(
                 f"window endpoint {name} must be finite, got {value}"
             )
+
+
+def _window_pair(pair: Any) -> tuple[float, float | None]:
+    """One ``(s, t)`` window of a read; a non-pair or a non-numeric
+    endpoint is a bad request, like a non-finite one."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise BadRequestError(f"window must be an (s, t) pair, got {pair!r}")
+    s, t = pair
+    try:
+        out = (float(s), None if t is None else float(t))
+    except (TypeError, ValueError) as exc:
+        raise BadRequestError(
+            f"window endpoints must be numbers, got {pair!r}"
+        ) from exc
+    _check_window(*out)
+    return out
 
 
 def _checkpoint_view(path: Path) -> FrozenStoreView:
@@ -335,24 +349,13 @@ class ServingRuntime:
             and len(windows) == 2
             and not isinstance(windows[0], (tuple, list))
         ):
-            s, t = windows
-            pair = (float(s), None if t is None else float(t))
-            _check_window(*pair)
-            return [pair] * n
-        pairs = list(windows)
-        if len(pairs) != n:
-            raise ValueError(
-                f"expected {n} (s, t) windows, got {len(pairs)}; pass one "
+            return [_window_pair(windows)] * n
+        if not isinstance(windows, (tuple, list)) or len(windows) != n:
+            raise BadRequestError(
+                f"expected {n} (s, t) windows, got {windows!r}; pass one "
                 f"window per item or a single (s, t) pair"
             )
-        out = []
-        for pair in pairs:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValueError(f"window must be an (s, t) pair, got {pair!r}")
-            s, t = pair
-            out.append((float(s), None if t is None else float(t)))
-            _check_window(*out[-1])
-        return out
+        return [_window_pair(pair) for pair in windows]
 
     def heavy_hitters(
         self,

@@ -16,6 +16,7 @@ against the reference, and the route itself is tested at the cutoff.
 """
 
 import random
+from array import array
 from contextlib import contextmanager
 from unittest import mock
 
@@ -39,6 +40,7 @@ from repro.core.pwc_ams import PWCAMS
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
 from repro.hashing.carter_wegman import MERSENNE_PRIME, PolynomialHash
 from repro.hashing.families import IdentityHashFamily
+from repro.persistence.column_log import ColumnLog, group
 from repro.persistence.sampling import bulk_uniforms
 from repro.pla.orourke import _FUSED_MIN, OnlinePLA
 from repro.pla.piecewise_constant import OnlinePWC
@@ -67,6 +69,10 @@ _NON_STATE_ATTRS = {
     # A store's last committed save (what its next save appends to) is
     # persistence plumbing, not sketch state.
     "_saved",
+    # A tracker's reference to its sketch's column log: the sketch
+    # fingerprints the log once, canonically, and each tracker its own
+    # rows (read through ``_pos``).
+    "log",
 }
 
 
@@ -95,6 +101,27 @@ def fingerprint(obj, _depth=0):
         return ("ndarray", str(obj.dtype), obj.tolist())
     if isinstance(obj, random.Random):
         return ("rng", obj.getstate())
+    if isinstance(obj, array):
+        return ("array", obj.typecode, obj.tolist())
+    if isinstance(obj, ColumnLog):
+        # Rows of different components interleave in ingest order, which
+        # batch and scalar feeding need not share: compare each
+        # component's run, and the components by key.
+        run_keys, lengths, columns = group(*obj.entries())
+        return (
+            "log",
+            obj.kind.name,
+            run_keys.tolist(),
+            lengths.tolist(),
+            [column.tolist() for column in columns],
+            sorted(
+                zip(
+                    obj.component_keys,
+                    obj.component_params,
+                    obj.component_initials,
+                )
+            ),
+        )
     if isinstance(obj, (list, tuple)):
         return [fingerprint(x, _depth + 1) for x in obj]
     if isinstance(obj, dict):
@@ -112,7 +139,10 @@ def fingerprint(obj, _depth=0):
         return ("callable", getattr(obj, "__qualname__", "?"))
     state = {}
     for name in _slot_names(obj):
-        if name not in _NON_STATE_ATTRS and hasattr(obj, name):
+        if name == "_pos" and hasattr(obj, "log"):
+            # Log positions depend on the interleaving; the rows do not.
+            state[name] = fingerprint(obj.log.rows(obj), _depth + 1)
+        elif name not in _NON_STATE_ATTRS and hasattr(obj, name):
             state[name] = fingerprint(getattr(obj, name), _depth + 1)
     for name, value in vars(obj).items() if hasattr(obj, "__dict__") else ():
         if name in _NON_STATE_ATTRS:
@@ -591,8 +621,8 @@ def test_pla_fused_state_holds_no_numpy_scalars():
     walk(pla._hull_a)
     walk(pla._hull_b)
     walk([pla._last_x, pla._first_v, pla._u_slope, pla._u_icept])
-    for seg in pla.function.segments:
-        walk([seg.t_start, seg.t_end, seg.slope, seg.value_at_start])
+    walk(list(pla.pending()))
+    walk(list(pla.log.rows(pla)))
 
 
 def test_pwc_feed_many_fused_path_matches_scalar():
@@ -604,8 +634,8 @@ def test_pwc_feed_many_fused_path_matches_scalar():
         for t, v in zip(times, values):
             scalar.feed(t, v)
         fused.feed_many(times, values)
-        assert fused.function._times == scalar.function._times
-        assert fused.function._values == scalar.function._values
+        assert fused.log.rows(fused) == scalar.log.rows(scalar)
+        assert fused.record_count() == scalar.record_count() > 0
         assert fused._last_recorded == scalar._last_recorded
 
 

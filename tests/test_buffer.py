@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 from repro.core.base import _SCALAR_RUN_MAX
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
-from repro.io.serialize import PLA, to_dict
-from repro.persistence.tracker import PLATracker, YoungPLATracker
+from repro.io.serialize import to_dict
+from repro.pla.orourke import OnlinePLA
 from tests.test_batch_ingest import (
     FACTORIES,
     build_stream,
@@ -338,7 +338,7 @@ def test_coalesce_preserves_net_mass_and_final_counters(updates, window):
 
 
 # --------------------------------------------------------------------- #
-# YoungPLATracker: the slim first-touch tier behind the buffer
+# The first touch: a one-point run, staged without a hull
 # --------------------------------------------------------------------- #
 
 
@@ -355,7 +355,8 @@ def test_coalesce_preserves_net_mass_and_final_counters(updates, window):
     split=st.integers(min_value=0, max_value=12),
 )
 def test_young_tracker_answers_match_eager(steps, split):
-    """Scalar feeds, fused batch feeds, or both: young == eager."""
+    """Scalar feeds, fused batch feeds, or both: a tracker whose first
+    touch was staged alone answers like one fed point by point."""
     times, values = [], []
     t, v = 0, 0
     for gap, dv in steps:
@@ -363,33 +364,36 @@ def test_young_tracker_answers_match_eager(steps, split):
         v += dv
         times.append(t)
         values.append(v)
-    eager = PLATracker(delta=2.0)
-    young = YoungPLATracker(delta=2.0)
+    eager = OnlinePLA(delta=2.0)
+    young = OnlinePLA(delta=2.0)
+    for k in range(len(times)):
+        eager.feed(times[k], values[k])
     head = min(split, len(times))
     for k in range(head):
-        eager.feed(times[k], values[k])
         young.feed(times[k], values[k])
     if head < len(times):
-        tail_t = np.array(times[head:], dtype=np.int64)
-        tail_v = np.array(values[head:], dtype=np.int64)
-        eager.feed_many(tail_t, tail_v)
-        young.feed_many(tail_t, tail_v)
+        young.feed_many(
+            np.array(times[head:], dtype=np.int64),
+            np.array(values[head:], dtype=np.int64),
+        )
     probes = [0, *times, (times[-1] + 1) if times else 1]
     for probe in probes:
         assert young.value_at(probe) == eager.value_at(probe)
     assert young.words() == eager.words()
     assert young.segment_count() == eager.segment_count()
+    assert young.pending() == eager.pending()
     eager.finalize()
     young.finalize()
-    # The segment columns a checkpoint or a freeze reads.
-    assert PLA.entries(young, 0) == PLA.entries(eager, 0)
+    # The segment rows a checkpoint or a freeze reads.
+    assert young.log.rows(young) == eager.log.rows(eager)
 
 
 def test_young_tracker_single_touch_is_free():
-    young = YoungPLATracker(delta=2.0)
+    young = OnlinePLA(delta=2.0)
     young.feed(5, 3)
-    # One touch stays in the slim staging slot: no PLA, no words.
-    assert not hasattr(young, "_pla")
+    # One touch is a one-point run: no hull, no segment, no words.
+    assert young._hull_a == [] and young._hull_b == []
+    assert len(young.log) == 0
     assert young.words() == 0
     assert young.value_at(4) == 0.0  # sketchlint: disable=SL002 — the staged step answers exactly, no arithmetic involved
     assert young.value_at(5) == 3

@@ -463,3 +463,55 @@ def test_frozen_equals_live_on_arbitrary_streams(items, window, delta):
     frz = frozen.point_many(probes, (float(s), float(t))).tolist()
     assert frz == live
     assert frozen.self_join_size(s, t) == sketch.self_join_size(s, t)
+
+
+class TestFreezeReadsWithoutMutating:
+    """A freeze reads the live store's logs plus each open run's pending
+    segment: it finalizes nothing, so a frozen sketch's later compression
+    matches an unfrozen twin's."""
+
+    @staticmethod
+    def _grown_store():
+        from tests.test_store_generations import feed_fixture_store, grow
+
+        store = feed_fixture_store()
+        grow(store, np.random.default_rng(3))
+        return store
+
+    def test_freeze_store_and_sketch_freeze_leave_the_store_unchanged(self):
+        from repro.engine.frozen import freeze_store
+        from tests.test_batch_ingest import fingerprint
+
+        store = self._grown_store()
+        before = fingerprint(store._streams)
+        freeze_store(store)
+        assert fingerprint(store._streams) == before
+        for name in store.streams():
+            state = store._state(name)
+            for sketch in (state.point_sketch, state.hh_sketch, state.join_sketch):
+                if sketch is not None:
+                    sketch.freeze()
+        assert fingerprint(store._streams) == before
+
+    def test_frozen_equals_live_inside_open_runs(self):
+        from repro.engine.frozen import freeze_store
+
+        store = self._grown_store()
+        view = freeze_store(store)
+        for name in store.streams():
+            now = store._state(name).point_sketch.now
+            for t in (now - 7, now - 2.5, now - 1, now):
+                for s in (0, t - 40, t - 3):
+                    for item in range(0, 64, 3):
+                        assert view.point(name, item, s, t) == store.point(
+                            name, item, s, t
+                        )
+        now = store._state("urls").point_sketch.now
+        for s, t in ((0, now - 1), (now - 50, now - 0.5), (0, now)):
+            assert view.window_mass("urls", s, t) == store.window_mass("urls", s, t)
+            assert view.heavy_hitters("urls", 0.05, s, t) == store.heavy_hitters(
+                "urls", 0.05, s, t
+            )
+            assert view.self_join_size("urls", s, t) == store.self_join_size(
+                "urls", s, t
+            )

@@ -217,7 +217,7 @@ def test_snapshot_retries_exhausted_degrades_but_keeps_serving(tmp_path):
     serving = ServingRuntime(runtime)
     assert serving.maybe_cutover(force=True)["swapped"] is True
     assert serving.view().frozen.streams() == ["ads", "urls"]
-    assert serving.point("urls", 1, 0, 0, mode="frozen") == 0.0
+    assert serving.point("urls", 1, 0, 0, mode="frozen") == 0.0  # sketchlint: disable=SL002 — an empty window (0, 0] answers exactly 0
     assert serving.point("urls", 1) == live  # t=None resolves live
     runtime.close()
 

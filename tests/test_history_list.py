@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.persistence.column_log import HISTORY, ColumnLog
 from repro.persistence.history_list import SampledHistoryList
 
 
@@ -51,6 +52,24 @@ class TestEstimates:
         history.force_sample(3, 20)
         assert history.estimate_at(3) == 20 + delta - 1
         assert history.estimate_at(2) == 0.0
+
+    def test_compensation_reads_a_shared_log(self):
+        """Lists of one sketch share a column log; each reads only its
+        own rows, however they interleave."""
+        delta = 4
+        log = ColumnLog(HISTORY)
+        a = SampledHistoryList(1.0 / delta, Random(5), 2, log, key=0)
+        b = SampledHistoryList(1.0 / delta, Random(5), 0, log, key=1)
+        a.force_sample(3, 20)
+        b.force_sample(4, 7)
+        a.force_sample(6, 30)
+        assert len(log) == 3 and list(log.keys) == [0, 1, 0]
+        assert a.estimate_at(2) == 2.0  # sketchlint: disable=SL002 — no predecessor: the initial value, verbatim
+        assert a.estimate_at(5) == 20 + delta - 1
+        assert a.estimate_at(9) == 30 + delta - 1
+        assert b.estimate_at(9) == 7 + delta - 1
+        assert a.sample_times() == [3, 6]
+        assert log.rows(a) == ([3, 6], [20, 30])
 
     def test_predecessor_selection(self):
         history = SampledHistoryList(probability=1.0, rng=Random(6))

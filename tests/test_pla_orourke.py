@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.pla.orourke import OnlinePLA
+from repro.persistence.column_log import PLA, ColumnLog
 from repro.pla.segment import Segment
 
 
@@ -48,7 +49,7 @@ class TestCorrectness:
         pla = feed_all([(5, 3.0)], delta=1.0)
         fn = pla.finalize()
         assert len(fn) == 1
-        assert fn.value_at(5) == 3.0
+        assert pla.value_at(5) == 3.0
 
     def test_exact_line_is_one_segment(self):
         points = [(t, 2.0 * t + 1) for t in range(1, 200)]
@@ -56,7 +57,7 @@ class TestCorrectness:
         fn = pla.finalize()
         assert len(fn) == 1
         for t, v in points:
-            assert fn.value_at(t) == pytest.approx(v, abs=0.5 + 1e-9)
+            assert pla.value_at(t) == pytest.approx(v, abs=0.5 + 1e-9)
 
     def test_step_function_needs_segments(self):
         # Counter jumps by 10 > 2*delta each step: one run can still hold
@@ -76,9 +77,9 @@ class TestCorrectness:
             v += float(rng.choice([-1, 1]))
             points.append((t, v))
         pla = feed_all(points, delta)
-        fn = pla.finalize()
+        pla.finalize()
         for t, v in points:
-            assert abs(fn.value_at(t) - v) <= delta + 1e-6
+            assert abs(pla.value_at(t) - v) <= delta + 1e-6
 
     def test_monotone_counter_within_delta(self):
         rng = np.random.default_rng(3)
@@ -89,9 +90,10 @@ class TestCorrectness:
             if rng.random() < 0.4:
                 v += 1
                 points.append((t, float(v)))
-        fn = feed_all(points, delta).finalize()
+        pla = feed_all(points, delta)
+        pla.finalize()
         for t, v in points:
-            assert abs(fn.value_at(t) - v) <= delta + 1e-6
+            assert abs(pla.value_at(t) - v) <= delta + 1e-6
 
 
 class TestOptimality:
@@ -125,7 +127,7 @@ class TestOptimality:
         fn = pla.finalize()
         assert len(fn) == brute_force_segments(points, delta)
         for t, v in points:
-            assert abs(fn.value_at(t) - v) <= delta + 1e-6
+            assert abs(pla.value_at(t) - v) <= delta + 1e-6
 
 
 class TestReads:
@@ -183,9 +185,8 @@ class TestInterface:
         pla.feed(1, 1.0)
         pla.finalize()
         pla.feed(10, 100.0)
-        fn = pla.finalize()
-        assert len(fn) == 2
-        assert fn.value_at(10) == pytest.approx(100.0, abs=1.0)
+        assert len(pla.finalize()) == 2
+        assert pla.value_at(10) == pytest.approx(100.0, abs=1.0)
 
     def test_words_counts_emitted_segments_only(self):
         pla = OnlinePLA(delta=1.0)
@@ -197,10 +198,16 @@ class TestInterface:
         assert pla.words() == 3
 
     def test_on_segment_callback(self):
-        emitted: list[Segment] = []
-        pla = OnlinePLA(delta=0.5, on_segment=emitted.append)
+        """Emitted segments are rows of the tracker's log, under its key,
+        at the positions ``finalize`` returns."""
+        pla = OnlinePLA(delta=0.5, log=ColumnLog(PLA), key=7)
         pla.feed(1, 0.0)
         pla.feed(2, 10.0)
         pla.feed(3, 0.0)
-        pla.finalize()
-        assert len(emitted) >= 2
+        positions = pla.finalize()
+        assert len(positions) >= 2
+        assert list(pla.log.keys) == [7] * len(positions)
+        segments = [Segment(*row) for row in zip(*pla.log.rows(pla))]
+        assert segments[0].t_start == 1 and segments[-1].t_end == 3
+        for t, v in ((1, 0.0), (2, 10.0), (3, 0.0)):
+            assert pla.value_at(t) == pytest.approx(v, abs=0.5 + 1e-9)

@@ -1,11 +1,16 @@
-"""Tests for segment storage and the piecewise-constant recorder."""
+"""Tests for segment and record rows in a column log, and the
+piecewise-constant recorder."""
+
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pla.piecewise import PiecewiseLinearFunction
-from repro.pla.piecewise_constant import OnlinePWC, PiecewiseConstantFunction
+from repro.analysis import contracts
+from repro.persistence.column_log import PLA, ColumnLog
+from repro.pla.piecewise_constant import OnlinePWC
 from repro.pla.segment import Segment
 
 
@@ -27,59 +32,82 @@ class TestSegment:
             seg.slope = 1.0  # type: ignore[misc]
 
 
+def _component(key=0, initial_value=0.0):
+    """What a log needs of a component: its key, initial value and the
+    positions and times of its rows."""
+    return SimpleNamespace(
+        key=key, initial_value=initial_value, _pos=array("q"), _times=array("q")
+    )
+
+
+def _segments(*rows, initial_value=0.0):
+    """A PLA column log holding ``rows`` as one component's segments."""
+    log = ColumnLog(PLA)
+    component = _component(initial_value=initial_value)
+    for row in rows:
+        log.append(component, *row)
+    return log, component
+
+
 class TestPiecewiseLinearFunction:
+    """Reads of PLA segment rows in a column log."""
+
     def test_initial_value_before_first_segment(self):
-        fn = PiecewiseLinearFunction(initial_value=9.0)
-        fn.append(Segment(t_start=10, t_end=20, slope=0.0, value_at_start=1.0))
-        assert fn.value_at(5) == 9.0
-        assert fn.value_at(15) == 1.0
+        log, fn = _segments((10, 20, 0.0, 1.0), initial_value=9.0)
+        assert log.segment_at(fn, 5) == 9.0
+        assert log.segment_at(fn, 15) == 1.0
 
     def test_segment_selection(self):
-        fn = PiecewiseLinearFunction()
-        fn.append(Segment(t_start=0, t_end=10, slope=1.0, value_at_start=0.0))
-        fn.append(Segment(t_start=20, t_end=30, slope=0.0, value_at_start=99.0))
-        assert fn.value_at(5) == 5.0
-        assert fn.value_at(15) == 10.0  # gap: clamped to first segment end
-        assert fn.value_at(25) == 99.0
-        assert fn.value_at(1000) == 99.0
+        log, fn = _segments((0, 10, 1.0, 0.0), (20, 30, 0.0, 99.0))
+        assert log.segment_at(fn, 5) == 5.0
+        assert log.segment_at(fn, 15) == 10.0  # gap: clamped to first segment end
+        assert log.segment_at(fn, 25) == 99.0
+        assert log.segment_at(fn, 1000) == 99.0
 
     def test_rejects_out_of_order_appends(self):
-        fn = PiecewiseLinearFunction()
-        fn.append(Segment(t_start=10, t_end=20, slope=0.0, value_at_start=0.0))
+        log, fn = _segments((10, 20, 0.0, 0.0))
         with pytest.raises(ValueError):
-            fn.append(Segment(t_start=10, t_end=25, slope=0.0, value_at_start=0.0))
+            log.append(fn, 10, 25, 0.0, 0.0)
+        # Another component's rows interleave freely.
+        log.append(_component(key=1), 3, 4, 0.0, 0.0)
+        assert len(log) == 2
 
     def test_words_accounting(self):
-        fn = PiecewiseLinearFunction()
-        assert fn.words() == 0
-        fn.append(Segment(t_start=0, t_end=1, slope=0.0, value_at_start=0.0))
-        fn.append(Segment(t_start=2, t_end=3, slope=0.0, value_at_start=0.0))
-        assert fn.words() == 6
-        assert len(fn) == 2
-        assert len(list(iter(fn))) == 2
+        log, fn = _segments()
+        assert log.words() == 0
+        log, fn = _segments((0, 1, 0.0, 0.0), (2, 3, 0.0, 0.0))
+        assert log.words() == 6
+        assert len(fn._pos) == 2
+        assert log.rows(fn) == ([0, 2], [1, 3], [0.0, 0.0], [0.0, 0.0])
 
 
 class TestPiecewiseConstantFunction:
+    """Records made with ``OnlinePWC.record``: rows of its column log,
+    read back by the predecessor read."""
+
     def test_predecessor_read(self):
-        fn = PiecewiseConstantFunction(initial_value=0.0)
-        fn.append(5, 10.0)
-        fn.append(9, 20.0)
+        fn = OnlinePWC(delta=1.0)
+        fn.record(5, 10.0)
+        fn.record(9, 20.0)
         assert fn.value_at(4) == 0.0
         assert fn.value_at(5) == 10.0
         assert fn.value_at(8) == 10.0
         assert fn.value_at(100) == 20.0
+        assert fn.log.rows(fn) == ([5, 9], [10.0, 20.0])
 
     def test_rejects_out_of_order(self):
-        fn = PiecewiseConstantFunction()
-        fn.append(5, 1.0)
+        fn = OnlinePWC(delta=1.0)
+        fn.record(5, 1.0)
         with pytest.raises(ValueError):
-            fn.append(5, 2.0)
+            fn.record(5, 2.0)
+        with contracts.enforced(False), pytest.raises(ValueError):
+            fn.log.append(fn, 5, 2.0)
 
     def test_words(self):
-        fn = PiecewiseConstantFunction()
-        fn.append(1, 1.0)
-        fn.append(2, 2.0)
-        assert fn.words() == 4
+        fn = OnlinePWC(delta=1.0)
+        fn.record(1, 1.0)
+        fn.record(2, 2.0)
+        assert fn.words() == 4 == fn.log.words()
 
 
 class TestOnlinePWC:
@@ -91,9 +119,9 @@ class TestOnlinePWC:
         pwc = OnlinePWC(delta=5.0)
         for t, v in enumerate([1, 2, 3, 4, 5], start=1):
             pwc.feed(t, float(v))
-        assert len(pwc.function) == 0  # never deviated by > 5
+        assert pwc.record_count() == 0  # never deviated by > 5
         pwc.feed(6, 7.0)
-        assert len(pwc.function) == 1
+        assert pwc.record_count() == 1
 
     def test_read_error_bounded_by_delta(self):
         """Invariant: |recorded read - true value| <= delta at feed times."""

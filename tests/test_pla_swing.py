@@ -23,15 +23,15 @@ class TestCorrectness:
         points = random_walk_points(seed=1)
         for t, v in points:
             swing.feed(t, v)
-        fn = swing.finalize()
+        swing.finalize()
         for t, v in points:
-            assert abs(fn.value_at(t) - v) <= delta + 1e-6
+            assert abs(swing.value_at(t) - v) <= delta + 1e-6
 
     def test_single_point(self):
         swing = SwingPLA(delta=1.0)
         swing.feed(5, 9.0)
-        fn = swing.finalize()
-        assert fn.value_at(5) == 9.0
+        swing.finalize()
+        assert swing.value_at(5) == 9.0
 
     def test_exact_line_single_segment(self):
         swing = SwingPLA(delta=0.5)

@@ -237,6 +237,22 @@ class TestTypedErrors:
                         call()
                         pytest.fail(f"{verb} answered (s={s}, t={end})")
 
+    @pytest.mark.parametrize(
+        "windows",
+        [[[0, 5]], [[1, 2, 3], [0, 5]], [["a", 5], [0, 5]], "ab", ["a", 5]],
+        ids=["count", "non-pair", "non-numeric", "string", "single-non-numeric"],
+    )
+    def test_ill_shaped_windows_are_bad_requests(self, server, client, windows):
+        """An ill-shaped ``windows`` parameter crosses the wire as a
+        ``bad-request``, as docs/serving.md promises; an empty window
+        (``s > t``) stays a value error."""
+        client.ingest_batch(make_records(60))
+        with pytest.raises(BadRequestError):
+            client.point_many("urls", [1, 2], windows=windows)
+        with pytest.raises(ValueError) as caught:
+            client.point_many("urls", [1, 2], windows=[[9, 2], [0, 5]])
+        assert not isinstance(caught.value, BadRequestError)
+
     def test_malformed_and_late_records(self, tmp_path):
         runtime = IngestRuntime.create(
             tmp_path / "strict",

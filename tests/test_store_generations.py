@@ -26,7 +26,9 @@ from repro.core.persistent_countmin import PWCCountMin
 from repro.engine.frozen import freeze_columns, freeze_store
 from repro.io import SerializationError
 from repro.io.generations import (
+    KINDS,
     MAX_GENERATIONS,
+    VERSION,
     merge_start,
     read_columns,
     read_manifest,
@@ -36,10 +38,12 @@ from repro.runtime import IngestRuntime, run_fsck
 from repro.runtime.faults import own_files
 from repro.runtime.fsck import CKPT_PARTIAL
 from repro.runtime.health import DegradedError
+from repro.pla.orourke import OnlinePLA
 from repro.store import SketchStore, StreamSpec
 from tests.test_batch_ingest import fingerprint
 
 FIXTURE_V1 = Path(__file__).parent / "fixtures" / "store_v1"
+FIXTURE_V2 = Path(__file__).parent / "fixtures" / "store_v2"
 
 
 def feed_fixture_store():
@@ -100,6 +104,87 @@ def test_v1_fixture_opens_like_a_freshly_fed_twin(tmp_path):
     opened.save(tmp_path / "v2")
     assert read_manifest(tmp_path / "v2")["version"] == 2
     assert fingerprint(SketchStore.open(tmp_path / "v2")) == fingerprint(twin)
+
+
+def saved_v2_twin(directory):
+    """The store ``tests/fixtures/store_v2`` was saved from, saved the
+    same way: :func:`feed_fixture_store`, a save with a sequence number,
+    :func:`grow`, and a second save on that base.  That directory (two
+    generations, young first-touch skeletons, sampled history entries
+    and the heavy-hitter mass tracker) was written by the version 2
+    code that kept sketch history as tracker objects, and is kept as it
+    was written."""
+    store = feed_fixture_store()
+    store.save(directory / "first", seq=100)
+    grow(store, np.random.default_rng(21))
+    store.save(directory / "second", seq=200)
+    return store
+
+
+def test_v2_fixture_opens_like_a_freshly_fed_twin(tmp_path):
+    manifest = read_manifest(FIXTURE_V2)
+    assert manifest["version"] == VERSION == 2
+    assert len(manifest["generations"]) == 2
+    opened = SketchStore.open(FIXTURE_V2)
+    twin = saved_v2_twin(tmp_path)
+    assert fingerprint(opened) == fingerprint(twin)
+    assert answers(opened) == answers(twin)
+    assert_tables_equal(column_view(FIXTURE_V2), freeze_store(twin))
+
+
+def test_a_checkpoint_written_now_has_the_v2_fixture_layout(tmp_path):
+    """Same npz array names and dtypes, generation by generation, and
+    the same per-kind field and column sets."""
+    saved_v2_twin(tmp_path)
+    written = tmp_path / "second"
+    ours = read_manifest(written)["generations"]
+    theirs = read_manifest(FIXTURE_V2)["generations"]
+    assert [g["seq"] for g in ours] == [g["seq"] for g in theirs]
+    for mine, fixture in zip(ours, theirs):
+        with np.load(written / mine["file"]) as a, np.load(
+            FIXTURE_V2 / fixture["file"]
+        ) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype, name
+                assert a[name].ndim == b[name].ndim, name
+    with np.load(FIXTURE_V2 / theirs[0]["file"]) as b:
+        for kind in KINDS:
+            assert {n for n in b.files if n.startswith(f"{kind.name}_new_")} == {
+                f"{kind.name}_new_key", *(f"{kind.name}_new_{f}" for f in kind.fields)
+            }
+            assert {
+                n for n in b.files
+                if n.startswith(f"{kind.name}_") and "_new_" not in n
+            } == {f"{kind.name}_run_key", *(f"{kind.name}_{c}" for c in kind.columns)}
+
+
+def test_a_save_finalizes_only_the_open_runs(tmp_path, monkeypatch):
+    """A save closes the runs still open in each log and touches no
+    other tracker: a second save with no updates between finalizes
+    nothing, and one after a few updates only what they opened."""
+    store = feed_fixture_store()
+    store.save(tmp_path / "a", seq=1)
+    finalized = []
+    real = OnlinePLA.finalize
+
+    def counting(self):
+        finalized.append(self.key)
+        return real(self)
+
+    monkeypatch.setattr(OnlinePLA, "finalize", counting)
+    store.save(tmp_path / "b", seq=2)
+    assert finalized == []
+    state = store._state("clicks")
+    t = state.point_sketch.now
+    store.update_batch(
+        "clicks",
+        np.array([t + 1, t + 2], dtype=np.int64),
+        np.array([3, 3], dtype=np.int64),
+        np.ones(2, dtype=np.int64),
+    )
+    store.save(tmp_path / "c", seq=3)
+    assert len(finalized) == state.point_sketch.depth  # item 3's counters
 
 
 def test_every_save_opens_to_the_live_store_across_compaction(tmp_path):

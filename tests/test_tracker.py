@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.persistence.tracker import CounterTracker, PLATracker, PWCTracker
+from repro.persistence.tracker import CounterTracker
+from repro.pla.orourke import OnlinePLA
+from repro.pla.piecewise_constant import OnlinePWC
 
 
-@pytest.mark.parametrize("factory", [PLATracker, PWCTracker])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        pytest.param(OnlinePLA, id="PLATracker"),
+        pytest.param(OnlinePWC, id="PWCTracker"),
+    ],
+)
 class TestConformance:
     def test_is_counter_tracker(self, factory):
         assert isinstance(factory(delta=2.0), CounterTracker)
@@ -38,12 +46,12 @@ class TestConformance:
 
 class TestSpecifics:
     def test_pla_segment_count(self):
-        tracker = PLATracker(delta=1.0)
+        tracker = OnlinePLA(delta=1.0)
         tracker.feed(1, 0.0)
         assert tracker.segment_count() == 1
 
     def test_pwc_record_count(self):
-        tracker = PWCTracker(delta=1.0)
+        tracker = OnlinePWC(delta=1.0)
         tracker.feed(1, 10.0)
         assert tracker.record_count() == 1
         tracker.feed(2, 10.5)  # within delta: not recorded
