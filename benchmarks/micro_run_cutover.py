@@ -1,22 +1,18 @@
-"""Micro-benchmark behind ``SHORT_RUN_CUTOVER`` in ``repro.core.columnar``.
+"""Micro-benchmark of ``repro.core.columnar.feed_tracked_row``.
 
-``feed_tracked_row`` has two bit-identical bodies: the columnar plan
-(stable argsort, run extraction, one fused ``feed_many`` per counter)
-and the scalar per-update loop.  Which one is faster depends on the
-row's run-length profile — long runs amortize the sort and reach the
-fused tracker path, singleton runs make the setup pure overhead.  The
-dispatch statistic is the *update-weighted* mean run length
-``sum(c_i^2) / n`` (on the uniform rows swept here it sits one above
-the plain mean ``n / distinct``; on skewed rows it is dominated by the
-hot counters, which is exactly where columnar must stay on).  This
-benchmark times both bodies on synthetic single-row workloads whose
-run length sweeps across the crossover, and pins
-``SHORT_RUN_CUTOVER`` to the measured regime change in weighted terms.
+``feed_tracked_row`` has one body: a stable argsort turns a row's
+updates into per-counter runs, and each run goes to its tracker in one
+``feed_many`` call — as integer numpy columns from ``LONG_RUN_MIN`` on
+(the fused path), as Python lists below it (the run kernel).
 
-Both paths are driven through the real ``feed_tracked_row`` entry point
-by pinning the module cutover to 0 (always columnar) or infinity
-(always scalar), so the timings include exactly the dispatch the
-sketches pay.
+The ``ratios`` leg times that body against the per-update reference,
+one ``tracker.feed`` per update as scalar ``update()`` feeds it, on
+synthetic single-row workloads whose mean run length sweeps from
+singletons (ratio 1) to deep runs (ratio 1024).  The ``handoff`` leg
+places ``LONG_RUN_MIN``: on rows of equal-length unit-count runs it
+times the body with every run pinned to each hand-off (``LONG_RUN_MIN``
+set to infinity or 0).  Every timed path must leave the same counters
+and the same rows and pending segment per tracker.
 
 The ``run_length`` leg measures the cutoff one level up,
 ``_SCALAR_RUN_MAX`` in ``repro.core.base``: whole-store
@@ -54,21 +50,18 @@ from repro.streams.worldcup import object_id_stream
 
 DELTA = 50.0
 
-#: Mean run lengths (updates per distinct column) swept across the
-#: committed cutover.  Ratio 1 is the uniform singleton-run regime;
-#: ratios 2-8 bracket the crossover (the two bodies run within ~10% of
-#: each other there); 32/64 cross the fused ``feed_many`` threshold
-#: (``_FUSED_MIN = 16``) but unit-count runs of that length stay inside
-#: the PLA tube, so the fused setup cost can still lose mildly to
-#: per-update feeding; 1024 is the deep-run regime (Zipf hot counters,
-#: thousands of updates per run) where the fused path wins outright —
-#: the regime the update-weighted dispatch statistic protects on
-#: skewed real rows.
+#: Mean run lengths (updates per distinct column).  Ratio 1 is the
+#: uniform singleton-run regime, 2-64 the short runs the kernel walks,
+#: and 1024 the deep-run regime (Zipf hot counters, thousands of
+#: updates per run) where the fused path takes over.
 RATIOS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 32.0, 64.0, 1024.0)
 
+#: Run lengths of the ``handoff`` leg, bracketing ``LONG_RUN_MIN``.
+HANDOFF_LENGTHS = (256, 512, 768, 1024, 1536, 2048)
+
 #: Timing repetitions per path; the minimum is reported (scheduler noise
-#: only ever inflates a run, and the minimum hits both paths equally).
-REPS = 5
+#: only ever inflates a run, and the minimum hits every path equally).
+REPS = 9
 
 #: Repo-root output consumed by EXPERIMENTS.md.
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_run_cutover.json"
@@ -86,6 +79,20 @@ def _tracker_maker(trackers: dict[int, OnlinePLA]):
     return make
 
 
+def feed_row_per_update(counters, trackers, row_cols, times, counts, make_tracker):
+    """The per-update reference: one ``tracker.feed`` per update, as
+    scalar ``update()`` feeds it."""
+    for col, t, value_change in zip(
+        row_cols.tolist(), times.tolist(), counts.tolist()
+    ):
+        value = counters[col] + value_change
+        counters[col] = value
+        tracker = trackers.get(col)
+        if tracker is None:
+            tracker = make_tracker(col)
+        tracker.feed(t, value)
+
+
 def _row_workload(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One hash row's updates with mean run length ``ratio``."""
     distinct = max(1, round(n / ratio))
@@ -96,77 +103,119 @@ def _row_workload(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return row_cols, times, counts, distinct
 
 
-def _time_path(
-    cutover: float,
-    row_cols: np.ndarray,
-    times: np.ndarray,
-    counts: np.ndarray,
-    distinct: int,
-) -> tuple[float, list[int], int]:
-    """Best-of-``REPS`` wall time for one ``feed_tracked_row`` body.
+def _equal_runs_workload(n: int, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One hash row of ``n // length`` counters with ``length`` updates
+    each, interleaved at random."""
+    distinct = max(1, n // length)
+    rng = np.random.default_rng(harness.BENCH_SEED)
+    row_cols = np.repeat(np.arange(distinct, dtype=np.int64), length)
+    rng.shuffle(row_cols)
+    times = np.arange(1, len(row_cols) + 1, dtype=np.int64)
+    counts = np.ones(len(row_cols), dtype=np.int64)
+    return row_cols, times, counts, distinct
 
-    ``cutover`` pins the module threshold for the duration of the call:
-    0 forces the columnar plan, ``inf`` forces the scalar loop.  Returns
-    the final counters and total tracker words alongside the time so the
-    caller can gate that both bodies produced the same state.
-    """
-    saved = columnar.SHORT_RUN_CUTOVER
-    columnar.SHORT_RUN_CUTOVER = cutover
-    try:
-        best = float("inf")
-        counters: list[int] = []
-        trackers: dict[int, OnlinePLA] = {}
-        for _ in range(REPS):
-            counters = [0] * distinct
-            trackers = {}
-            make_tracker = _tracker_maker(trackers)
-            start = time.perf_counter()
-            columnar.feed_tracked_row(
-                counters, trackers, row_cols, times, counts, make_tracker
+
+def _feed_once(feed, long_run_min, row_cols, times, counts, distinct):
+    """One timed row feed on fresh trackers, with ``columnar.LONG_RUN_MIN``
+    pinned to ``long_run_min``; returns the time, the final counters and
+    each tracker's rows and pending segment."""
+    counters = [0] * distinct
+    trackers: dict[int, OnlinePLA] = {}
+    make_tracker = _tracker_maker(trackers)
+    with mock.patch.object(columnar, "LONG_RUN_MIN", long_run_min):
+        gc.collect()
+        start = time.perf_counter()
+        feed(counters, trackers, row_cols, times, counts, make_tracker)
+        elapsed = time.perf_counter() - start
+    state = [
+        (col, tracker.log.rows(tracker), tracker.pending())
+        for col, tracker in sorted(trackers.items())
+    ]
+    return elapsed, [counters, state]
+
+
+def _time_paths(paths, workload, what: str) -> dict[str, float]:
+    """Best-of-``REPS`` time of each ``(name, feed, long_run_min)`` path
+    on one row.  The paths take turns going first, so warm-up and
+    allocator state favour none; every path must leave the state of the
+    per-update reference."""
+    row_cols, times, counts, distinct = workload
+    seconds = {name: float("inf") for name, _feed, _pin in paths}
+    states = {}
+    order = list(paths)
+    for _ in range(REPS):
+        for name, feed, long_run_min in order:
+            elapsed, states[name] = _feed_once(
+                feed, long_run_min, row_cols, times, counts, distinct
             )
-            best = min(best, time.perf_counter() - start)
-    finally:
-        columnar.SHORT_RUN_CUTOVER = saved
-    words = sum(tracker.words() for tracker in trackers.values())
-    return best, counters, words
+            seconds[name] = min(seconds[name], elapsed)
+        order = order[1:] + order[:1]
+    _, reference = _feed_once(
+        feed_row_per_update, columnar.LONG_RUN_MIN,
+        row_cols, times, counts, distinct,
+    )
+    for name, state in states.items():
+        if state != reference:
+            raise AssertionError(
+                f"{what}: the {name} path diverged from the per-update "
+                f"reference"
+            )
+    return seconds
 
 
 def _bench_ratio(n: int, ratio: float) -> dict:
-    row_cols, times, counts, distinct = _row_workload(n, ratio)
+    workload = _row_workload(n, ratio)
+    row_cols, distinct = workload[0], workload[3]
     per_col = np.bincount(row_cols)
-    weighted_run = float(np.square(per_col).sum()) / n
-    scalar_s, scalar_counters, scalar_words = _time_path(
-        float("inf"), row_cols, times, counts, distinct
+    seconds = _time_paths(
+        (
+            ("scalar", feed_row_per_update, columnar.LONG_RUN_MIN),
+            ("columnar", columnar.feed_tracked_row, columnar.LONG_RUN_MIN),
+        ),
+        workload,
+        f"ratio {ratio}",
     )
-    columnar_s, col_counters, col_words = _time_path(
-        0.0, row_cols, times, counts, distinct
-    )
-    if scalar_counters != col_counters or scalar_words != col_words:
-        raise AssertionError(
-            f"ratio {ratio}: columnar and scalar bodies diverged "
-            f"(words {col_words} vs {scalar_words})"
-        )
     return {
         "updates": n,
         "distinct": distinct,
         "mean_run": n / distinct,
-        "weighted_run": weighted_run,
+        "weighted_run": float(np.square(per_col).sum()) / n,
         "equal": True,
-        "scalar_s": scalar_s,
-        "columnar_s": columnar_s,
-        "columnar_speedup": scalar_s / columnar_s,
+        "scalar_s": seconds["scalar"],
+        "columnar_s": seconds["columnar"],
+        "columnar_speedup": seconds["scalar"] / seconds["columnar"],
     }
 
 
-def _measured_crossover(results: dict) -> float | None:
-    """First swept *weighted* run length where columnar stays winning."""
-    for ratio in RATIOS:
+def _bench_handoff(n: int, length: int) -> dict:
+    workload = _equal_runs_workload(n, length)
+    seconds = _time_paths(
+        (
+            ("kernel", columnar.feed_tracked_row, float("inf")),
+            ("fused", columnar.feed_tracked_row, 0),
+        ),
+        workload,
+        f"run length {length}",
+    )
+    return {
+        "counters": workload[3],
+        "equal": True,
+        "kernel_s": seconds["kernel"],
+        "fused_s": seconds["fused"],
+        "fused_over_kernel": seconds["fused"] / seconds["kernel"],
+    }
+
+
+def _measured_handoff_crossover(rows: dict) -> int | None:
+    """First swept run length from which the fused hand-off stays at
+    least as fast as the kernel's."""
+    for length in HANDOFF_LENGTHS:
         if all(
-            results[f"{r:g}"]["columnar_speedup"] >= 1.0
-            for r in RATIOS
-            if r >= ratio
+            rows[str(k)]["fused_over_kernel"] <= 1.0
+            for k in HANDOFF_LENGTHS
+            if k >= length
         ):
-            return results[f"{ratio:g}"]["weighted_run"]
+            return length
     return None
 
 
@@ -321,24 +370,25 @@ def run_benchmark() -> dict:
                 round(stats["columnar_speedup"], 2),
             )
         )
+    handoff = {str(length): _bench_handoff(n, length) for length in HANDOFF_LENGTHS}
     run_length = _bench_run_lengths()
     payload = {
-        "schema": "micro_run_cutover/v2",
+        "schema": "micro_run_cutover/v3",
         "scale": harness.bench_scale(),
         **cpu_header(),
         "updates": n,
         "delta": DELTA,
-        "committed_cutover": columnar.SHORT_RUN_CUTOVER,
-        "measured_crossover": _measured_crossover(results),
         "ratios": results,
+        "committed_long_run_min": columnar.LONG_RUN_MIN,
+        "measured_handoff_crossover": _measured_handoff_crossover(handoff),
+        "handoff": handoff,
         "committed_run_max": base._SCALAR_RUN_MAX,
         "run_length": run_length,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     report(
-        f"Short-run cutover: scalar vs columnar row feed (n={n}, "
-        f"delta={DELTA}, committed cutover="
-        f"{columnar.SHORT_RUN_CUTOVER:g})",
+        f"Row feed: per-update loop vs feed_tracked_row (n={n}, "
+        f"delta={DELTA})",
         [
             "mean run",
             "weighted run",
@@ -349,6 +399,23 @@ def run_benchmark() -> dict:
         ],
         rows,
         json_name="micro_run_cutover",
+    )
+    report(
+        f"Run hand-off: kernel (lists) vs fused (numpy) on equal-length "
+        f"runs (committed LONG_RUN_MIN={columnar.LONG_RUN_MIN}, measured "
+        f"crossover={payload['measured_handoff_crossover']})",
+        ["run length", "counters", "kernel ms", "fused ms", "fused/kernel"],
+        [
+            (
+                length,
+                row["counters"],
+                round(row["kernel_s"] * 1e3, 2),
+                round(row["fused_s"] * 1e3, 2),
+                round(row["fused_over_kernel"], 2),
+            )
+            for length, row in handoff.items()
+        ],
+        json_name="micro_run_handoff",
     )
     report(
         f"Short-run route: whole-store update_batch vs scalar update loop "
@@ -378,17 +445,20 @@ def test_run_cutover(benchmark):
     assert OUTPUT.exists()
     for stats in payload["ratios"].values():
         assert stats["equal"]
-    # The regimes the cutover constant encodes must hold: the scalar
-    # loop is at least competitive in the singleton-run regime, and
-    # columnar wins outright in the deep-run regime where the fused
-    # tracker path amortizes (runs of ~1k, the Zipf-hot-counter shape).
-    # Everything in between is noise-bound — the two bodies run within
-    # ~10-20% of each other from ratio 1.5 through 64, including a mild
-    # scalar-favoring dip at 32/64 where unit-count runs stay inside
-    # the PLA tube — so only the unambiguous extremes gate.
-    assert payload["ratios"]["1"]["columnar_speedup"] < 1.15, (
-        "columnar body clearly beat the scalar loop at mean run "
-        "length 1; SHORT_RUN_CUTOVER may be obsolete"
+    for stats in payload["handoff"].values():
+        assert stats["equal"]
+    # The one row body must not lose to the per-update loop: within 10%
+    # on singleton runs (argsort and one kernel call per one-point run
+    # are pure overhead there), ahead once the kernel walks runs of ~8,
+    # and ahead outright in the deep-run regime where the fused tracker
+    # path amortizes (runs of ~1k, the Zipf-hot-counter shape).
+    assert payload["ratios"]["1"]["columnar_speedup"] > 0.9, (
+        "the row body fell more than 10% behind the per-update loop "
+        "on singleton runs"
+    )
+    assert payload["ratios"]["8"]["columnar_speedup"] > 1.15, (
+        "the run kernel no longer beats the per-update loop at mean "
+        "run length 8"
     )
     assert payload["ratios"]["1024"]["columnar_speedup"] > 1.2, (
         "scalar loop kept pace with the fused columnar path at mean "

@@ -231,23 +231,183 @@ class OnlinePLA:
         because the bulk-ingest engine spends most of its time here.  For
         integer-valued numpy columns (the batch planner's native format)
         a vectorized path handles the run in bulk — bit-identical to the
-        scalar loop (see :meth:`_feed_fused`); anything else falls back
-        to per-point feeding.
+        scalar loop (see :meth:`_feed_fused`); anything else goes through
+        the run kernel :meth:`_feed_run`.  With contracts enforced, every
+        point goes through :meth:`feed`.
         """
-        if (
-            self._run_points is None
-            and isinstance(times, np.ndarray)
-            and isinstance(values, np.ndarray)
-            and len(times) >= _FUSED_MIN
-            and self._feed_fused(times, values)
-        ):
-            return
         if isinstance(times, np.ndarray):
+            if (
+                self._run_points is None
+                and isinstance(values, np.ndarray)
+                and len(times) >= _FUSED_MIN
+                and self._feed_fused(times, values)
+            ):
+                return
             times = times.tolist()
         if isinstance(values, np.ndarray):
             values = values.tolist()
-        for t, v in zip(times, values):
-            self.feed(t, v)
+        if self._run_points is not None or contracts.ENABLED:
+            for t, v in zip(times, values):
+                self.feed(t, v)
+            return
+        self._feed_run(times, values)
+
+    def _feed_run(self, times: Sequence[int], values: Sequence[float]) -> None:
+        """:meth:`feed` over a whole run, with the run state in locals.
+
+        Each point takes :meth:`feed`'s path with its exact float
+        expressions — the second point, the break test, the tangent
+        walks of :func:`_tangent_min_slope`/:func:`_tangent_max_slope`
+        and the pop rules of ``_append_hull_a``/``_b`` inlined — so the
+        state it leaves is bit-identical.  Reused operands give the same
+        bits: a walk's ``nxt`` becomes the next step's ``cur``, and after
+        a pop the chain's old second-to-last point is its last.  The
+        state is written back whenever the walk stops: at the end, at a
+        break (which then closes the run as :meth:`feed` does, and the
+        walk resumes on the next run) and before any raise, so a raise
+        keeps the points before it.  Requires ``self._run_points is
+        None``.
+        """
+        points = zip(times, values)
+        if self._count == 0:
+            for t, v in points:
+                self._begin_run(t, v)
+                break
+        delta = self.delta
+        eps = _EPS
+        while True:
+            count = self._count
+            t0 = self._t0
+            last_x = self._last_x
+            first_v = self._first_v
+            hull_a = self._hull_a
+            start_a = self._start_a
+            hull_b = self._hull_b
+            start_b = self._start_b
+            us = self._u_slope
+            ui = self._u_icept
+            ls = self._l_slope
+            li = self._l_icept
+            # Hull lengths, and the length from which a hull holds two
+            # points past its tangent start (the pop rules' guard).
+            na = len(hull_a)
+            nb = len(hull_b)
+            floor_a = start_a + 2
+            floor_b = start_b + 2
+            broke = False
+            try:
+                for t, v in points:
+                    x = float(t - t0)
+                    if x <= last_x:
+                        raise ValueError(
+                            f"feed times must be strictly increasing: {t} "
+                            f"after {t0 + last_x}"
+                        )
+                    a = v - delta
+                    b = v + delta
+                    if count == 1:
+                        v0_a = first_v - delta
+                        v0_b = first_v + delta
+                        hull_a = [(0.0, v0_a), (x, a)]
+                        hull_b = [(0.0, v0_b), (x, b)]
+                        na = nb = 2
+                        start_a = start_b = 0
+                        floor_a = floor_b = 2
+                        us = (b - v0_a) / x
+                        ui = v0_a
+                        ls = (a - v0_b) / x
+                        li = v0_b
+                        last_x = x
+                        count = 2
+                        continue
+                    uy = us * x + ui
+                    ly = ls * x + li
+                    if uy < a - eps or ly > b + eps:
+                        broke = True
+                        break
+                    if uy > b + eps:
+                        i = start_a
+                        if i < na - 1:
+                            hx, hy = hull_a[i]
+                            cur = (b - hy) / (x - hx)
+                            while i < na - 1:
+                                hx, hy = hull_a[i + 1]
+                                nxt = (b - hy) / (x - hx)
+                                if nxt < cur:
+                                    i += 1
+                                    cur = nxt
+                                else:
+                                    break
+                        start_a = i
+                        floor_a = i + 2
+                        ax, ay = hull_a[i]
+                        us = (b - ay) / (x - ax)
+                        ui = ay - us * ax
+                    if ly < a - eps:
+                        i = start_b
+                        if i < nb - 1:
+                            hx, hy = hull_b[i]
+                            cur = (a - hy) / (x - hx)
+                            while i < nb - 1:
+                                hx, hy = hull_b[i + 1]
+                                nxt = (a - hy) / (x - hx)
+                                if nxt > cur:
+                                    i += 1
+                                    cur = nxt
+                                else:
+                                    break
+                        start_b = i
+                        floor_b = i + 2
+                        bx, by = hull_b[i]
+                        ls = (a - by) / (x - bx)
+                        li = by - ls * bx
+                    if na >= floor_a:
+                        px, py = hull_a[-1]
+                        ox, oy = hull_a[-2]
+                        while (px - ox) * (a - oy) - (py - oy) * (x - ox) >= 0:
+                            hull_a.pop()
+                            na -= 1
+                            if na < floor_a:
+                                break
+                            px = ox
+                            py = oy
+                            ox, oy = hull_a[-2]
+                    hull_a.append((x, a))
+                    na += 1
+                    if nb >= floor_b:
+                        px, py = hull_b[-1]
+                        ox, oy = hull_b[-2]
+                        while (px - ox) * (b - oy) - (py - oy) * (x - ox) <= 0:
+                            hull_b.pop()
+                            nb -= 1
+                            if nb < floor_b:
+                                break
+                            px = ox
+                            py = oy
+                            ox, oy = hull_b[-2]
+                    hull_b.append((x, b))
+                    nb += 1
+                    last_x = x
+                    count += 1
+            finally:
+                self._count = count
+                self._t0 = t0
+                self._last_x = last_x
+                self._first_v = first_v
+                self._hull_a = hull_a
+                self._start_a = start_a
+                self._hull_b = hull_b
+                self._start_b = start_b
+                self._u_slope = us
+                self._u_icept = ui
+                self._l_slope = ls
+                self._l_icept = li
+            if not broke:
+                return
+            # Infeasible: ``(t, v)`` begins the next run, as in feed.
+            self._emit_segment()
+            self._reset_run()
+            self._begin_run(t, v)
 
     def _feed_fused(self, t_arr: np.ndarray, v_arr: np.ndarray) -> bool:
         """Vectorized :meth:`feed_many`, bit-identical to the scalar loop.
@@ -281,9 +441,9 @@ class OnlinePLA:
         run the real walk for that one point.
 
         Returns False — with the sketch state untouched — when the
-        preconditions don't hold and the caller must use the scalar
-        loop (non-integer data, magnitude overflow, or non-monotone
-        times, which the scalar loop rejects with the exact error).
+        preconditions don't hold and the caller must use the run kernel
+        (non-integer data, magnitude overflow, or non-monotone times,
+        which the kernel rejects with :meth:`feed`'s exact error).
         """
         n = len(t_arr)
         if (

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import contracts
@@ -603,13 +603,9 @@ def test_pla_fused_declines_unsafe_columns():
         assert fingerprint(pla) == fingerprint(OnlinePLA(delta=5.0))
 
 
-def test_pla_fused_state_holds_no_numpy_scalars():
-    """Recorded state stays plain Python after numpy-column feeding."""
-    times = np.arange(1, 301, dtype=np.int64)
-    values = (times * times) // 7  # convex: exercises hull churn
-    with contracts.enforced(False):
-        pla = OnlinePLA(delta=3.0)
-        pla.feed_many(times, values)
+def _pla_holds_no_numpy_scalars(pla):
+    """Recorded state stays plain Python: run state, pending segment
+    and rows."""
 
     def walk(obj, depth=0):
         assert depth < 16
@@ -620,9 +616,254 @@ def test_pla_fused_state_holds_no_numpy_scalars():
 
     walk(pla._hull_a)
     walk(pla._hull_b)
-    walk([pla._last_x, pla._first_v, pla._u_slope, pla._u_icept])
-    walk(list(pla.pending()))
+    walk([pla._t0, pla._last_x, pla._count, pla._first_v])
+    walk([pla._u_slope, pla._u_icept, pla._l_slope, pla._l_icept])
+    walk(list(pla.pending() or ()))
+    walk(pla._times)
     walk(list(pla.log.rows(pla)))
+
+
+def test_pla_fused_state_holds_no_numpy_scalars():
+    """Recorded state stays plain Python after numpy-column feeding."""
+    times = np.arange(1, 301, dtype=np.int64)
+    values = (times * times) // 7  # convex: exercises hull churn
+    with contracts.enforced(False):
+        pla = OnlinePLA(delta=3.0)
+        pla.feed_many(times, values)
+    _pla_holds_no_numpy_scalars(pla)
+
+
+# --------------------------------------------------------------------- #
+# The run kernel: one OnlinePLA.feed_many call per list run
+# --------------------------------------------------------------------- #
+
+#: Stretches of a kernel test sequence: ``(points, slope, jitter, jump)``
+#: — ``points`` near-collinear points along ``slope`` per time step,
+#: each off the line by at most ``jitter``, after a ``jump`` that breaks
+#: the run when it clears the tube.
+pla_stretches = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([0, 1, -1, 3]),
+        st.sampled_from([0, 0, 1, 4]),
+        st.sampled_from([0, 0, 9, -40, 300]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+#: Offsets of the whole sequence: ``2**47`` puts values past the fused
+#: path's exact-arithmetic guard, so numpy chunks decline it too.
+KERNEL_OFFSETS = st.sampled_from([0, 0, 2**33, -(2**47)])
+
+
+def _kernel_points(stretches, floats, t_offset, v_offset, seed):
+    rng = random.Random(seed)
+    t, level = t_offset, 0
+    times, values = [], []
+    for points, slope, jitter, jump in stretches:
+        level += jump
+        for _ in range(points):
+            gap = rng.randint(1, 3)
+            t += gap
+            level += slope * gap
+            value = v_offset + level + rng.randint(-jitter, jitter)
+            if floats:
+                value = value + rng.choice([0.0, 0.25, 0.5, 1 / 3])
+            times.append(t)
+            values.append(value)
+    return times, values
+
+
+def _chunk(container, values, floats):
+    if container == "list":
+        return list(values)
+    return np.array(values, dtype=np.float64 if floats else np.int64)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    stretches=pla_stretches,
+    floats=st.booleans(),
+    delta=st.sampled_from([1.0, 2.0, 5.0, 2.5, 0.75, 50.0]),
+    t_offset=KERNEL_OFFSETS,
+    v_offset=KERNEL_OFFSETS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_pla_kernel_feed_many_matches_feed(
+    stretches, floats, delta, t_offset, v_offset, seed, data
+):
+    """``feed_many`` on list runs (and numpy runs the fused path
+    declines) leaves the state of per-point ``feed``, bit for bit.
+
+    Integer and float values, integer and fractional Delta, magnitudes
+    past the fused guard, collinear stretches and breaks; the sequence
+    is cut into random chunks, with ``finalize()`` between some.
+    """
+    times, values = _kernel_points(
+        stretches, floats, abs(t_offset), v_offset, seed
+    )
+    with contracts.enforced(False):
+        reference = OnlinePLA(delta=delta)
+        kernel = OnlinePLA(delta=delta)
+        pos = 0
+        while pos < len(times):
+            cut = data.draw(
+                st.integers(min_value=1, max_value=len(times) - pos),
+                label="cut",
+            )
+            container = data.draw(
+                st.sampled_from(["list", "list", "array"]), label="container"
+            )
+            for t, v in zip(times[pos : pos + cut], values[pos : pos + cut]):
+                reference.feed(t, v)
+            kernel.feed_many(
+                _chunk(container, times[pos : pos + cut], False),
+                _chunk(container, values[pos : pos + cut], floats),
+            )
+            pos += cut
+            if data.draw(st.sampled_from([False, False, True]), label="close"):
+                reference.finalize()
+                kernel.finalize()
+    assert fingerprint(kernel) == fingerprint(reference)
+    assert kernel.log.open.keys() == reference.log.open.keys()
+    _pla_holds_no_numpy_scalars(kernel)
+
+
+def _outcome(feed):
+    try:
+        feed()
+    except ValueError as error:
+        return f"{type(error).__name__}: {error}"
+    return None
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    stretches=pla_stretches,
+    floats=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=0, max_value=30),
+    back=st.integers(min_value=0, max_value=3),
+    close_first=st.booleans(),
+    container=st.sampled_from(["list", "array"]),
+)
+def test_pla_kernel_raise_matches_feed(
+    stretches, floats, seed, k, back, close_first, container
+):
+    """A chunk whose k-th time does not increase raises the k-th
+    ``feed``'s ``ValueError`` and keeps points 0..k-1, as ``feed`` does."""
+    times, values = _kernel_points(stretches, floats, 0, 0, seed)
+    head = max(1, len(times) // 3)
+    k = min(k, len(times) - head - 1) if len(times) > head + 1 else 0
+    chunk_t = times[head:]
+    chunk_v = values[head:]
+    assume(chunk_t)
+    previous = chunk_t[k - 1] if k else times[head - 1]
+    chunk_t[k] = previous - back
+    with contracts.enforced(False):
+        reference = OnlinePLA(delta=2.0)
+        kernel = OnlinePLA(delta=2.0)
+        for pla in (reference, kernel):
+            for t, v in zip(times[:head], values[:head]):
+                pla.feed(t, v)
+            if close_first:
+                pla.finalize()
+
+        def per_point():
+            for t, v in zip(chunk_t, chunk_v):
+                reference.feed(t, v)
+
+        expected = _outcome(per_point)
+        got = _outcome(
+            lambda: kernel.feed_many(
+                _chunk(container, chunk_t, False),
+                _chunk(container, chunk_v, floats),
+            )
+        )
+    assert got == expected
+    if not close_first or k > 0:
+        assert expected is not None and "strictly increasing" in expected
+    assert fingerprint(kernel) == fingerprint(reference)
+    _pla_holds_no_numpy_scalars(kernel)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(updates=update_lists, chunk=st.integers(min_value=1, max_value=41))
+def test_planner_kernel_bit_identical_to_scalar(name, updates, chunk):
+    """:func:`test_batch_bit_identical_to_scalar` with contracts off.
+
+    With contracts on, ``feed_many`` feeds point by point, so only this
+    run reaches the run kernel; the sketches are built with contracts
+    off too, or their trackers would record run points and keep the
+    per-point loop."""
+    stream = build_stream(updates)
+    with contracts.enforced(False):
+        sequential = FACTORIES[name]()
+        scalar_ingest(sequential, stream)
+        batched = FACTORIES[name]()
+        with columnar_only():
+            batched.ingest(stream, batch_size=chunk)
+    assert fingerprint(batched) == fingerprint(sequential)
+
+
+# --------------------------------------------------------------------- #
+# A save closes its open runs
+# --------------------------------------------------------------------- #
+
+
+def test_second_save_adds_no_rows(tmp_path):
+    """A save closes every open run of the stream's PLA logs; a second
+    save with no updates between appends no row."""
+    with contracts.enforced(False):
+        store = SketchStore(width=8, depth=2, join_width=8, seed=1)
+        store.create(
+            StreamSpec("urls", delta=2, universe=64, heavy_hitters=True)
+        )
+        times = np.arange(1, 301, dtype=np.int64)
+        store.update_batch("urls", times, times % 5, np.ones(300, np.int64))
+        state = store._state("urls")
+        logs = [state.point_sketch._log] + [
+            level._log for level in state.hh_sketch._sketches
+        ]
+        assert all(log.open for log in logs)
+        store.save(tmp_path / "one")
+        rows = [len(log) for log in logs]
+        assert all(rows) and not any(log.open for log in logs)
+        store.save(tmp_path / "two")
+        assert [len(log) for log in logs] == rows
+
+
+def test_closing_open_runs_still_checks_delta():
+    """With contracts on, a closed run whose segment misses a fed point
+    by more than Delta raises before its row is appended."""
+    with contracts.enforced(True):
+        sketch = PersistentCountMin(
+            width=2, depth=1, delta=2, hashes=IdentityHashFamily(2, 1)
+        )
+        for t in range(1, 6):
+            sketch.update(0, count=1, time=t)
+        sketch.update(1, count=1, time=6)
+        tracker = sketch._trackers[0][0]
+        tracker._u_slope = tracker._l_slope = 10.0  # a bisector off the run
+        with pytest.raises(ContractViolation, match="deviates"):
+            sketch._log.finalize_open()
+        assert len(sketch._log) == 0
+        assert set(sketch._log.open) == {0, 1}
 
 
 def test_pwc_feed_many_fused_path_matches_scalar():

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import contracts
 from repro.core.base import _SCALAR_RUN_MAX
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
 from repro.io.serialize import to_dict
@@ -30,6 +31,7 @@ from repro.pla.orourke import OnlinePLA
 from tests.test_batch_ingest import (
     FACTORIES,
     build_stream,
+    columnar_only,
     fingerprint,
     fixed_stream,
     update_lists,
@@ -163,6 +165,30 @@ def test_coalesce_keeps_net_zero_items():
 def test_exact_buffered_bit_identical_to_unbuffered(
     name, updates, window, chunk
 ):
+    _check_exact_buffered(name, updates, window, chunk)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    updates=update_lists,
+    window=st.integers(min_value=1, max_value=48),
+    chunk=st.integers(min_value=1, max_value=41),
+)
+def test_exact_buffered_kernel_bit_identical_to_unbuffered(
+    name, updates, window, chunk
+):
+    """The same with contracts off and every flush through the columnar
+    planner, so runs reach ``OnlinePLA``'s run kernel."""
+    with contracts.enforced(False), columnar_only():
+        _check_exact_buffered(name, updates, window, chunk)
+
+
+def _check_exact_buffered(name, updates, window, chunk):
     stream = build_stream(updates)
     plain = FACTORIES[name]()
     plain.ingest(stream, batch_size=chunk)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import contracts
 from repro.core.heavy_hitters import PersistentHeavyHitters
 from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin, PWCCountMin
@@ -28,6 +29,8 @@ from repro.core.pwc_ams import PWCAMS
 from repro.eval.harness import compact_items
 from repro.store.sharded import ShardedPersistentSketch
 from repro.streams.generators import zipf_stream
+from repro.streams.model import Stream
+from tests.test_batch_ingest import columnar_only
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +466,33 @@ def test_frozen_equals_live_on_arbitrary_streams(items, window, delta):
     frz = frozen.point_many(probes, (float(s), float(t))).tolist()
     assert frz == live
     assert frozen.self_join_size(s, t) == sketch.self_join_size(s, t)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    items=st.lists(st.integers(0, 15), min_size=1, max_size=120),
+    window=st.tuples(st.integers(0, 120), st.integers(0, 120)),
+    delta=st.integers(1, 8),
+    chunk=st.integers(1, 41),
+)
+def test_frozen_equals_live_after_kernel_batches(items, window, delta, chunk):
+    """Frozen equals live on a sketch fed in columnar batches with
+    contracts off, so its runs went through ``OnlinePLA``'s run kernel."""
+    s, t = sorted(window)
+    t = min(t, len(items))
+    s = min(s, t)
+    with contracts.enforced(False), columnar_only():
+        sketch = PersistentCountMin(width=64, depth=3, delta=delta, seed=5)
+        sketch.ingest(
+            Stream(np.array(items, dtype=np.int64)), batch_size=chunk
+        )
+        frozen = freeze(sketch)
+        probes = sorted(set(items)) + [99]
+        live = [sketch.point(item, s, t) for item in probes]
+        frz = frozen.point_many(probes, (float(s), float(t))).tolist()
+        assert frz == live
+        assert frozen.self_join_size(s, t) == sketch.self_join_size(s, t)
 
 
 class TestFreezeReadsWithoutMutating:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import contracts
 from repro.core.persistent_countmin import PWCCountMin
 from repro.runtime import (
     FaultPlan,
@@ -24,6 +25,7 @@ from repro.runtime import (
     SimulatedCrash,
 )
 from repro.store import SketchStore, StreamSpec
+from tests.test_batch_ingest import columnar_only
 
 pytestmark = pytest.mark.faults
 
@@ -267,6 +269,29 @@ class TestBatchFaultPoints:
         twin = run_uninterrupted(tmp_path, records)
         recovered = self._crash_recover_batched(tmp_path, plan, records)
         assert_identical_answers(twin, recovered)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(torn_write_at_record=101),
+            FaultPlan(crash_after_record=101),
+        ],
+        ids=["101", "after101"],
+    )
+    def test_kernel_batch_crash_recovers_to_identical_answers(
+        self, tmp_path, plan
+    ):
+        """With contracts off and every batch (replay included) through
+        the columnar planner, runs reach ``OnlinePLA``'s run kernel; the
+        twin still feeds record by record."""
+        records = make_records()
+        with contracts.enforced(False):
+            twin = run_uninterrupted(tmp_path, records)
+            with columnar_only():
+                recovered = self._crash_recover_batched(
+                    tmp_path, plan, records
+                )
+            assert_identical_answers(twin, recovered)
 
 
 # Records an unchecked parse would WAL-append and then fail to apply,
