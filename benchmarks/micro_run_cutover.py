@@ -262,8 +262,7 @@ def _make_store() -> SketchStore:
 def _store_state(store: SketchStore) -> str:
     """Serialized state of every sketch of the stream (finalizes open
     runs, identically on every twin)."""
-    stream = store._state("urls")
-    sketches = (stream.point_sketch, stream.hh_sketch, stream.join_sketch)
+    sketches = store._state("urls").sketches()
     return json.dumps([to_dict(sketch) for sketch in sketches], sort_keys=True)
 
 

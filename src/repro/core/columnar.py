@@ -32,39 +32,36 @@ from repro.persistence.tracker import CounterTracker
 LONG_RUN_MIN = 1024
 
 
-def group_slices(sorted_keys: np.ndarray) -> list[tuple[int, int]]:
-    """``(start, end)`` index pairs of equal-key runs in a sorted array."""
-    if len(sorted_keys) == 0:
-        return []
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sorted_keys)]))
-    return list(zip(starts.tolist(), ends.tolist()))
+def run_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of the equal-key runs of a sorted array, as
+    int64 arrays; together the runs cover the whole array."""
+    edges = np.empty(len(sorted_keys) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    return bounds[:-1], bounds[1:]
 
 
 def run_values(
     bases: np.ndarray,
     sorted_counts: np.ndarray,
-    slices: list[tuple[int, int]],
+    starts: np.ndarray,
+    ends: np.ndarray,
 ) -> np.ndarray:
     """Counter value after each update, for all equal-key runs at once.
 
+    ``starts``/``ends`` are the runs of :func:`run_bounds`, and
     ``bases[g]`` is the counter's value before the first update of run
     ``g``.  Within each run the value sequence is ``base + cumsum`` of
     the run's counts; computed with one global cumsum plus a per-run
-    offset correction, so no per-run numpy calls are needed.  Positions
-    before the first run (updates excluded from every run, sorted to the
-    front) keep meaningless values — callers only read run positions.
+    offset correction, so no per-run numpy calls are needed.
     """
     csum = np.cumsum(sorted_counts)
-    values = csum.copy()
-    if slices:
-        prev = np.concatenate(([0], csum[:-1]))
-        starts = np.array([lo for lo, _hi in slices], dtype=np.int64)
-        sizes = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-        first = slices[0][0]
-        values[first:] += np.repeat(bases - prev[starts], sizes)
-    return values
+    if len(starts):
+        # The global cumsum before each run's first update.
+        before = csum[starts] - sorted_counts[starts]
+        csum += np.repeat(bases - before, ends - starts)
+    return csum
 
 
 def feed_tracked_row(
@@ -92,17 +89,14 @@ def feed_tracked_row(
         return
     order = np.argsort(row_cols, kind="stable")
     sorted_cols = row_cols[order]
-    slices = group_slices(sorted_cols)
-    col_list = sorted_cols.tolist()
-    bases = np.array(
-        [counters[col_list[lo]] for lo, _hi in slices], dtype=np.int64
-    )
-    values = run_values(bases, counts[order], slices)
+    starts, ends = run_bounds(sorted_cols)
+    col_list = sorted_cols[starts].tolist()
+    bases = np.array([counters[col] for col in col_list], dtype=np.int64)
+    values = run_values(bases, counts[order], starts, ends)
     sorted_times = times[order]
     time_list = sorted_times.tolist()
     value_list = values.tolist()
-    for lo, hi in slices:
-        col = col_list[lo]
+    for col, lo, hi in zip(col_list, starts.tolist(), ends.tolist()):
         tracker = trackers.get(col)
         if tracker is None:
             tracker = make_tracker(col)

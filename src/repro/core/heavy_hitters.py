@@ -28,6 +28,12 @@ from repro.hashing.families import IdentityHashFamily
 from repro.pla.orourke import OnlinePLA
 
 
+def check_item(item: int, universe: int) -> None:
+    """Reject an item outside ``[0, universe)``."""
+    if not 0 <= item < universe:
+        raise ValueError(f"item {item} outside universe [0, {universe})")
+
+
 def check_universe(items: np.ndarray, universe: int) -> None:
     """Reject a batch holding any item outside ``[0, universe)``."""
     bad = (items < 0) | (items >= universe)
@@ -109,10 +115,7 @@ class PersistentHeavyHitters(PersistentSketch):
         self._mass_total = 0
 
     def _ingest(self, item: int, count: int, time: int) -> None:
-        if not 0 <= item < self.universe:
-            raise ValueError(
-                f"item {item} outside universe [0, {self.universe})"
-            )
+        check_item(item, self.universe)
         for level, sketch in enumerate(self._sketches):
             sketch.update(item >> level, count, time)
         self._mass_total += count
@@ -157,7 +160,10 @@ class PersistentHeavyHitters(PersistentSketch):
         self._mass.finalize()
 
     def point(self, item: int, s: float = 0, t: float | None = None) -> float:
-        """Point estimate from the level-0 sketch."""
+        """Point estimate from the level-0 sketch.  An item outside the
+        universe raises :class:`ValueError`, as its update does: level 0
+        has no column for it when it counts exactly."""
+        check_item(item, self.universe)
         s, t = self._resolve_window(s, t)
         return self._sketches[0].point(item, s, t)
 

@@ -173,7 +173,8 @@ class HistoricalCountMin(PersistentSketch):
             deltas.append(self._delta)
         self.total = total
         columns = self.hashes.buckets_many(items)
-        for lo, hi in columnar.group_slices(epoch_ids):
+        epoch_starts, epoch_ends = columnar.run_bounds(epoch_ids)
+        for lo, hi in zip(epoch_starts.tolist(), epoch_ends.tolist()):
             epoch_index = int(epoch_ids[lo])
             delta = deltas[lo]
             slice_times = times[lo:hi]
@@ -182,19 +183,18 @@ class HistoricalCountMin(PersistentSketch):
                 row_cols = columns[row, lo:hi]
                 order = np.argsort(row_cols, kind="stable")
                 sorted_cols = row_cols[order]
-                slices = columnar.group_slices(sorted_cols)
+                starts, ends = columnar.run_bounds(sorted_cols)
                 counters = self._counters[row]
                 tracked = self._tracked[row]
-                bases = np.array(
-                    [counters[int(sorted_cols[g_lo])] for g_lo, _ in slices],
-                    dtype=np.int64,
-                )
+                cols = sorted_cols[starts].tolist()
+                bases = np.array([counters[col] for col in cols], dtype=np.int64)
                 values_list = columnar.run_values(
-                    bases, slice_counts[order], slices
+                    bases, slice_counts[order], starts, ends
                 ).tolist()
                 sorted_times = slice_times[order].tolist()
-                for gidx, (g_lo, g_hi) in enumerate(slices):
-                    col = int(sorted_cols[g_lo])
+                for gidx, (col, g_lo, g_hi) in enumerate(
+                    zip(cols, starts.tolist(), ends.tolist())
+                ):
                     counter = tracked.get(col)
                     if counter is None:
                         counter = _EpochedCounter()

@@ -59,18 +59,18 @@ def _feed_sampled_row(
     keys = row_cols * 2 + b_flags
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    slices = columnar.group_slices(sorted_keys)
-    edges = [lo for lo, _hi in slices] + [len(keys)]
-    run_keys = sorted_keys[edges[:-1]].tolist()
+    starts, ends = columnar.run_bounds(sorted_keys)
+    edges = np.append(starts, len(keys))
+    run_keys = sorted_keys[starts].tolist()
     bases = np.array(
         [components[key // 2][key % 2] for key in run_keys], dtype=np.int64
     )
-    values = columnar.run_values(bases, a_mags[order], slices)
+    values = columnar.run_values(bases, a_mags[order], starts, ends)
     times = a_times[order]
     accepted = uniforms_row[order] < probability
     # Each copy's accepted positions, taken once for the whole row and
     # cut per (column, component) run at the run edges.
-    lasts = values[np.array(edges[1:]) - 1].tolist()
+    lasts = values[ends - 1].tolist()
     hit_runs = []
     for copy in range(copies):
         hits = np.flatnonzero(accepted[:, copy])

@@ -68,12 +68,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.heavy_hitters import PersistentHeavyHitters
+from repro.core.heavy_hitters import (
+    PersistentHeavyHitters,
+    check_item,
+    check_universe,
+)
 from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro.engine.batch import _batch_signs, batch_hash_columns
-from repro.io.generations import SKETCHES, Columns, KindColumns, sketch_columns
+from repro.io.generations import SKETCHES, Columns, KindColumns, held, sketch_columns
 from repro.io.serialize import SerializationError, Slot, shell, slots
 from repro.persistence.column_log import HISTORY, PWC, LogKind
 from repro.store.sharded import ShardedPersistentSketch
@@ -900,7 +904,9 @@ class FrozenHeavyHitters:
         return max(high - low, 0.0)
 
     def point(self, item: int, s: float = 0, t: float | None = None) -> float:
-        """Point estimate from the finest (leaf) frozen level."""
+        """Point estimate from the finest (leaf) frozen level; an item
+        outside the universe raises :class:`ValueError`, as live."""
+        check_item(item, self.universe)
         s, t = _resolve_window(s, t, self.now)
         return self._sketches[0].point(item, s, t)
 
@@ -910,6 +916,8 @@ class FrozenHeavyHitters:
         windows: Window | Sequence[Window] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized point estimates from the finest frozen level."""
+        items = np.asarray(items, dtype=np.int64)
+        check_universe(items, self.universe)
         return self._sketches[0].point_many(items, windows)
 
     def heavy_hitters(
@@ -1144,11 +1152,12 @@ class FrozenStoreView:
 
     Built by :func:`freeze_store` from a live store, or by
     :func:`freeze_columns` from a checkpoint's columns: every stream's
-    point sketch — and its heavy-hitter hierarchy and join sketch where
-    the stream spec enables them — in its frozen columnar form, keyed
-    by stream name.  :class:`repro.server.ServingRuntime` serves its
-    frozen route from one, built off the newest checkpoint — including
-    while the runtime is degraded and refuses writes.
+    point sketch or heavy-hitter hierarchy (whose level 0 then answers
+    point queries), and its join sketch where the stream spec enables
+    one, in frozen columnar form, keyed by stream name.
+    :class:`repro.server.ServingRuntime` serves its frozen route from
+    one, built off the newest checkpoint — including while the runtime
+    is degraded and refuses writes.
 
     The view is as-of snapshot time: the live store may keep ingesting
     afterwards without affecting answers here.  Cross-stream
@@ -1158,18 +1167,19 @@ class FrozenStoreView:
 
     def __init__(self, streams: dict[str, tuple]) -> None:
         """``streams`` maps a stream name to its frozen ``(point, hh,
-        join)`` sketches, ``None`` where the spec has none."""
+        join)`` sketches, ``None`` where the stream has none; a stream
+        without a point sketch answers point queries from ``hh``."""
         self._point: dict = {}
         self._hh: dict = {}
         self._join: dict = {}
         self._clocks: dict = {}
         for name, (point, hh, join) in streams.items():
-            self._point[name] = point
+            self._point[name] = point if point is not None else hh
             if hh is not None:
                 self._hh[name] = hh
             if join is not None:
                 self._join[name] = join
-            self._clocks[name] = int(point.now)
+            self._clocks[name] = int(self._point[name].now)
 
     def streams(self) -> list:
         """Names of all frozen streams."""
@@ -1250,18 +1260,22 @@ def freeze_columns(columns: Columns) -> FrozenStoreView:
     (:func:`repro.io.serialize.shell`) for its shape, clock and hashes;
     its tables are cut from the concatenated generations.  No tracker
     is built, finalized or exported: the checkpoint's save finalized
-    every run already.  The view equals ``freeze_store`` of the store
-    the same checkpoint opens, array for array.  Malformed columns
-    raise :class:`~repro.io.SerializationError`.
+    every run already.  A tail the stream no longer holds (the point
+    sketch of an older checkpoint's hierarchy stream) is left out, as
+    :meth:`~repro.store.SketchStore.open` leaves it out.  The view
+    equals ``freeze_store`` of the store the same checkpoint opens,
+    array for array.  Malformed columns raise
+    :class:`~repro.io.SerializationError`.
     """
     try:
         kinds = columns.kinds()
         streams = {}
         for index, entry in enumerate(columns.manifest["streams"]):
             frozen = []
+            keep = held(entry)
             for slot, name in enumerate(SKETCHES):
                 tail = entry["tails"].get(name)
-                if tail is None:
+                if tail is None or not keep[name]:
                     frozen.append(None)
                     continue
                 sketch, found = shell(tail)

@@ -10,7 +10,8 @@ directory holds::
 
 The manifest carries the store shape, each stream's spec and *tails*
 (counters, clocks, totals, RNG state: the mutable part of every sketch,
-see :func:`repro.io.serialize.split`), and the ordered generation list.
+see :func:`repro.io.serialize.split`; ``null`` for a sketch the stream
+does not hold, :func:`held`), and the ordered generation list.
 Each generation entry records its file, the sequence range ``(lo, hi]``
 it was appended over, its byte length and its CRC32.  The manifest ends
 in a ``crc32`` field: the CRC32 of the compact JSON text before it,
@@ -21,7 +22,8 @@ A generation is an uncompressed ``.npz`` of flat numpy columns.  Every
 component (a PLA tracker, a sampled history list or a PWC tracker) is
 keyed by the seven integers ``(stream, sketch, level, row, column,
 sign, copy)``: ``stream`` indexes the manifest's stream list,
-``sketch`` is 0 (point), 1 (heavy hitters) or 2 (join), ``level`` is
+``sketch`` is 0 (point; none for a stream with the heavy-hitter
+hierarchy), 1 (heavy hitters) or 2 (join), ``level`` is
 the dyadic level (-1 for none, and for the heavy-hitter mass tracker).
 Per component kind ``<k>`` (``pla``, ``history``, ``pwc``; the layouts
 of :mod:`repro.persistence.column_log`):
@@ -303,14 +305,21 @@ def _check_manifest(manifest: dict) -> None:
             _require(gen, "crc32", int)
 
 
+def held(entry: dict) -> dict[str, bool]:
+    """Which :data:`SKETCHES` slots a stream with spec ``entry`` holds.
+
+    A stream with the heavy-hitter hierarchy holds no point sketch: the
+    hierarchy's level 0 answers its point queries.  Checkpoints written
+    before that still carry a point tail and rows for such a stream;
+    readers read past them and keep neither.
+    """
+    hierarchy = entry["heavy_hitters"] or bool(entry.get("quantiles"))
+    return {"point": not hierarchy, "hh": hierarchy, "join": entry["joinable"]}
+
+
 def _check_tails(entry: dict) -> None:
     tails = _require(entry, "tails", dict)
-    wanted = {
-        "point": True,
-        "hh": entry["heavy_hitters"] or bool(entry.get("quantiles")),
-        "join": entry["joinable"],
-    }
-    for slot, present in wanted.items():
+    for slot, present in held(entry).items():
         tail = tails.get(slot)
         if not present:
             continue
@@ -756,18 +765,26 @@ def read(
 
 
 def _shells(manifest: dict) -> tuple[list, dict]:
+    """Each stream's sketches rebuilt from their tails, and their log
+    slots by ``(stream, sketch, level)``.  A tail the stream no longer
+    holds (:func:`held`) is rebuilt only to know its slots, which map to
+    ``None``: :func:`_apply` reads past their rows."""
     streams = []
-    slots: dict[tuple, Slot] = {}
+    slots: dict[tuple, Slot | None] = {}
     for index, entry in enumerate(manifest["streams"]):
         sketches: dict[str, Any] = {}
+        keep = held(entry)
         for slot, name in enumerate(SKETCHES):
             tail = entry["tails"].get(name)
             if tail is None:
                 sketches[name] = None
                 continue
-            sketches[name], found = serialize.shell(tail)
+            sketch, found = serialize.shell(tail)
+            sketches[name] = sketch if keep[name] else None
             for log_slot in found:
-                slots[(index, slot, log_slot.level)] = log_slot
+                slots[(index, slot, log_slot.level)] = (
+                    log_slot if keep[name] else None
+                )
         spec = {key: value for key, value in entry.items() if key != "tails"}
         streams.append((spec, sketches))
     return streams, slots
@@ -775,7 +792,8 @@ def _shells(manifest: dict) -> tuple[list, dict]:
 
 def _apply(arrays: dict[str, np.ndarray], slots: dict) -> None:
     """Append one generation's skeletons and rows, in file order: each
-    log's rows in one bulk load, each component's positions as a range."""
+    log's rows in one bulk load, each component's positions as a range.
+    Rows of a log whose slot is ``None`` are read past."""
     for kind in KINDS:
         codec = serialize.CODECS[kind.name]
         params, initials = kind.unpack(
@@ -785,9 +803,9 @@ def _apply(arrays: dict[str, np.ndarray], slots: dict) -> None:
             arrays[f"{kind.name}_new_key"].tolist(), params.tolist(), initials.tolist()
         ):
             stream, sketch, level, row, col, sign, copy = key
-            slots[(stream, sketch, level)].build(
-                row, col, sign, copy, codec.skeleton_of(param, initial)
-            )
+            target = slots[(stream, sketch, level)]
+            if target is not None:
+                target.build(row, col, sign, copy, codec.skeleton_of(param, initial))
         runs = arrays[f"{kind.name}_run_key"].astype(np.int64)
         columns = [arrays[f"{kind.name}_{name}"] for name in kind.columns]
         firsts = np.concatenate(([0], np.cumsum(runs[:, 7])))
@@ -796,7 +814,8 @@ def _apply(arrays: dict[str, np.ndarray], slots: dict) -> None:
         bounds = [0, *cuts.tolist(), len(runs)] if len(runs) else []
         for lo, hi in zip(bounds, bounds[1:]):
             slot = slots[tuple(runs[lo, :3].tolist())]
-            _load_runs(slot, runs[lo:hi], firsts[lo:hi], columns)
+            if slot is not None:
+                _load_runs(slot, runs[lo:hi], firsts[lo:hi], columns)
 
 
 def _load_runs(

@@ -131,7 +131,7 @@ class IngestRuntime:
             self.directory / "wal", next_seq=applied_seq + 1, faults=faults
         )
         self._clocks: dict[str, int] = {
-            name: store._state(name).point_sketch.now for name in store.streams()
+            name: store.clock(name) for name in store.streams()
         }
         # Item bound of every stream whose spec declares a universe.
         self._universes: dict[str, int] = {

@@ -102,7 +102,8 @@ class ShardedPersistentSketch(PersistentSketch):
         touched — exactly where the scalar path raises.
         """
         shard_ids = (times - 1) // self.shard_length
-        for lo, hi in columnar.group_slices(shard_ids):
+        starts, ends = columnar.run_bounds(shard_ids)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
             shard_id = int(shard_ids[lo])
             if shard_id <= self._dropped_through:
                 raise ValueError(

@@ -1,11 +1,14 @@
 """A facade managing persistent sketches for many named streams.
 
 ``SketchStore`` is the "multiversion data stream system" front door: you
-declare what each stream should support (point queries and heavy hitters
-always; join sizes optionally), feed updates by stream name, and query
-any past window.  Join-enabled streams automatically share hash
-functions store-wide (the Section 4.1 prerequisite), so the join size of
-any two of them is queryable.  The whole store round-trips through a
+declare what each stream should support (point queries always; heavy
+hitters, quantiles and join sizes optionally), feed updates by stream
+name, and query any past window.  A stream holds one Count-Min for its
+point queries: its own point sketch, or, when it keeps the dyadic
+heavy-hitter hierarchy, that hierarchy's level 0 (Section 3.2).
+Join-enabled streams automatically share hash functions store-wide (the
+Section 4.1 prerequisite), so the join size of any two of them is
+queryable.  The whole store round-trips through a
 directory of columnar generations via :mod:`repro.io.generations`.
 """
 
@@ -23,7 +26,7 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.io import load as load_archive
 from repro.io.atomic import replace_directory
-from repro.io.generations import Columns, Saved, read_manifest
+from repro.io.generations import Columns, Saved, held, read_manifest
 from repro.io.generations import read as load_sketch
 from repro.io.generations import write as save_sketch
 
@@ -70,6 +73,10 @@ class StreamSpec:
 
 
 class _StreamState:
+    """A stream's sketches.  ``point_sketch`` is ``None`` when the
+    stream keeps the heavy-hitter hierarchy, whose level 0 answers its
+    point queries instead."""
+
     __slots__ = ("spec", "point_sketch", "hh_sketch", "join_sketch")
 
     def __init__(self, spec, point_sketch, hh_sketch, join_sketch):
@@ -77,6 +84,17 @@ class _StreamState:
         self.point_sketch = point_sketch
         self.hh_sketch = hh_sketch
         self.join_sketch = join_sketch
+
+    @property
+    def points(self):
+        """The sketch answering point queries (and keeping the clock)."""
+        return self.point_sketch if self.point_sketch is not None else self.hh_sketch
+
+    def sketches(self):
+        """The stream's sketches, in slot order."""
+        for sketch in (self.point_sketch, self.hh_sketch, self.join_sketch):
+            if sketch is not None:
+                yield sketch
 
 
 class SketchStore:
@@ -112,11 +130,7 @@ class SketchStore:
 
     def _sketches(self):
         for state in self._streams.values():
-            yield state.point_sketch
-            if state.hh_sketch is not None:
-                yield state.hh_sketch
-            if state.join_sketch is not None:
-                yield state.join_sketch
+            yield from state.sketches()
 
     def configure_buffer(
         self, window: int | None, mode: str = "exact"
@@ -143,14 +157,26 @@ class SketchStore:
     # ------------------------------------------------------------------ #
 
     def create(self, spec: StreamSpec) -> None:
-        """Register a stream and build its sketches."""
+        """Register a stream and build its sketches
+        (:func:`~repro.io.generations.held`).
+
+        A stream with the heavy-hitter hierarchy gets no point sketch:
+        the hierarchy's level 0 is a Count-Min of the same width, depth
+        and Δ over the same items (exact when the universe fits the
+        width), so it answers point queries.
+        """
         if spec.name in self._streams:
             raise ValueError(f"stream {spec.name!r} already exists")
-        point_sketch = PersistentCountMin(
-            width=self.width,
-            depth=self.depth,
-            delta=spec.delta,
-            seed=self.seed,
+        keep = held(vars(spec))
+        point_sketch = (
+            PersistentCountMin(
+                width=self.width,
+                depth=self.depth,
+                delta=spec.delta,
+                seed=self.seed,
+            )
+            if keep["point"]
+            else None
         )
         hh_sketch = (
             PersistentHeavyHitters(
@@ -160,7 +186,7 @@ class SketchStore:
                 delta=spec.delta,
                 seed=self.seed + 1,
             )
-            if spec.heavy_hitters or spec.quantiles
+            if keep["hh"]
             else None
         )
         join_sketch = (
@@ -174,18 +200,16 @@ class SketchStore:
                 # and the sampling stream must not depend on PYTHONHASHSEED.
                 sampling_seed=zlib.crc32(spec.name.encode()) & 0x7FFFFFFF,
             )
-            if spec.joinable
+            if keep["join"]
             else None
         )
-        self._streams[spec.name] = _StreamState(
-            spec, point_sketch, hh_sketch, join_sketch
-        )
+        state = _StreamState(spec, point_sketch, hh_sketch, join_sketch)
+        self._streams[spec.name] = state
         if self._buffer_window is not None:
-            for sketch in (point_sketch, hh_sketch, join_sketch):
-                if sketch is not None:
-                    sketch.configure_buffer(
-                        window=self._buffer_window, mode=self._buffer_mode
-                    )
+            for sketch in state.sketches():
+                sketch.configure_buffer(
+                    window=self._buffer_window, mode=self._buffer_mode
+                )
 
     def streams(self) -> list[str]:
         """Names of all registered streams."""
@@ -196,6 +220,10 @@ class SketchStore:
         if state is None:
             raise KeyError(f"unknown stream {name!r}")
         return state
+
+    def clock(self, name: str) -> int:
+        """Stream ``name``'s clock: the time of its latest update."""
+        return self._state(name).points.now
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -210,12 +238,8 @@ class SketchStore:
         mixing omitted and explicit times is rejected by the sketches'
         monotonicity checks.
         """
-        state = self._state(name)
-        state.point_sketch.update(item, count, time)
-        if state.hh_sketch is not None:
-            state.hh_sketch.update(item, count, time)
-        if state.join_sketch is not None:
-            state.join_sketch.update(item, count, time)
+        for sketch in self._state(name).sketches():
+            sketch.update(item, count, time)
 
     def update_batch(self, name: str, times, items, counts) -> None:
         """Feed a strictly-increasing run of updates columnwise into
@@ -227,12 +251,8 @@ class SketchStore:
         :meth:`~repro.core.base.PersistentSketch.ingest_batch` before
         any sketch state is touched.
         """
-        state = self._state(name)
-        state.point_sketch.ingest_batch(times, items, counts)
-        if state.hh_sketch is not None:
-            state.hh_sketch.ingest_batch(times, items, counts)
-        if state.join_sketch is not None:
-            state.join_sketch.ingest_batch(times, items, counts)
+        for sketch in self._state(name).sketches():
+            sketch.ingest_batch(times, items, counts)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -241,8 +261,10 @@ class SketchStore:
     def point(
         self, name: str, item: int, s: float = 0, t: float | None = None
     ) -> float:
-        """Window frequency estimate for ``item`` in stream ``name``."""
-        return self._state(name).point_sketch.point(item, s, t)
+        """Window frequency estimate for ``item`` in stream ``name``
+        (from the heavy-hitter hierarchy's level 0 when the stream keeps
+        one)."""
+        return self._state(name).points.point(item, s, t)
 
     def heavy_hitters(
         self, name: str, phi: float, s: float = 0, t: float | None = None
@@ -326,14 +348,7 @@ class SketchStore:
 
     def persistence_words(self) -> int:
         """Total persistence space across all streams and sketches."""
-        total = 0
-        for state in self._streams.values():
-            total += state.point_sketch.persistence_words()
-            if state.hh_sketch is not None:
-                total += state.hh_sketch.persistence_words()
-            if state.join_sketch is not None:
-                total += state.join_sketch.persistence_words()
-        return total
+        return sum(sketch.persistence_words() for sketch in self._sketches())
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -463,22 +478,20 @@ class SketchStore:
 
 
 def _read_v1(directory: Path, manifest: dict) -> list[tuple[dict, dict]]:
-    """Sketches of a version 1 store: one JSON-gz archive per sketch."""
+    """Sketches of a version 1 store: one JSON-gz archive per sketch.
+    The point archive of a stream with the heavy-hitter hierarchy is
+    not read (:func:`repro.io.generations.held`)."""
     streams = []
     for entry in manifest["streams"]:
         name = entry["name"]
-        hh = entry["heavy_hitters"] or entry.get("quantiles", False)
         streams.append(
             (
                 entry,
                 {
-                    "point": load_archive(directory / f"{name}.point.json.gz"),
-                    "hh": load_archive(directory / f"{name}.hh.json.gz")
-                    if hh
-                    else None,
-                    "join": load_archive(directory / f"{name}.join.json.gz")
-                    if entry["joinable"]
-                    else None,
+                    sketch: load_archive(directory / f"{name}.{sketch}.json.gz")
+                    if present
+                    else None
+                    for sketch, present in held(entry).items()
                 },
             )
         )

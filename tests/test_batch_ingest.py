@@ -837,9 +837,7 @@ def test_second_save_adds_no_rows(tmp_path):
         times = np.arange(1, 301, dtype=np.int64)
         store.update_batch("urls", times, times % 5, np.ones(300, np.int64))
         state = store._state("urls")
-        logs = [state.point_sketch._log] + [
-            level._log for level in state.hh_sketch._sketches
-        ]
+        logs = [level._log for level in state.hh_sketch._sketches]
         assert all(log.open for log in logs)
         store.save(tmp_path / "one")
         rows = [len(log) for log in logs]

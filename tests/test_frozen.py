@@ -529,14 +529,14 @@ class TestFreezeReadsWithoutMutating:
         store = self._grown_store()
         view = freeze_store(store)
         for name in store.streams():
-            now = store._state(name).point_sketch.now
+            now = store.clock(name)
             for t in (now - 7, now - 2.5, now - 1, now):
                 for s in (0, t - 40, t - 3):
                     for item in range(0, 64, 3):
                         assert view.point(name, item, s, t) == store.point(
                             name, item, s, t
                         )
-        now = store._state("urls").point_sketch.now
+        now = store.clock("urls")
         for s, t in ((0, now - 1), (now - 50, now - 0.5), (0, now)):
             assert view.window_mass("urls", s, t) == store.window_mass("urls", s, t)
             assert view.heavy_hitters("urls", 0.05, s, t) == store.heavy_hitters(

@@ -257,10 +257,14 @@ def _stream_without_delta(manifest):
 
 
 def _tail_without_counters(manifest):
-    stream = dict(manifest["streams"][0])
+    streams = list(manifest["streams"])
+    # The first stream with a point sketch (``urls`` keeps the hierarchy).
+    index = next(i for i, stream in enumerate(streams) if stream["tails"]["point"])
+    stream = dict(streams[index])
     point = {k: v for k, v in stream["tails"]["point"].items() if k != "counters"}
     stream["tails"] = {**stream["tails"], "point": point}
-    return {**manifest, "streams": [stream] + manifest["streams"][1:]}
+    streams[index] = stream
+    return {**manifest, "streams": streams}
 
 
 @pytest.mark.parametrize(

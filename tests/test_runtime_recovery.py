@@ -51,13 +51,15 @@ def make_store():
 
 
 def make_pwc_store():
-    """Same shape, but the point sketches use PWC (baseline) trackers."""
+    """Same shape, but the point sketches use PWC (baseline) trackers
+    (``ads``'s: ``urls`` answers points from its hierarchy)."""
     store = make_store()
     for name in store.streams():
         state = store._streams[name]
-        state.point_sketch = PWCCountMin(
-            width=64, depth=3, delta=4, seed=11
-        )
+        if state.point_sketch is not None:
+            state.point_sketch = PWCCountMin(
+                width=64, depth=3, delta=4, seed=11
+            )
     return store
 
 

@@ -137,6 +137,19 @@ class TestRoundTrips:
         hh_live = client.heavy_hitters("urls", 0.05, 0, fc, mode="live")
         assert hh_frozen == hh_live
 
+    def test_points_cross_the_wire_from_level_zero(self, server, client):
+        """``urls`` keeps the hierarchy and no point sketch: both routes
+        answer its points from level 0."""
+        client.ingest_batch(make_records(80))
+        client.cutover()
+        level0 = server.serving.runtime.store._state("urls").hh_sketch._sketches[0]
+        fc = server.serving.view().clock("urls")
+        items = list(range(0, UNIVERSE, 3))
+        want = [level0.point(item, 0, fc) for item in items]
+        for mode in ("frozen", "live"):
+            assert [client.point("urls", i, 0, fc, mode=mode) for i in items] == want
+            assert client.point_many("urls", items, windows=[0, fc], mode=mode) == want
+
     def test_health_describe_fsck(self, client):
         client.ingest_batch(make_records(55))
         client.cutover()  # don't rely on the ticker having fired yet

@@ -259,3 +259,50 @@ def test_sampling_seed_is_independent_of_hash_seed():
         )
         answers.append(out.stdout.strip())
     assert answers[0] == answers[1]
+
+
+class TestOneCountMinPerHierarchyStream:
+    """A stream with the dyadic hierarchy holds no point sketch: level 0
+    answers its point queries on the live store and the frozen view."""
+
+    @pytest.mark.parametrize(
+        "flags", [{"heavy_hitters": True}, {"quantiles": True}],
+        ids=["heavy_hitters", "quantiles"],
+    )
+    def test_create_builds_no_point_sketch(self, store, flags):
+        store.create(StreamSpec(name="h", delta=4, universe=64, **flags))
+        store.create(StreamSpec(name="p", delta=4))
+        assert store._state("h").point_sketch is None
+        assert store._state("p").point_sketch is not None
+
+    def test_every_route_answers_from_level_zero(self):
+        from repro.engine.frozen import freeze_store
+
+        store, _, _ = filled_store()
+        level0 = store._state("urls").hh_sketch._sketches[0]
+        view = freeze_store(store)
+        t = store.clock("urls")
+        items = list(range(0, 256, 5))
+        for s in (0, t // 3):
+            want = [level0.point(item, s, t) for item in items]
+            assert [store.point("urls", item, s, t) for item in items] == want
+            assert [view.point("urls", item, s, t) for item in items] == want
+            assert view.point_many("urls", items, [(s, t)] * len(items)).tolist() == want
+        assert view.clock("urls") == t == level0.now
+
+    @pytest.mark.parametrize("width", [64, 16], ids=["exact", "hashed"])
+    def test_an_item_outside_the_universe_is_refused_on_every_route(self, width):
+        from repro.engine.frozen import freeze_store
+
+        store = SketchStore(width=width, depth=3, join_width=8, seed=1)
+        store.create(StreamSpec("u", delta=2, universe=64, heavy_hitters=True))
+        store.update("u", 3, time=1)
+        view = freeze_store(store)
+        for query in (
+            lambda: store.point("u", 64),
+            lambda: view.point("u", 64),
+            lambda: view.point_many("u", [3, 64], [(0, 1)] * 2),
+        ):
+            with pytest.raises(ValueError, match="outside universe"):
+                query()
+        assert store.point("u", 3) == view.point("u", 3) == 1.0

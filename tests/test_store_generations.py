@@ -72,7 +72,7 @@ def feed_fixture_store():
 def grow(store, rng, n=60):
     """Append ``n`` updates to every stream of ``store``."""
     for name in store.streams():
-        start = store._state(name).point_sketch.now
+        start = store.clock(name)
         store.update_batch(
             name,
             np.arange(start + 1, start + n + 1, dtype=np.int64),
@@ -84,7 +84,7 @@ def grow(store, rng, n=60):
 def answers(store):
     out = []
     for name in store.streams():
-        t = store._state(name).point_sketch.now
+        t = store.clock(name)
         for s in (0, t // 3):
             out += [store.point(name, item, s, t) for item in range(0, 64, 3)]
     out.append(store.heavy_hitters("urls", 0.05, 0, t))
@@ -132,6 +132,89 @@ def test_v2_fixture_opens_like_a_freshly_fed_twin(tmp_path):
     assert_tables_equal(column_view(FIXTURE_V2), freeze_store(twin))
 
 
+# --------------------------------------------------------------------- #
+# Checkpoints from before hierarchy streams dropped their point sketch
+# --------------------------------------------------------------------- #
+
+
+def test_the_fixtures_hold_a_point_sketch_for_the_hierarchy_stream():
+    """What the upgrade tests below read past: ``urls`` keeps the
+    hierarchy, yet both fixtures carry its point sketch."""
+    assert (FIXTURE_V1 / "urls.point.json.gz").exists()
+    manifest = read_manifest(FIXTURE_V2)
+    assert manifest["streams"][0]["name"] == "urls"
+    assert manifest["streams"][0]["tails"]["point"] is not None
+    with np.load(FIXTURE_V2 / manifest["generations"][0]["file"]) as gen:
+        runs = gen["pla_run_key"]
+        assert ((runs[:, 0] == 0) & (runs[:, 1] == 0)).any()
+
+
+@pytest.mark.parametrize("fixture", [FIXTURE_V1, FIXTURE_V2], ids=["v1", "v2"])
+def test_an_old_checkpoint_saves_a_null_point_tail(tmp_path, fixture):
+    opened = SketchStore.open(fixture)
+    assert opened._state("urls").point_sketch is None
+    assert opened._state("clicks").point_sketch is not None
+    directory = opened.save(tmp_path / "saved", seq=300)
+    tails = {
+        entry["name"]: entry["tails"]
+        for entry in read_manifest(directory)["streams"]
+    }
+    assert tails["urls"]["point"] is None
+    assert tails["clicks"]["point"]["type"] == "PersistentCountMin"
+    reopened = SketchStore.open(directory)
+    assert fingerprint(reopened) == fingerprint(opened)
+    assert answers(reopened) == answers(opened)
+
+
+def test_v2_fixture_column_view_equals_a_freeze_of_its_open():
+    assert_tables_equal(
+        column_view(FIXTURE_V2), freeze_store(SketchStore.open(FIXTURE_V2))
+    )
+
+
+def tail_records(store, n=90, seed=31):
+    """``n`` records for both fixture streams, past their clocks."""
+    rng = random.Random(seed)
+    clocks = {name: store.clock(name) for name in store.streams()}
+    records = []
+    for i in range(n):
+        name = ("urls", "clicks")[i % 2]
+        clocks[name] += 1 + rng.randrange(2)
+        records.append(
+            {
+                "stream": name,
+                "item": rng.randrange(64),
+                "count": rng.choice([1, 1, 2]),
+                "time": clocks[name],
+            }
+        )
+    return records
+
+
+def test_recovery_from_an_old_checkpoint_and_a_wal_tail_equals_its_twin(tmp_path):
+    directory = tmp_path / "rt"
+    shutil.copytree(FIXTURE_V2, directory / "checkpoints" / "ckpt-000000000200")
+    first = IngestRuntime.recover(directory, checkpoint_every=10_000)
+    assert first.applied_seq == 200
+    records = tail_records(first.store)
+    assert first.ingest_batch(records) == len(records)
+    first.close()
+    recovered = IngestRuntime.recover(directory, checkpoint_every=10_000)
+    assert recovered.applied_seq == 200 + len(records)
+    # Still the old layout: the tail was replayed onto the fixture.
+    assert [p.name for p in (directory / "checkpoints").glob("ckpt-*")] == [
+        "ckpt-000000000200"
+    ]
+    twin = IngestRuntime.create(
+        tmp_path / "twin", saved_v2_twin(tmp_path), checkpoint_every=10_000
+    )
+    assert twin.ingest_batch(records) == len(records)
+    assert fingerprint(recovered.store) == fingerprint(twin.store)
+    assert answers(recovered.store) == answers(twin.store)
+    recovered.close()
+    twin.close()
+
+
 def test_a_checkpoint_written_now_has_the_v2_fixture_layout(tmp_path):
     """Same npz array names and dtypes, generation by generation, and
     the same per-kind field and column sets."""
@@ -176,7 +259,7 @@ def test_a_save_finalizes_only_the_open_runs(tmp_path, monkeypatch):
     store.save(tmp_path / "b", seq=2)
     assert finalized == []
     state = store._state("clicks")
-    t = state.point_sketch.now
+    t = store.clock("clicks")
     store.update_batch(
         "clicks",
         np.array([t + 1, t + 2], dtype=np.int64),
@@ -440,8 +523,10 @@ def test_shared_generation_damage_is_ledgered_and_degrades(tmp_path, held):
     twin = IngestRuntime.create(tmp_path / "twin", make_store(), checkpoint_every=EVERY)
     twin.ingest_batch(records)
     got, want = recovered.store._state("urls"), twin.store._state("urls")
-    assert got.point_sketch._counters == want.point_sketch._counters
-    assert got.point_sketch.now == want.point_sketch.now
+    assert [level._counters for level in got.hh_sketch._sketches] == [
+        level._counters for level in want.hh_sketch._sketches
+    ]
+    assert recovered.store.clock("urls") == twin.store.clock("urls")
     # The history of the lost range is gone, the WAL-held part included.
     for t in {EVERY, max(held, 1)}:
         assert any(
@@ -490,8 +575,9 @@ def frozen_tables(view):
     """Every table of a frozen store view, keyed by where it sits."""
     tables = {}
     for name in view.streams():
-        tables[name, "point"] = view._point[name]._table
         hh = view._hh.get(name)
+        if view._point[name] is not hh:  # else level 0 answers points
+            tables[name, "point"] = view._point[name]._table
         if hh is not None:
             tables[name, "mass"] = hh._mass
             for level, sketch in enumerate(hh._sketches):
@@ -566,7 +652,7 @@ def save_chain(tmp_path, store, saves, rng, live_views=None):
         if live_views is not None:
             live_views.append(freeze_store(store))
         for name in store.streams():
-            seams[name].append(store._state(name).point_sketch.now)
+            seams[name].append(store.clock(name))
     return directories, seams
 
 

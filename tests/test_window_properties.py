@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.persistent_countmin import PersistentCountMin, PWCCountMin
+from repro.engine.frozen import freeze_store
+from repro.store import SketchStore, StreamSpec
 from repro.store.sharded import ShardedPersistentSketch
 
 streams = st.lists(
@@ -47,6 +49,68 @@ def test_theorem_31_bound_on_arbitrary_streams(items, window, delta):
         truth = window_frequency(items, item, s, t)
         estimate = sketch.point(item, s, t)
         assert abs(estimate - truth) <= 2 * delta + 2
+
+
+def window_weight(items, counts, item, s, t):
+    return sum(
+        count for tick, (value, count) in enumerate(zip(items, counts), start=1)
+        if value == item and s < tick <= t
+    )
+
+
+def heavy_hitter_store(items, counts, delta, width):
+    """A store whose one stream keeps the dyadic hierarchy over the
+    16-item universe; its point queries are answered by level 0."""
+    store = SketchStore(width=width, depth=3, join_width=8, seed=5)
+    store.create(StreamSpec("s", delta=delta, universe=16, heavy_hitters=True))
+    for tick, (item, count) in enumerate(zip(items, counts), start=1):
+        store.update("s", item, count, time=tick)
+    return store
+
+
+weighted = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 3)), min_size=1, max_size=150
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(updates=weighted, window=windows, delta=st.integers(1, 10))
+def test_theorem_31_bound_through_an_exact_level_zero(updates, window, delta):
+    """Universe within the width: level 0 counts every item exactly, so
+    the store's point answers carry only the PLA error, on every window,
+    live and frozen alike."""
+    items, counts = (list(column) for column in zip(*updates))
+    s, t = sorted(window)
+    t = min(t, len(items))
+    s = min(s, t)
+    store = heavy_hitter_store(items, counts, delta, width=16)
+    view = freeze_store(store)
+    for item in range(16):
+        truth = window_weight(items, counts, item, s, t)
+        estimate = store.point("s", item, s, t)
+        assert abs(estimate - truth) <= 2 * delta + 2
+        assert view.point("s", item, s, t) == estimate
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(updates=weighted, window=windows, delta=st.integers(1, 10))
+def test_theorem_31_lower_side_through_a_hashed_level_zero(updates, window, delta):
+    """Universe wider than the sketch: collisions only add mass when
+    counts are non-negative, so every answer stays at or above truth
+    less the PLA error, live and frozen alike."""
+    items, counts = (list(column) for column in zip(*updates))
+    s, t = sorted(window)
+    t = min(t, len(items))
+    s = min(s, t)
+    store = heavy_hitter_store(items, counts, delta, width=4)
+    view = freeze_store(store)
+    for item in range(16):
+        truth = window_weight(items, counts, item, s, t)
+        estimate = store.point("s", item, s, t)
+        assert estimate >= truth - 2 * delta - 2
+        assert view.point("s", item, s, t) == estimate
 
 
 @settings(max_examples=40, deadline=None,
