@@ -22,14 +22,18 @@ checkpoint cadence, and measures:
   and spread), also per replayed record as ``replayed_per_recover_s`` —
   the denominator is the whole recovery, not the replay — and
 * ``replay_s``: :func:`repro.engine.replay.replay_records` alone, over
-  the same tail, into a freshly opened copy of the covering checkpoint.
+  the same tail, into a freshly opened copy of the covering checkpoint;
+* ``open_s``: :meth:`SketchStore.open` of that covering checkpoint
+  alone (median of ``REPEATS`` opens, with best-of and quartiles), so
+  the scrub, the open and the replay are each measured beside the whole
+  recovery.
 
 Correctness gates ride along — the scrubbed directory must report
 clean, and recovery must land exactly on the ingested sequence — so a
 fast-but-wrong scan can never score.
 
 Results are written to ``BENCH_recovery.json`` at the repo root (schema
-``bench_recovery/v3``).  Scale record counts with ``REPRO_BENCH_SCALE``.
+``bench_recovery/v4``).  Scale record counts with ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
@@ -140,11 +144,13 @@ def _bench_size(tmp_root: Path, base: int) -> dict:
         shutil.rmtree(target)
     recover_s = statistics.median(recover_runs)
 
-    replay_runs = []
+    open_runs, replay_runs = [], []
     for _attempt in range(REPEATS):
+        start = time.perf_counter()
         fresh = SketchStore.open(
             directory / "checkpoints" / f"ckpt-{covered:012d}"
         )
+        open_runs.append(time.perf_counter() - start)
         start = time.perf_counter()
         assert replay_records(fresh, iter(tail)) == replayed
         replay_runs.append(time.perf_counter() - start)
@@ -191,7 +197,19 @@ def _bench_size(tmp_root: Path, base: int) -> dict:
             "replayed_per_recover_s": replayed / recover_s,
             "replay_s": statistics.median(replay_runs),
         },
+        "open": {
+            "checkpoint": f"ckpt-{covered:012d}",
+            "open_s": statistics.median(open_runs),
+            "open_best_s": min(open_runs),
+            "open_quartiles_s": _quartiles(open_runs),
+        },
     }
+
+
+def _quartiles(runs: list[float]) -> list[float]:
+    """First and third quartiles of ``runs``."""
+    q1, _median, q3 = statistics.quantiles(runs, n=4)
+    return [q1, q3]
 
 
 def run_benchmark() -> dict:
@@ -201,7 +219,7 @@ def run_benchmark() -> dict:
         }
     small, large = (sizes[str(base)]["checkpoint"] for base in SIZES)
     payload = {
-        "schema": "bench_recovery/v3",
+        "schema": "bench_recovery/v4",
         "scale": harness.bench_scale(),
         **cpu_header(),
         "sizes": sizes,
@@ -227,7 +245,8 @@ def run_benchmark() -> dict:
             f"{stats['fsck']['records_per_s']:.0f} rec/s "
             f"({stats['fsck']['mb_per_s']:.1f} MB/s), recover "
             f"{stats['recover']['recover_s']:.2f} s "
-            f"(replay alone {stats['recover']['replay_s']:.3f} s)"
+            f"(open alone {stats['open']['open_s']:.3f} s, "
+            f"replay alone {stats['recover']['replay_s']:.3f} s)"
         )
     return payload
 

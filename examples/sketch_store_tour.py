@@ -25,6 +25,7 @@ from repro.core.quantiles import PersistentQuantiles
 from repro.core.sliding import SlidingWindowView
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.streams.logs import attribute_stream, synthesize_worldcup_log
+from repro.streams.model import Stream
 
 
 def main() -> None:
@@ -43,9 +44,9 @@ def main() -> None:
         joinable=True,
     ))
     store.create(StreamSpec(name="clients", delta=25, joinable=True))
-    for t in range(m):
-        store.update("urls", int(urls.items[t]), time=t + 1)
-        store.update("clients", int(clients.items[t]), time=t + 1)
+    # One batch per stream: bit-identical to m scalar store.update calls.
+    for name, stream in (("urls", urls), ("clients", clients)):
+        store.update_batch(name, stream.times, stream.items, stream.counts)
     print(f"store persistence: {store.persistence_words()} words "
           f"(raw log: {20 * m // 8} words)")
 
@@ -77,9 +78,7 @@ def main() -> None:
     sizes = attribute_stream(records, "size")
     quantiles = PersistentQuantiles(universe=2**16, width=2048, depth=4,
                                     delta=40)
-    for t_tick in range(m):
-        quantiles.update(min(int(sizes.items[t_tick]), 2**16 - 1),
-                         time=t_tick + 1)
+    quantiles.ingest(Stream(items=sizes.items.clip(max=2**16 - 1)))
     print("\nresponse-size quantiles, first vs second half of the day:")
     for label, (a, b) in [("first", (0, m // 2)), ("second", (m // 2, m))]:
         p50 = quantiles.quantile(0.5, a, b)

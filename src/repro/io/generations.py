@@ -791,31 +791,41 @@ def _shells(manifest: dict) -> tuple[list, dict]:
 
 
 def _apply(arrays: dict[str, np.ndarray], slots: dict) -> None:
-    """Append one generation's skeletons and rows, in file order: each
-    log's rows in one bulk load, each component's positions as a range.
-    Rows of a log whose slot is ``None`` are read past."""
+    """Append one generation's components and rows, in file order, one
+    log at a time: each log's new components built from their packed
+    parameters and initial values, its rows in one bulk load and each
+    component's positions as a range.  Components and rows of a log
+    whose slot is ``None`` are read past."""
     for kind in KINDS:
-        codec = serialize.CODECS[kind.name]
+        keys = arrays[f"{kind.name}_new_key"].astype(np.int64)
         params, initials = kind.unpack(
             {name: arrays[f"{kind.name}_new_{name}"] for name in kind.fields}
         )
-        for key, param, initial in zip(
-            arrays[f"{kind.name}_new_key"].tolist(), params.tolist(), initials.tolist()
-        ):
-            stream, sketch, level, row, col, sign, copy = key
-            target = slots[(stream, sketch, level)]
-            if target is not None:
-                target.build(row, col, sign, copy, codec.skeleton_of(param, initial))
+        for lo, hi in _stretches(keys):
+            slot = slots[tuple(keys[lo, :3].tolist())]
+            if slot is not None:
+                row, col, sign, copy = keys[lo:hi, 3:].T
+                slot.create(
+                    slot.table(row, sign, copy).tolist(), col.tolist(),
+                    params[lo:hi].tolist(), initials[lo:hi].tolist(),
+                )
         runs = arrays[f"{kind.name}_run_key"].astype(np.int64)
         columns = [arrays[f"{kind.name}_{name}"] for name in kind.columns]
         firsts = np.concatenate(([0], np.cumsum(runs[:, 7])))
-        # Each stretch of consecutive runs of one log loads in one piece.
-        cuts = np.flatnonzero(np.any(np.diff(runs[:, :3], axis=0) != 0, axis=1)) + 1
-        bounds = [0, *cuts.tolist(), len(runs)] if len(runs) else []
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in _stretches(runs):
             slot = slots[tuple(runs[lo, :3].tolist())]
             if slot is not None:
                 _load_runs(slot, runs[lo:hi], firsts[lo:hi], columns)
+
+
+def _stretches(keys: np.ndarray) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each stretch of consecutive generation ``keys``
+    of one log, one ``(stream, sketch, level)``."""
+    if not len(keys):
+        return []
+    cuts = np.flatnonzero(np.any(np.diff(keys[:, :3], axis=0) != 0, axis=1)) + 1
+    bounds = [0, *cuts.tolist(), len(keys)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _load_runs(
@@ -826,23 +836,22 @@ def _load_runs(
     lengths = runs[:, 7]
     offsets = np.cumsum(lengths) - lengths
     rows = np.repeat(firsts - offsets, lengths) + np.arange(int(lengths.sum()))
-    tables = (runs[:, 3] * slot.signs + runs[:, 5]) * slot.copies + runs[:, 6]
+    tables = slot.table(runs[:, 3], runs[:, 5], runs[:, 6])
     keys = tables * slot.width + runs[:, 4]
     base = slot.log.load(
         np.repeat(keys, lengths), [column[rows] for column in columns]
     )
-    codec = slot.codec
+    pwc = slot.codec is serialize.PWC
     values = slot.log.columns[1]
     times = columns[0][rows].tolist()
-    for (row, col, sign, copy), table, offset, length in zip(
-        runs[:, 3:7].tolist(), tables.tolist(), offsets.tolist(), lengths.tolist()
+    for table, col, offset, length in zip(
+        tables.tolist(), runs[:, 4].tolist(), offsets.tolist(), lengths.tolist()
     ):
         component = slot.tables[table].get(col)
         if component is None:  # its skeleton was in a generation left out
-            component = slot.build(
-                row, col, sign, copy, codec.skeleton_of(slot.param, 0)
-            )
+            slot.create([table], [col], [slot.param], [0])
+            component = slot.tables[table][col]
         component._pos.extend(range(base + offset, base + offset + length))
         component._times += times[offset : offset + length]
-        if codec is serialize.PWC:
+        if pwc:
             component._last_recorded = values[base + offset + length - 1]

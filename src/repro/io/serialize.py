@@ -76,7 +76,8 @@ class SerializationError(ValueError):
 # fixed once the component exists) and its rows.  The v1 document puts
 # the rows inline next to the skeleton (``inline``/``outline``); the
 # store's generations (:mod:`repro.io.generations`) slice them straight
-# from the log and pack the skeletons as columns (``LogKind.pack``).
+# from the log and pack the skeletons as columns (``LogKind.pack``),
+# from which a load builds each component with ``new``.
 
 
 class _PLAKind:
@@ -115,9 +116,10 @@ class _PLAKind:
         return skeleton, tuple(function[name] for name in _PLAKind.kind.columns)
 
     @staticmethod
-    def skeleton_of(param: float, initial: float) -> dict:
-        return {"delta": param, "function": {"initial_value": initial}}
-
+    def new(
+        param: float, initial: float, log: ColumnLog, key: int, rng: Any
+    ) -> OnlinePLA:
+        return OnlinePLA(param, initial, log, key)
 
 
 class _HistoryKind:
@@ -153,9 +155,10 @@ class _HistoryKind:
         return skeleton, (document["times"], document["values"])
 
     @staticmethod
-    def skeleton_of(param: float, initial: float) -> dict:
-        return {"probability": param, "initial_value": int(initial)}
-
+    def new(
+        param: float, initial: float, log: ColumnLog, key: int, rng: Any
+    ) -> SampledHistoryList:
+        return SampledHistoryList(param, rng, int(initial), log, key)
 
 
 class _PWCKind:
@@ -203,9 +206,10 @@ class _PWCKind:
         return skeleton, (document["times"], document["values"])
 
     @staticmethod
-    def skeleton_of(param: float, initial: float) -> dict:
-        return {"delta": param, "initial_value": initial}
-
+    def new(
+        param: float, initial: float, log: ColumnLog, key: int, rng: Any
+    ) -> OnlinePWC:
+        return OnlinePWC(param, initial, log, key)
 
 
 PLA = _PLAKind()
@@ -252,23 +256,35 @@ class Slot:
     def codec(self) -> Any:
         return CODECS[self.log.kind.name]
 
-    def build(
-        self, row: int, col: int, sign: int, copy: int, skeleton: dict
-    ) -> Any:
-        """Create component ``(row, col, sign, copy)`` from its skeleton."""
-        table = (row * self.signs + sign) * self.copies + copy
-        component = self.codec.make(
-            skeleton, self.log, table * self.width + col, self.rng
-        )
-        self.tables[table][col] = component
-        return component
+    def table(self, row: Any, sign: Any, copy: Any) -> Any:
+        """Index into :attr:`tables` of ``(row, sign, copy)``: integers
+        or numpy columns of them."""
+        return (row * self.signs + sign) * self.copies + copy
+
+    def create(
+        self,
+        tables: list[int],
+        cols: list[int],
+        params: list[float],
+        initials: list[float],
+    ) -> None:
+        """Create components from their parameters and initial values,
+        in order: the ``i``-th is column ``cols[i]`` of table
+        ``tables[i]``."""
+        new, log, rng, width = self.codec.new, self.log, self.rng, self.width
+        for table, col, param, initial in zip(tables, cols, params, initials):
+            self.tables[table][col] = new(
+                param, initial, log, table * width + col, rng
+            )
 
     def restore(
         self, row: int, col: int, document: dict, sign: int = 0, copy: int = 0
     ) -> None:
         """Rebuild a component from its v1 document."""
-        skeleton, columns = self.codec.outline(document)
-        self.log.extend(self.build(row, col, sign, copy, skeleton), columns)
+        table = self.table(row, sign, copy)
+        self.tables[table][col] = _restore(
+            self.codec, document, self.log, table * self.width + col, self.rng
+        )
 
 
 def _restore(codec: Any, document: dict, log: ColumnLog, key: int, rng: Any) -> Any:

@@ -390,17 +390,19 @@ def _scan_pointer(directory: Path, report: FsckReport) -> None:
     report.pointer = PointerVerdict(PTR_CLEAN, "", str(name))
 
 
-def _scan_segment(
-    path: Path, report: FsckReport
-) -> tuple[list[tuple[int, bool]], int]:
-    """Read one segment; returns ``(line_infos, byte_size)``.
+def _scan_segment(path: Path, report: FsckReport) -> list[tuple[int, bool]]:
+    """Read one segment: ``(seq_or_-1, terminated)`` per
+    non-trailing-blank line, ``seq`` ``-1`` when the frame is damaged.
 
-    ``line_infos`` holds ``(seq_or_-1, terminated)`` per non-trailing-blank
-    line: ``seq`` is ``-1`` when the frame is damaged.
+    ``scanned_bytes`` counts the bytes read from disk: an invalid UTF-8
+    byte decodes to U+FFFD, which re-encodes to three.
     """
-    raw = path.read_text(encoding="utf-8", errors="replace")
-    report.scanned_bytes += len(raw.encode("utf-8"))
-    lines = raw.splitlines(keepends=True)
+    data = path.read_bytes()
+    report.scanned_bytes += len(data)
+    # The text replay reads (``read_text``: newlines translated).
+    text = data.decode("utf-8", errors="replace")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.splitlines(keepends=True)
     while lines and not lines[-1].strip():
         lines.pop()
     infos: list[tuple[int, bool]] = []
@@ -412,7 +414,7 @@ def _scan_segment(
         else:
             infos.append((int(record["seq"]), True))
             report.scanned_records += 1
-    return infos, len(raw.encode("utf-8"))
+    return infos
 
 
 def _scan_wal(directory: Path, report: FsckReport) -> None:
@@ -437,7 +439,7 @@ def _scan_wal(directory: Path, report: FsckReport) -> None:
     expected = best + 1  # replay needs contiguity from here on
     for position, (start, path) in enumerate(segments):
         is_last_segment = position == len(segments) - 1
-        infos, _size = _scan_segment(path, report)
+        infos = _scan_segment(path, report)
         seqs = [seq for seq, _terminated in infos if seq >= 0]
         damaged = sum(1 for seq, _terminated in infos if seq < 0)
         last_seq = max(seqs) if seqs else 0

@@ -45,15 +45,32 @@ def _encode_line(record: dict[str, Any]) -> str:
     return f"{zlib.crc32(body.encode()):08x} {body}\n"
 
 
+_scan = json.JSONDecoder().raw_decode
+
+
 def _decode_line(line: str) -> dict[str, Any] | None:
-    """Parse one framed line; ``None`` when damaged (torn/corrupt)."""
+    """Parse one framed line; ``None`` when damaged (torn/corrupt).
+
+    The one line decoder: replay, fsck's scan, its loss ledger and its
+    torn-tail repair all call it.  A body is parsed by the C scanner
+    straight from its first character; only a parse that fails or
+    stops short of the end (leading or trailing whitespace, extra data)
+    goes through ``json.loads``, so every body decodes as ``json.loads``
+    decodes it.  A segment is never parsed as one document: bodies can
+    merge across lines into valid JSON when no line is valid alone.
+    """
     if len(line) < 10 or line[8] != " ":
         return None
     crc_hex, body = line[:8], line[9:].rstrip("\n")
     try:
         if int(crc_hex, 16) != zlib.crc32(body.encode()):
             return None
-        document = json.loads(body)
+        try:
+            document, end = _scan(body)
+        except ValueError:
+            end = -1
+        if end != len(body):
+            document = json.loads(body)
     except ValueError:
         return None
     if not isinstance(document, dict) or "seq" not in document:

@@ -15,6 +15,7 @@ anything.
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.runtime.fsck import (
     SEG_CORRUPT,
     SEG_TORN_TAIL,
 )
+from repro.runtime.wal import WriteAheadLog
 from tests.test_runtime_batch import make_raws, make_store
 
 #: 110 clean records at checkpoint_every=25 leave: checkpoints ckpt-75 +
@@ -362,3 +364,112 @@ def test_unrecoverable_when_no_checkpoint_deserializes(tmp_path):
     assert not report.recoverable and not report.clean
     assert report.best_covered_seq is None
     assert "NO RECOVERABLE CHECKPOINT" in report.summary()
+
+
+# --------------------------------------------------------------------- #
+# One line decoder: fsck's verdicts are what replay reads
+# --------------------------------------------------------------------- #
+
+
+def _segment_lines(directory):
+    path = sorted((directory / "wal").glob("segment-*.wal"))[-1]
+    return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _tear_tail(directory):
+    path, _lines = _segment_lines(directory)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('deadbeef {"seq":111,"stream":"s')  # no newline
+
+
+def _flip_mid_segment(directory):
+    path, _lines = _segment_lines(directory)
+    size = path.stat().st_size
+    FaultPlan(flip_byte_in_segment=2, flip_byte_offset=size // 2).apply_at_rest(
+        directory
+    )
+
+
+def _drop_a_line(directory):
+    path, lines = _segment_lines(directory)
+    del lines[4]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _gap_before_a_new_segment(directory):
+    wal = WriteAheadLog(directory / "wal", next_seq=N_RECORDS + 5)
+    wal.append_many([{"stream": "s", "item": 1, "count": 1, "time": 10_000}])
+    wal.close()
+
+
+def _crc_valid_non_json(directory):
+    path, lines = _segment_lines(directory)
+    body = '{"seq":105,"stream":'
+    lines[4] = f"{zlib.crc32(body.encode()):08x} {body}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _cr_line_end(directory):
+    """A line ended by CR: text reads (and so replay) take it for LF."""
+    path, lines = _segment_lines(directory)
+    lines[4] = lines[4][:-1] + "\r"
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+WAL_DAMAGE = {
+    "clean": lambda directory: None,
+    "torn-tail": _tear_tail,
+    "mid-segment-flip": _flip_mid_segment,
+    "sequence-anomaly": _drop_a_line,
+    "sequence-gap": _gap_before_a_new_segment,
+    "crc-valid-non-json": _crc_valid_non_json,
+    "cr-line-end": _cr_line_end,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(WAL_DAMAGE))
+def test_fsck_counts_exactly_the_records_replay_yields(tmp_path, damage):
+    """fsck and replay read lines through one decoder: the records fsck
+    judges replayable past the best checkpoint are, in order, the
+    records replay yields after repair, and every other valid record
+    past it is in the lost ledger."""
+    directory = build_directory(tmp_path)
+    pristine = list(WriteAheadLog(directory / "wal").replay(100))
+    WAL_DAMAGE[damage](directory)
+    report = run_fsck(directory)
+    best = report.best_covered_seq
+    assert best == 100
+    expected = list(range(best + 1, report.replayable_through + 1))
+    beyond = sum(seg.records_beyond_checkpoint for seg in report.segments)
+
+    run_fsck(directory, repair=True)
+    replayed = list(WriteAheadLog(directory / "wal").replay(best))
+    assert [record["seq"] for record in replayed] == expected
+    assert replayed == pristine[: len(expected)]
+    assert beyond == len(replayed) + report.lost_records
+    # Damage before the last acknowledged record ends the chain there.
+    whole = damage in ("clean", "torn-tail", "sequence-gap", "cr-line-end")
+    assert whole == (len(replayed) == N_RECORDS - best)
+
+
+def test_scanned_bytes_are_the_bytes_on_disk(tmp_path):
+    """An invalid UTF-8 byte decodes to U+FFFD, three bytes re-encoded:
+    the scan counts what it read, not what it decoded."""
+    directory = build_directory(tmp_path)
+    segments = sorted((directory / "wal").glob("*.wal"))
+    on_disk = sum(path.stat().st_size for path in segments)
+    clean = run_fsck(directory)
+    assert clean.scanned_bytes == on_disk == sum(
+        len(path.read_text(encoding="utf-8").encode("utf-8")) for path in segments
+    )
+    # Two flipped bytes: each XOR 0xFF leaves invalid UTF-8.
+    for offset in (10, -2):  # the first line and the last
+        FaultPlan(flip_byte_in_segment=2, flip_byte_offset=offset).apply_at_rest(
+            directory
+        )
+    damaged = run_fsck(directory)
+    assert damaged.scanned_bytes == on_disk
+    assert damaged.scanned_records == clean.scanned_records - 2
+    # A nine-byte segment with two bad bytes counts nine, not thirteen.
+    (directory / "wal" / "segment-000000000999.wal").write_bytes(b"ab\xffcd\xfeefg")
+    assert run_fsck(directory).scanned_bytes == on_disk + 9

@@ -1,6 +1,11 @@
 """Tests for the write-ahead log: framing, torn tails, rotation, pruning."""
 
+import json
+import zlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.faults import FaultPlan, SimulatedCrash
 from repro.runtime.wal import WalCorruption, WriteAheadLog, _decode_line, _encode_line
@@ -25,6 +30,100 @@ class TestFraming:
         assert _decode_line(line[: len(line) // 2]) is None
         assert _decode_line("") is None
         assert _decode_line("garbage") is None
+
+
+def reference_decode(line):
+    """The line decoder as ``json.loads`` alone defines it."""
+    if len(line) < 10 or line[8] != " ":
+        return None
+    crc_hex, body = line[:8], line[9:].rstrip("\n")
+    try:
+        if int(crc_hex, 16) != zlib.crc32(body.encode()):
+            return None
+        document = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(document, dict) or "seq" not in document:
+        return None
+    return document
+
+
+def frame(body):
+    """``body`` behind a valid CRC, as the writer frames a line."""
+    return f"{zlib.crc32(body.encode()):08x} {body}\n"
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and the infinities included
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+records = st.builds(
+    lambda fields, seq: {**fields, "seq": seq},
+    st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+    st.integers(min_value=-2, max_value=2**40),
+)
+documents = (json_values | records).map(json.dumps)
+whitespace = st.text(alphabet=" \t\r\n\x0b\x0c\u00a0", max_size=3)
+#: Bodies whose lines are damaged alone but merge into valid JSON.
+fragments = st.sampled_from(
+    ['{"seq":1,"x":"', '"}', '{"seq":2},{"seq":5}', '{"seq":3}', "NaN",
+     "Infinity", "-Infinity", '{"seq":NaN}', '{"seq":Infinity}', "[", "]",
+     ",", '"seq"', "{}", "nan", "\ufeff{\"seq\":1}"]
+)
+bodies = st.one_of(
+    documents,
+    st.tuples(whitespace, documents, whitespace).map("".join),
+    st.tuples(documents, st.sampled_from(["", ",", " ", "\n"]), documents).map(
+        "".join
+    ),
+    st.lists(fragments, min_size=1, max_size=3).map("".join),
+    st.text(max_size=24),
+)
+lines = st.one_of(
+    records.map(_encode_line),
+    bodies.map(frame),
+    bodies.map(lambda body: frame(body)[:-1]),  # unterminated
+    st.tuples(
+        st.text(alphabet="0123456789abcdefABCDEFx_+- g", min_size=8, max_size=8),
+        bodies,
+    ).map(lambda pair: f"{pair[0]} {pair[1]}\n"),  # bad or odd hex
+    st.text(max_size=12),  # short lines
+)
+
+
+EDGE_BODIES = [
+    ' {"seq":1}', '{"seq":1} ', '{"seq":1}\t', '{"seq":1}{"seq":2}',
+    '{"seq":1},{"seq":2}', '[{"seq":1}]', '{"seq":NaN}', "NaN",
+    '{"seq":1,"x":"', '"}', '{"seq":2},{"seq":5}', '{"seq": 1, "x": [1, 2]}',
+]
+
+
+def with_edge_bodies(test):
+    for body in EDGE_BODIES:
+        test = example(frame(body))(test)
+    return test
+
+
+class TestDecoderEquality:
+    @settings(max_examples=400, deadline=None)
+    @given(lines)
+    @with_edge_bodies
+    def test_decoder_equals_the_json_loads_reference(self, line):
+        # repr: NaN never equals itself, and 1 must not pass for 1.0.
+        assert repr(_decode_line(line)) == repr(reference_decode(line))
+
+    def test_merged_fragments_stay_damaged_line_by_line(self):
+        """Three CRC-valid bodies that parse as one JSON array if a
+        segment were parsed whole: each line alone is damaged."""
+        bodies = ['{"seq":1,"x":"', '"}', '{"seq":2},{"seq":5}']
+        assert len(json.loads("[" + ",".join(bodies) + "]")) == 3
+        assert [_decode_line(frame(body)) for body in bodies] == [None] * 3
 
 
 class TestAppendReplay:

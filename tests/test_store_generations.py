@@ -674,6 +674,29 @@ def test_column_view_equals_open_and_freeze_across_compaction(tmp_path):
     assert len(read_manifest(directories[-1])["generations"]) > 1
 
 
+def test_a_load_restores_each_logs_components_in_file_order(tmp_path):
+    """An open registers each log's components in the order the
+    generations list them, so a full save right after it writes every
+    skeleton again: the generations' skeletons, grouped by log."""
+    store = all_sketches_store()
+    directories, _seams = save_chain(tmp_path, store, 3, np.random.default_rng(13))
+    directory = directories[-1]
+    parts = read_columns(directory, read_manifest(directory)).generations
+    assert len(parts) == 3
+    opened = SketchStore.open(directory)
+    assert fingerprint(opened) == fingerprint(store)
+    full = opened.save(tmp_path / "full")  # no base: one full generation
+    [written] = read_manifest(full)["generations"]
+    with np.load(full / written["file"]) as again:
+        for kind in KINDS:
+            keys = np.concatenate([gen[f"{kind.name}_new_key"] for gen in parts])
+            assert len(keys)
+            by_log = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))  # stable
+            for name in ("key", *kind.fields):
+                column = np.concatenate([gen[f"{kind.name}_new_{name}"] for gen in parts])
+                assert np.array_equal(again[f"{kind.name}_new_{name}"], column[by_log])
+
+
 @pytest.mark.parametrize("lost", [0, 1], ids=["first", "middle"])
 def test_column_view_of_a_partial_checkpoint_equals_open_without(tmp_path, lost):
     """Left out, the first generation takes most skeletons with it: their
