@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.core.base import PersistentSketch
 from repro.core.persistent_countmin import PersistentCountMin
-from repro.hashing.families import IdentityHashFamily
+from repro.hashing.families import (
+    BucketHashFamily,
+    IdentityHashFamily,
+    buckets_stacked,
+)
 from repro.pla.orourke import OnlinePLA
 
 
@@ -130,10 +134,34 @@ class PersistentHeavyHitters(PersistentSketch):
         batch before any level is touched (the scalar path applies the
         records preceding the offender first).  Each level sketch and the
         mass tracker see exactly the sequence scalar updates produce.
+
+        The batch passed this sketch's checks, and every level's clock
+        is this sketch's, so each level takes its columnar plan directly
+        (its own run-length dispatch would choose it too: the batch is
+        longer than a short run).  The hashed levels' ``items >> level``
+        columns are hashed in one stacked evaluation.
         """
         check_universe(items, self.universe)
+        shifted = [items >> level for level in range(len(self._sketches))]
+        hashed = [
+            level
+            for level, sketch in enumerate(self._sketches)
+            if isinstance(sketch.hashes, BucketHashFamily)
+        ]
+        columns: dict[int, np.ndarray] = {}
+        if hashed:
+            stacked = buckets_stacked(
+                [self._sketches[level].hashes for level in hashed],
+                [shifted[level] for level in hashed],
+            )
+            columns = dict(zip(hashed, stacked))
+        clock = int(times[-1])
         for level, sketch in enumerate(self._sketches):
-            sketch.ingest_batch(times, items >> level, counts)
+            level_columns = columns.get(level)
+            if level_columns is None:
+                level_columns = sketch.hashes.buckets_many(shifted[level])
+            sketch._feed_columns(level_columns, times, counts)
+            sketch._clock = clock
         totals = self._mass_total + np.cumsum(counts)
         self._mass.feed_many(times.tolist(), totals.tolist())
         self._mass_total = int(totals[-1])

@@ -113,7 +113,13 @@ class PersistentCountMin(PersistentSketch):
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
         """Columnar plan: vectorized hashing, per-(row, col) change runs."""
-        columns = self.hashes.buckets_many(items)
+        self._feed_columns(self.hashes.buckets_many(items), times, counts)
+
+    def _feed_columns(
+        self, columns: np.ndarray, times: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """The columnar plan past hashing: ``columns`` is the ``(depth,
+        n)`` bucket column of each update."""
         for row in range(self.depth):
             columnar.feed_tracked_row(
                 self._counters[row],

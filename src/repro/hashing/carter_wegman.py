@@ -79,6 +79,46 @@ def mulmod_mersenne_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold_mersenne_many(acc)
 
 
+def _field_residues(xs: np.ndarray) -> np.ndarray:
+    """Non-negative integers reduced mod ``p``, as uint64.
+
+    Integer arrays fold in bulk (exact below ``2^64``); any other dtype
+    — object arrays of Python ints past 64 bits — reduces element by
+    element in Python's exact arithmetic.  Negative inputs raise, as
+    :meth:`PolynomialHash.__call__` does.
+    """
+    if xs.dtype.kind not in "iu":
+        values = [int(x) for x in xs.ravel().tolist()]
+        if values and min(values) < 0:
+            raise ValueError("hash inputs must be non-negative")
+        return np.array(
+            [mod_mersenne(x) for x in values], dtype=np.uint64
+        ).reshape(xs.shape)
+    if xs.dtype.kind == "i" and xs.size and int(xs.min()) < 0:
+        raise ValueError("hash inputs must be non-negative")
+    return fold_mersenne_many(xs.astype(np.uint64))
+
+
+def eval_stacked(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate a stack of polynomials in one broadcast.
+
+    ``coefficients[..., j]`` holds degree-``j`` coefficients (uint64
+    field residues, lowest degree first, as
+    :attr:`PolynomialHash.coefficients`); it broadcasts against ``xs``.
+    Horner's rule runs once over the whole stack, so entry ``idx`` of
+    the result is the polynomial ``coefficients[idx]`` at ``xs[idx]``,
+    bit-identical to :meth:`PolynomialHash.__call__` (evaluation
+    commutes with reducing the inputs mod ``p`` first).
+    """
+    x = _field_residues(xs)
+    acc = coefficients[..., -1] + np.zeros_like(x)
+    for j in range(coefficients.shape[-1] - 2, -1, -1):
+        acc = fold_mersenne_many(
+            mulmod_mersenne_many(acc, x) + coefficients[..., j]
+        )
+    return acc
+
+
 class PolynomialHash:
     """A k-wise independent hash ``[n] -> [0, p)`` from a random polynomial.
 
@@ -124,25 +164,12 @@ class PolynomialHash:
     def eval_many(self, xs: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`__call__`: evaluate at every element of ``xs``.
 
-        Exact 61-bit field arithmetic in uint64 limbs — bit-identical to
-        the scalar Horner loop for any non-negative inputs below ``2^64``
-        (inputs are reduced mod p first; polynomial evaluation commutes
-        with the reduction).  Falls back to the scalar path for inputs
-        that do not fit uint64.
+        :func:`eval_stacked` with this one polynomial: bit-identical to
+        the scalar Horner loop for any non-negative inputs.
         """
-        arr = np.asarray(xs)
-        if arr.dtype.kind not in "iu":
-            return np.array(
-                [self(int(x)) for x in arr.tolist()], dtype=np.uint64
-            )
-        if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
-            raise ValueError("hash inputs must be non-negative")
-        x = fold_mersenne_many(arr.astype(np.uint64))
-        acc = np.full(x.shape, np.uint64(self.coefficients[-1]))
-        for c in reversed(self.coefficients[:-1]):
-            acc = mulmod_mersenne_many(acc, x) + np.uint64(c)
-            acc = fold_mersenne_many(acc)
-        return acc
+        return eval_stacked(
+            np.array(self.coefficients, dtype=np.uint64), np.asarray(xs)
+        )
 
     def hash_array(self, xs: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized evaluation; alias of :meth:`eval_many`."""

@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hashing.carter_wegman import PolynomialHash, polynomial_hashes
+from repro.hashing.carter_wegman import (
+    PolynomialHash,
+    eval_stacked,
+    polynomial_hashes,
+)
+
+
+def _coefficient_column(hashes: list[PolynomialHash]) -> np.ndarray:
+    """Row ``r``'s coefficients at ``[r, 0, :]``: shape ``(d, 1, k)``
+    uint64, broadcasting each row against a ``(n,)`` item column."""
+    return np.array([h.coefficients for h in hashes], dtype=np.uint64)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class BucketHashFamily:
     the same elements many times and the sketch hot loop dominates runtime.
     """
 
-    __slots__ = ("width", "depth", "_hashes", "_cache")
+    __slots__ = ("width", "depth", "_hashes", "_coefficients", "_cache")
 
     def __init__(self, config: HashConfig):
         self.width = config.width
@@ -58,6 +68,7 @@ class BucketHashFamily:
         self._hashes = polynomial_hashes(
             config.depth, degree=2, seed=config.seed * 2 + 1
         )
+        self._coefficients = _coefficient_column(self._hashes)
         self._cache: dict[int, tuple[int, ...]] = {}
 
     def buckets(self, item: int) -> tuple[int, ...]:
@@ -77,14 +88,24 @@ class BucketHashFamily:
 
         Row ``r`` equals ``[self.buckets(x)[r] for x in items]`` exactly
         (vectorized Carter-Wegman evaluation is bit-identical to the
-        scalar path).
+        scalar path); the ``d`` rows are evaluated in one broadcast.
         """
-        items = np.asarray(items)
-        out = np.empty((self.depth, items.shape[0]), dtype=np.int64)
-        width = np.uint64(self.width)
-        for row, h in enumerate(self._hashes):
-            out[row] = (h.eval_many(items) % width).astype(np.int64)
-        return out
+        return buckets_stacked([self], [np.asarray(items)])[0]
+
+
+def buckets_stacked(
+    families: list[BucketHashFamily], columns: list[np.ndarray]
+) -> np.ndarray:
+    """:meth:`BucketHashFamily.buckets_many` of ``families[i]`` at
+    ``columns[i]`` for every ``i`` in one broadcast: shape ``(L, d, n)``.
+
+    The families share their depth ``d`` and the columns their length
+    ``n``; widths may differ.
+    """
+    coefficients = np.stack([family._coefficients for family in families])
+    widths = np.array([family.width for family in families], dtype=np.uint64)
+    values = eval_stacked(coefficients, np.stack(columns)[:, None, :])
+    return (values % widths[:, None, None]).astype(np.int64)
 
 
 class SignHashFamily:
@@ -95,13 +116,14 @@ class SignHashFamily:
     variance analysis requires [2, 9].
     """
 
-    __slots__ = ("depth", "_hashes", "_cache")
+    __slots__ = ("depth", "_hashes", "_coefficients", "_cache")
 
     def __init__(self, config: HashConfig):
         self.depth = config.depth
         self._hashes = polynomial_hashes(
             config.depth, degree=4, seed=config.seed * 2 + 2
         )
+        self._coefficients = _coefficient_column(self._hashes)
         self._cache: dict[int, tuple[int, ...]] = {}
 
     def signs(self, item: int) -> tuple[int, ...]:
@@ -117,13 +139,10 @@ class SignHashFamily:
         return self.signs(item)[row]
 
     def signs_many(self, items: np.ndarray) -> np.ndarray:
-        """Signs for a column of items: shape ``(d, n)`` int64 of +/-1."""
-        items = np.asarray(items)
-        out = np.empty((self.depth, items.shape[0]), dtype=np.int64)
-        for row, h in enumerate(self._hashes):
-            low_bits = (h.eval_many(items) & np.uint64(1)).astype(np.int64)
-            out[row] = 1 - 2 * low_bits
-        return out
+        """Signs for a column of items: shape ``(d, n)`` int64 of +/-1,
+        the ``d`` rows evaluated in one broadcast."""
+        values = eval_stacked(self._coefficients, np.asarray(items))
+        return 1 - 2 * (values & np.uint64(1)).astype(np.int64)
 
 
 class IdentityHashFamily:

@@ -577,8 +577,14 @@ class OnlinePLA:
             self._count += stop
         if broke:
             # The pre-break points only matter through count/last_x and
-            # the supporting lines (the reset wipes the hulls anyway).
-            self._emit_segment()
+            # the supporting lines (the reset wipes the hulls anyway) —
+            # unless the emit raises: then the run stays open, holding
+            # them in its hulls as feed's would.
+            try:
+                self._emit_segment()
+            except ValueError:
+                self._bulk_append_hulls(x, a, b, stop)
+                raise
             self._reset_run()
         else:
             self._bulk_append_hulls(x, a, b, stop)

@@ -633,15 +633,25 @@ def _repair(directory: Path, report: FsckReport) -> None:
 
 
 def _truncate_torn_tail(path: Path) -> None:
-    """Rewrite ``path`` down to its valid framed prefix (in place)."""
-    raw = path.read_text(encoding="utf-8", errors="replace")
+    """Rewrite ``path`` down to its valid framed prefix (in place).
+
+    The cut is counted over the bytes on disk, line by line, while each
+    line is decoded as replay reads it: its CR LF or CR ending read as
+    LF, and damaged when text reading would split it further.
+    """
+    data = path.read_bytes()
     valid_bytes = 0
-    for line in raw.splitlines(keepends=True):
-        if line.endswith("\n") and _decode_line(line) is not None:
-            valid_bytes += len(line.encode("utf-8"))
-        else:
+    for line in data.splitlines(keepends=True):
+        text = line.decode("utf-8", errors="replace")
+        body = text.rstrip("\r\n")
+        if (
+            body == text
+            or body.splitlines() != [body]
+            or _decode_line(body + "\n") is None
+        ):
             break
-    if valid_bytes < len(raw.encode("utf-8")):
+        valid_bytes += len(line)
+    if valid_bytes < len(data):
         with open(path, "r+b") as handle:  # sketchlint: disable=SL012 — torn-tail repair truncates in place; only discards bytes already proven invalid
             handle.truncate(valid_bytes)
 

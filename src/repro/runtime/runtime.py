@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 import shutil
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn
 
@@ -69,7 +68,7 @@ from repro.streams.records import (
     INT64_LIMIT,
     IngestRecord,
     RecordError,
-    parse_record,
+    record_fields,
 )
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{12})$")
@@ -404,62 +403,6 @@ class IngestRuntime:
     # Ingest
     # ------------------------------------------------------------------ #
 
-    def _classify(
-        self, raw: object, clock_of: Callable[[str], int | None]
-    ) -> tuple[str, Any, Any]:
-        """Policy-free classification of one raw record.
-
-        Returns ``("ok", record, resolved_time)`` for an acceptable
-        record, or ``(kind, reason, wire)`` with ``kind`` in
-        ``{"malformed", "late"}`` for the caller's :meth:`_reject`.
-        ``clock_of`` supplies the stream clock to judge lateness
-        against: a view that includes records accepted earlier in the
-        batch but not yet applied.
-        """
-        if isinstance(raw, IngestRecord):
-            record = raw
-        elif isinstance(raw, RecordError):
-            return ("malformed", str(raw), None)
-        else:
-            try:
-                record = parse_record(raw)
-            except RecordError as exc:
-                return ("malformed", str(exc), raw)
-        clock = clock_of(record.stream)
-        if clock is None:
-            return (
-                "malformed",
-                f"unknown stream {record.stream!r}",
-                record.to_wire(),
-            )
-        universe = self._universes.get(record.stream)
-        if universe is not None and record.item >= universe:
-            return (
-                "malformed",
-                f"record item {record.item} lies outside stream "
-                f"{record.stream!r}'s universe [0, {universe})",
-                record.to_wire(),
-            )
-        if record.time is None:
-            time = clock + 1
-            if time >= INT64_LIMIT:
-                return (
-                    "malformed",
-                    f"stream {record.stream!r} clock is at {clock}; an "
-                    "auto-ticked record would overflow int64",
-                    record.to_wire(),
-                )
-        elif record.time <= clock:
-            return (
-                "late",
-                f"stream {record.stream!r} clock is at {clock}, "
-                f"record time {record.time} is not past it",
-                record.to_wire(),
-            )
-        else:
-            time = record.time
-        return ("ok", record, time)
-
     def ingest(self, raw: object) -> bool:
         """Ingest one raw record as a one-record :meth:`ingest_batch`.
 
@@ -489,6 +432,10 @@ class IngestRuntime:
         method returns, every accepted record is durable.  Returns the
         number of applied records.
 
+        One pass over the records classifies each into a ``(stream,
+        item, count, time)`` row for the WAL and appends it to its
+        same-stream run's columns for the store.
+
         While the runtime is degraded (see :meth:`health`) this raises
         :class:`~repro.runtime.health.DegradedError` for the whole batch
         up front, without consuming a record — unless the degradation is
@@ -497,65 +444,101 @@ class IngestRuntime:
         batch proceeds.
         """
         self.monitor.check_writable()
-        pending: list[tuple[str, int, int, int]] = []
+        clocks = self._clocks
+        universes = self._universes
+        rows: list[tuple[str, int, int, int]] = []
+        # Same-stream runs in arrival order: (stream, times, items, counts).
+        runs: list[tuple[str, list[int], list[int], list[int]]] = []
+        run_stream: str | None = None
+        # Clocks of the streams with records pending in this chunk.
         pending_clocks: dict[str, int] = {}
         applied = 0
-
-        def effective_clock(stream: str) -> int | None:
-            got = pending_clocks.get(stream)
-            return got if got is not None else self._clocks.get(stream)
-
-        def flush() -> None:
-            nonlocal applied
-            if pending:
-                applied += self._apply_chunk(pending)
-                pending.clear()
-                pending_clocks.clear()
-
         for raw in raws:
-            kind, record, time = self._classify(raw, effective_clock)
-            if kind != "ok":
-                action = (
-                    self.policy.on_malformed
-                    if kind == "malformed"
-                    else self.policy.on_late
+            if isinstance(raw, IngestRecord):
+                stream, item, count, time = (
+                    raw.stream, raw.item, raw.count, raw.time
                 )
-                if action == "raise":
-                    # Records preceding the offender are durable and
-                    # applied before the raise.
-                    flush()
-                self._reject(kind, record, time)
+            elif isinstance(raw, RecordError):
+                self._reject("malformed", str(raw), None, rows, runs)
                 continue
-            pending.append((record.stream, record.item, record.count, time))
-            pending_clocks[record.stream] = time
-            if self._since_checkpoint + len(pending) >= self.checkpoint_every:
-                flush()  # the due checkpoint fires at its record position
-        flush()
+            else:
+                try:
+                    stream, item, count, time = record_fields(raw)
+                except RecordError as exc:
+                    self._reject("malformed", str(exc), raw, rows, runs)
+                    continue
+            clock = pending_clocks.get(stream)
+            if clock is None:
+                clock = clocks.get(stream)
+            universe = universes.get(stream)
+            kind = None
+            if clock is None:
+                kind, reason = "malformed", f"unknown stream {stream!r}"
+            elif universe is not None and item >= universe:
+                kind, reason = "malformed", (
+                    f"record item {item} lies outside stream {stream!r}'s "
+                    f"universe [0, {universe})"
+                )
+            elif time is None:
+                if clock + 1 >= INT64_LIMIT:
+                    kind, reason = "malformed", (
+                        f"stream {stream!r} clock is at {clock}; an "
+                        "auto-ticked record would overflow int64"
+                    )
+            elif time <= clock:
+                kind, reason = "late", (
+                    f"stream {stream!r} clock is at {clock}, record time "
+                    f"{time} is not past it"
+                )
+            if kind is not None:
+                wire = IngestRecord(stream, item, count, time).to_wire()
+                self._reject(kind, reason, wire, rows, runs)
+                continue
+            if time is None:
+                time = clock + 1
+            rows.append((stream, item, count, time))
+            pending_clocks[stream] = time
+            if stream != run_stream:
+                run_stream = stream
+                run_times: list[int] = []
+                run_items: list[int] = []
+                run_counts: list[int] = []
+                runs.append((stream, run_times, run_items, run_counts))
+            run_times.append(time)
+            run_items.append(item)
+            run_counts.append(count)
+            if self._since_checkpoint + len(rows) >= self.checkpoint_every:
+                # The due checkpoint fires at its record position.
+                applied += self._apply_chunk(rows, runs)
+                rows, runs, run_stream = [], [], None
+                pending_clocks.clear()
+        if rows:
+            applied += self._apply_chunk(rows, runs)
         return applied
 
-    def _apply_chunk(self, pending: list[tuple[str, int, int, int]]) -> int:
+    def _apply_chunk(
+        self,
+        rows: list[tuple[str, int, int, int]],
+        runs: list[tuple[str, list[int], list[int], list[int]]],
+    ) -> int:
         """WAL-append and apply one chunk of accepted records."""
         first_ordinal = (
             self.faults.records_seen + 1 if self.faults is not None else 0
         )
         try:
-            seqs = self.wal.append_many(
-                [
-                    {"stream": stream, "item": item, "count": count, "time": time}
-                    for stream, item, count, time in pending
-                ]
-            )
+            seqs = self.wal.append_many(rows)
         except OSError as exc:
             self._degrade_for_wal_error(exc)
         if self.faults is not None:
             self.faults.after_batch_durable(first_ordinal)
         try:
-            for name, run_iter in groupby(pending, key=lambda rec: rec[0]):
-                run = list(run_iter)
-                times = np.array([rec[3] for rec in run], dtype=np.int64)
-                items = np.array([rec[1] for rec in run], dtype=np.int64)
-                counts = np.array([rec[2] for rec in run], dtype=np.int64)
-                self.store.update_batch(name, times, items, counts)
+            for name, times, items, counts in runs:
+                self.store.update_batch(
+                    name,
+                    np.array(times, dtype=np.int64),
+                    np.array(items, dtype=np.int64),
+                    np.array(counts, dtype=np.int64),
+                )
                 self._clocks[name] = int(times[-1])
         except Exception:
             # The chunk is durable but partially applied: live answers
@@ -567,10 +550,10 @@ class IngestRuntime:
             )
             raise
         self.applied_seq = seqs[-1]
-        self.stats.ingested += len(pending)
-        self._since_checkpoint += len(pending)
+        self.stats.ingested += len(rows)
+        self._since_checkpoint += len(rows)
         self._maybe_checkpoint()
-        return len(pending)
+        return len(rows)
 
     def ingest_stream(
         self, name: str, stream: Stream, batch_size: int = 1
@@ -603,14 +586,27 @@ class IngestRuntime:
             applied += self.ingest_batch(chunk)
         return applied
 
-    def _reject(self, kind: str, reason: str, raw: object) -> None:
-        if kind == "malformed":
+    def _reject(
+        self,
+        kind: str,
+        reason: str,
+        raw: object,
+        rows: list[tuple[str, int, int, int]],
+        runs: list[tuple[str, list[int], list[int], list[int]]],
+    ) -> None:
+        """Count a rejected record and act on it by policy; ``rows`` and
+        ``runs`` are the accepted records pending ahead of it."""
+        malformed = kind == "malformed"
+        action = self.policy.on_malformed if malformed else self.policy.on_late
+        if action == "raise" and rows:
+            # Records preceding the offender are durable and applied
+            # before the raise.
+            self._apply_chunk(rows, runs)
+        if malformed:
             self.stats.malformed += 1
-            action = self.policy.on_malformed
             error: type[ValueError] = MalformedRecordError
         else:
             self.stats.late += 1
-            action = self.policy.on_late
             error = LateRecordError
         if action == "raise":
             raise error(reason)

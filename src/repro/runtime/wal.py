@@ -10,9 +10,10 @@ Segment names carry the sequence number of their first record; a new
 segment starts at every checkpoint (so fully-covered segments can be
 pruned) and at every recovery (so a torn tail is never appended onto).
 
-Each line frames one record with a CRC32 over the JSON body::
+Each line frames one record with a CRC32 over the JSON body, its keys
+sorted and without spaces::
 
-    8f1c2a07 {"seq":17,"stream":"urls","item":3,"count":1,"time":17}\n
+    8f1c2a07 {"count":1,"item":3,"seq":17,"stream":"urls","time":17}\n
 
 Torn writes are expected, not exceptional: a crash mid-append leaves a
 partial final line whose CRC cannot match.  Replay therefore *drops* a
@@ -40,9 +41,10 @@ class WalCorruption(RuntimeError):
     """The WAL is damaged beyond the benign torn-tail case."""
 
 
-def _encode_line(record: dict[str, Any]) -> str:
-    body = json.dumps(record, separators=(",", ":"), sort_keys=True)
-    return f"{zlib.crc32(body.encode()):08x} {body}\n"
+#: One record's JSON body, keys in sorted order: the bytes of
+#: ``json.dumps(record, separators=(",", ":"), sort_keys=True)`` with the
+#: stream name's JSON string (ASCII, ``ensure_ascii``) spliced in.
+_BODY = b'{"count":%d,"item":%d,"seq":%d,"stream":%b,"time":%d}'
 
 
 _scan = json.JSONDecoder().raw_decode
@@ -105,63 +107,75 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.next_seq = next_seq
         self.faults = faults
-        self._handle: IO[str] | None = None
+        self._handle: IO[bytes] | None = None
+        # JSON string of each stream name framed so far, as bytes.
+        self._names: dict[str, bytes] = {}
 
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
 
-    def _active_handle(self) -> IO[str]:
+    def _active_handle(self) -> IO[bytes]:
         if self._handle is None:
             path = self.directory / f"segment-{self.next_seq:012d}.wal"
-            self._handle = open(path, "a", encoding="utf-8")  # sketchlint: disable=SL012 — the WAL is the durability mechanism: fsync-per-append plus recovery-time torn-tail repair
+            self._handle = open(path, "ab")  # sketchlint: disable=SL012 — the WAL is the durability mechanism: fsync-per-append plus recovery-time torn-tail repair
         return self._handle
 
-    def append_many(self, records: list[dict[str, Any]]) -> list[int]:
-        """Durably append a batch of records with ONE flush + fsync;
-        returns their sequence numbers.
+    def append_many(self, rows: list[tuple[str, int, int, int]]) -> list[int]:
+        """Durably append a batch of ``(stream, item, count, time)`` rows
+        with ONE flush + fsync; returns their sequence numbers.
 
-        The only append: a single record is a one-record batch.  The
-        record dicts must not contain ``seq`` (the log owns it).
-        Framing stays record-granular — one CRC'd line per record — so
-        replay and torn-tail repair do not see batch boundaries.
-        Scripted faults keep their per-record ordinals: a crash or torn
-        write at the k-th record first makes the batch's earlier
-        complete lines durable, which is exactly the prefix a real crash
-        mid-batch could leave on disk (none of the batch was
-        acknowledged, so recovery replaying that prefix is still
-        exactly-once).
+        The only append: a single record is a one-row batch.  Each row
+        becomes one CRC'd line, its body framed from :data:`_BODY` with
+        the stream's JSON string cached per name (ASCII), so the line's
+        bytes are those of ``json.dumps(..., separators=(",", ":"),
+        sort_keys=True)`` on the record dict with its ``seq``.  Framing
+        stays record-granular, so replay and torn-tail repair do not see
+        batch boundaries.  Scripted faults keep their per-record
+        ordinals: a crash or torn write at the k-th record first makes
+        the batch's earlier complete lines durable, which is exactly the
+        prefix a real crash mid-batch could leave on disk (none of the
+        batch was acknowledged, so recovery replaying that prefix is
+        still exactly-once).
         """
-        if not records:
+        if not rows:
             return []
         handle = self._active_handle()
-        seqs: list[int] = []
-        seq = self.next_seq
-        for record in records:
-            line = _encode_line({"seq": seq, **record})
-            if self.faults is not None:
+        names = self._names
+        faults = self.faults
+        lines: list[bytes] = []
+        first = seq = self.next_seq
+        for stream, item, count, time in rows:
+            name = names.get(stream)
+            if name is None:
+                name = names[stream] = json.dumps(stream).encode()
+            body = _BODY % (count, item, seq, name, time)
+            line = b"%08x %b\n" % (zlib.crc32(body), body)
+            if faults is not None:
                 try:
-                    self.faults.next_record()
+                    faults.next_record()
                 except SimulatedCrash:
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    self._write_durably(handle, lines)
                     self.next_seq = seq
                     raise
-                if self.faults.tear_this_record():
-                    handle.write(line[: max(1, len(line) // 2)])
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                if faults.tear_this_record():
+                    lines.append(line[: max(1, len(line) // 2)])
+                    self._write_durably(handle, lines)
                     self.next_seq = seq
                     raise SimulatedCrash(
                         f"scripted torn WAL write at seq {seq}"
                     )
-            handle.write(line)
-            seqs.append(seq)
+            lines.append(line)
             seq += 1
+        self._write_durably(handle, lines)
+        self.next_seq = seq
+        return list(range(first, seq))
+
+    @staticmethod
+    def _write_durably(handle: IO[bytes], lines: list[bytes]) -> None:
+        handle.write(b"".join(lines))
         handle.flush()
         os.fsync(handle.fileno())
-        self.next_seq = seq
-        return seqs
 
     def rotate(self) -> None:
         """Seal the active segment; the next append opens a new one."""

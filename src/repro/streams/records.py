@@ -70,37 +70,53 @@ def _require_int(raw: dict[str, Any], key: str, default: int | None = None) -> i
     return value
 
 
-def parse_record(raw: object) -> IngestRecord:
-    """Validate one raw record (a mapping) into an :class:`IngestRecord`.
+def record_fields(raw: object) -> tuple[str, int, int, int | None]:
+    """Validate one raw record (a mapping) into ``(stream, item, count,
+    time)``.
 
-    Raises :class:`RecordError` on any shape problem: not a mapping,
-    missing/mistyped fields, values outside int64, empty stream name,
-    negative item, zero count.  Timestamp *ordering* is not checked
-    here — lateness is a per-stream property the runtime judges against
-    its clocks.
+    Raises :class:`RecordError` on any shape problem, checking in this
+    order: not a mapping, stream name missing, not a string, empty or
+    holding ``/``; item missing, not an integer, outside int64 or
+    negative; count (default 1) not an integer, outside int64 or zero;
+    time (default ``None``, auto-tick) not an integer, outside int64 or
+    below 1; unknown fields.  Timestamp *ordering* is not checked here —
+    lateness is a per-stream property the runtime judges against its
+    clocks.  A plain in-range ``int`` passes each field's first test;
+    anything else takes :func:`_require_int`, whose reasons are the
+    rejection messages.
     """
     if not isinstance(raw, dict):
         raise RecordError(f"record must be a mapping, got {type(raw).__name__}")
     stream = raw.get("stream")
     if not isinstance(stream, str) or not stream or "/" in stream:
         raise RecordError(f"record field 'stream' invalid: {stream!r}")
-    item = _require_int(raw, "item")
-    if item < 0:
-        raise RecordError(f"record field 'item' must be >= 0, got {item}")
-    count = _require_int(raw, "count", default=1)
-    if count == 0:
-        raise RecordError("record field 'count' must be non-zero")
-    time: int | None
-    if raw.get("time") is None:
-        time = None
-    else:
+    item = raw.get("item")
+    if type(item) is not int or not 0 <= item < INT64_LIMIT:
+        item = _require_int(raw, "item")
+        if item < 0:
+            raise RecordError(f"record field 'item' must be >= 0, got {item}")
+    count = raw.get("count", 1)
+    if type(count) is not int or not count or not -INT64_LIMIT <= count < INT64_LIMIT:
+        count = _require_int(raw, "count", default=1)
+        if count == 0:
+            raise RecordError("record field 'count' must be non-zero")
+    time = raw.get("time")
+    if time is not None and (type(time) is not int or not 1 <= time < INT64_LIMIT):
         time = _require_int(raw, "time")
         if time < 1:
             raise RecordError(f"record field 'time' must be >= 1, got {time}")
-    unknown = set(raw) - {"stream", "item", "count", "time"}
-    if unknown:
+    # ``stream`` and ``item`` are present, so any key past the known
+    # ones present is unknown.
+    if len(raw) > 2 + ("count" in raw) + ("time" in raw):
+        unknown = set(raw) - {"stream", "item", "count", "time"}
         raise RecordError(f"record has unknown fields: {sorted(unknown)}")
-    return IngestRecord(stream=stream, item=item, count=count, time=time)
+    return stream, item, count, time
+
+
+def parse_record(raw: object) -> IngestRecord:
+    """Validate one raw record into an :class:`IngestRecord`; the checks
+    and reasons of :func:`record_fields`."""
+    return IngestRecord(*record_fields(raw))
 
 
 def records_from_stream(name: str, stream: Stream) -> Iterator[IngestRecord]:

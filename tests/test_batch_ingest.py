@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import contracts
@@ -756,6 +756,12 @@ def _outcome(feed):
     back=st.integers(min_value=0, max_value=3),
     close_first=st.booleans(),
     container=st.sampled_from(["list", "array"]),
+)
+# The fused path's break re-opens a closed run at its own start time:
+# the emit raises, and the run must keep its hulls as feed's does.
+@example(
+    stretches=[(1, 0, 0, 0), (38, 0, 4, 0)], floats=False, seed=0, k=0,
+    back=0, close_first=True, container="array",
 )
 def test_pla_kernel_raise_matches_feed(
     stretches, floats, seed, k, back, close_first, container

@@ -126,6 +126,26 @@ def test_torn_tail_classified_and_repaired(tmp_path):
     recovered.close()
 
 
+def test_torn_tail_cut_counts_the_bytes_on_disk(tmp_path):
+    """A CR LF line ahead of a torn tail reads as one LF line, but its
+    two bytes both count toward the cut: repair keeps record 110 and
+    its newline."""
+    directory = build_directory(tmp_path)
+    path = sorted((directory / "wal").glob("segment-*.wal"))[-1]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:-1] + b"\r\n"
+    path.write_bytes(b"".join(lines) + b'deadbeef {"seq":111,"str')
+    assert run_fsck(directory).replayable_through == N_RECORDS
+
+    repaired = run_fsck(directory, repair=True)
+    assert any("truncated torn tail" in a for a in repaired.actions)
+    assert path.read_bytes() == b"".join(lines)
+    rescan = run_fsck(directory)
+    assert rescan.clean and rescan.replayable_through == N_RECORDS
+    replayed = WriteAheadLog(directory / "wal").replay(100)
+    assert [record["seq"] for record in replayed][-1] == N_RECORDS
+
+
 # --------------------------------------------------------------------- #
 # Mid-segment corruption: covered damage is loss-free, uncovered is not
 # --------------------------------------------------------------------- #
@@ -398,7 +418,7 @@ def _drop_a_line(directory):
 
 def _gap_before_a_new_segment(directory):
     wal = WriteAheadLog(directory / "wal", next_seq=N_RECORDS + 5)
-    wal.append_many([{"stream": "s", "item": 1, "count": 1, "time": 10_000}])
+    wal.append_many([("s", 1, 1, 10_000)])
     wal.close()
 
 

@@ -16,6 +16,7 @@ from repro.hashing import (
     SignHashFamily,
 )
 from repro.hashing.carter_wegman import mod_mersenne, polynomial_hashes
+from repro.hashing.families import buckets_stacked
 
 
 class TestModMersenne:
@@ -154,3 +155,56 @@ class TestSignHashFamily:
 def test_bucket_family_stable_across_calls(item, seed):
     family = BucketHashFamily(HashConfig(width=128, depth=3, seed=seed))
     assert family.buckets(item) == family.buckets(item)
+
+
+item_columns = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.integers(min_value=MERSENNE_PRIME - 2, max_value=MERSENNE_PRIME + 2),
+        st.sampled_from([0, 1, 2**61, 2**62, 2**63 - 1]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.lists(item_columns, min_size=1, max_size=4).map(
+        lambda cols: [col[: min(map(len, cols))] for col in cols]
+    ),
+    widths=st.lists(st.integers(min_value=1, max_value=5000), min_size=4, max_size=4),
+    seed=st.integers(min_value=0, max_value=1000),
+    depth=st.integers(min_value=1, max_value=5),
+)
+def test_stacked_evaluation_equals_the_scalar_rows(columns, widths, seed, depth):
+    """One broadcast over every family and row equals each row's scalar
+    Horner evaluation, for items across [0, 2^63) including the field
+    modulus and past it."""
+    families = [
+        BucketHashFamily(HashConfig(width=width, depth=depth, seed=seed + i))
+        for i, width in enumerate(widths[: len(columns)])
+    ]
+    arrays = [np.array(col, dtype=np.int64) for col in columns]
+    stacked = buckets_stacked(families, arrays)
+    assert stacked.shape == (len(families), depth, len(columns[0]))
+    for family, col, got in zip(families, columns, stacked):
+        assert got.tolist() == family.buckets_many(np.array(col)).tolist()
+        for row, h in enumerate(family._hashes):
+            assert got[row].tolist() == [h(x) % family.width for x in col]
+            assert h.eval_many(np.array(col, dtype=np.int64)).tolist() == [
+                h(x) for x in col
+            ]
+    signs = SignHashFamily(HashConfig(width=1, depth=depth, seed=seed))
+    got = signs.signs_many(arrays[0])
+    assert [tuple(got[:, i].tolist()) for i in range(len(columns[0]))] == [
+        signs.signs(x) for x in columns[0]
+    ]
+
+
+def test_eval_many_reduces_python_ints_past_64_bits():
+    h = PolynomialHash(3, random.Random(4))
+    xs = [0, 2**64, 2**70 + 5, MERSENNE_PRIME * 3]
+    assert h.eval_many(np.array(xs, dtype=object)).tolist() == [h(x) for x in xs]
+    with pytest.raises(ValueError, match="non-negative"):
+        h.eval_many(np.array([2**64, -1], dtype=object))

@@ -223,10 +223,7 @@ class TestBatchEqualsScalar:
 
 class TestWalBatchFraming:
     def test_append_many_bytes_equal_repeated_append(self, tmp_path):
-        records = [
-            {"stream": "s", "item": i, "count": 1, "time": i + 1}
-            for i in range(25)
-        ]
+        records = [("s", i, 1, i + 1) for i in range(25)]
         one = WriteAheadLog(tmp_path / "one")
         for record in records:
             one.append_many([record])

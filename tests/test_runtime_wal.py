@@ -1,18 +1,31 @@
 """Tests for the write-ahead log: framing, torn tails, rotation, pruning."""
 
 import json
+import shutil
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import IngestRuntime, run_fsck
 from repro.runtime.faults import FaultPlan, SimulatedCrash
-from repro.runtime.wal import WalCorruption, WriteAheadLog, _decode_line, _encode_line
+from repro.runtime.fsck import SEG_CLEAN
+from repro.runtime.wal import WalCorruption, WriteAheadLog, _decode_line
+from repro.store.store import SketchStore, StreamSpec
 
 
-def _record(seq_less=None, stream="s", item=1, count=1, time=1):
-    return {"stream": stream, "item": item, "count": count, "time": time}
+def _encode_line(record):
+    """A record's WAL line as ``json.dumps`` defines it: the reference
+    the writer's template framing must match byte for byte."""
+    body = json.dumps(record, separators=(",", ":"), sort_keys=True)
+    return f"{zlib.crc32(body.encode()):08x} {body}\n"
+
+
+def _record(stream="s", item=1, count=1, time=1):
+    return (stream, item, count, time)
 
 
 class TestFraming:
@@ -234,3 +247,145 @@ class TestRotationPruning:
             wal.append_many([_record(time=t)])
         assert wal.prune(3) == []
         assert [r["seq"] for r in wal.replay(0)] == [1, 2, 3]
+
+
+# --------------------------------------------------------------------- #
+# The template framer against its json.dumps reference
+# --------------------------------------------------------------------- #
+
+#: A runtime directory whose WAL was framed by ``json.dumps`` (the
+#: ``_encode_line`` reference above) before the writer framed lines from
+#: a template; :func:`write_golden` re-creates it.
+GOLDEN = Path(__file__).parent / "fixtures" / "runtime_wal"
+GOLDEN_STREAMS = [
+    "urls",
+    'say "hi"',
+    "back\\slash",
+    "\u00fcn\u00efc\u00f8d\u00e9-\u6d41",
+    "tab\tline\u2028sep",
+]
+INT64 = 2**63
+GOLDEN_RAWS = [
+    {"stream": "urls", "item": 0, "count": 1, "time": 1},
+    {"stream": "urls", "item": 5},  # auto-ticked
+    {"stream": "urls", "item": INT64 - 1, "count": -3},
+    {"stream": 'say "hi"', "item": 7, "count": -INT64, "time": 10},
+    {"stream": 'say "hi"', "item": 8, "count": INT64 - 1},
+    {"stream": "back\\slash", "item": 1, "count": 2, "time": 5},
+    {"stream": GOLDEN_STREAMS[3], "item": 3},
+    {"stream": GOLDEN_STREAMS[3], "item": 4, "count": -1, "time": INT64 - 1},
+    {"stream": GOLDEN_STREAMS[4], "item": 9, "time": None},
+    {"stream": "urls", "item": 12345678901234, "count": 1, "time": 40},
+]
+
+
+def write_golden(directory):
+    """The ingest that wrote :data:`GOLDEN`: one four-record frame, then
+    one-record frames."""
+    store = SketchStore(width=8, depth=2, seed=3)
+    for name in GOLDEN_STREAMS:
+        store.create(StreamSpec(name, delta=2.0))
+    runtime = IngestRuntime.create(directory, store, checkpoint_every=1000)
+    assert runtime.ingest_batch(GOLDEN_RAWS[:4]) == 4
+    for raw in GOLDEN_RAWS[4:]:
+        assert runtime.ingest(raw)
+    runtime.close()
+
+
+def tree_bytes(directory):
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def reference_bytes(rows, first_seq=1):
+    """``rows`` framed by the ``json.dumps`` reference, from ``first_seq``."""
+    return [
+        _encode_line(
+            {"seq": seq, "stream": stream, "item": item, "count": count,
+             "time": time}
+        ).encode()
+        for seq, (stream, item, count, time) in enumerate(rows, first_seq)
+    ]
+
+
+class TestTemplateFraming:
+    def test_golden_directory_is_rewritten_byte_for_byte(self, tmp_path):
+        write_golden(tmp_path / "rt")
+        assert tree_bytes(tmp_path / "rt") == tree_bytes(GOLDEN)
+
+    def test_golden_directory_replays_and_fscks_unchanged(self, tmp_path):
+        directory = tmp_path / "rt"
+        shutil.copytree(GOLDEN, directory)
+        segment = directory / "wal" / "segment-000000000001.wal"
+        records = list(WriteAheadLog(directory / "wal").replay(0))
+        rows = [
+            (r["stream"], r["item"], r["count"], r["time"]) for r in records
+        ]
+        assert [r["seq"] for r in records] == list(range(1, 11))
+        assert b"".join(reference_bytes(rows)) == segment.read_bytes()
+        assert [row[3] for row in rows[:3]] == [1, 2, 3]  # auto-ticked
+        report = run_fsck(directory, repair=True)
+        assert report.clean and report.actions == []
+        assert [seg.verdict for seg in report.segments] == [SEG_CLEAN]
+        assert report.scanned_records == report.replayable_through == 10
+        assert tree_bytes(directory) == tree_bytes(GOLDEN)
+        runtime = IngestRuntime.recover(directory)
+        assert runtime.applied_seq == 10
+        assert runtime.clock(GOLDEN_STREAMS[3]) == INT64 - 1
+        runtime.close()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(min_size=1, max_size=8).filter(lambda name: "/" not in name),
+                st.integers(min_value=0, max_value=INT64 - 1),
+                st.integers(min_value=-INT64, max_value=INT64 - 1).filter(bool),
+                st.integers(min_value=1, max_value=INT64 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        # Segment names carry 12 digits of the first seq.
+        first_seq=st.integers(min_value=1, max_value=10**12 - 10),
+    )
+    def test_template_equals_the_json_reference(self, rows, first_seq):
+        with tempfile.TemporaryDirectory() as directory:
+            wal = WriteAheadLog(directory, next_seq=first_seq)
+            assert wal.append_many(rows) == list(
+                range(first_seq, first_seq + len(rows))
+            )
+            wal.close()
+            (_start, path), = wal.segments()
+            assert path.read_bytes() == b"".join(reference_bytes(rows, first_seq))
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize("tear", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_fault_at_kth_record_leaves_the_reference_prefix(
+        self, tmp_path, tear, k
+    ):
+        """Frames of three rows: a crash before, or a torn write of, the
+        k-th record leaves the earlier lines whole and, when torn, the
+        first half of line k — the prefix the json.dumps framer left."""
+        rows = [(GOLDEN_STREAMS[i % 5], i, 1 - 2 * (i % 2), i + 1) for i in range(8)]
+        plan = (
+            FaultPlan(torn_write_at_record=k)
+            if tear
+            else FaultPlan(crash_before_record=k)
+        )
+        wal = WriteAheadLog(tmp_path, faults=plan)
+        with pytest.raises(SimulatedCrash):
+            for lo in range(0, len(rows), 3):
+                wal.append_many(rows[lo : lo + 3])
+        wal.close()
+        lines = reference_bytes(rows)
+        expected = b"".join(lines[: k - 1])
+        if tear:
+            expected += lines[k - 1][: max(1, len(lines[k - 1]) // 2)]
+        (_start, path), = wal.segments()
+        assert path.read_bytes() == expected
+        assert wal.next_seq == k
