@@ -1,14 +1,19 @@
 """Historical-window heavy hitters via the dyadic decomposition
-(Section 3.2).
+(Section 3.2), generalized to a power-of-two fan-out ``b``.
 
-The universe ``[0, n)`` is decomposed into ``log2(n) + 1`` levels of
-dyadic ranges; level ``l`` groups ``2^l`` consecutive elements, and a
+The universe ``[0, n)`` is decomposed into ``ceil(log_b n)`` levels of
+``b``-adic ranges; level ``l`` groups ``b^l`` consecutive elements, and a
 persistent Count-Min sketch per level tracks the total frequency of every
-range over time.  A heavy-hitters query descends the hierarchy: the ranges
-whose estimated window frequency reaches ``phi * ||f_{s,t}||_1`` are split
-and re-tested one level down, until individual elements remain
-(Theorem 3.2 for the guarantees; query cost is ``O(1/phi)`` point queries
-per level).
+range over time.  No level holds the root: the top level has at most
+``b`` ranges, and the whole universe's mass comes from the mass tracker
+below.  A heavy-hitters query descends the hierarchy: the ranges whose
+estimated window frequency reaches ``phi * ||f_{s,t}||_1`` are split
+into their ``b`` children and re-tested one level down, until individual
+elements remain (Theorem 3.2 for the guarantees, which hold for every
+``b``: each ancestor of a heavy element is heavy; query cost is
+``O(b/phi)`` point queries per level).  ``b = 2`` is the paper's dyadic
+hierarchy; a larger ``b`` feeds ``log2 b`` times fewer levels per update,
+the Count-Min hierarchy of Cormode and Hadjieleftheriou.
 
 The window mass ``||f_{s,t}||_1`` itself is estimated from a single
 PLA-tracked running total (exactly one counter, as Section 5.1 observes),
@@ -46,8 +51,115 @@ def check_universe(items: np.ndarray, universe: int) -> None:
         raise ValueError(f"item {offender} outside universe [0, {universe})")
 
 
+def fanout_bits(fanout: int) -> int:
+    """``log2`` of a fan-out, which must be a power of two ``>= 2``."""
+    if type(fanout) is not int or fanout < 2 or fanout & (fanout - 1):
+        raise ValueError(f"fanout must be a power of two >= 2, got {fanout!r}")
+    return fanout.bit_length() - 1
+
+
+def build_levels(
+    universe: int,
+    width: int,
+    depth: int,
+    param: float,
+    seed: int,
+    bits: int,
+    factory: Callable[..., PersistentSketch],
+    exact_small_levels: bool = True,
+) -> list[PersistentSketch]:
+    """The levels of a ``2^bits``-ary hierarchy over ``[0, universe)``,
+    finest first: level ``l`` counts the ranges ``item >> (bits * l)``.
+
+    There are ``ceil(log2(universe) / bits)`` of them, so the top level
+    has at most ``2^bits`` ranges, and no level is a single root.  A
+    level with at most ``width`` ranges counts *exactly* (with
+    ``exact_small_levels``): a single row with identity hashing, since
+    hashing a small, fully active key space into a same-sized table only
+    manufactures collisions (every range carries mass, unlike level 0
+    where most keys are rare); bench_ablation_dyadic.py quantifies the
+    effect.  ``factory(width, depth, param, seed, hashes=None)`` builds
+    each level, seeded ``seed + l``.
+    """
+    if universe < 2:
+        raise ValueError(f"universe must be >= 2, got {universe}")
+    levels: list[PersistentSketch] = []
+    for level in range(-(-(universe - 1).bit_length() // bits)):
+        ranges = ((universe - 1) >> (bits * level)) + 1
+        if exact_small_levels and ranges <= width:
+            levels.append(
+                factory(
+                    ranges, 1, param, seed + level,
+                    hashes=IdentityHashFamily(ranges, 1),
+                )
+            )
+        else:
+            levels.append(factory(min(width, ranges), depth, param, seed + level))
+    return levels
+
+
+def descend(
+    levels: int,
+    bits: int,
+    universe: int,
+    threshold: float,
+    cap: int,
+    estimates: Callable[[int, list[int]], list[float]],
+) -> dict[int, float]:
+    """The heavy-hitter descent every hierarchy shares (Theorem 3.2).
+
+    Starts by scoring every range of the top level (at most ``2^bits``),
+    then keeps the ranges whose estimate reaches ``threshold`` (the
+    ``cap`` largest when more do) and scores their children one level
+    down, until the survivors are single items.  ``estimates(level,
+    ranges)`` gives the window estimates of ``ranges`` at ``level``, in
+    order.  Returns each surviving item's level-0 estimate.
+    """
+    candidates = [0]
+    scored: list[tuple[float, int]] = []
+    for level in range(levels - 1, -1, -1):
+        top = ((universe - 1) >> (bits * level)) + 1
+        children = [
+            child
+            for parent in candidates
+            for child in range(parent << bits, min((parent + 1) << bits, top))
+        ]
+        scored = [
+            (estimate, child)
+            for estimate, child in zip(estimates(level, children), children)
+            if estimate >= threshold
+        ]
+        if len(scored) > cap:
+            scored.sort(reverse=True)
+            del scored[cap:]
+        if not scored:
+            return {}
+        candidates = [child for _, child in scored]
+    return {child: estimate for estimate, child in scored}
+
+
+def rank_top_k(
+    find: Callable[[float, int], dict[int, float]], k: int
+) -> list[tuple[int, float]]:
+    """The ~``k`` items ``find(phi, max_candidates)`` ranks highest.
+
+    Lowers the heavy-hitter threshold until at least ``k`` items
+    surface (or the threshold bottoms out), then returns the ``k``
+    largest — the top-k application of Section 1.5.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    phi = 1.0 / (2.0 * k)
+    while True:
+        found = find(phi, 8 * k)
+        if len(found) >= k or phi < 1e-5:
+            break
+        phi /= 2.0
+    return sorted(found.items(), key=lambda kv: kv[1], reverse=True)[:k]
+
+
 class PersistentHeavyHitters(PersistentSketch):
-    """Dyadic stack of persistent Count-Min sketches.
+    """``b``-ary stack of persistent Count-Min sketches.
 
     Parameters
     ----------
@@ -57,9 +169,7 @@ class PersistentHeavyHitters(PersistentSketch):
         see :func:`repro.eval.harness.compact_items`.
     width, depth:
         Per-level sketch shape.  Levels with at most ``width`` ranges are
-        counted *exactly*: a single row with identity hashing, since
-        hashing a small, fully active key space into a same-sized table
-        only manufactures collisions.
+        counted exactly (:func:`build_levels`).
     delta:
         Additive persistence error per level.
     sketch_factory:
@@ -68,6 +178,9 @@ class PersistentHeavyHitters(PersistentSketch):
         and the benchmarks plug in
         :class:`~repro.core.persistent_countmin.PWCCountMin` for the
         baseline.
+    fanout:
+        Children per range, a power of two ``b``: ``ceil(log_b n)``
+        levels.  The default 2 is the paper's dyadic hierarchy.
     """
 
     name = "PLA_HH"
@@ -81,39 +194,22 @@ class PersistentHeavyHitters(PersistentSketch):
         seed: int = 0,
         sketch_factory: Callable[..., PersistentSketch] | None = None,
         exact_small_levels: bool = True,
+        fanout: int = 2,
     ):
         super().__init__()
-        if universe < 2:
-            raise ValueError(f"universe must be >= 2, got {universe}")
         self.universe = universe
-        self.levels = (universe - 1).bit_length()
+        self.fanout = fanout
+        self._bits = fanout_bits(fanout)
         factory = sketch_factory or (
             lambda w, d, dl, sd, hashes=None: PersistentCountMin(
                 width=w, depth=d, delta=dl, seed=sd, hashes=hashes
             )
         )
-        self._sketches: list[PersistentSketch] = []
-        for level in range(self.levels + 1):
-            ranges = max(1, math.ceil(universe / (1 << level)))
-            if exact_small_levels and ranges <= width:
-                # Small level: exact per-range counters, one row.
-                # Hashing a small, fully active key space into a
-                # same-sized table only manufactures collisions (every
-                # range carries mass, unlike level 0 where most keys are
-                # rare); bench_ablation_dyadic.py quantifies the effect.
-                self._sketches.append(
-                    factory(
-                        ranges,
-                        1,
-                        delta,
-                        seed + level,
-                        hashes=IdentityHashFamily(ranges, 1),
-                    )
-                )
-            else:
-                self._sketches.append(
-                    factory(min(width, ranges), depth, delta, seed + level)
-                )
+        self._sketches = build_levels(
+            universe, width, depth, delta, seed, self._bits, factory,
+            exact_small_levels,
+        )
+        self.levels = len(self._sketches)
         # The running total, with a PLA log of its own (one component).
         self._mass = OnlinePLA(delta=delta, initial_value=0.0)
         self._mass_total = 0
@@ -121,7 +217,7 @@ class PersistentHeavyHitters(PersistentSketch):
     def _ingest(self, item: int, count: int, time: int) -> None:
         check_item(item, self.universe)
         for level, sketch in enumerate(self._sketches):
-            sketch.update(item >> level, count, time)
+            sketch.update(item >> (self._bits * level), count, time)
         self._mass_total += count
         self._mass.feed(time, self._mass_total)
 
@@ -138,11 +234,11 @@ class PersistentHeavyHitters(PersistentSketch):
         The batch passed this sketch's checks, and every level's clock
         is this sketch's, so each level takes its columnar plan directly
         (its own run-length dispatch would choose it too: the batch is
-        longer than a short run).  The hashed levels' ``items >> level``
-        columns are hashed in one stacked evaluation.
+        longer than a short run).  The hashed levels' range columns are
+        hashed in one stacked evaluation.
         """
         check_universe(items, self.universe)
-        shifted = [items >> level for level in range(len(self._sketches))]
+        shifted = [items >> (self._bits * level) for level in range(self.levels)]
         hashed = [
             level
             for level, sketch in enumerate(self._sketches)
@@ -225,27 +321,12 @@ class PersistentHeavyHitters(PersistentSketch):
         s, t = self._resolve_window(s, t)
         threshold = phi * self.window_mass(s, t)
         cap = max_candidates or max(16, math.ceil(4.0 / phi))
-
-        candidates = [0]
-        for level in range(self.levels, 0, -1):
-            sketch = self._sketches[level - 1]
-            scored: list[tuple[float, int]] = []
-            for parent in candidates:
-                for child in (2 * parent, 2 * parent + 1):
-                    if (child << (level - 1)) >= self.universe:
-                        continue
-                    estimate = sketch.point(child, s, t)
-                    if estimate >= threshold:
-                        scored.append((estimate, child))
-            if len(scored) > cap:
-                scored.sort(reverse=True)
-                scored = scored[:cap]
-            candidates = [child for _, child in scored]
-            if not candidates:
-                return {}
-        return {
-            item: self._sketches[0].point(item, s, t) for item in candidates
-        }
+        return descend(
+            self.levels, self._bits, self.universe, threshold, cap,
+            lambda level, ranges: [
+                self._sketches[level].point(r, s, t) for r in ranges
+            ],
+        )
 
     def range_sum(
         self, lo: int, hi: int, s: float = 0, t: float | None = None
@@ -253,51 +334,41 @@ class PersistentHeavyHitters(PersistentSketch):
         """Estimate the total frequency of items in ``[lo, hi]`` over
         ``(s, t]``.
 
-        Uses the canonical dyadic decomposition of ``[lo, hi]`` — at most
-        ``2 log2(n)`` ranges, one point query each — the range-query
-        application of the dyadic technique noted in [11, 12].
+        Uses the canonical ``b``-adic decomposition of ``[lo, hi]`` — at
+        most ``2 (b - 1)`` ranges per level, one point query each — the
+        range-query application of the dyadic technique noted in
+        [11, 12].  The whole universe is one range no level holds: its
+        sum is :meth:`window_mass`.
         """
         if not 0 <= lo <= hi < self.universe:
             raise ValueError(
                 f"range [{lo}, {hi}] outside universe [0, {self.universe})"
             )
         s, t = self._resolve_window(s, t)
+        if lo == 0 and hi == self.universe - 1:
+            return self.window_mass(s, t)
         total = 0.0
         position = lo
         while position <= hi:
-            # Largest dyadic block starting at `position` inside [lo, hi].
-            level = (
-                (position & -position).bit_length() - 1
-                if position
-                else self.levels
-            )
-            while (1 << level) > hi - position + 1:
+            # Largest b-adic block starting at `position` inside [lo, hi].
+            aligned = (position & -position).bit_length() - 1 if position else 64
+            level = min(aligned // self._bits, self.levels - 1)
+            while 1 << (self._bits * level) > hi - position + 1:
                 level -= 1
-            total += self._sketches[level].point(position >> level, s, t)
-            position += 1 << level
+            shift = self._bits * level
+            total += self._sketches[level].point(position >> shift, s, t)
+            position += 1 << shift
         return total
 
     def top_k(
         self, k: int, s: float = 0, t: float | None = None
     ) -> list[tuple[int, float]]:
-        """The ~``k`` most frequent items of the window, by estimate.
-
-        Lowers the heavy-hitter threshold until at least ``k`` items
-        surface (or the threshold bottoms out), then returns the ``k``
-        largest — the top-k application of Section 1.5.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        """The ~``k`` most frequent items of the window, by estimate
+        (:func:`rank_top_k`)."""
         s, t = self._resolve_window(s, t)
-        phi = 1.0 / (2.0 * k)
-        found: dict[int, float] = {}
-        while True:
-            found = self.heavy_hitters(phi, s, t, max_candidates=8 * k)
-            if len(found) >= k or phi < 1e-5:
-                break
-            phi /= 2.0
-        ranked = sorted(found.items(), key=lambda kv: kv[1], reverse=True)
-        return ranked[:k]
+        return rank_top_k(
+            lambda phi, cap: self.heavy_hitters(phi, s, t, max_candidates=cap), k
+        )
 
     def persistence_words(self) -> int:
         self.flush_buffer()

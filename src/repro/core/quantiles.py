@@ -1,18 +1,19 @@
-"""Historical window quantiles and range queries on top of the dyadic
-persistent Count-Min hierarchy.
+"""Historical window quantiles and range queries on top of the persistent
+Count-Min hierarchy.
 
 The paper notes (Section 1.2) that point queries are the building block
-of range queries [11]; and the dyadic range-sum trick that serves heavy
-hitters equally serves *rank* queries: the rank of ``x`` in the window
-``(s, t]`` is the range sum ``[0, x]``, computable from O(log n) dyadic
-point queries.  Binary-searching ranks yields approximate quantiles over
-any past window — the query Tao et al. [30] support for historical data
-only with a pointer-based, non-streaming summary.
+of range queries [11]; and the ``b``-adic range-sum trick that serves
+heavy hitters equally serves *rank* queries: the rank of ``x`` in the
+window ``(s, t]`` is the range sum ``[0, x]``, computable from
+``O(b log_b n)`` point queries.  A quantile walks the hierarchy top
+down, accumulating range masses left to right — approximate quantiles
+over any past window, the query Tao et al. [30] support for historical
+data only with a pointer-based, non-streaming summary.
 
-Error: each rank estimate carries ``O(log n)`` point-query errors of
+Error: each rank estimate carries ``O(b log_b n)`` point-query errors of
 ``eps ||f_{s,t}||_1 + Delta`` each, so a quantile returned for rank
-``phi * W`` holds a true rank within ``phi * W +- O(log n (eps W + Delta))``
-where ``W = ||f_{s,t}||_1``.
+``phi * W`` holds a true rank within
+``phi * W +- O(b log_b n (eps W + Delta))`` where ``W = ||f_{s,t}||_1``.
 """
 
 from __future__ import annotations
@@ -96,22 +97,32 @@ class PersistentQuantiles:
         """Approximate ``phi``-quantile of the window's values.
 
         Returns the smallest value whose estimated rank reaches
-        ``phi * W`` (``W`` = estimated window mass), found by binary
-        search over the universe — O(log n) rank queries, each O(log n)
-        point queries.
+        ``phi * W`` (``W`` = estimated window mass), found top down:
+        at each level the walk adds the masses of the current range's
+        children left to right and enters the child whose mass crosses
+        the target — at most ``b`` point queries per level.
         """
         if not 0 <= phi <= 1:
             raise ValueError(f"phi must lie in [0, 1], got {phi}")
-        s, t = self._hierarchy._resolve_window(s, t)
-        target = phi * self._hierarchy.window_mass(s, t)
-        lo, hi = 0, self.universe - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank(mid, s, t) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        hierarchy = self._hierarchy
+        s, t = hierarchy._resolve_window(s, t)
+        target = phi * hierarchy.window_mass(s, t)
+        bits = hierarchy._bits
+        below = 0.0  # estimated mass of the values left of `value`
+        value = 0
+        for level in range(hierarchy.levels - 1, -1, -1):
+            point = hierarchy._sketches[level].point
+            last = min(
+                (value + 1) << bits, ((self.universe - 1) >> (bits * level)) + 1
+            ) - 1
+            value <<= bits
+            while value < last:
+                mass = point(value, s, t)
+                if below + mass >= target:
+                    break
+                below += mass
+                value += 1
+        return value
 
     def median(self, s: float = 0, t: float | None = None) -> int:
         """Approximate window median."""

@@ -71,9 +71,8 @@ class PersistentWavelets:
                 universe=universe, width=width, depth=depth, delta=delta,
                 seed=seed,
             )
-        # Haar needs a power-of-two domain; the hierarchy's level count
-        # already rounds the universe up.
-        self._log_n = self._hierarchy.levels
+        # Haar needs a power-of-two domain: the universe rounded up.
+        self._log_n = (self._hierarchy.universe - 1).bit_length()
         self._n = 1 << self._log_n
 
     @property

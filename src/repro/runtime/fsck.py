@@ -61,7 +61,7 @@ from repro.io.generations import damaged_generations, read_manifest
 from repro.runtime.wal import _SEGMENT_RE, _decode_line
 from repro.store.store import SketchStore
 
-_CKPT_RE = re.compile(r"^ckpt-(\d{12})$")
+_CKPT_RE = re.compile(r"^ckpt-(\d{12,})$")
 
 #: Name of the quarantine directory created under the runtime root.
 QUARANTINE_DIR = "quarantine"

@@ -71,7 +71,7 @@ from repro.streams.records import (
     record_fields,
 )
 
-_CKPT_RE = re.compile(r"^ckpt-(\d{12})$")
+_CKPT_RE = re.compile(r"^ckpt-(\d{12,})$")
 
 POINTER_NAME = "CHECKPOINT"
 DEADLETTER_NAME = "deadletter.jsonl"
@@ -454,19 +454,17 @@ class IngestRuntime:
         pending_clocks: dict[str, int] = {}
         applied = 0
         for raw in raws:
-            if isinstance(raw, IngestRecord):
-                stream, item, count, time = (
-                    raw.stream, raw.item, raw.count, raw.time
-                )
-            elif isinstance(raw, RecordError):
+            if isinstance(raw, RecordError):
                 self._reject("malformed", str(raw), None, rows, runs)
                 continue
-            else:
-                try:
-                    stream, item, count, time = record_fields(raw)
-                except RecordError as exc:
-                    self._reject("malformed", str(exc), raw, rows, runs)
-                    continue
+            if isinstance(raw, IngestRecord):
+                # A typed record is built unchecked: the dict checks apply.
+                raw = raw.to_wire()
+            try:
+                stream, item, count, time = record_fields(raw)
+            except RecordError as exc:
+                self._reject("malformed", str(exc), raw, rows, runs)
+                continue
             clock = pending_clocks.get(stream)
             if clock is None:
                 clock = clocks.get(stream)

@@ -34,7 +34,7 @@ from typing import IO, Any, Iterator
 
 from repro.runtime.faults import FaultPlan, SimulatedCrash
 
-_SEGMENT_RE = re.compile(r"^segment-(\d{12})\.wal$")
+_SEGMENT_RE = re.compile(r"^segment-(\d{12,})\.wal$")
 
 
 class WalCorruption(RuntimeError):

@@ -21,12 +21,12 @@ from collections.abc import Collection
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.heavy_hitters import PersistentHeavyHitters
+from repro.core.heavy_hitters import PersistentHeavyHitters, fanout_bits
 from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.io import load as load_archive
 from repro.io.atomic import replace_directory
-from repro.io.generations import Columns, Saved, held, read_manifest
+from repro.io.generations import LEGACY_FANOUT, Columns, Saved, held, read_manifest
 from repro.io.generations import read as load_sketch
 from repro.io.generations import write as save_sketch
 
@@ -53,6 +53,10 @@ class StreamSpec:
     quantiles:
         Answer window rank/quantile queries.  Shares the heavy-hitter
         hierarchy when both are enabled (they use the identical index).
+    fanout:
+        Children per range of that hierarchy (a power of two ``b``;
+        ``ceil(log_b universe)`` levels): 16 feeds a 2^16 universe 4
+        levels, not the dyadic 16 (``BENCH_hierarchy.json``).
     """
 
     name: str
@@ -61,8 +65,10 @@ class StreamSpec:
     heavy_hitters: bool = False
     joinable: bool = False
     quantiles: bool = False
+    fanout: int = 16
 
     def __post_init__(self) -> None:
+        fanout_bits(self.fanout)
         if not self.name or "/" in self.name:
             raise ValueError(f"invalid stream name {self.name!r}")
         if (self.heavy_hitters or self.quantiles) and self.universe is None:
@@ -185,6 +191,7 @@ class SketchStore:
                 depth=self.depth,
                 delta=spec.delta,
                 seed=self.seed + 1,
+                fanout=spec.fanout,
             )
             if keep["hh"]
             else None
@@ -419,6 +426,12 @@ class SketchStore:
                     "heavy_hitters": state.spec.heavy_hitters,
                     "joinable": state.spec.joinable,
                     "quantiles": state.spec.quantiles,
+                    # Only a hierarchy has a fan-out to record.
+                    **(
+                        {"fanout": state.spec.fanout}
+                        if state.hh_sketch is not None
+                        else {}
+                    ),
                 },
                 {
                     "point": state.point_sketch,
@@ -470,6 +483,10 @@ class SketchStore:
                 heavy_hitters=entry["heavy_hitters"],
                 joinable=entry["joinable"],
                 quantiles=entry.get("quantiles", False),
+                fanout=entry.get(
+                    "fanout",
+                    LEGACY_FANOUT if held(entry)["hh"] else StreamSpec.fanout,
+                ),
             )
             store._streams[spec.name] = _StreamState(
                 spec, sketches["point"], sketches["hh"], sketches["join"]

@@ -165,6 +165,29 @@ class TestIngestRecover:
         assert "resumed at seq 40" in out
         assert "ingested: 5" in out
 
+    def test_a_created_hierarchy_stream_records_fanout_16(self, tmp_path):
+        from repro.io.generations import read_manifest
+
+        records = tmp_path / "records.jsonl"
+        self._write_records(
+            records, [{"stream": "urls", "item": i % 9} for i in range(12)]
+        )
+        rc = cli.main(
+            [
+                "ingest", str(tmp_path / "rt"), str(records),
+                "--create-stream", "urls:8:64",
+                "--create-stream", "ads:8",
+                "--checkpoint-every", "10",
+            ]
+        )
+        assert rc == 0
+        newest = sorted((tmp_path / "rt" / "checkpoints").glob("ckpt-*"))[-1]
+        entries = {
+            entry["name"]: entry for entry in read_manifest(newest)["streams"]
+        }
+        assert entries["urls"]["fanout"] == 16
+        assert "fanout" not in entries["ads"]  # no hierarchy, no fan-out
+
     def test_ingest_quarantines_garbage(self, tmp_path, capsys):
         records = tmp_path / "dirty.jsonl"
         self._write_records(

@@ -301,17 +301,16 @@ class TestScalarRoute:
         assert frozen.heavy_hitters(0.2) == live.heavy_hitters(0.2)
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "cap, expect",
-        [(_SCALAR_PROBES_MAX // 2, {_SCALAR_PROBES_MAX}),
-         (_SCALAR_PROBES_MAX, {2 * _SCALAR_PROBES_MAX})],
-    )
+    @pytest.mark.parametrize("fanout", (2, 4, 16))
+    @pytest.mark.parametrize("parents", (1, 2))
     def test_level_sizes_straddle_the_cutoff(
-        self, hh_pair, monkeypatch, cap, expect
+        self, stream, monkeypatch, fanout, parents
     ):
-        """A saturated frontier of ``cap`` parents yields ``2 * cap``
-        children: exactly the cutoff (scalar) or above it (vectorized)."""
-        live, frozen = hh_pair
+        """A saturated frontier of ``cap`` parents yields ``b * cap``
+        children: exactly the cutoff (scalar, ``cap = cutoff / b``) or
+        above it (vectorized, twice that cap)."""
+        live, frozen = _hh_pair(stream, fanout)
+        cap = parents * _SCALAR_PROBES_MAX // fanout
         sizes = []
         estimates = FrozenHeavyHitters._estimates
 
@@ -323,7 +322,43 @@ class TestScalarRoute:
         t = frozen.now
         got = frozen.heavy_hitters(1e-4, 0, t, max_candidates=cap)
         assert got == live.heavy_hitters(1e-4, 0, t, max_candidates=cap)
-        assert expect <= set(sizes)
+        assert parents * _SCALAR_PROBES_MAX in sizes
+
+    def test_point_many_past_every_tracked_column(self):
+        """A vectorized probe of a column past every tracked column of
+        the table is untracked in its own row, not aliased into the next
+        row's columns."""
+        sketch = PersistentCountMin(width=128, depth=4, delta=4.0, seed=3)
+        rng = np.random.default_rng(0)
+        n = 20
+        sketch.ingest_batch(
+            np.arange(1, n + 1, dtype=np.int64),
+            rng.integers(0, 1024, size=n).astype(np.int64),
+            np.ones(n, dtype=np.int64),
+        )
+        frozen = freeze(sketch)
+        items = list(range(1024))
+        assert len(items) > _SCALAR_PROBES_MAX
+        assert frozen.point_many(items, (0, n)).tolist() == [
+            sketch.point(item, 0, n) for item in items
+        ]
+
+
+_HH_PAIRS: dict = {}
+
+
+def _hh_pair(stream, fanout):
+    """A live structure of fan-out ``fanout`` over the stream's whole
+    universe (deep enough for a saturated frontier at every fan-out)
+    and its frozen snapshot, built once per fan-out."""
+    if fanout not in _HH_PAIRS:
+        live = PersistentHeavyHitters(
+            universe=stream.universe, width=256, depth=3, delta=16.0, seed=7,
+            fanout=fanout,
+        )
+        live.ingest(stream)
+        _HH_PAIRS[fanout] = live, freeze(live)
+    return _HH_PAIRS[fanout]
 
 
 @settings(max_examples=40, deadline=None,

@@ -114,6 +114,36 @@ class TestMalformed:
         (entry,) = runtime.dead_letters.entries()
         assert "unknown stream" in entry["reason"]
 
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            (IngestRecord("urls", -1), "'item' must be >= 0"),
+            (IngestRecord("urls", 2**63), "outside the int64 range"),
+            (IngestRecord("urls", 4, count=0), "'count' must be non-zero"),
+            (IngestRecord("urls", 4, time=0), "'time' must be >= 1"),
+            (IngestRecord("urls", True), "must be an integer"),
+        ],
+    )
+    def test_ingest_record_takes_the_field_checks(self, tmp_path, record, reason):
+        """A typed record is dead-lettered before the WAL append, as its
+        dict form would be, and the directory still recovers."""
+        runtime = make_runtime(
+            tmp_path, policy=IngestPolicy(on_malformed="quarantine")
+        )
+        assert runtime.ingest_batch(
+            [IngestRecord("urls", 1, time=1), record, IngestRecord("urls", 2)]
+        ) == 2
+        (entry,) = runtime.dead_letters.entries()
+        assert entry["kind"] == "malformed"
+        assert reason in entry["reason"]
+        assert entry["record"] == record.to_wire()
+        assert runtime.health()["state"] == "healthy"
+        runtime.close()
+        recovered = IngestRuntime.recover(tmp_path / "rt")
+        assert recovered.applied_seq == 2
+        assert recovered.store.point("urls", 2) == runtime.store.point("urls", 2)
+        recovered.close()
+
     def test_record_error_instance_goes_through_policy(self, tmp_path):
         """read_jsonl_records yields RecordError for bad JSON lines."""
         runtime = make_runtime(
