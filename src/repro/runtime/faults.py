@@ -182,9 +182,13 @@ class FaultPlan:
         """
         directory = Path(directory)
         actions: list[str] = []
+        # Imported here: both modules import this one.
+        from repro.runtime.runtime import IngestRuntime
+        from repro.runtime.wal import WriteAheadLog
+
         if self.flip_byte_in_segment is not None:
-            segments = sorted((directory / "wal").glob("segment-*.wal"))
-            path = segments[self.flip_byte_in_segment - 1]
+            segments = WriteAheadLog(directory / "wal").segments()
+            _start, path = segments[self.flip_byte_in_segment - 1]
             data = bytearray(path.read_bytes())
             offset = self.flip_byte_offset
             if offset < 0:
@@ -201,8 +205,7 @@ class FaultPlan:
         ):
             if ordinal is None:
                 continue
-            checkpoints = sorted((directory / "checkpoints").glob("ckpt-*"))
-            target = checkpoints[ordinal - 1]
+            _covered, target = IngestRuntime._checkpoints(directory)[ordinal - 1]
             if remove:
                 import shutil
 

@@ -156,6 +156,27 @@ class TestErrors:
                 {"format": "repro-sketch", "version": 1, "type": "Quantile"}
             )
 
+    def test_hierarchy_level_count(self):
+        """An archive without ``fanout`` was written with a root level
+        past its dyadic levels, which is dropped; every other level count
+        is malformed."""
+        document = to_dict(
+            PersistentHeavyHitters(universe=16, width=4, depth=1, delta=1, fanout=4)
+        )
+        levels = document["state"]["levels"]
+        assert from_dict(document).levels == len(levels) == 2
+        levels.append(levels[-1])
+        with pytest.raises(SerializationError, match="level documents"):
+            from_dict(document)
+        legacy = to_dict(
+            PersistentHeavyHitters(universe=16, width=4, depth=1, delta=1)
+        )
+        del legacy["state"]["fanout"]
+        with pytest.raises(SerializationError, match="and a root"):
+            from_dict(legacy)
+        legacy["state"]["levels"].append(legacy["state"]["levels"][-1])
+        assert from_dict(legacy).levels == 4
+
 
 class TestCorruptFiles:
     """load() wraps low-level decode failures in SerializationError,
