@@ -14,7 +14,11 @@ rank or quantile sums up to ``b - 1`` ranges per level.  For each
   ``REPEATS`` fresh builds;
 * ``queries``: per-call latency of the live and the frozen
   ``heavy_hitters`` (phi = 0.01) and of the live ``quantile`` over the
-  same random windows (median and quartiles, ms), and whether every
+  same random windows (median and quartiles, ms); the live and frozen
+  ``heavy_hitters`` latency on zero-mass windows ``(t, t]`` at the same
+  ends, whose threshold is 0, so every level keeps the cap's
+  ``max(16, 4 / phi)`` ranges (``*_zero_mass_ms``, with
+  ``zero_mass_answer_size`` the cap they return); and whether every
   frozen answer equals the live one (``frozen_equals_live``);
 * ``rank_error``: the exact-rank error of the live ``quantile``, ``rank``
   and ``range_count`` over the same windows, as a fraction of each
@@ -34,7 +38,7 @@ The store's default fan-out (16, :class:`repro.store.StreamSpec`) was
 chosen from these rows; the paper's exhibits stay at 2.
 
 Results are written to ``BENCH_hierarchy.json`` at the repo root (schema
-``bench_hierarchy_fanout/v1``).  Scale record counts with
+``bench_hierarchy_fanout/v2``).  Scale record counts with
 ``REPRO_BENCH_SCALE``.
 """
 
@@ -156,12 +160,22 @@ def _queries(store: SketchStore, windows: list[tuple[int, int]]) -> dict:
     _, quantile_s = _timed(
         [lambda s=s, t=t: quantiles.quantile(0.5, s, t) for s, t in windows]
     )
+    ends = [t for _, t in windows]
+    live_zero, live_zero_s = _timed(
+        [lambda t=t: hh.heavy_hitters(PHI, t, t) for t in ends]
+    )
+    cold_zero, frozen_zero_s = _timed(
+        [lambda t=t: frozen.heavy_hitters(PHI, t, t) for t in ends]
+    )
     return {
         "live_heavy_hitters_ms": _spread(live_s, 1e3),
         "frozen_heavy_hitters_ms": _spread(frozen_s, 1e3),
         "quantile_ms": _spread(quantile_s, 1e3),
+        "live_heavy_hitters_zero_mass_ms": _spread(live_zero_s, 1e3),
+        "frozen_heavy_hitters_zero_mass_ms": _spread(frozen_zero_s, 1e3),
         "mean_answer_size": statistics.mean(len(a) for a in live),
-        "frozen_equals_live": cold == live,
+        "zero_mass_answer_size": statistics.mean(len(a) for a in live_zero),
+        "frozen_equals_live": cold == live and cold_zero == live_zero,
     }
 
 
@@ -270,7 +284,7 @@ def run_benchmark() -> dict:
             "quality": _quality(fanout),
         }
     payload = {
-        "schema": "bench_hierarchy_fanout/v1",
+        "schema": "bench_hierarchy_fanout/v2",
         "scale": harness.bench_scale(),
         **cpu_header(),
         "workload": {
@@ -297,7 +311,8 @@ def run_benchmark() -> dict:
 
 def _summary(payload: dict) -> str:
     lines = ["b  levels  ingest rec/s (median)  live hh ms  frozen hh ms  "
-             "quantile ms  ckpt B/rec  max rank err (quantile/rank/range)"]
+             "zero-mass live/frozen ms  quantile ms  ckpt B/rec  "
+             "max rank err (quantile/rank/range)"]
     for fanout, row in payload["fanouts"].items():
         queries = row["queries"]
         errors = "/".join(
@@ -308,6 +323,8 @@ def _summary(payload: dict) -> str:
             f"{row['ingest_rec_per_s']['median']:>21.0f}  "
             f"{queries['live_heavy_hitters_ms']['median']:>10.2f}  "
             f"{queries['frozen_heavy_hitters_ms']['median']:>12.2f}  "
+            f"{queries['live_heavy_hitters_zero_mass_ms']['median']:>12.2f}/"
+            f"{queries['frozen_heavy_hitters_zero_mass_ms']['median']:<11.2f}  "
             f"{queries['quantile_ms']['median']:>11.2f}  "
             f"{row['checkpoint_bytes_per_record']:>10.1f}  {errors}"
         )

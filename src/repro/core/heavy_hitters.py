@@ -104,38 +104,35 @@ def descend(
     universe: int,
     threshold: float,
     cap: int,
-    estimates: Callable[[int, list[int]], list[float]],
+    score: Callable[[int, np.ndarray], np.ndarray],
 ) -> dict[int, float]:
     """The heavy-hitter descent every hierarchy shares (Theorem 3.2).
 
     Starts by scoring every range of the top level (at most ``2^bits``),
     then keeps the ranges whose estimate reaches ``threshold`` (the
-    ``cap`` largest when more do) and scores their children one level
-    down, until the survivors are single items.  ``estimates(level,
-    ranges)`` gives the window estimates of ``ranges`` at ``level``, in
-    order.  Returns each surviving item's level-0 estimate.
+    ``cap`` largest when more do, ties broken by the larger range) and
+    scores their children one level down, until the survivors are
+    single items.  ``score(level, ranges)`` gives the window estimates
+    of an int64 array of ``ranges`` at ``level`` as a float64 array, in
+    order: each level is scored in one call.  Returns each surviving
+    item's level-0 estimate, the capped ones in descending order.
     """
-    candidates = [0]
-    scored: list[tuple[float, int]] = []
+    offsets = np.arange(1 << bits, dtype=np.int64)
+    parents = np.zeros(1, dtype=np.int64)
+    estimates = np.empty(0, dtype=np.float64)
     for level in range(levels - 1, -1, -1):
         top = ((universe - 1) >> (bits * level)) + 1
-        children = [
-            child
-            for parent in candidates
-            for child in range(parent << bits, min((parent + 1) << bits, top))
-        ]
-        scored = [
-            (estimate, child)
-            for estimate, child in zip(estimates(level, children), children)
-            if estimate >= threshold
-        ]
-        if len(scored) > cap:
-            scored.sort(reverse=True)
-            del scored[cap:]
-        if not scored:
+        children = ((parents[:, None] << bits) + offsets).ravel()
+        children = children[children < top]
+        scores = score(level, children)
+        keep = np.flatnonzero(scores >= threshold)
+        if len(keep) > cap:
+            keep = keep[np.lexsort((children[keep], scores[keep]))[::-1][:cap]]
+        if not len(keep):
             return {}
-        candidates = [child for _, child in scored]
-    return {child: estimate for estimate, child in scored}
+        parents = children[keep]
+        estimates = scores[keep]
+    return dict(zip(parents.tolist(), estimates.tolist()))
 
 
 def rank_top_k(
@@ -323,9 +320,9 @@ class PersistentHeavyHitters(PersistentSketch):
         cap = max_candidates or max(16, math.ceil(4.0 / phi))
         return descend(
             self.levels, self._bits, self.universe, threshold, cap,
-            lambda level, ranges: [
-                self._sketches[level].point(r, s, t) for r in ranges
-            ],
+            lambda level, ranges: self._sketches[level].window_estimates(
+                ranges, s, t
+            ),
         )
 
     def range_sum(

@@ -154,9 +154,10 @@ class HistoricalHeavyHitters(PersistentSketch):
         cap = max_candidates or max(16, math.ceil(4.0 / phi))
         return descend(
             self.levels, self._bits, self.universe, threshold, cap,
-            lambda level, ranges: [
-                self._sketches[level].point(r, 0, t) for r in ranges
-            ],
+            lambda level, ranges: np.array(
+                [self._sketches[level].point(r, 0, t) for r in ranges.tolist()],
+                dtype=np.float64,
+            ),
         )
 
     def top_k(self, k: int, t: float | None = None) -> list[tuple[int, float]]:

@@ -35,6 +35,26 @@ from repro.pla.orourke import OnlinePLA
 from repro.pla.piecewise_constant import OnlinePWC
 
 
+def median_rows(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)`` of a ``(depth, n)`` float array,
+    bit-equal and without its per-call cost on a few rows.
+
+    The rows are sorted column-wise by an odd-even transposition network
+    of ``np.minimum``/``np.maximum`` (selections, no arithmetic); the
+    median is the middle row, or the two middle rows' sum halved.
+    """
+    rows = list(values)
+    depth = len(rows)
+    for phase in range(depth):
+        for i in range(phase % 2, depth - 1, 2):
+            rows[i], rows[i + 1] = (
+                np.minimum(rows[i], rows[i + 1]),
+                np.maximum(rows[i], rows[i + 1]),
+            )
+    mid = depth // 2
+    return rows[mid] if depth % 2 else (rows[mid - 1] + rows[mid]) / 2.0
+
+
 class PersistentCountMin(PersistentSketch):
     """Persistent Count-Min sketch, generic in the history compressor.
 
@@ -158,6 +178,36 @@ class PersistentCountMin(PersistentSketch):
             low = self.counter_at(row, cols[row], s) if s > 0 else 0.0
             estimates.append(high - low)
         return median(estimates)
+
+    def window_estimates(
+        self, items: np.ndarray, s: float = 0, t: float | None = None
+    ) -> np.ndarray:
+        """:meth:`point` of every item of an int64 array over one window,
+        as a float64 array, bit-equal to calling it per item.
+
+        Each distinct counter the items touch is read once, and the row
+        median is taken over the whole array.  The heavy-hitter descent
+        scores a level with it: a wide frontier's children outnumber a
+        row's counters, so most of their probes land on counters already
+        read.  Items hash through :meth:`BucketHashFamily.buckets`, whose
+        memo :meth:`point` fills too, so a range asked again is not
+        hashed again.
+        """
+        s, t = self._resolve_window(s, t)
+        columns = zip(*map(self.hashes.buckets, items.tolist()))
+        windows = []
+        for row_cols, trackers in zip(columns, self._trackers):
+            read = dict.fromkeys(row_cols, 0.0)
+            for col in read:
+                tracker = trackers.get(col)
+                if tracker is not None:
+                    read[col] = tracker.value_at(t) - (
+                        tracker.value_at(s) if s > 0 else 0.0
+                    )
+            windows.append(list(map(read.__getitem__, row_cols)))
+        return median_rows(
+            np.array(windows, dtype=np.float64).reshape(self.depth, len(items))
+        )
 
     def self_join_size(self, s: float = 0, t: float | None = None) -> float:
         """Count-Min style self-join estimate over the window.

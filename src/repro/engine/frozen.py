@@ -23,13 +23,15 @@ batch costs a fixed ~350µs of numpy dispatch (much of it Carter-Wegman
 hashing) however few its probes, so up to ``_SCALAR_PROBES_MAX`` probes
 take a scalar route instead: ``_ScalarPointCache`` keeps the table as
 Python lists and answers each probe with two ``bisect`` calls per row.
-That covers ``point``, small ``point_many`` batches, and every
-heavy-hitter level of at most that many children (the descent asks
-``O(b/phi)`` probes per level at fan-out ``b``); larger batches resolve through a
-handful of vectorized ``np.searchsorted`` / gather / ``np.median``
-operations.  The sampled-AMS self-join locates each row's touched
-columns once per snapshot and then makes one vectorized ``eval`` per
-(sign, copy) table and window endpoint.
+That covers ``point`` and small ``point_many`` batches; larger batches
+resolve through a handful of vectorized ``np.searchsorted`` / gather /
+``np.median`` operations.  A heavy-hitter level (``O(b/phi)`` children
+at fan-out ``b``) is scored in one call whatever its size: its children
+are hashed at once, and each distinct counter they touch is read once
+at both window ends, so a level costs at most one read per tracked
+counter however many children share them.  The sampled-AMS self-join
+locates each row's touched columns once per snapshot and then makes one
+vectorized ``eval`` per (sign, copy) table and window endpoint.
 
 Layout
 ------
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import repeat
 from statistics import median
 from typing import Iterable, Sequence
 
@@ -75,7 +76,7 @@ from repro.core.heavy_hitters import (
     descend,
 )
 from repro.core.persistent_ams import PersistentAMS
-from repro.core.persistent_countmin import PersistentCountMin
+from repro.core.persistent_countmin import PersistentCountMin, median_rows
 from repro.core.pwc_ams import PWCAMS
 from repro.engine.batch import _batch_signs, batch_hash_columns
 from repro.io.generations import SKETCHES, Columns, KindColumns, held, sketch_columns
@@ -177,6 +178,7 @@ class _ColumnTable:
     __slots__ = (
         "row_offsets",
         "cols",
+        "slot_rows",
         "offsets",
         "starts",
         "starts_f",
@@ -231,10 +233,10 @@ class _ColumnTable:
         # sorted within each row), so one searchsorted locates every
         # (query, row) probe of a batch at once.
         self._col_span = int(cols.max()) + 1 if n_slots else 1
-        row_of_slot = np.repeat(
+        self.slot_rows = np.repeat(
             np.arange(self.n_rows, dtype=np.int64), np.diff(row_offsets)
         )
-        self._col_keys = row_of_slot * self._col_span + cols
+        self._col_keys = self.slot_rows * self._col_span + cols
 
     @property
     def n_rows(self) -> int:
@@ -597,6 +599,7 @@ class FrozenCountMin:
         self.hashes = sketch.hashes
         self._table = table
         self._scalar_cache: _ScalarPointCache | None = None
+        self._slot_map: np.ndarray | None = None
 
     # -- point ---------------------------------------------------------- #
 
@@ -658,6 +661,43 @@ class FrozenCountMin:
         ``point_many([item], (s, t))`` (no array wrapping or dedup)."""
         s, t = _resolve_window(s, t, self.now)
         return self._scalar_points((item,), (s,), (t,))[0]
+
+    def window_estimates(
+        self, items: np.ndarray, s: float = 0, t: float | None = None
+    ) -> np.ndarray:
+        """:meth:`point` of every item of an int64 array over one window,
+        bit-equal to the live
+        :meth:`~repro.core.persistent_countmin.PersistentCountMin.window_estimates`.
+
+        The items are hashed in one call and their counters looked up in
+        the ``(depth, width)`` slot map; each distinct tracked counter is
+        read at both window ends in one ``eval``, and an untracked one
+        reads 0.0.  The heavy-hitter descent scores a level with it.
+        """
+        s, t = _resolve_window(s, t, self.now)
+        table = self._table
+        slot_map = self._slot_map
+        if slot_map is None:
+            # Slot -1 (untracked) indexes the zero past the last slot.
+            slot_map = np.full((self.depth, self.width), -1, dtype=np.int64)
+            slot_map[table.slot_rows, table.cols] = np.arange(len(table.cols))
+            self._slot_map = slot_map
+        slots = slot_map[
+            np.arange(self.depth)[:, None], self.hashes.buckets_many(items)
+        ]
+        n_slots = len(table.cols)
+        touched = np.zeros(n_slots + 1, dtype=bool)
+        touched[slots] = True
+        read = np.flatnonzero(touched[:n_slots])
+        n = len(read)
+        both = table.eval(
+            np.concatenate((read, read)),
+            np.ones(2 * n, dtype=bool),
+            np.concatenate((np.full(n, float(t)), np.full(n, float(s)))),
+        )
+        windows = np.zeros(n_slots + 1, dtype=np.float64)
+        windows[read] = both[:n] - (both[n:] if s > 0 else 0.0)
+        return median_rows(windows[slots])
 
     # -- self-join ------------------------------------------------------ #
 
@@ -937,9 +977,8 @@ class FrozenHeavyHitters:
         """Heavy-hitter descent, bit-equal to the live structure.
 
         Same traversal as the live structure (Theorem 3.2,
-        :func:`~repro.core.heavy_hitters.descend`).  A level of at most
-        ``_SCALAR_PROBES_MAX`` children is scored with scalar probes; a
-        larger level is estimated in one vectorized ``point_many`` call.
+        :func:`~repro.core.heavy_hitters.descend`); each level is scored
+        in one :meth:`FrozenCountMin.window_estimates` call.
         """
         if not 0 < phi < 1:
             raise ValueError(f"phi must lie in (0, 1), got {phi}")
@@ -948,19 +987,10 @@ class FrozenHeavyHitters:
         cap = max_candidates or max(16, math.ceil(4.0 / phi))
         return descend(
             self.levels, self._bits, self.universe, threshold, cap,
-            lambda level, ranges: self._estimates(
-                self._sketches[level], ranges, s, t
+            lambda level, ranges: self._sketches[level].window_estimates(
+                ranges, s, t
             ),
         )
-
-    @staticmethod
-    def _estimates(
-        sketch: FrozenCountMin, items: list[int], s: float, t: float
-    ) -> list[float]:
-        """Window estimates of one level's probes, as Python floats."""
-        if len(items) <= _SCALAR_PROBES_MAX:
-            return sketch._scalar_points(items, repeat(s), repeat(t))
-        return sketch.point_many(items, (s, t)).tolist()
 
 
 class FrozenShardedSketch:

@@ -12,9 +12,21 @@ and writing the advanced state back.
 
 from __future__ import annotations
 
+import threading
 from random import Random
 
 import numpy as np
+
+#: One numpy generator per thread: each call overwrites its whole state
+#: with the caller's, so it never needs seeding or rebuilding.
+_generators = threading.local()
+
+
+def _generator() -> np.random.RandomState:
+    generator = getattr(_generators, "rng", None)
+    if generator is None:
+        generator = _generators.rng = np.random.RandomState(0)  # sketchlint: disable=SL001 — every call overwrites its state with the caller's seeded Random
+    return generator
 
 
 def bulk_uniforms(rng: Random, n: int) -> np.ndarray:
@@ -30,11 +42,11 @@ def bulk_uniforms(rng: Random, n: int) -> np.ndarray:
     state = rng.getstate()
     if state[0] != 3 or len(state[1]) != 625:
         return np.array([rng.random() for _ in range(n)], dtype=np.float64)
-    key, pos = state[1][:624], state[1][624]
-    np_rng = np.random.RandomState()  # sketchlint: disable=SL001 — state is transplanted from the caller's seeded Random, not ambient entropy
-    np_rng.set_state(("MT19937", np.array(key, dtype=np.uint32), pos))
+    np_rng = _generator()
+    np_rng.set_state(
+        ("MT19937", np.array(state[1][:624], dtype=np.uint32), state[1][624])
+    )
     out = np_rng.random_sample(n)
-    end_state = np_rng.get_state(legacy=True)
-    key_out = tuple(int(word) for word in end_state[1])
-    rng.setstate((3, key_out + (int(end_state[2]),), state[2]))
+    _, key, pos = np_rng.get_state(legacy=True)[:3]
+    rng.setstate((3, tuple(key.tolist()) + (int(pos),), state[2]))
     return out

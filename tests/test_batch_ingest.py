@@ -16,6 +16,7 @@ against the reference, and the route itself is tested at the cutoff.
 """
 
 import random
+import threading
 from array import array
 from contextlib import contextmanager
 from unittest import mock
@@ -505,6 +506,25 @@ def test_bulk_uniforms_is_the_scalar_stream():
         reference.random() for _ in range(3)
     ]
     assert bulk_uniforms(rng, 0).tolist() == []
+    # Two generators interleaved through the shared numpy state each
+    # keep their own stream.
+    other, other_reference = random.Random(7), random.Random(7)
+    for n in (5, 700, 1):
+        assert bulk_uniforms(other, n).tolist() == [
+            other_reference.random() for _ in range(n)
+        ]
+        assert bulk_uniforms(rng, n).tolist() == [
+            reference.random() for _ in range(n)
+        ]
+    assert other.getstate() == other_reference.getstate()
+    assert rng.getstate() == reference.getstate()
+    # A draw from a second thread continues the same stream too.
+    drawn = []
+    worker = threading.Thread(target=lambda: drawn.extend(bulk_uniforms(rng, 40)))
+    worker.start()
+    worker.join()
+    assert drawn == [reference.random() for _ in range(40)]
+    assert rng.getstate() == reference.getstate()
 
 
 # --------------------------------------------------------------------- #

@@ -307,18 +307,19 @@ class TestScalarRoute:
         self, stream, monkeypatch, fanout, parents
     ):
         """A saturated frontier of ``cap`` parents yields ``b * cap``
-        children: exactly the cutoff (scalar, ``cap = cutoff / b``) or
-        above it (vectorized, twice that cap)."""
+        children: exactly the ``point_many`` scalar cutoff
+        (``cap = cutoff / b``) or above it (twice that cap).  Every level
+        goes through the one scorer, whatever its size."""
         live, frozen = _hh_pair(stream, fanout)
         cap = parents * _SCALAR_PROBES_MAX // fanout
         sizes = []
-        estimates = FrozenHeavyHitters._estimates
+        estimates = FrozenCountMin.window_estimates
 
-        def spy(sketch, items, s, t):
+        def spy(sketch, items, s=0, t=None):
             sizes.append(len(items))
             return estimates(sketch, items, s, t)
 
-        monkeypatch.setattr(FrozenHeavyHitters, "_estimates", staticmethod(spy))
+        monkeypatch.setattr(FrozenCountMin, "window_estimates", spy)
         t = frozen.now
         got = frozen.heavy_hitters(1e-4, 0, t, max_candidates=cap)
         assert got == live.heavy_hitters(1e-4, 0, t, max_candidates=cap)
@@ -370,8 +371,8 @@ def _hh_pair(stream, fanout):
 )
 def test_heavy_hitters_equal_live_over_random_windows(hh_pair, phi, window,
                                                       cap):
-    """Hypothesis: frozen descents (all-scalar, mixed and vectorized
-    levels) return exactly the live heavy hitters and window mass."""
+    """Hypothesis: frozen descents (narrow and saturated levels) return
+    exactly the live heavy hitters and window mass."""
     live, frozen = hh_pair
     s, t = sorted(window)
     t = min(t, frozen.now)

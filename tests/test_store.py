@@ -305,4 +305,4 @@ class TestOneCountMinPerHierarchyStream:
         ):
             with pytest.raises(ValueError, match="outside universe"):
                 query()
-        assert store.point("u", 3) == view.point("u", 3) == 1.0
+        assert store.point("u", 3) == view.point("u", 3) == 1.0  # sketchlint: disable=SL002 — frozen == live is bit-equality, and one unit count in a one-record window reads back exactly
