@@ -16,15 +16,21 @@ thin wrapper over the sketch-level API.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.persistence.tracker import CounterTracker
+from repro.pla import orourke
+
+#: A recorder's row feed: ``feed_runs(trackers, bounds, times, values)``
+#: feeds ``times/values[bounds[g]:bounds[g + 1]]`` to ``trackers[g]``.
+FeedRuns = Callable[[Sequence[Any], Sequence[int], list[int], list[Any]], None]
 
 #: Per-counter in-batch run length from which a run is handed to its
 #: tracker as integer numpy columns, the fused ``feed_many`` path;
-#: shorter runs go as Python lists to the run kernel.  Unit-count runs
+#: shorter runs go as Python lists to the row kernel.  Unit-count runs
 #: stay inside the PLA tube, so the fused setup only pays for itself on
 #: deep runs: ``benchmarks/micro_run_cutover.py`` times both hand-offs,
 #: and on rows of equal-length unit-count runs the kernel is ahead or
@@ -71,19 +77,21 @@ def feed_tracked_row(
     times: np.ndarray,
     counts: np.ndarray,
     make_tracker: Callable[[int], CounterTracker],
+    feed_runs: FeedRuns = orourke.feed_runs,
 ) -> None:
     """Apply one row's updates: group by column, feed trackers per run.
 
     Every update feeds its column's tracker (count 0 included, exactly
     like the scalar path); ``make_tracker(col)`` creates and registers a
-    missing one.  One stable argsort turns the row into per-counter
-    runs and one :func:`run_values` gives every counter value; each run
-    then goes to its tracker in one ``feed_many`` call — as integer
-    numpy columns from :data:`LONG_RUN_MIN` on (the fused path), as
-    Python lists below it (the run kernel), so the recorded state holds
-    Python scalars and matches scalar feeding bit-for-bit.  A one-update
-    run is one ``feed`` call: a kernel call would only add the loading
-    and storing of the run state around it.
+    missing one, in run order.  One stable argsort turns the row into
+    per-counter runs and one :func:`run_values` gives every counter
+    value.  The runs then go to their trackers in column order: runs of
+    :data:`LONG_RUN_MIN` updates or more one ``feed_many`` call each,
+    as integer numpy columns (the fused path), and every stretch of
+    shorter runs between them one ``feed_runs`` call (for PLA trackers
+    the row kernel :func:`repro.pla.orourke.feed_runs`) over Python
+    lists, so the recorded state holds Python scalars and matches scalar
+    feeding bit-for-bit.
     """
     if row_cols.shape[0] == 0:
         return
@@ -94,16 +102,25 @@ def feed_tracked_row(
     bases = np.array([counters[col] for col in col_list], dtype=np.int64)
     values = run_values(bases, counts[order], starts, ends)
     sorted_times = times[order]
+    run_trackers = [trackers.get(col) for col in col_list]
+    if None in run_trackers:
+        for g, tracker in enumerate(run_trackers):
+            if tracker is None:
+                run_trackers[g] = make_tracker(col_list[g])
+    bounds = starts.tolist()
+    bounds.append(len(sorted_cols))
     time_list = sorted_times.tolist()
     value_list = values.tolist()
-    for col, lo, hi in zip(col_list, starts.tolist(), ends.tolist()):
-        tracker = trackers.get(col)
-        if tracker is None:
-            tracker = make_tracker(col)
-        if hi - lo == 1:
-            tracker.feed(time_list[lo], value_list[lo])
-        elif hi - lo >= LONG_RUN_MIN:
-            tracker.feed_many(sorted_times[lo:hi], values[lo:hi])
-        else:
-            tracker.feed_many(time_list[lo:hi], value_list[lo:hi])
-        counters[col] = value_list[hi - 1]
+    first = 0
+    for g in np.flatnonzero(ends - starts >= LONG_RUN_MIN).tolist():
+        if g > first:
+            feed_runs(
+                run_trackers[first:g], bounds[first : g + 1], time_list, value_list
+            )
+        lo, hi = bounds[g], bounds[g + 1]
+        run_trackers[g].feed_many(sorted_times[lo:hi], values[lo:hi])
+        first = g + 1
+    if first < len(run_trackers):
+        feed_runs(run_trackers[first:], bounds[first:], time_list, value_list)
+    for col, value in zip(col_list, values[ends - 1].tolist()):
+        counters[col] = value

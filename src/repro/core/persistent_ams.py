@@ -68,33 +68,36 @@ def _feed_sampled_row(
     values = columnar.run_values(bases, a_mags[order], starts, ends)
     times = a_times[order]
     accepted = uniforms_row[order] < probability
+    # Created even when no offer is accepted, as the scalar ``offer``
+    # path does: in run order, copy by copy.
+    for key in run_keys:
+        col, b = key // 2, key % 2
+        for copy, lists in enumerate(histories_row[b]):
+            if col not in lists:
+                make_history(b, copy, col)
     # Each copy's accepted positions, taken once for the whole row and
-    # cut per (column, component) run at the run edges.
-    lasts = values[ends - 1].tolist()
+    # cut per (column, component) run at the run edges; only a run with
+    # an accepted offer in some copy takes a Python step.
     hit_runs = []
+    hit_any = np.zeros(len(run_keys), dtype=bool)
     for copy in range(copies):
         hits = np.flatnonzero(accepted[:, copy])
+        bounds = np.searchsorted(hits, edges)
+        hit_any |= bounds[1:] > bounds[:-1]
         hit_runs.append(
-            (
-                times[hits].tolist(),
-                values[hits].tolist(),
-                np.searchsorted(hits, edges).tolist(),
-            )
+            (times[hits].tolist(), values[hits].tolist(), bounds.tolist())
         )
-    for run, key in enumerate(run_keys):
+    for run in np.flatnonzero(hit_any).tolist():
+        key = run_keys[run]
         col, b = key // 2, key % 2
-        for copy in range(copies):
-            lists = histories_row[b][copy]
-            history = lists.get(col)
-            if history is None:
-                # Created even when no offer is accepted, as the scalar
-                # ``offer`` path does.
-                history = make_history(b, copy, col)
-            hit_times, hit_values, bounds = hit_runs[copy]
+        for lists, (hit_times, hit_values, bounds) in zip(
+            histories_row[b], hit_runs
+        ):
             first, last = bounds[run], bounds[run + 1]
             if last > first:
-                history.extend(hit_times[first:last], hit_values[first:last])
-        components[col][b] = lasts[run]
+                lists[col].extend(hit_times[first:last], hit_values[first:last])
+    for key, last_value in zip(run_keys, values[ends - 1].tolist()):
+        components[key // 2][key % 2] = last_value
 
 
 class PersistentAMS(PersistentSketch):

@@ -31,6 +31,7 @@ from repro.hashing import BucketHashFamily, HashConfig
 from repro.hashing.families import IdentityHashFamily
 from repro.persistence.column_log import PLA, PWC, ColumnLog
 from repro.persistence.tracker import CounterTracker
+from repro.pla import orourke, piecewise_constant
 from repro.pla.orourke import OnlinePLA
 from repro.pla.piecewise_constant import OnlinePWC
 
@@ -72,8 +73,10 @@ class PersistentCountMin(PersistentSketch):
     #: Display name used by the evaluation harness (paper's legend).
     name = "PLA"
     #: The recorder of each counter's history (:class:`PWCCountMin`
-    #: plugs in the piecewise-constant one), and its log rows' kind.
+    #: plugs in the piecewise-constant one), its row feed and its log
+    #: rows' kind.
     _recorder: type[OnlinePLA] | type[OnlinePWC] = OnlinePLA
+    _feed_runs = staticmethod(orourke.feed_runs)
     _kind = PLA
 
     def __init__(
@@ -148,6 +151,7 @@ class PersistentCountMin(PersistentSketch):
                 times,
                 counts,
                 partial(self._track, row),
+                self._feed_runs,
             )
         self.total += int(counts.sum())
 
@@ -252,4 +256,5 @@ class PWCCountMin(PersistentCountMin):
 
     name = "PWC_CountMin"
     _recorder = OnlinePWC
+    _feed_runs = staticmethod(piecewise_constant.feed_runs)
     _kind = PWC

@@ -19,6 +19,7 @@ from repro.core import columnar
 from repro.core.base import PersistentSketch
 from repro.hashing import BucketHashFamily, HashConfig, SignHashFamily
 from repro.persistence.column_log import PWC, ColumnLog
+from repro.pla import piecewise_constant
 from repro.pla.piecewise_constant import OnlinePWC
 
 
@@ -85,6 +86,7 @@ class PWCAMS(PersistentSketch):
                 times,
                 signs[row] * counts,
                 partial(self._track, row),
+                piecewise_constant.feed_runs,
             )
         self.total += int(counts.sum())
 

@@ -125,3 +125,16 @@ class OnlinePWC:
     def words(self) -> int:
         """Space in machine words (2 per record, per Section 6.2)."""
         return PWC.words * len(self._pos)
+
+
+def feed_runs(
+    trackers: Sequence[OnlinePWC],
+    bounds: Sequence[int],
+    times: Sequence[int],
+    values: Sequence[float],
+) -> None:
+    """The row feed of :func:`repro.core.columnar.feed_tracked_row`:
+    run ``g``, ``times/values[bounds[g]:bounds[g + 1]]``, goes to
+    ``trackers[g]`` in one :meth:`OnlinePWC.feed_many` call."""
+    for tracker, lo, hi in zip(trackers, bounds, bounds[1:]):
+        tracker.feed_many(times[lo:hi], values[lo:hi])

@@ -24,8 +24,6 @@ from typing import Any, BinaryIO, Iterable, Sequence
 
 from repro.server import protocol
 
-_OMIT = object()
-
 
 class Client:
     """JSON-lines protocol client with connection reuse and timeouts."""
@@ -79,12 +77,10 @@ class Client:
     # ------------------------------------------------------------------ #
 
     def _call(self, verb: str, **params: Any) -> Any:
-        payload: dict[str, Any] = {"id": self._next_id, "verb": verb}
-        for key, value in params.items():
-            if value is not _OMIT:
-                payload[key] = value
+        payload: dict[str, Any] = {"id": self._next_id, "verb": verb, **params}
         self._next_id += 1
-        self.connect()
+        if self._sock is None:
+            self.connect()
         sock, rfile = self._sock, self._rfile
         if sock is None or rfile is None:
             raise ConnectionError("connection lost before the request was sent")

@@ -119,20 +119,15 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             except Exception as exc:  # sketchlint: disable=SL004 — protocol boundary: every Exception becomes a typed error response
                 self._respond(request_id, error=protocol.error_payload(exc))
                 continue
-            self._respond(request_id, result=result)
+            self.wfile.write(
+                protocol.encode({"id": request_id, "ok": True, "result": result})
+            )
+            self.wfile.flush()
 
-    def _respond(
-        self,
-        request_id: Any,
-        result: Any = None,
-        error: dict[str, Any] | None = None,
-    ) -> None:
-        payload: dict[str, Any] = {"id": request_id, "ok": error is None}
-        if error is None:
-            payload["result"] = result
-        else:
-            payload["error"] = error
-        self.wfile.write(protocol.encode(payload))
+    def _respond(self, request_id: Any, error: dict[str, Any]) -> None:
+        self.wfile.write(
+            protocol.encode({"id": request_id, "ok": False, "error": error})
+        )
         self.wfile.flush()
 
 
