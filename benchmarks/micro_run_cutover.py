@@ -1,9 +1,11 @@
 """Micro-benchmark of ``repro.core.columnar.feed_tracked_row``.
 
 ``feed_tracked_row`` has one body: a stable argsort turns a row's
-updates into per-counter runs, and each run goes to its tracker in one
-``feed_many`` call — as integer numpy columns from ``LONG_RUN_MIN`` on
-(the fused path), as Python lists below it (the run kernel).
+updates into per-counter runs, and the runs go to their trackers in
+column order — each run of ``LONG_RUN_MIN`` updates or more in one
+``feed_many`` call as integer numpy columns (the fused path), every
+stretch of shorter runs in one call of the row kernel
+``repro.pla.orourke.feed_runs`` as Python lists.
 
 The ``ratios`` leg times that body against the per-update reference,
 one ``tracker.feed`` per update as scalar ``update()`` feeds it, on
@@ -447,8 +449,8 @@ def test_run_cutover(benchmark):
     for stats in payload["handoff"].values():
         assert stats["equal"]
     # The one row body must not lose to the per-update loop: within 10%
-    # on singleton runs (argsort and one kernel call per one-point run
-    # are pure overhead there), ahead once the kernel walks runs of ~8,
+    # on singleton runs (the argsort is pure overhead there), ahead
+    # once the row kernel walks runs of ~8,
     # and ahead outright in the deep-run regime where the fused tracker
     # path amortizes (runs of ~1k, the Zipf-hot-counter shape).
     assert payload["ratios"]["1"]["columnar_speedup"] > 0.9, (
@@ -456,7 +458,7 @@ def test_run_cutover(benchmark):
         "on singleton runs"
     )
     assert payload["ratios"]["8"]["columnar_speedup"] > 1.15, (
-        "the run kernel no longer beats the per-update loop at mean "
+        "the row kernel no longer beats the per-update loop at mean "
         "run length 8"
     )
     assert payload["ratios"]["1024"]["columnar_speedup"] > 1.2, (

@@ -654,7 +654,7 @@ def test_pla_fused_state_holds_no_numpy_scalars():
 
 
 # --------------------------------------------------------------------- #
-# The run kernel: one OnlinePLA.feed_many call per list run
+# The row kernel through feed_many: one call per list run
 # --------------------------------------------------------------------- #
 
 #: Stretches of a kernel test sequence: ``(points, slope, jitter, jump)``
@@ -834,7 +834,7 @@ def test_planner_kernel_bit_identical_to_scalar(name, updates, chunk):
     """:func:`test_batch_bit_identical_to_scalar` with contracts off.
 
     With contracts on, ``feed_many`` feeds point by point, so only this
-    run reaches the run kernel; the sketches are built with contracts
+    run reaches the row kernel; the sketches are built with contracts
     off too, or their trackers would record run points and keep the
     per-point loop."""
     stream = build_stream(updates)

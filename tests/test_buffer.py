@@ -183,7 +183,7 @@ def test_exact_buffered_kernel_bit_identical_to_unbuffered(
     name, updates, window, chunk
 ):
     """The same with contracts off and every flush through the columnar
-    planner, so runs reach ``OnlinePLA``'s run kernel."""
+    planner, so runs reach the PLA row kernel."""
     with contracts.enforced(False), columnar_only():
         _check_exact_buffered(name, updates, window, chunk)
 

@@ -514,7 +514,7 @@ def test_frozen_equals_live_on_arbitrary_streams(items, window, delta):
 )
 def test_frozen_equals_live_after_kernel_batches(items, window, delta, chunk):
     """Frozen equals live on a sketch fed in columnar batches with
-    contracts off, so its runs went through ``OnlinePLA``'s run kernel."""
+    contracts off, so its runs went through the PLA row kernel."""
     s, t = sorted(window)
     t = min(t, len(items))
     s = min(s, t)

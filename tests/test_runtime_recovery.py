@@ -284,7 +284,7 @@ class TestBatchFaultPoints:
         self, tmp_path, plan
     ):
         """With contracts off and every batch (replay included) through
-        the columnar planner, runs reach ``OnlinePLA``'s run kernel; the
+        the columnar planner, runs reach the PLA row kernel; the
         twin still feeds record by record."""
         records = make_records()
         with contracts.enforced(False):
